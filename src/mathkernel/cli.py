@@ -2,8 +2,9 @@
 countermodels, apply proof transformations, and walk through the gated
 paradox derivation.
 
-Exit codes: 0 on success, 1 on a failed check or refuted formula,
-2 on usage errors (bad input files, unparsable formulas).
+Exit codes: 0 on success, 1 on a failed check or a formula that is not
+intuitionistically valid, 2 on usage errors (bad input files, unparsable
+formulas, a world bound outside 1..5).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .kernel import (
 )
 from .parser import ParseError, parse_formula
 from .script import ScriptError, _emit_just, emit_script, parse_script, script_of
-from .semantics import SemanticsError, find_countermodel
+from .semantics import SemanticsError, find_countermodel, provable
 from .syntax import Environment, IllFormedError, pformat
 from .tactics import TacticError, deduction_theorem, internalize, meaningfulness_closure
 
@@ -156,6 +157,9 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 # countermodel
 
 
+# enumerate_frames(5) alone takes about 1.5 s; 6 worlds would mean 3**15
+# order choices, each canonicalised over 720 permutations
+_MAX_WORLDS = 5
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _KEYWORDS = {"bot", "forall", "exists", "M", "A", "T", "H", "sim", "definite"}
 
@@ -169,8 +173,8 @@ def _propositional_env(text: str) -> Environment:
     return env
 
 
-def _countermodel_json(formula: str, cm) -> dict:
-    payload: dict = {"formula": formula, "valid": cm is None}
+def _countermodel_json(formula: str, valid: bool, cm) -> dict:
+    payload: dict = {"formula": formula, "valid": valid}
     if cm is not None:
         frame = cm.model.frame
         payload["countermodel"] = {
@@ -186,21 +190,28 @@ def _countermodel_json(formula: str, cm) -> dict:
 
 
 def _cmd_countermodel(args: argparse.Namespace) -> int:
+    if not 1 <= args.max_worlds <= _MAX_WORLDS:
+        return _fail_usage(f"--max-worlds must be between 1 and {_MAX_WORLDS}")
     env = _propositional_env(args.formula)
     try:
         phi = parse_formula(args.formula, env)
         cm = find_countermodel(phi, max_worlds=args.max_worlds)
+        valid = cm is None and provable(phi)
     except (ParseError, IllFormedError, SemanticsError) as exc:
         return _fail_usage(str(exc))
     if args.json:
-        print(json.dumps(_countermodel_json(args.formula, cm), indent=2))
-    elif cm is None:
+        print(json.dumps(_countermodel_json(args.formula, valid, cm), indent=2))
+    elif valid:
         print(f"no countermodel with up to {args.max_worlds} worlds: "
               f"({pformat(phi)}) holds everywhere")
+    elif cm is None:
+        print(f"no countermodel with up to {args.max_worlds} worlds, but "
+              f"({pformat(phi)}) is not intuitionistically valid: it has no "
+              "G4ip proof, so every countermodel has more worlds")
     else:
         print(f"countermodel for ({pformat(phi)}):")
         print(cm.describe())
-    return 0 if cm is None else 1
+    return 0 if valid else 1
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="search finite ordered models for a "
                                "refutation of a formula")
     p_cm.add_argument("formula")
-    p_cm.add_argument("--max-worlds", type=int, default=4)
+    p_cm.add_argument("--max-worlds", type=int, default=4,
+                      help=f"largest model searched, 1..{_MAX_WORLDS} worlds "
+                           "(default: 4); validity is decided by G4ip")
     p_cm.add_argument("--json", action="store_true")
     p_cm.set_defaults(func=_cmd_countermodel)
 

@@ -1,14 +1,22 @@
-"""Finite Kripke models for the intuitionistic propositional fragment.
+"""Finite Kripke models and a decision procedure for the intuitionistic
+propositional fragment.
 
 A frame is a finite poset of worlds; a model adds an upward-closed
 valuation.  Evaluation follows the standard clauses: Bot fails everywhere,
 conjunction and disjunction are pointwise, and an implication holds at a
 world iff every later world forcing the antecedent forces the consequent.
 
-The countermodel search is exhaustive over posets up to isomorphism and
-monotone valuations, which is what refutes classical principles like
+Validity is decided by Dyckhoff's contraction-free sequent calculus G4ip
+(LJT, JSL 57(3), 1992), whose proof search terminates without loop checks.
+``find_countermodel`` runs it first: a provable formula is forced in every
+Kripke model, so it has no countermodel.  Only unprovable formulas reach the
+model search, which is exhaustive over posets up to isomorphism and
+monotone valuations; that is what refutes classical principles like
 excluded middle and certifies that the checker's logical base is genuinely
-intuitionistic.
+intuitionistic.  The search tabulates the Heyting algebra of each frame's
+upsets once and evaluates each valuation as a chain of table lookups.
+
+numpy serves only the ``holds_in_all_models`` sweep and is imported there.
 """
 
 from __future__ import annotations
@@ -16,11 +24,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional
 
-import numpy as np
-
-from .syntax import And, Atom, BOT, Bot, Formula, Implies, Or, pformat
+from .syntax import And, Atom, Bot, Formula, Implies, Or, pformat
 
 
 class SemanticsError(Exception):
@@ -147,24 +153,192 @@ def _force(model: KripkeModel, w: int, phi: Formula) -> bool:
 def abstract_propositional(phi: Formula) -> tuple[Formula, dict[str, Formula]]:
     """Replace each maximal non-propositional subformula with a fresh
     propositional atom, identical subformulas sharing an atom.  Returns the
-    skeleton and the atom-to-subformula mapping."""
+    skeleton and the atom-to-subformula mapping.  Atoms are numbered in
+    left-to-right order of first occurrence.
+
+    The walk keeps its own stack, so the connective depth of phi is not
+    bounded by Python's recursion limit; a non-propositional subformula
+    too deep to compare raises SemanticsError."""
     table: dict[Formula, str] = {}
     names: dict[str, Formula] = {}
-
-    def walk(f: Formula) -> Formula:
-        if isinstance(f, Bot):
-            return f
-        if isinstance(f, Atom) and not f.args:
-            return f
+    out: dict[int, Formula] = {}  # id of a subformula of phi -> its image
+    stack = [phi]
+    while stack:
+        f = stack[-1]
+        if id(f) in out:
+            stack.pop()
+            continue
         if isinstance(f, (And, Or, Implies)):
-            return type(f)(walk(f.left), walk(f.right))
-        if f not in table:
-            name = f"p{len(table) + 1}"
-            table[f] = name
-            names[name] = f
-        return Atom(table[f])
+            missing = [g for g in (f.right, f.left) if id(g) not in out]
+            if missing:
+                stack += missing  # the left child ends on top: done first
+                continue
+            out[id(f)] = type(f)(out[id(f.left)], out[id(f.right)])
+        elif isinstance(f, Bot) or (isinstance(f, Atom) and not f.args):
+            out[id(f)] = f
+        else:
+            try:
+                name = table.get(f)
+            except RecursionError:
+                raise SemanticsError(
+                    "formula nested too deeply to abstract") from None
+            if name is None:
+                name = table[f] = f"p{len(table) + 1}"
+                names[name] = f
+            out[id(f)] = Atom(name)
+        stack.pop()
+    return out[id(phi)], names
 
-    return walk(phi), names
+
+# ---------------------------------------------------------------------------
+# compiled skeletons
+
+
+# node kinds; node i of a table is (kind, left, right), and an atom node
+# keeps its name in ``left``
+_BOT, _ATOM, _AND, _OR, _IMP = range(5)
+_KINDS = {And: _AND, Or: _OR, Implies: _IMP}
+
+
+class _Nodes:
+    """Hash-consed propositional formulas: equal formulas get one id, and
+    every node's children have smaller ids than the node."""
+
+    def __init__(self) -> None:
+        self.table: list[tuple] = []
+        self._ids: dict[tuple, int] = {}
+        self.bot = self.make(_BOT)
+
+    def make(self, kind: int, left=None, right=None) -> int:
+        key = (kind, left, right)
+        node = self._ids.get(key)
+        if node is None:
+            node = self._ids[key] = len(self.table)
+            self.table.append(key)
+        return node
+
+
+class _Compiled(NamedTuple):
+    nodes: _Nodes
+    root: int
+    atoms: tuple[tuple[str, int], ...]  # (name, node), sorted by name
+    steps: tuple[tuple[int, int, int, int], ...]  # postfix (node, kind, l, r)
+
+
+def _compile(skeleton: Formula) -> _Compiled:
+    """Intern a propositional skeleton, without recursion, into a node
+    table whose compound nodes in id order form a postfix program."""
+    nodes = _Nodes()
+    done: dict[int, int] = {}  # id of a subformula -> its node
+    stack = [skeleton]
+    while stack:
+        f = stack[-1]
+        if id(f) in done:
+            stack.pop()
+            continue
+        if isinstance(f, Bot):
+            done[id(f)] = nodes.bot
+        elif isinstance(f, Atom):
+            done[id(f)] = nodes.make(_ATOM, f.pred)
+        else:
+            missing = [g for g in (f.right, f.left) if id(g) not in done]
+            if missing:
+                stack += missing
+                continue
+            done[id(f)] = nodes.make(_KINDS[type(f)], done[id(f.left)],
+                                     done[id(f.right)])
+        stack.pop()
+    atoms = sorted((name, i) for i, (kind, name, _) in enumerate(nodes.table)
+                   if kind == _ATOM)
+    steps = tuple((i, kind, l, r) for i, (kind, l, r) in enumerate(nodes.table)
+                  if kind >= _AND)
+    return _Compiled(nodes, done[id(skeleton)], tuple(atoms), steps)
+
+
+# ---------------------------------------------------------------------------
+# G4ip decision procedure
+
+
+def _g4ip(nodes: _Nodes, ctx: frozenset[int], goal: int):
+    """Proof search for the G4ip sequent ``ctx => goal``.  A generator: it
+    yields each premise ``(ctx', goal')`` it needs, is sent back whether
+    that premise is provable, and returns whether the sequent is.
+
+    Invertible rules are applied first and committed to; the sequent is
+    then closed, or its atoms, ``p -> B`` with p absent, ``(C -> D) -> B``
+    and disjunctive goal leave the only choices."""
+    t = nodes.table
+    kind, a, b = t[goal]
+    if kind == _AND:
+        return (yield ctx, a) and (yield ctx, b)
+    if kind == _IMP:
+        return (yield ctx | {a}, b)
+    if goal in ctx or nodes.bot in ctx:
+        return True
+    for f in ctx:
+        kind, a, b = t[f]
+        if kind == _AND:
+            return (yield (ctx - {f}) | {a, b}, goal)
+        if kind == _OR:
+            rest = ctx - {f}
+            return (yield rest | {a}, goal) and (yield rest | {b}, goal)
+        if kind != _IMP:
+            continue
+        akind, c, d = t[a]
+        if akind == _BOT:
+            return (yield ctx - {f}, goal)
+        if akind == _ATOM and a in ctx:
+            return (yield (ctx - {f}) | {b}, goal)
+        if akind == _AND:  # (C & D) -> B  becomes  C -> D -> B
+            return (yield (ctx - {f}) | {
+                nodes.make(_IMP, c, nodes.make(_IMP, d, b))}, goal)
+        if akind == _OR:  # (C | D) -> B  becomes  C -> B, D -> B
+            return (yield (ctx - {f}) | {
+                nodes.make(_IMP, c, b), nodes.make(_IMP, d, b)}, goal)
+    kind, a, b = t[goal]
+    if kind == _OR and ((yield ctx, a) or (yield ctx, b)):
+        return True
+    for f in ctx:
+        kind, a, b = t[f]
+        if kind == _IMP and t[a][0] == _IMP:
+            _, c, d = t[a]
+            rest = ctx - {f}
+            if (yield rest | {b}, goal) and \
+                    (yield rest | {c, nodes.make(_IMP, d, b)}, d):
+                return True
+    return False
+
+
+def _decide(compiled: _Compiled) -> bool:
+    """Whether ``=> root`` is provable in G4ip.  Each open sequent is a
+    generator on an explicit stack, so the search depth is bounded by
+    memory, not by Python's recursion limit."""
+    nodes = compiled.nodes
+    memo: dict[tuple[frozenset[int], int], bool] = {}
+    start = (frozenset(), compiled.root)
+    stack = [(start, _g4ip(nodes, *start))]
+    answer = None  # sent into the generator on top of the stack
+    while True:
+        sequent, search = stack[-1]
+        try:
+            premise = search.send(answer)
+        except StopIteration as stop:
+            answer = memo[sequent] = stop.value
+            stack.pop()
+            if not stack:
+                return answer
+            continue
+        answer = memo.get(premise)
+        if answer is None:
+            stack.append((premise, _g4ip(nodes, *premise)))
+
+
+def provable(phi: Formula) -> bool:
+    """True iff the propositional skeleton of phi (see
+    ``abstract_propositional``) is a theorem of intuitionistic
+    propositional logic, decided by G4ip."""
+    skeleton, _ = abstract_propositional(phi)
+    return _decide(_compile(skeleton))
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +385,37 @@ def enumerate_frames(size: int) -> tuple[KripkeFrame, ...]:
     return tuple(frames)
 
 
+class _Algebra(NamedTuple):
+    """The Heyting algebra of a frame's upsets, over their indices in
+    ``frame.upsets()``: the value of a formula is the upset of worlds
+    forcing it."""
+
+    ups: tuple[frozenset[int], ...]
+    bot: int
+    top: int
+    ops: dict[int, tuple[tuple[int, ...], ...]]  # node kind -> op table
+    lowest_outside: tuple[Optional[int], ...]  # per upset; None for top
+
+
+@lru_cache(maxsize=None)  # called only with the enumerated frames
+def _algebra(frame: KripkeFrame) -> _Algebra:
+    ups = frame.upsets()
+    index = {u: i for i, u in enumerate(ups)}
+    up_of = [frozenset(frame.above(w)) for w in frame.worlds]
+
+    def table(op) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(index[op(a, b)] for b in ups) for a in ups)
+
+    return _Algebra(
+        ups, index[frozenset()], index[frozenset(frame.worlds)],
+        {_AND: table(frozenset.__and__),
+         _OR: table(frozenset.__or__),
+         _IMP: table(lambda a, b: frozenset(
+             w for w in frame.worlds if up_of[w] & a <= b))},
+        tuple(min((w for w in frame.worlds if w not in u), default=None)
+              for u in ups))
+
+
 # ---------------------------------------------------------------------------
 # countermodel search
 
@@ -230,27 +435,37 @@ class Countermodel:
 
 def find_countermodel(phi: Formula, max_worlds: int = 4
                       ) -> Optional[Countermodel]:
-    """Search all posets up to ``max_worlds`` worlds (up to isomorphism) and
-    all monotone valuations for a world refuting phi."""
+    """The first countermodel to phi's propositional skeleton, searching
+    posets by size up to ``max_worlds`` worlds (one per isomorphism class,
+    in ``enumerate_frames`` order), monotone valuations in
+    ``itertools.product`` order over ``frame.upsets()``, and the lowest
+    refuting world.  None when G4ip proves the skeleton, or when no model
+    within the bound refutes it."""
     skeleton, names = abstract_propositional(phi)
-    atoms = sorted({a.pred for a in _atoms(skeleton)})
+    compiled = _compile(skeleton)
+    if _decide(compiled):
+        return None
+    atoms = [name for name, _ in compiled.atoms]
+    slots = [node for _, node in compiled.atoms]
+    values = [0] * len(compiled.nodes.table)
     for size in range(1, max_worlds + 1):
         for frame in enumerate_frames(size):
-            ups = frame.upsets()
-            for combo in itertools.product(ups, repeat=len(atoms)):
-                model = KripkeModel(frame, dict(zip(atoms, combo)))
-                for w in frame.worlds:
-                    if not _force(model, w, skeleton):
-                        return Countermodel(model, w, names)
+            alg = _algebra(frame)
+            program = [(i, alg.ops[kind], l, r)
+                       for i, kind, l, r in compiled.steps]
+            values[compiled.nodes.bot] = alg.bot
+            for combo in itertools.product(range(len(alg.ups)),
+                                           repeat=len(atoms)):
+                for slot, u in zip(slots, combo):
+                    values[slot] = u
+                for i, op, l, r in program:
+                    values[i] = op[values[l]][values[r]]
+                world = alg.lowest_outside[values[compiled.root]]
+                if world is not None:
+                    model = KripkeModel(frame, {
+                        a: alg.ups[u] for a, u in zip(atoms, combo)})
+                    return Countermodel(model, world, names)
     return None
-
-
-def _atoms(phi: Formula):
-    if isinstance(phi, Atom):
-        yield phi
-    elif isinstance(phi, (And, Or, Implies)):
-        yield from _atoms(phi.left)
-        yield from _atoms(phi.right)
 
 
 # ---------------------------------------------------------------------------
@@ -264,48 +479,35 @@ def holds_in_all_models(phi: Formula, max_worlds: int = 4) -> bool:
     """True iff phi is forced at every world of every model on every poset
     with at most ``max_worlds`` worlds.
 
-    Valuations form a finite Heyting algebra (the upsets of the frame);
-    the sweep tabulates the algebra's operations once per frame and folds
-    the formula over a numpy grid of all atom assignments at once.
+    The sweep folds the compiled skeleton over a numpy grid of all atom
+    assignments at once, with the operations of each frame's Heyting
+    algebra of upsets as lookup tables.
     """
+    import numpy as np
+
     skeleton, _ = abstract_propositional(phi)
-    atoms = sorted({a.pred for a in _atoms(skeleton)})
-    k = len(atoms)
+    compiled = _compile(skeleton)
+    k = len(compiled.atoms)
     for size in range(1, max_worlds + 1):
         for frame in enumerate_frames(size):
-            ups = frame.upsets()
-            m = len(ups)
+            alg = _algebra(frame)
+            m = len(alg.ups)
             if m ** max(k, 1) > _MAX_GRID:
                 raise SemanticsError(
                     f"{k} atoms over {m} upsets exceeds the exhaustive sweep "
                     "bound; use find_countermodel on a smaller formula")
-            index = {u: i for i, u in enumerate(ups)}
-            top = index[frozenset(frame.worlds)]
-            bot = index[frozenset()]
-            up_of = [frozenset(frame.above(w)) for w in frame.worlds]
-            meet = np.empty((m, m), dtype=np.intp)
-            join = np.empty((m, m), dtype=np.intp)
-            imp = np.empty((m, m), dtype=np.intp)
-            for i, a in enumerate(ups):
-                for j, b in enumerate(ups):
-                    meet[i, j] = index[a & b]
-                    join[i, j] = index[a | b]
-                    imp[i, j] = index[frozenset(
-                        w for w in frame.worlds if up_of[w] & a <= b)]
+            ops = {kind: np.array(t, dtype=np.intp)
+                   for kind, t in alg.ops.items()}
             shape = (m,) * k if k else (1,)
-
-            def grid(f: Formula) -> np.ndarray:
-                if isinstance(f, Bot):
-                    return np.full(shape, bot, dtype=np.intp)
-                if isinstance(f, Atom):
-                    i = atoms.index(f.pred)
-                    view = [1] * k
-                    view[i] = m
-                    return np.broadcast_to(
-                        np.arange(m, dtype=np.intp).reshape(view), shape)
-                table = {And: meet, Or: join, Implies: imp}[type(f)]
-                return table[grid(f.left), grid(f.right)]
-
-            if not (grid(skeleton) == top).all():
+            grids: list = [None] * len(compiled.nodes.table)
+            grids[compiled.nodes.bot] = np.full(shape, alg.bot, dtype=np.intp)
+            for axis, (_, node) in enumerate(compiled.atoms):
+                view = [1] * k
+                view[axis] = m
+                grids[node] = np.broadcast_to(
+                    np.arange(m, dtype=np.intp).reshape(view), shape)
+            for i, kind, l, r in compiled.steps:
+                grids[i] = ops[kind][grids[l], grids[r]]
+            if not (grids[compiled.root] == alg.top).all():
                 return False
     return True

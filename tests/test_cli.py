@@ -1,6 +1,9 @@
 """The command-line interface: subcommands, exit codes, JSON output."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -10,7 +13,8 @@ from mathkernel.cli import main
 from mathkernel.corpus import corpus_dir
 
 
-DOCS = Path(__file__).resolve().parent.parent / "docs"
+ROOT = Path(__file__).resolve().parent.parent
+DOCS = ROOT / "docs"
 
 
 def schema(name):
@@ -25,6 +29,15 @@ def run(capsys, *argv):
 
 def corpus_path(name):
     return str(corpus_dir() / name)
+
+
+def run_python(*argv):
+    """Run the interpreter in a fresh process with ``src`` importable."""
+    path = os.pathsep.join(p for p in (str(ROOT / "src"),
+                                       os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 # -- check
@@ -141,6 +154,50 @@ def test_countermodel_json_is_schema_valid(capsys):
 def test_countermodel_bad_formula_is_usage_error(capsys):
     code, _, _ = run(capsys, "countermodel", "p ->")
     assert code == 2
+
+
+def test_countermodel_provable_holds_at_any_bound(capsys):
+    code, out, _ = run(capsys, "countermodel", "~~(p | ~p)",
+                       "--max-worlds", "1")
+    assert code == 0
+    assert "holds everywhere" in out
+
+
+def test_countermodel_bounded_search_does_not_claim_validity(capsys):
+    code, out, _ = run(capsys, "countermodel", "p | ~p", "--max-worlds", "1")
+    assert code == 1
+    assert "holds everywhere" not in out
+    assert "not intuitionistically valid" in out
+    code, out, _ = run(capsys, "countermodel", "p | ~p", "--max-worlds", "1",
+                       "--json")
+    assert code == 1
+    payload = json.loads(out)
+    jsonschema.validate(payload, schema("countermodel.schema.json"))
+    assert payload == {"formula": "p | ~p", "valid": False}
+
+
+@pytest.mark.parametrize("bound", ["0", "6", "-1"])
+def test_countermodel_world_bound_out_of_range_is_usage_error(capsys, bound):
+    code, out, err = run(capsys, "countermodel", "p | ~p",
+                         "--max-worlds", bound)
+    assert code == 2
+    assert out == ""
+    assert "--max-worlds must be between 1 and 5" in err
+
+
+@pytest.mark.parametrize("depth", [400, 900])
+def test_countermodel_deep_formula_ends_without_traceback(depth):
+    for formula in ("~" * depth + "p", "forall x. " + "~" * depth + "p"):
+        done = run_python("-m", "mathkernel.cli", "countermodel", formula)
+        assert done.returncode in (0, 1, 2), done.stderr[-500:]
+        assert "Traceback" not in done.stderr, done.stderr[-500:]
+
+
+def test_cli_import_does_not_load_numpy():
+    done = run_python("-c", "import sys, mathkernel.cli; "
+                            "print('numpy' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 # -- tactic

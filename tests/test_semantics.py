@@ -1,16 +1,22 @@
-"""Finite ordered-model evaluation and exhaustive countermodel search."""
+"""Finite ordered-model evaluation, the G4ip decision procedure, and
+exhaustive countermodel search."""
 
+import functools
+import itertools
 import random
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mathkernel.kernel import logical_instance
 from mathkernel.parser import parse_formula
 from mathkernel.semantics import (
+    Countermodel,
     KripkeFrame,
     KripkeModel,
     SemanticsError,
+    _force,
     abstract_propositional,
     chain_frame,
     check_monotonicity,
@@ -18,6 +24,7 @@ from mathkernel.semantics import (
     eval_at,
     find_countermodel,
     holds_in_all_models,
+    provable,
 )
 from mathkernel.syntax import (
     AApp,
@@ -171,6 +178,119 @@ def test_countermodel_describe_mentions_abstracted_subformulas():
     cm = find_countermodel(phi)
     assert cm is not None
     assert "A(`s`)" in cm.describe()
+
+
+def reference_countermodel(phi, max_worlds):
+    """The exhaustive search as it was before the decider and the tables:
+    a fresh model per valuation, every world re-forced with ``_force``."""
+    skeleton, names = abstract_propositional(phi)
+    atoms = sorted(atom_names(skeleton))
+    for size in range(1, max_worlds + 1):
+        for frame in enumerate_frames(size):
+            ups = frame.upsets()
+            for combo in itertools.product(ups, repeat=len(atoms)):
+                model = KripkeModel(frame, dict(zip(atoms, combo)))
+                for w in frame.worlds:
+                    if not _force(model, w, skeleton):
+                        return Countermodel(model, w, names)
+    return None
+
+
+def atom_names(phi):
+    if isinstance(phi, Atom):
+        return {phi.pred}
+    if isinstance(phi, (And, Or, Implies)):
+        return atom_names(phi.left) | atom_names(phi.right)
+    return set()
+
+
+def random_formulas(seed, count):
+    """``count`` seeded formulas over p, q, r and bot, depth <= 4, each with
+    a world bound of 1 to 3."""
+    rng = random.Random(seed)
+    leaves = [f("p"), f("q"), f("r"), BOT]
+
+    def rand(depth):
+        if depth == 0 or rng.random() < 0.3:
+            return rng.choice(leaves)
+        shape = rng.choice((And, Or, Implies))
+        return shape(rand(depth - 1), rand(depth - 1))
+
+    return [(rand(4), rng.randint(1, 3)) for _ in range(count)]
+
+
+def test_search_matches_reference_on_random_formulas():
+    for phi, bound in random_formulas(20241018, 400):
+        assert find_countermodel(phi, max_worlds=bound) \
+            == reference_countermodel(phi, bound), (pformat(phi), bound)
+
+
+def test_decider_agrees_with_models_on_random_formulas():
+    decided = {True: 0, False: 0}
+    for phi, bound in random_formulas(7, 400):
+        proved = provable(phi)
+        decided[proved] += 1
+        if proved:
+            assert holds_in_all_models(phi, max_worlds=3), pformat(phi)
+        if find_countermodel(phi, max_worlds=bound) is not None:
+            assert not proved, pformat(phi)
+    assert min(decided.values()) >= 50  # both answers are exercised
+
+
+def test_classical_principles_are_unprovable():
+    for text in ("p | ~p", "~~p -> p", "((p -> q) -> p) -> p"):
+        assert not provable(f(text)), text
+    for text in ("~~(p | ~p)", "~~~p -> ~p", "((p -> q) -> p) -> ~~p"):
+        assert provable(f(text)), text
+
+
+def scheme_instances(max_atoms=8):
+    """Instances of L1-L9 and implication chains over 1 to ``max_atoms``
+    atoms; a scheme's parameters split the atoms between them, each joined
+    by &, | or -> in turn."""
+    names = [f"a{i}" for i in range(1, max_atoms + 1)]
+    joins = (And, Or, Implies)
+    for k in range(1, max_atoms + 1):
+        atoms = [Atom(n) for n in names[:k]]
+        for scheme, arity in (("L1", 2), ("L2", 3), ("L3", 2), ("L4", 2),
+                              ("L5", 2), ("L6", 2), ("L7", 2), ("L8", 3),
+                              ("L9", 1)):
+            groups = [atoms[i::arity] or [atoms[i % k]]
+                      for i in range(arity)]
+            yield logical_instance(scheme, [
+                functools.reduce(joins[(k + i) % 3], group)
+                for i, group in enumerate(groups)])
+        if k >= 2:  # a1 -> (a1 -> a2) -> ... -> (a(k-1) -> ak) -> ak
+            chain = atoms[-1]
+            for x, y in reversed(list(zip(atoms, atoms[1:]))):
+                chain = Implies(Implies(x, y), chain)
+            yield Implies(atoms[0], chain)
+
+
+def test_scheme_instances_and_chains_decide_within_a_second():
+    count = 0
+    for phi in scheme_instances():
+        start = time.perf_counter()
+        assert provable(phi), pformat(phi)
+        assert find_countermodel(phi) is None, pformat(phi)
+        assert time.perf_counter() - start < 1.0, pformat(phi)
+        count += 1
+    assert count == 9 * 8 + 7
+
+
+def test_deep_formulas_decide_without_recursion():
+    p = f("p")
+    negations = p
+    for _ in range(2000):
+        negations = neg(negations)
+    assert not provable(negations)
+    cm = find_countermodel(negations, max_worlds=1)
+    assert cm is not None and cm.model.valuation == {"p": frozenset()}
+    implications = p
+    for _ in range(2000):
+        implications = Implies(p, implications)
+    assert provable(implications)
+    assert find_countermodel(implications) is None
 
 
 # -- abstraction
