@@ -13,12 +13,10 @@ import argparse
 import json
 import re
 import sys
-import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional
 
-from .corpus import CorpusError, CorpusReport, corpus_dir, load_manifest, check_entry
+from .corpus import CorpusError, CorpusReport, corpus_dir, run_corpus
 from .kernel import (
     EXTENSION_SCHEMES,
     ByExtension,
@@ -133,15 +131,10 @@ def _report_json(report: CorpusReport) -> dict:
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
-    directory = Path(args.dir) if args.dir else corpus_dir()
     try:
-        entries = load_manifest(directory)
+        report = run_corpus(Path(args.dir) if args.dir else None)
     except CorpusError as exc:
         return _fail_usage(str(exc))
-    start = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        results = tuple(pool.map(lambda e: check_entry(e, directory), entries))
-    report = CorpusReport(results, time.perf_counter() - start)
     if args.json:
         print(json.dumps(_report_json(report), indent=2))
     else:
@@ -324,8 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_corpus = sub.add_parser("corpus", help="check every bundled script")
     p_corpus.add_argument("--dir", help="corpus directory override")
-    p_corpus.add_argument("--jobs", type=int, default=None,
-                          help="parallel workers (default: executor choice)")
     p_corpus.add_argument("--json", action="store_true")
     p_corpus.set_defaults(func=_cmd_corpus)
 

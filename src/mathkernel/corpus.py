@@ -17,9 +17,9 @@ from pathlib import Path
 from typing import Optional
 
 from .kernel import ProofCheckError, check_proof
-from .parser import parse_formula
+from .parser import ParseError, parse_formula
 from .script import ScriptError, parse_script
-from .syntax import pformat
+from .syntax import DefinitionError, IllFormedError, pformat
 
 CORPUS_DIR_VAR = "MATHKERNEL_CORPUS"
 
@@ -63,6 +63,37 @@ def corpus_dir() -> Path:
     return Path(str(resources.files(__package__) / "corpus"))
 
 
+def _entry(i: int, item) -> CorpusEntry:
+    """One manifest entry, or CorpusError naming what is malformed."""
+    def bad(what: str) -> CorpusError:
+        return CorpusError(f"malformed manifest: entry {i + 1}: {what}")
+
+    if not isinstance(item, dict):
+        raise bad("not an object")
+    for key in ("script", "conclusion"):
+        if not isinstance(item.get(key), str):
+            raise bad(f"{key!r} must be a string")
+    if not isinstance(item.get("description", ""), str):
+        raise bad("'description' must be a string")
+    hyps = item.get("hypotheses", [])
+    if not (isinstance(hyps, list) and all(isinstance(h, str) for h in hyps)):
+        raise bad("'hypotheses' must be a list of strings")
+    exts = item.get("extensions")
+    if not (isinstance(exts, list) and all(
+            isinstance(e, dict) and isinstance(e.get("scheme"), str)
+            and isinstance(e.get("formula"), (str, type(None)))
+            for e in exts)):
+        raise bad("'extensions' must be a list of objects with a string "
+                  "'scheme' and an optional string 'formula'")
+    return CorpusEntry(
+        script=item["script"],
+        description=item.get("description", ""),
+        hypotheses=tuple(hyps),
+        conclusion=item["conclusion"],
+        extensions=tuple((e["scheme"], e.get("formula")) for e in exts),
+    )
+
+
 def load_manifest(directory: Optional[Path] = None) -> tuple[CorpusEntry, ...]:
     directory = directory or corpus_dir()
     manifest = directory / "manifest.json"
@@ -72,17 +103,9 @@ def load_manifest(directory: Optional[Path] = None) -> tuple[CorpusEntry, ...]:
         raw = json.loads(manifest.read_text())
     except json.JSONDecodeError as exc:
         raise CorpusError(f"malformed manifest: {exc}") from exc
-    entries = []
-    for item in raw:
-        entries.append(CorpusEntry(
-            script=item["script"],
-            description=item.get("description", ""),
-            hypotheses=tuple(item.get("hypotheses", [])),
-            conclusion=item["conclusion"],
-            extensions=tuple(
-                (e["scheme"], e.get("formula")) for e in item["extensions"]),
-        ))
-    return tuple(entries)
+    if not isinstance(raw, list):
+        raise CorpusError("malformed manifest: expected a list of entries")
+    return tuple(_entry(i, item) for i, item in enumerate(raw))
 
 
 def check_entry(entry: CorpusEntry, directory: Optional[Path] = None
@@ -101,22 +124,25 @@ def check_entry(entry: CorpusEntry, directory: Optional[Path] = None
         judgment = check_proof(env, script.proof())
     except (ScriptError, ProofCheckError) as exc:
         return done(False, str(exc))
-    expected_conclusion = parse_formula(entry.conclusion, env)
-    if judgment.conclusion != expected_conclusion:
+    try:
+        want_conclusion = parse_formula(entry.conclusion, env)
+        want_hyps = tuple(
+            pformat(parse_formula(h, env)) for h in entry.hypotheses)
+        want_ext = tuple(sorted(
+            (scheme, None if f is None else pformat(parse_formula(f, env)))
+            for scheme, f in entry.extensions))
+    except (ParseError, DefinitionError, IllFormedError) as exc:
+        return done(False, f"manifest: {exc}")
+    if judgment.conclusion != want_conclusion:
         return done(False, f"concluded {pformat(judgment.conclusion)}, "
                            f"expected {entry.conclusion}")
     got_hyps = tuple(pformat(h) for h in judgment.hypotheses)
-    want_hyps = tuple(
-        pformat(parse_formula(h, env)) for h in entry.hypotheses)
     if got_hyps != want_hyps:
         return done(False, f"hypotheses {list(got_hyps)}, "
                            f"expected {list(want_hyps)}")
     got_ext = tuple(sorted(
         (g.scheme, None if g.formula is None else pformat(g.formula))
         for g in judgment.extensions_used))
-    want_ext = tuple(sorted(
-        (scheme, None if f is None else pformat(parse_formula(f, env)))
-        for scheme, f in entry.extensions))
     if got_ext != want_ext:
         return done(False, f"extensions {list(got_ext)}, "
                            f"expected {list(want_ext)}")

@@ -6,6 +6,16 @@ rules), the theory schemes for meaningfulness (M), assertibility (A),
 truth (T), holding (H) and concept equivalence (sim), and gated extension
 schemes that are unsound in general and must be enabled explicitly.
 
+Every scheme is one entry of the registry ``SCHEMES``: its kind (logical,
+theory or extension), the kinds of its parameters, and one function that
+builds its instance.  A generic check runs before every instance function:
+it checks the number of parameters and the Python type of each one for
+its kind, that a quotation name is bound, a domain declared and a total
+extension registered, and, for theory and extension schemes, that a term
+is well formed.  The instance functions check only the side conditions of
+their scheme.  ``LOGICAL_PARAMS``, ``THEORY_PARAMS``, ``EXTENSION_PARAMS``
+and ``EXTENSION_SCHEMES`` are views of the registry.
+
 Quoted-formula side conditions are checked by syntactic equality after one
 level of name resolution: quotation terms inside resolved bodies are never
 unfolded further.
@@ -13,8 +23,9 @@ unfolded further.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Iterable, Optional, Sequence, Union, get_args
 
 from .syntax import (
     AApp,
@@ -46,135 +57,103 @@ from .syntax import (
     substitute,
 )
 
-LOGICAL_SCHEMES = (
-    "L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8", "L9", "L10", "L11",
-)
-
-THEORY_SCHEMES = (
-    "MComp1", "MComp2", "MComp3", "MComp4",
-    "MQuant1", "MQuant2", "MQuant3",
-    "MBot", "MofM", "MofA",
-    "ALog", "AMP", "AGenF", "AGenE", "AtoM",
-    "ForallCapture", "Capture",
-    "TDef", "TNeg", "HDef", "HNeg", "SimDef",
-    "DefiniteEM", "TotalExtPos", "TotalExtNeg", "TotalExtM",
-)
-
-EXTENSION_SCHEMES = ("ReleaseAxiom", "ReleaseRule", "UnrestrictedT")
-
-# parameter kinds, used by the proof-script reader/writer:
-#   f formula, t term, v variable, n quotation name, d domain, p predicate
-LOGICAL_PARAMS = {
-    "L1": ("f", "f"),
-    "L2": ("f", "f", "f"),
-    "L3": ("f", "f"),
-    "L4": ("f", "f"),
-    "L5": ("f", "f"),
-    "L6": ("f", "f"),
-    "L7": ("f", "f"),
-    "L8": ("f", "f", "f"),
-    "L9": ("f",),
-    "L10": ("v", "f", "t"),
-    "L11": ("v", "f", "t"),
-}
-
-THEORY_PARAMS = {
-    "MComp1": ("n", "n", "n"),
-    "MComp2": ("n", "n"),
-    "MComp3": ("n", "n"),
-    "MComp4": ("n", "n", "n"),
-    "MQuant1": ("n", "n", "v"),
-    "MQuant2": ("n", "n", "v"),
-    "MQuant3": ("n", "n", "v"),
-    "MBot": ("n",),
-    "MofM": ("n",),
-    "MofA": ("n",),
-    "ALog": ("n",),
-    "AMP": ("n", "n", "n"),
-    "AGenF": ("n", "n", "v", "v"),
-    "AGenE": ("n", "n", "v", "v"),
-    "AtoM": ("n",),
-    "ForallCapture": ("d", "n", "n", "n*"),
-    "Capture": ("n",),
-    "TDef": ("n", "n"),
-    "TNeg": ("n", "n"),
-    "HDef": ("n", "t", "n", "n"),
-    "HNeg": ("n", "t", "n", "n"),
-    "SimDef": ("n", "n", "n", "n"),
-    "DefiniteEM": ("d", "t"),
-    "TotalExtPos": ("p", "t"),
-    "TotalExtNeg": ("p", "t"),
-    "TotalExtM": ("p", "t"),
-}
-
-EXTENSION_PARAMS = {
-    "ReleaseAxiom": ("n",),
-    "UnrestrictedT": ("n",),
-}
-
 
 class SchemeError(Exception):
     """Malformed scheme parameters or a violated side condition."""
 
 
+@dataclass(frozen=True)
+class Scheme:
+    kind: str  # "logical", "theory" or "extension"
+    # parameter kinds: f formula, t term, v variable, n quotation name,
+    # d domain, p predicate with a total extension; a trailing "k*" stands
+    # for one or more parameters of kind k
+    params: tuple[str, ...]
+    instance: Callable[..., Formula]  # (env, *params) -> the instance
+
+
 # ---------------------------------------------------------------------------
-# the eleven logical schemes
+# the generic parameter check
+
+
+_FORMULAS = frozenset(get_args(Formula))
+_TERMS = frozenset(get_args(Term))
+_KIND_NAMES = {"v": "a variable", "n": "a quotation name", "d": "a domain",
+               "p": "a predicate name"}
+
+
+def expand_params(kinds: Sequence[str], n: int) -> tuple[str, ...]:
+    """The kinds of ``n`` parameters of a scheme whose signature is
+    ``kinds``, or SchemeError if the scheme cannot take ``n``."""
+    if kinds and kinds[-1].endswith("*"):
+        if n < len(kinds):
+            raise SchemeError(
+                f"expected at least {len(kinds)} parameters, got {n}")
+        return (*kinds[:-1], *[kinds[-1][:-1]] * (n - len(kinds) + 1))
+    if n != len(kinds):
+        raise SchemeError(f"expected {len(kinds)} parameters, got {n}")
+    return tuple(kinds)
+
+
+def _check_params(env: Optional[Environment], kinds: Sequence[str],
+                  params: Sequence) -> None:
+    if not isinstance(params, (tuple, list)):
+        raise SchemeError(f"expected a tuple of parameters, got {params!r}")
+    for kind, p in zip(expand_params(kinds, len(params)), params):
+        if kind == "f":
+            if type(p) not in _FORMULAS:
+                raise SchemeError(f"expected a formula, got {p!r}")
+        elif kind == "t":
+            if type(p) not in _TERMS:
+                raise SchemeError(f"expected a term, got {p!r}")
+            if env is not None:
+                env.check_term(p)
+        elif not isinstance(p, str):
+            raise SchemeError(f"expected {_KIND_NAMES[kind]}, got {p!r}")
+        elif kind == "n":
+            env.definition(p)  # raises if unbound
+        elif kind == "d" and p not in env.domains:
+            raise SchemeError(f"{p} is not a declared domain")
+        elif kind == "p" and p not in env.extensions:
+            raise SchemeError(f"no total extension registered for {p}")
+
+
+def _instantiate(kind: str, env: Optional[Environment], scheme: str,
+                 params: Sequence) -> Formula:
+    s = SCHEMES.get(scheme)
+    if s is None or s.kind != kind:
+        raise SchemeError(f"unknown {kind} scheme: {scheme}")
+    try:
+        _check_params(env, s.params, params)
+        return s.instance(env, *params)
+    except SchemeError as exc:
+        raise SchemeError(f"{scheme}: {exc}") from None
 
 
 def logical_instance(scheme: str, params: Sequence) -> Formula:
     """The exact instance of a logical scheme for the given parameters."""
+    return _instantiate("logical", None, scheme, params)
 
-    def fs(n: int) -> Sequence[Formula]:
-        if len(params) != n:
-            raise SchemeError(f"{scheme} takes {n} parameters, got {len(params)}")
-        return params
 
-    if scheme == "L1":
-        a, b = fs(2)
-        return Implies(a, Implies(b, a))
-    if scheme == "L2":
-        a, b, c = fs(3)
-        return Implies(
-            Implies(a, Implies(b, c)), Implies(Implies(a, b), Implies(a, c))
-        )
-    if scheme == "L3":
-        a, b = fs(2)
-        return Implies(a, Implies(b, And(a, b)))
-    if scheme == "L4":
-        a, b = fs(2)
-        return Implies(And(a, b), a)
-    if scheme == "L5":
-        a, b = fs(2)
-        return Implies(And(a, b), b)
-    if scheme == "L6":
-        a, b = fs(2)
-        return Implies(a, Or(a, b))
-    if scheme == "L7":
-        a, b = fs(2)
-        return Implies(b, Or(a, b))
-    if scheme == "L8":
-        a, b, c = fs(3)
-        return Implies(
-            Implies(a, c), Implies(Implies(b, c), Implies(Or(a, b), c))
-        )
-    if scheme == "L9":
-        (a,) = fs(1)
-        return Implies(BOT, a)
-    if scheme in ("L10", "L11"):
-        if len(params) != 3:
-            raise SchemeError(f"{scheme} takes (variable, formula, term)")
-        x, body, t = params
-        if not isinstance(x, str) or not isinstance(t, (Var, Const, Quote)):
-            raise SchemeError(f"{scheme} takes (variable, formula, term)")
-        if captures(body, x, t):
-            raise SchemeError(
-                f"{scheme}: substituting {t} for {x} would capture a variable"
-            )
-        inst = substitute(body, x, t)
-        if scheme == "L10":
-            return Implies(Forall(x, body), inst)
-        return Implies(inst, Exists(x, body))
-    raise SchemeError(f"unknown logical scheme: {scheme}")
+def theory_instance(env: Environment, scheme: str, params: Sequence) -> Formula:
+    """The exact instance of a theory scheme, or SchemeError naming the
+    violated side condition."""
+    return _instantiate("theory", env, scheme, params)
+
+
+def extension_instance(env: Environment, scheme: str, params: Sequence) -> Formula:
+    return _instantiate("extension", env, scheme, params)
+
+
+# ---------------------------------------------------------------------------
+# logical schemes: substitution for the quantifier axioms
+
+
+def _instance_at(body: Formula, x: str, t: Term) -> Formula:
+    """body[t/x], for the quantifier axioms L10 and L11."""
+    if captures(body, x, t):
+        raise SchemeError(f"substituting {t} for {x} would capture a variable")
+    return substitute(body, x, t)
 
 
 # ---------------------------------------------------------------------------
@@ -319,48 +298,34 @@ def is_log_instance(phi: Formula) -> Optional[tuple[str, tuple]]:
 # theory schemes
 
 
-def _name(env: Environment, p, scheme: str) -> str:
-    if not isinstance(p, str):
-        raise SchemeError(f"{scheme}: expected a quotation name, got {p!r}")
-    env.definition(p)  # raises if unbound
-    return p
+def _m(q: str) -> Formula:
+    return MApp(Quote(q))
 
 
-def _sentence(env: Environment, p, scheme: str) -> str:
-    name = _name(env, p, scheme)
-    if env.arity(name) != 0:
-        raise SchemeError(
-            f"{scheme}: {name} has arity {env.arity(name)}; a sentence is required"
-        )
-    return name
-
-
-def _unary(env: Environment, p, scheme: str) -> str:
-    name = _name(env, p, scheme)
-    if env.arity(name) != 1:
-        raise SchemeError(
-            f"{scheme}: {name} has arity {env.arity(name)}; a unary predicate "
-            "is required"
-        )
-    return name
-
-
-def _term(env: Environment, p, scheme: str) -> Term:
-    if not isinstance(p, (Var, Const, Quote)):
-        raise SchemeError(f"{scheme}: expected a term, got {p!r}")
-    env.check_term(p)
-    return p
-
-
-def _var(p, scheme: str) -> str:
-    if not isinstance(p, str):
-        raise SchemeError(f"{scheme}: expected a variable, got {p!r}")
-    return p
+def _a(q: str) -> Formula:
+    return AApp(Quote(q))
 
 
 def _expect(cond: bool, message: str) -> None:
     if not cond:
         raise SchemeError(message)
+
+
+def _sentence(env: Environment, *names: str) -> None:
+    for name in names:
+        _expect(env.arity(name) == 0,
+                f"{name} has arity {env.arity(name)}; a sentence is required")
+
+
+def _unary(env: Environment, name: str) -> None:
+    _expect(env.arity(name) == 1,
+            f"{name} has arity {env.arity(name)}; a unary predicate is "
+            "required")
+
+
+def _object(env: Environment, c: Term) -> None:
+    _expect(isinstance(c, Const) and c.name in env.constants,
+            "the witness must be a declared object constant")
 
 
 def _fold_and(parts: Sequence[Formula]) -> Formula:
@@ -370,261 +335,307 @@ def _fold_and(parts: Sequence[Formula]) -> Formula:
     return out
 
 
-def theory_instance(env: Environment, scheme: str, params: Sequence) -> Formula:
-    """The exact instance of a theory scheme, or SchemeError naming the
-    violated side condition."""
-    M = lambda n: MApp(Quote(n))
-    A = lambda n: AApp(Quote(n))
+def generalize(premise: Formula, x: str, y: str, forall: bool) -> Formula:
+    """The conclusion of generalizing ``premise`` over ``x``, renamed to
+    ``y``: from ctx -> gen, ctx -> (forall y. gen[y/x]) if ``forall``; from
+    gen -> ctx, (exists y. gen[y/x]) -> ctx otherwise.  SchemeError names
+    the violated side condition."""
+    if not isinstance(premise, Implies):
+        raise SchemeError("generalization premise is not an implication")
+    if forall:
+        ctx, gen = premise.left, premise.right
+    else:
+        gen, ctx = premise.left, premise.right
+    if x in free_vars(ctx):
+        raise SchemeError(f"{x} occurs free in the fixed side of the premise")
+    if y != x and y in free_vars(gen):
+        raise SchemeError(
+            f"{y} occurs free in the generalized side of the premise")
+    if captures(gen, x, Var(y)):
+        raise SchemeError(f"renaming {x} to {y} would capture a variable")
+    shifted = substitute(gen, x, Var(y))
+    if forall:
+        return Implies(ctx, Forall(y, shifted))
+    return Implies(Exists(y, shifted), ctx)
 
-    def arity_check(scheme_: str, n: int) -> None:
-        if len(params) != n:
-            raise SchemeError(f"{scheme_} takes {n} parameters, got {len(params)}")
 
-    if scheme == "MComp1":
-        arity_check(scheme, 3)
-        qa, qb, qand = (_name(env, p, scheme) for p in params)
-        _expect(
-            env.resolve(qand) == And(env.resolve(qa), env.resolve(qb)),
-            f"MComp1: body of {qand} is not the conjunction of {qa} and {qb}",
-        )
-        return Implies(And(M(qa), M(qb)), M(qand))
-    if scheme == "MComp2":
-        arity_check(scheme, 2)
-        qand, qor = (_name(env, p, scheme) for p in params)
-        ba, bo = env.resolve(qand), env.resolve(qor)
-        _expect(
-            isinstance(ba, And) and bo == Or(ba.left, ba.right),
-            f"MComp2: {qand} and {qor} are not a matching conjunction/disjunction",
-        )
-        return Implies(M(qand), M(qor))
-    if scheme == "MComp3":
-        arity_check(scheme, 2)
-        qor, qimp = (_name(env, p, scheme) for p in params)
-        bo, bi = env.resolve(qor), env.resolve(qimp)
-        _expect(
-            isinstance(bo, Or) and bi == Implies(bo.left, bo.right),
-            f"MComp3: {qor} and {qimp} are not a matching disjunction/implication",
-        )
-        return Implies(M(qor), M(qimp))
-    if scheme == "MComp4":
-        arity_check(scheme, 3)
-        qimp, qa, qb = (_name(env, p, scheme) for p in params)
-        _expect(
-            env.resolve(qimp) == Implies(env.resolve(qa), env.resolve(qb)),
-            f"MComp4: body of {qimp} is not the implication from {qa} to {qb}",
-        )
-        return Implies(M(qimp), And(M(qa), M(qb)))
-    if scheme in ("MQuant1", "MQuant2", "MQuant3"):
-        arity_check(scheme, 3)
-        q1, q2 = _name(env, params[0], scheme), _name(env, params[1], scheme)
-        x = _var(params[2], scheme)
-        b1, b2 = env.resolve(q1), env.resolve(q2)
-        if scheme == "MQuant1":
-            _expect(b2 == Forall(x, b1),
-                    f"MQuant1: body of {q2} is not (forall {x}) applied to {q1}")
-        elif scheme == "MQuant2":
-            _expect(
-                isinstance(b1, Forall) and b1.var == x and b2 == Exists(x, b1.body),
-                f"MQuant2: {q1} and {q2} are not matching forall/exists bodies",
-            )
-        else:
-            _expect(b1 == Exists(x, b2),
-                    f"MQuant3: body of {q1} is not (exists {x}) applied to {q2}")
-        return Implies(M(q1), M(q2))
-    if scheme == "MBot":
-        arity_check(scheme, 1)
-        q = _name(env, params[0], scheme)
-        _expect(env.resolve(q) == BOT, f"MBot: body of {q} is not bot")
-        return M(q)
-    if scheme == "MofM":
-        arity_check(scheme, 1)
-        q = _name(env, params[0], scheme)
-        _expect(isinstance(env.resolve(q), MApp),
-                f"MofM: body of {q} is not a meaningfulness ascription")
-        return M(q)
-    if scheme == "MofA":
-        arity_check(scheme, 1)
-        q = _name(env, params[0], scheme)
-        _expect(isinstance(env.resolve(q), AApp),
-                f"MofA: body of {q} is not an assertibility ascription")
-        return M(q)
-    if scheme == "ALog":
-        arity_check(scheme, 1)
-        q = _name(env, params[0], scheme)
-        _expect(is_log_instance(env.resolve(q)) is not None,
-                f"ALog: body of {q} is not a logical axiom instance")
-        return Implies(M(q), A(q))
-    if scheme == "AMP":
-        arity_check(scheme, 3)
-        qphi, qpsi, qimp = (_name(env, p, scheme) for p in params)
-        _expect(
-            env.resolve(qimp) == Implies(env.resolve(qphi), env.resolve(qpsi)),
-            f"AMP: body of {qimp} is not the implication from {qphi} to {qpsi}",
-        )
-        return Implies(And(A(qphi), A(qimp)), A(qpsi))
-    if scheme in ("AGenF", "AGenE"):
-        arity_check(scheme, 4)
-        qimp = _name(env, params[0], scheme)
-        qres = _name(env, params[1], scheme)
-        x, y = _var(params[2], scheme), _var(params[3], scheme)
-        bi = env.resolve(qimp)
-        _expect(isinstance(bi, Implies),
-                f"{scheme}: body of {qimp} is not an implication")
-        assert isinstance(bi, Implies)
-        if scheme == "AGenF":
-            ctx, gen = bi.left, bi.right
-        else:
-            gen, ctx = bi.left, bi.right
-        _expect(x not in free_vars(ctx),
-                f"{scheme}: {x} occurs free in the fixed side of {qimp}")
-        _expect(y == x or y not in free_vars(gen),
-                f"{scheme}: {y} occurs free in the generalized side of {qimp}")
-        _expect(not captures(gen, x, Var(y)),
-                f"{scheme}: renaming {x} to {y} would capture a variable")
-        shifted = substitute(gen, x, Var(y))
-        if scheme == "AGenF":
-            expected = Implies(ctx, Forall(y, shifted))
-        else:
-            expected = Implies(Exists(y, shifted), ctx)
-        _expect(env.resolve(qres) == expected,
-                f"{scheme}: body of {qres} is not the generalization of {qimp}")
-        return Implies(A(qimp), A(qres))
-    if scheme == "AtoM":
-        arity_check(scheme, 1)
-        q = _name(env, params[0], scheme)
-        return Implies(A(q), M(q))
-    if scheme == "ForallCapture":
-        if len(params) < 4:
-            raise SchemeError(
-                "ForallCapture takes (domain, predicate-name, universal-name, "
-                "instance-names...)"
-            )
-        dom_name = params[0]
-        _expect(dom_name in env.domains,
-                f"ForallCapture: {dom_name} is not a declared domain")
-        dom = env.domains[dom_name]
-        pred = _unary(env, params[1], scheme)
-        quniv = _sentence(env, params[2], scheme)
-        insts = [_sentence(env, p, scheme) for p in params[3:]]
-        _expect(
-            len(insts) == len(dom.constants),
-            f"ForallCapture: {len(insts)} instances given for the "
-            f"{len(dom.constants)} constants of {dom_name}",
-        )
-        for qi, c in zip(insts, dom.constants):
-            _expect(
-                env.resolve(qi) == env.instantiate(pred, [Const(c)]),
-                f"ForallCapture: body of {qi} is not {pred} applied to {c}",
-            )
-        bu = env.resolve(quniv)
-        _expect(isinstance(bu, Forall),
-                f"ForallCapture: body of {quniv} is not universally quantified")
-        assert isinstance(bu, Forall)
-        x = bu.var
-        _expect(
-            bu.body
-            == Implies(Atom(dom.predicate, (Var(x),)),
-                       env.instantiate(pred, [Var(x)])),
-            f"ForallCapture: body of {quniv} does not relativize {pred} "
-            f"to {dom_name}",
-        )
-        return Implies(_fold_and([A(q) for q in insts]), A(quniv))
-    if scheme == "Capture":
-        arity_check(scheme, 1)
-        q = _sentence(env, params[0], scheme)
-        return Implies(M(q), Implies(env.resolve(q), A(q)))
-    if scheme == "TDef":
-        arity_check(scheme, 2)
-        q = _sentence(env, params[0], scheme)
-        qbic = _sentence(env, params[1], scheme)
-        _expect(
-            env.resolve(qbic) == iff(TApp(Quote(q)), env.resolve(q)),
-            f"TDef: body of {qbic} is not the truth biconditional for {q}",
-        )
-        return Implies(M(q), A(qbic))
-    if scheme == "TNeg":
-        arity_check(scheme, 2)
-        q = _sentence(env, params[0], scheme)
-        qneg = _sentence(env, params[1], scheme)
-        _expect(
-            env.resolve(qneg) == neg(TApp(Quote(q))),
-            f"TNeg: body of {qneg} is not the negated truth ascription for {q}",
-        )
-        return Implies(neg(M(q)), A(qneg))
-    if scheme in ("HDef", "HNeg"):
-        arity_check(scheme, 4)
-        pred = _unary(env, params[0], scheme)
-        c = _term(env, params[1], scheme)
-        qinst = _sentence(env, params[2], scheme)
-        qlast = _sentence(env, params[3], scheme)
-        inst = env.instantiate(pred, [c])
-        _expect(env.resolve(qinst) == inst,
-                f"{scheme}: body of {qinst} is not {pred} applied to {c}")
-        if scheme == "HDef":
-            _expect(
-                env.resolve(qlast) == iff(HApp(Quote(pred), c), inst),
-                f"HDef: body of {qlast} is not the holding biconditional",
-            )
-            return Implies(M(qinst), A(qlast))
-        _expect(
-            env.resolve(qlast) == neg(HApp(Quote(pred), c)),
-            f"HNeg: body of {qlast} is not the negated holding ascription",
-        )
-        return Implies(neg(M(qinst)), A(qlast))
-    if scheme == "SimDef":
-        arity_check(scheme, 4)
-        qp = _unary(env, params[0], scheme)
-        qq = _unary(env, params[1], scheme)
-        quniv = _sentence(env, params[2], scheme)
-        qbic = _sentence(env, params[3], scheme)
-        bu = env.resolve(quniv)
-        _expect(isinstance(bu, Forall),
-                "SimDef: the extensional-equivalence body is not quantified")
-        assert isinstance(bu, Forall)
-        x = bu.var
-        _expect(
-            bu.body == iff(env.instantiate(qp, [Var(x)]),
+def _mcomp1(env: Environment, qa: str, qb: str, qand: str) -> Formula:
+    _expect(env.resolve(qand) == And(env.resolve(qa), env.resolve(qb)),
+            f"body of {qand} is not the conjunction of {qa} and {qb}")
+    return Implies(And(_m(qa), _m(qb)), _m(qand))
+
+
+def _mcomp2(env: Environment, qand: str, qor: str) -> Formula:
+    ba, bo = env.resolve(qand), env.resolve(qor)
+    _expect(isinstance(ba, And) and bo == Or(ba.left, ba.right),
+            f"{qand} and {qor} are not a matching conjunction/disjunction")
+    return Implies(_m(qand), _m(qor))
+
+
+def _mcomp3(env: Environment, qor: str, qimp: str) -> Formula:
+    bo, bi = env.resolve(qor), env.resolve(qimp)
+    _expect(isinstance(bo, Or) and bi == Implies(bo.left, bo.right),
+            f"{qor} and {qimp} are not a matching disjunction/implication")
+    return Implies(_m(qor), _m(qimp))
+
+
+def _mcomp4(env: Environment, qimp: str, qa: str, qb: str) -> Formula:
+    _expect(env.resolve(qimp) == Implies(env.resolve(qa), env.resolve(qb)),
+            f"body of {qimp} is not the implication from {qa} to {qb}")
+    return Implies(_m(qimp), And(_m(qa), _m(qb)))
+
+
+def _mquant1(env: Environment, q1: str, q2: str, x: str) -> Formula:
+    _expect(env.resolve(q2) == Forall(x, env.resolve(q1)),
+            f"body of {q2} is not (forall {x}) applied to {q1}")
+    return Implies(_m(q1), _m(q2))
+
+
+def _mquant2(env: Environment, q1: str, q2: str, x: str) -> Formula:
+    b1 = env.resolve(q1)
+    _expect(isinstance(b1, Forall) and b1.var == x
+            and env.resolve(q2) == Exists(x, b1.body),
+            f"{q1} and {q2} are not matching forall/exists bodies")
+    return Implies(_m(q1), _m(q2))
+
+
+def _mquant3(env: Environment, q1: str, q2: str, x: str) -> Formula:
+    _expect(env.resolve(q1) == Exists(x, env.resolve(q2)),
+            f"body of {q1} is not (exists {x}) applied to {q2}")
+    return Implies(_m(q1), _m(q2))
+
+
+def _mbot(env: Environment, q: str) -> Formula:
+    _expect(env.resolve(q) == BOT, f"body of {q} is not bot")
+    return _m(q)
+
+
+def _mofm(env: Environment, q: str) -> Formula:
+    _expect(isinstance(env.resolve(q), MApp),
+            f"body of {q} is not a meaningfulness ascription")
+    return _m(q)
+
+
+def _mofa(env: Environment, q: str) -> Formula:
+    _expect(isinstance(env.resolve(q), AApp),
+            f"body of {q} is not an assertibility ascription")
+    return _m(q)
+
+
+def _alog(env: Environment, q: str) -> Formula:
+    _expect(is_log_instance(env.resolve(q)) is not None,
+            f"body of {q} is not a logical axiom instance")
+    return Implies(_m(q), _a(q))
+
+
+def _amp(env: Environment, qphi: str, qpsi: str, qimp: str) -> Formula:
+    _expect(env.resolve(qimp) == Implies(env.resolve(qphi), env.resolve(qpsi)),
+            f"body of {qimp} is not the implication from {qphi} to {qpsi}")
+    return Implies(And(_a(qphi), _a(qimp)), _a(qpsi))
+
+
+def _agen(env: Environment, qimp: str, qres: str, x: str, y: str,
+          forall: bool) -> Formula:
+    _expect(env.resolve(qres) == generalize(env.resolve(qimp), x, y, forall),
+            f"body of {qres} is not the generalization of {qimp}")
+    return Implies(_a(qimp), _a(qres))
+
+
+def _forall_capture(env: Environment, dom_name: str, pred: str, quniv: str,
+                    *insts: str) -> Formula:
+    dom = env.domains[dom_name]
+    _unary(env, pred)
+    _sentence(env, quniv, *insts)
+    _expect(len(insts) == len(dom.constants),
+            f"{len(insts)} instances given for the {len(dom.constants)} "
+            f"constants of {dom_name}")
+    for qi, c in zip(insts, dom.constants):
+        _expect(env.resolve(qi) == env.instantiate(pred, [Const(c)]),
+                f"body of {qi} is not {pred} applied to {c}")
+    bu = env.resolve(quniv)
+    _expect(isinstance(bu, Forall),
+            f"body of {quniv} is not universally quantified")
+    x = bu.var
+    _expect(bu.body == Implies(Atom(dom.predicate, (Var(x),)),
+                               env.instantiate(pred, [Var(x)])),
+            f"body of {quniv} does not relativize {pred} to {dom_name}")
+    return Implies(_fold_and([_a(q) for q in insts]), _a(quniv))
+
+
+def _capture(env: Environment, q: str) -> Formula:
+    _sentence(env, q)
+    return Implies(_m(q), Implies(env.resolve(q), _a(q)))
+
+
+def _tdef(env: Environment, q: str, qbic: str) -> Formula:
+    _sentence(env, q, qbic)
+    _expect(env.resolve(qbic) == iff(TApp(Quote(q)), env.resolve(q)),
+            f"body of {qbic} is not the truth biconditional for {q}")
+    return Implies(_m(q), _a(qbic))
+
+
+def _tneg(env: Environment, q: str, qneg: str) -> Formula:
+    _sentence(env, q, qneg)
+    _expect(env.resolve(qneg) == neg(TApp(Quote(q))),
+            f"body of {qneg} is not the negated truth ascription for {q}")
+    return Implies(neg(_m(q)), _a(qneg))
+
+
+def _holding_instance(env: Environment, pred: str, c: Term, qinst: str,
+                      qlast: str) -> Formula:
+    """pred applied to c, which qinst must name; for HDef and HNeg."""
+    _unary(env, pred)
+    _sentence(env, qinst, qlast)
+    inst = env.instantiate(pred, [c])
+    _expect(env.resolve(qinst) == inst,
+            f"body of {qinst} is not {pred} applied to {c}")
+    return inst
+
+
+def _hdef(env: Environment, pred: str, c: Term, qinst: str,
+          qlast: str) -> Formula:
+    inst = _holding_instance(env, pred, c, qinst, qlast)
+    _expect(env.resolve(qlast) == iff(HApp(Quote(pred), c), inst),
+            f"body of {qlast} is not the holding biconditional")
+    return Implies(_m(qinst), _a(qlast))
+
+
+def _hneg(env: Environment, pred: str, c: Term, qinst: str,
+          qlast: str) -> Formula:
+    _holding_instance(env, pred, c, qinst, qlast)
+    _expect(env.resolve(qlast) == neg(HApp(Quote(pred), c)),
+            f"body of {qlast} is not the negated holding ascription")
+    return Implies(neg(_m(qinst)), _a(qlast))
+
+
+def _simdef(env: Environment, qp: str, qq: str, quniv: str,
+            qbic: str) -> Formula:
+    _unary(env, qp)
+    _unary(env, qq)
+    _sentence(env, quniv, qbic)
+    bu = env.resolve(quniv)
+    _expect(isinstance(bu, Forall),
+            "the extensional-equivalence body is not quantified")
+    x = bu.var
+    _expect(bu.body == iff(env.instantiate(qp, [Var(x)]),
                            env.instantiate(qq, [Var(x)])),
-            f"SimDef: body of {quniv} is not the pointwise biconditional of "
-            f"{qp} and {qq}",
-        )
-        _expect(
-            env.resolve(qbic)
+            f"body of {quniv} is not the pointwise biconditional of {qp} "
+            f"and {qq}")
+    _expect(env.resolve(qbic)
             == iff(SimApp(Quote(qp), Quote(qq)), TApp(Quote(quniv))),
-            f"SimDef: body of {qbic} is not the concept-equivalence "
-            "biconditional",
-        )
-        return Implies(And(M(qp), M(qq)), A(qbic))
-    if scheme == "DefiniteEM":
-        arity_check(scheme, 2)
-        dom_name = params[0]
-        _expect(dom_name in env.domains,
-                f"DefiniteEM: {dom_name} is not a declared domain")
-        dom = env.domains[dom_name]
-        _expect(dom.definite, f"DefiniteEM: domain {dom_name} is not definite")
-        c = _term(env, params[1], scheme)
-        _expect(isinstance(c, Const) and c.name in env.constants,
-                "DefiniteEM: the witness must be a declared object constant")
-        at = Atom(dom.predicate, (c,))
-        return Or(at, neg(at))
-    if scheme in ("TotalExtPos", "TotalExtNeg", "TotalExtM"):
-        arity_check(scheme, 2)
-        base = params[0]
-        _expect(base in env.extensions,
-                f"{scheme}: no total extension registered for {base}")
-        ext = env.extensions[base]
-        c = _term(env, params[1], scheme)
-        _expect(isinstance(c, Const) and c.name in env.constants,
-                f"{scheme}: the witness must be a declared object constant")
-        assert isinstance(c, Const)
-        rho = Atom(env.domains[ext.domain].predicate, (c,))
-        rtil = Atom(ext.extended, (c,))
-        if scheme == "TotalExtPos":
-            return Implies(rho, iff(rtil, Atom(base, (c,))))
-        if scheme == "TotalExtNeg":
-            return Implies(neg(rho), iff(rtil, BOT))
-        return MApp(Quote(total_extension_name(base, c.name)))
-    raise SchemeError(f"unknown theory scheme: {scheme}")
+            f"body of {qbic} is not the concept-equivalence biconditional")
+    return Implies(And(_m(qp), _m(qq)), _a(qbic))
+
+
+def _definite_em(env: Environment, dom_name: str, c: Term) -> Formula:
+    dom = env.domains[dom_name]
+    _expect(dom.definite, f"domain {dom_name} is not definite")
+    _object(env, c)
+    at = Atom(dom.predicate, (c,))
+    return Or(at, neg(at))
+
+
+def _total_atoms(env: Environment, base: str,
+                 c: Term) -> tuple[Formula, Formula]:
+    """The domain atom and the extended atom at c, for TotalExtPos/Neg."""
+    _object(env, c)
+    ext = env.extensions[base]
+    return Atom(env.domains[ext.domain].predicate, (c,)), Atom(ext.extended, (c,))
+
+
+def _total_ext_pos(env: Environment, base: str, c: Term) -> Formula:
+    rho, rtil = _total_atoms(env, base, c)
+    return Implies(rho, iff(rtil, Atom(base, (c,))))
+
+
+def _total_ext_neg(env: Environment, base: str, c: Term) -> Formula:
+    rho, rtil = _total_atoms(env, base, c)
+    return Implies(neg(rho), iff(rtil, BOT))
+
+
+def _total_ext_m(env: Environment, base: str, c: Term) -> Formula:
+    _object(env, c)
+    return _m(total_extension_name(base, c.name))
+
+
+# ---------------------------------------------------------------------------
+# extension schemes
+
+
+def _release_axiom(env: Environment, q: str) -> Formula:
+    _sentence(env, q)
+    return Implies(_a(q), env.resolve(q))
+
+
+def _unrestricted_t(env: Environment, q: str) -> Formula:
+    _sentence(env, q)
+    return iff(TApp(Quote(q)), env.resolve(q))
+
+
+# ---------------------------------------------------------------------------
+# the registry
+
+
+SCHEMES: dict[str, Scheme] = {
+    "L1": Scheme("logical", ("f", "f"),
+                 lambda _, a, b: Implies(a, Implies(b, a))),
+    "L2": Scheme("logical", ("f", "f", "f"),
+                 lambda _, a, b, c: Implies(Implies(a, Implies(b, c)),
+                                            Implies(Implies(a, b), Implies(a, c)))),
+    "L3": Scheme("logical", ("f", "f"),
+                 lambda _, a, b: Implies(a, Implies(b, And(a, b)))),
+    "L4": Scheme("logical", ("f", "f"), lambda _, a, b: Implies(And(a, b), a)),
+    "L5": Scheme("logical", ("f", "f"), lambda _, a, b: Implies(And(a, b), b)),
+    "L6": Scheme("logical", ("f", "f"), lambda _, a, b: Implies(a, Or(a, b))),
+    "L7": Scheme("logical", ("f", "f"), lambda _, a, b: Implies(b, Or(a, b))),
+    "L8": Scheme("logical", ("f", "f", "f"),
+                 lambda _, a, b, c: Implies(Implies(a, c), Implies(
+                     Implies(b, c), Implies(Or(a, b), c)))),
+    "L9": Scheme("logical", ("f",), lambda _, a: Implies(BOT, a)),
+    "L10": Scheme("logical", ("v", "f", "t"),
+                  lambda _, x, b, t: Implies(Forall(x, b), _instance_at(b, x, t))),
+    "L11": Scheme("logical", ("v", "f", "t"),
+                  lambda _, x, b, t: Implies(_instance_at(b, x, t), Exists(x, b))),
+    "MComp1": Scheme("theory", ("n", "n", "n"), _mcomp1),
+    "MComp2": Scheme("theory", ("n", "n"), _mcomp2),
+    "MComp3": Scheme("theory", ("n", "n"), _mcomp3),
+    "MComp4": Scheme("theory", ("n", "n", "n"), _mcomp4),
+    "MQuant1": Scheme("theory", ("n", "n", "v"), _mquant1),
+    "MQuant2": Scheme("theory", ("n", "n", "v"), _mquant2),
+    "MQuant3": Scheme("theory", ("n", "n", "v"), _mquant3),
+    "MBot": Scheme("theory", ("n",), _mbot),
+    "MofM": Scheme("theory", ("n",), _mofm),
+    "MofA": Scheme("theory", ("n",), _mofa),
+    "ALog": Scheme("theory", ("n",), _alog),
+    "AMP": Scheme("theory", ("n", "n", "n"), _amp),
+    "AGenF": Scheme("theory", ("n", "n", "v", "v"), partial(_agen, forall=True)),
+    "AGenE": Scheme("theory", ("n", "n", "v", "v"), partial(_agen, forall=False)),
+    "AtoM": Scheme("theory", ("n",), lambda _, q: Implies(_a(q), _m(q))),
+    "ForallCapture": Scheme("theory", ("d", "n", "n", "n*"), _forall_capture),
+    "Capture": Scheme("theory", ("n",), _capture),
+    "TDef": Scheme("theory", ("n", "n"), _tdef),
+    "TNeg": Scheme("theory", ("n", "n"), _tneg),
+    "HDef": Scheme("theory", ("n", "t", "n", "n"), _hdef),
+    "HNeg": Scheme("theory", ("n", "t", "n", "n"), _hneg),
+    "SimDef": Scheme("theory", ("n", "n", "n", "n"), _simdef),
+    "DefiniteEM": Scheme("theory", ("d", "t"), _definite_em),
+    "TotalExtPos": Scheme("theory", ("p", "t"), _total_ext_pos),
+    "TotalExtNeg": Scheme("theory", ("p", "t"), _total_ext_neg),
+    "TotalExtM": Scheme("theory", ("p", "t"), _total_ext_m),
+    "ReleaseAxiom": Scheme("extension", ("n",), _release_axiom),
+    "UnrestrictedT": Scheme("extension", ("n",), _unrestricted_t),
+}
+
+
+def _params_of(kind: str) -> dict[str, tuple[str, ...]]:
+    return {name: s.params for name, s in SCHEMES.items() if s.kind == kind}
+
+
+LOGICAL_PARAMS = _params_of("logical")
+THEORY_PARAMS = _params_of("theory")
+EXTENSION_PARAMS = _params_of("extension")
+# ReleaseRule is a rule, not a scheme, but is gated like the extension schemes
+EXTENSION_SCHEMES = tuple(sorted([*EXTENSION_PARAMS, "ReleaseRule"]))
 
 
 # ---------------------------------------------------------------------------
@@ -664,30 +675,6 @@ def define_total_extension(env: Environment, base: str, domain: str) -> list[For
         out.append(theory_instance(env, "DefiniteEM", (domain, ct)))
         out.append(theory_instance(env, "TotalExtM", (base, ct)))
     return out
-
-
-# ---------------------------------------------------------------------------
-# extension schemes
-
-
-def extension_instance(env: Environment, scheme: str, params: Sequence) -> Formula:
-    if scheme == "ReleaseAxiom":
-        if len(params) != 1:
-            raise SchemeError("ReleaseAxiom takes one quotation name")
-        q = _sentence(env, params[0], scheme)
-        return Implies(AApp(Quote(q)), env.resolve(q))
-    if scheme == "UnrestrictedT":
-        if len(params) != 1:
-            raise SchemeError("UnrestrictedT takes one quotation name")
-        q = _sentence(env, params[0], scheme)
-        return iff(TApp(Quote(q)), env.resolve(q))
-    raise SchemeError(f"unknown extension scheme: {scheme}")
-
-
-def _extension_subject(env: Environment, scheme: str, params: Sequence) -> Formula:
-    """The sentence an extension-scheme use is about, for gating."""
-    q = _sentence(env, params[0], scheme)
-    return env.resolve(q)
 
 
 # ---------------------------------------------------------------------------
@@ -878,43 +865,15 @@ def check_proof(
                 prem = premise(just.premise, i)
                 if prem is None:
                     continue
-                if not isinstance(prem, Implies):
-                    errors.append(StepError(
-                        i, "generalization premise is not an implication"))
-                    continue
-                x, y = just.var, just.to_var
-                if isinstance(just, ByGenF):
-                    ctx, gen = prem.left, prem.right
-                else:
-                    gen, ctx = prem.left, prem.right
-                if x in free_vars(ctx):
-                    errors.append(StepError(
-                        i, f"{x} occurs free in the fixed side of the premise"))
-                    continue
-                if y != x and y in free_vars(gen):
-                    errors.append(StepError(
-                        i, f"{y} occurs free in the generalized formula"))
-                    continue
-                if captures(gen, x, Var(y)):
-                    errors.append(StepError(
-                        i, f"renaming {x} to {y} would capture a variable"))
-                    continue
-                shifted = substitute(gen, x, Var(y))
-                if isinstance(just, ByGenF):
-                    expected = Implies(ctx, Forall(y, shifted))
-                else:
-                    expected = Implies(Exists(y, shifted), ctx)
+                expected = generalize(prem, just.var, just.to_var,
+                                      isinstance(just, ByGenF))
             elif isinstance(just, ByExtension):
-                if just.scheme not in EXTENSION_SCHEMES:
-                    errors.append(StepError(
-                        i, f"unknown extension scheme {just.scheme}"))
-                    continue
-                subject = _extension_subject(env, just.scheme, just.params)
+                expected = extension_instance(env, just.scheme, just.params)
+                subject = env.resolve(just.params[0])
                 if not _grant_covers(proof.enabled, just.scheme, subject):
                     errors.append(StepError(
                         i, f"extension not enabled: {just.scheme}({subject})"))
                     continue
-                expected = extension_instance(env, just.scheme, just.params)
                 used.setdefault(str(ExtensionGrant(just.scheme, subject)),
                                 ExtensionGrant(just.scheme, subject))
             elif isinstance(just, ByRelease):
@@ -951,12 +910,3 @@ def check_proof(
         proof.steps[-1].formula,
         tuple(sorted(used.values(), key=str)),
     )
-
-
-def try_check(env: Environment, proof: Proof,
-              granted: Optional[Iterable[str]] = None
-              ) -> tuple[Optional[Judgment], tuple[StepError, ...]]:
-    try:
-        return check_proof(env, proof, granted), ()
-    except ProofCheckError as exc:
-        return None, exc.errors

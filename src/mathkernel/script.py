@@ -36,34 +36,21 @@ from .kernel import (
     ByMP,
     ByRelease,
     ByTheory,
-    EXTENSION_PARAMS,
     ExtensionGrant,
     Justification,
-    LOGICAL_PARAMS,
     Proof,
+    SCHEMES,
+    SchemeError,
     Step,
-    THEORY_PARAMS,
+    expand_params,
 )
 from .parser import FormulaParser, ParseError, parse_formula, parse_term
 from .syntax import (
-    AApp,
-    And,
-    Atom,
-    Bot,
     DefinitionError,
     Environment,
-    Exists,
-    Forall,
     Formula,
-    HApp,
     IllFormedError,
-    Implies,
-    MApp,
-    Or,
-    SimApp,
-    TApp,
-    Var,
-    free_vars,
+    first_occurrence_vars,
     pformat,
 )
 
@@ -109,49 +96,6 @@ class Script:
 # reading
 
 
-def _first_occurrence_vars(body: Formula) -> tuple[str, ...]:
-    """Free variables of body ordered by first occurrence in a left-to-right
-    walk, matching their textual order."""
-    seen: list[str] = []
-    fv = free_vars(body)
-
-    def term(t) -> None:
-        if isinstance(t, Var) and t.name in fv and t.name not in seen:
-            seen.append(t.name)
-
-    def walk(f: Formula, bound: frozenset[str]) -> None:
-        if isinstance(f, Bot):
-            return
-        if isinstance(f, Atom):
-            for a in f.args:
-                if not (isinstance(a, Var) and a.name in bound):
-                    term(a)
-            return
-        if isinstance(f, (MApp, AApp, TApp)):
-            if not (isinstance(f.arg, Var) and f.arg.name in bound):
-                term(f.arg)
-            return
-        if isinstance(f, HApp):
-            for a in (f.pred, f.arg):
-                if not (isinstance(a, Var) and a.name in bound):
-                    term(a)
-            return
-        if isinstance(f, SimApp):
-            for a in (f.left, f.right):
-                if not (isinstance(a, Var) and a.name in bound):
-                    term(a)
-            return
-        if isinstance(f, (And, Or, Implies)):
-            walk(f.left, bound)
-            walk(f.right, bound)
-            return
-        if isinstance(f, (Forall, Exists)):
-            walk(f.body, bound | {f.var})
-
-    walk(body, frozenset())
-    return tuple(seen)
-
-
 def _split_params(text: str) -> list[str]:
     parts = [p.strip() for p in text.split(";")]
     if parts == [""]:
@@ -162,21 +106,12 @@ def _split_params(text: str) -> list[str]:
 def _parse_scheme_params(env: Environment, kinds: Sequence[str],
                          parts: Sequence[str], scheme: str,
                          line_no: int) -> tuple:
-    fixed = [k for k in kinds if not k.endswith("*")]
-    variadic = kinds and kinds[-1].endswith("*")
-    if variadic:
-        if len(parts) < len(fixed) + 1:
-            raise ScriptError(
-                f"{scheme} takes at least {len(fixed) + 1} parameters", line_no)
-        expanded = list(fixed) + [kinds[-1][:-1]] * (len(parts) - len(fixed))
-    else:
-        if len(parts) != len(fixed):
-            raise ScriptError(
-                f"{scheme} takes {len(fixed)} parameters, got {len(parts)}",
-                line_no)
-        expanded = fixed
+    try:
+        kinds = expand_params(kinds, len(parts))
+    except SchemeError as exc:
+        raise ScriptError(f"{scheme}: {exc}", line_no) from None
     out = []
-    for kind, part in zip(expanded, parts):
+    for kind, part in zip(kinds, parts):
         try:
             if kind == "f":
                 out.append(parse_formula(part, env))
@@ -195,6 +130,8 @@ def _parse_scheme_params(env: Environment, kinds: Sequence[str],
 
 _STEP_RE = re.compile(r"(\d+)\s*:\s*(.*)$")
 _SCHEME_RE = re.compile(rf"({_IDENT})\s*\[(.*)\]\s*$")
+_JUSTIFICATIONS = {"logical": ByLogical, "theory": ByTheory,
+                   "extension": ByExtension}
 
 
 def _parse_just(env: Environment, text: str, line_no: int) -> Justification:
@@ -221,28 +158,16 @@ def _parse_just(env: Environment, text: str, line_no: int) -> Justification:
         if len(words) != 2 or not words[1].isdigit():
             raise ScriptError("usage: Release N", line_no)
         return ByRelease(int(words[1]) - 1)
-    m = _SCHEME_RE.fullmatch(text.strip())
-    if head == "Ext":
-        rest = text.strip()[len("Ext"):].strip()
-        m = _SCHEME_RE.fullmatch(rest)
-        if not m or m.group(1) not in EXTENSION_PARAMS:
-            raise ScriptError(f"unknown extension justification: {text!r}",
-                              line_no)
-        scheme = m.group(1)
-        params = _parse_scheme_params(
-            env, EXTENSION_PARAMS[scheme], _split_params(m.group(2)),
-            scheme, line_no)
-        return ByExtension(scheme, params)
-    if m:
-        scheme = m.group(1)
-        parts = _split_params(m.group(2))
-        if scheme in LOGICAL_PARAMS:
-            return ByLogical(scheme, _parse_scheme_params(
-                env, LOGICAL_PARAMS[scheme], parts, scheme, line_no))
-        if scheme in THEORY_PARAMS:
-            return ByTheory(scheme, _parse_scheme_params(
-                env, THEORY_PARAMS[scheme], parts, scheme, line_no))
-    raise ScriptError(f"unrecognized justification: {text!r}", line_no)
+    ext = head == "Ext"
+    m = _SCHEME_RE.fullmatch(text.strip()[len("Ext"):].strip() if ext
+                             else text.strip())
+    scheme = SCHEMES.get(m.group(1)) if m else None
+    if scheme is None or ext != (scheme.kind == "extension"):
+        what = "unknown extension" if ext else "unrecognized"
+        raise ScriptError(f"{what} justification: {text!r}", line_no)
+    params = _parse_scheme_params(env, scheme.params, _split_params(m.group(2)),
+                                  m.group(1), line_no)
+    return _JUSTIFICATIONS[scheme.kind](m.group(1), params)
 
 
 def parse_script(text: str, env: Optional[Environment] = None
@@ -303,7 +228,7 @@ def parse_script(text: str, env: Optional[Environment] = None
                         p.strip() for p in m.group(3).split(",") if p.strip())
                     explicit = True
                 else:
-                    params = _first_occurrence_vars(body)
+                    params = first_occurrence_vars(body)
                     explicit = False
                     want = int(m.group(2)) if m.group(2) else 0
                     if len(params) != want:
@@ -396,21 +321,11 @@ def _emit_just(just: Justification) -> str:
         return f"{head} {just.premise + 1} {just.var}{suffix}"
     if isinstance(just, ByRelease):
         return f"Release {just.premise + 1}"
-    if isinstance(just, ByLogical):
-        kinds = LOGICAL_PARAMS[just.scheme]
+    if isinstance(just, (ByLogical, ByTheory, ByExtension)):
+        kinds = expand_params(SCHEMES[just.scheme].params, len(just.params))
         body = "; ".join(_emit_param(k, p) for k, p in zip(kinds, just.params))
-        return f"{just.scheme}[{body}]"
-    if isinstance(just, ByTheory):
-        kinds = list(THEORY_PARAMS[just.scheme])
-        if kinds and kinds[-1].endswith("*"):
-            star = kinds.pop()[:-1]
-            kinds += [star] * (len(just.params) - len(kinds))
-        body = "; ".join(_emit_param(k, p) for k, p in zip(kinds, just.params))
-        return f"{just.scheme}[{body}]"
-    if isinstance(just, ByExtension):
-        kinds = EXTENSION_PARAMS[just.scheme]
-        body = "; ".join(_emit_param(k, p) for k, p in zip(kinds, just.params))
-        return f"Ext {just.scheme}[{body}]"
+        prefix = "Ext " if isinstance(just, ByExtension) else ""
+        return f"{prefix}{just.scheme}[{body}]"
     raise TypeError(f"not a justification: {just!r}")
 
 

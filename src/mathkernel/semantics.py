@@ -150,11 +150,29 @@ def _force(model: KripkeModel, w: int, phi: Formula) -> bool:
 # abstraction of arbitrary formulas to the propositional skeleton
 
 
+def _propositional_atoms(phi: Formula) -> set[str]:
+    """The names of the 0-ary atoms outside every non-propositional
+    subformula of phi."""
+    atoms: set[str] = set()
+    seen: set[int] = set()
+    stack = [phi]
+    while stack:
+        f = stack.pop()
+        if id(f) not in seen:
+            seen.add(id(f))
+            if isinstance(f, (And, Or, Implies)):
+                stack += (f.left, f.right)
+            elif isinstance(f, Atom) and not f.args:
+                atoms.add(f.pred)
+    return atoms
+
+
 def abstract_propositional(phi: Formula) -> tuple[Formula, dict[str, Formula]]:
     """Replace each maximal non-propositional subformula with a fresh
     propositional atom, identical subformulas sharing an atom.  Returns the
     skeleton and the atom-to-subformula mapping.  Atoms are numbered in
-    left-to-right order of first occurrence.
+    left-to-right order of first occurrence, skipping names phi already
+    uses as atoms.
 
     The walk keeps its own stack, so the connective depth of phi is not
     bounded by Python's recursion limit; a non-propositional subformula
@@ -162,6 +180,8 @@ def abstract_propositional(phi: Formula) -> tuple[Formula, dict[str, Formula]]:
     table: dict[Formula, str] = {}
     names: dict[str, Formula] = {}
     out: dict[int, Formula] = {}  # id of a subformula of phi -> its image
+    taken: Optional[set[str]] = None  # phi's own atoms, found when needed
+    counter = 0
     stack = [phi]
     while stack:
         f = stack[-1]
@@ -183,7 +203,12 @@ def abstract_propositional(phi: Formula) -> tuple[Formula, dict[str, Formula]]:
                 raise SemanticsError(
                     "formula nested too deeply to abstract") from None
             if name is None:
-                name = table[f] = f"p{len(table) + 1}"
+                if taken is None:
+                    taken = _propositional_atoms(phi)
+                counter += 1
+                while f"p{counter}" in taken:
+                    counter += 1
+                name = table[f] = f"p{counter}"
                 names[name] = f
             out[id(f)] = Atom(name)
         stack.pop()

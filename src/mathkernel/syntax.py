@@ -344,57 +344,6 @@ def captures(phi: Formula, x: str, t: Term) -> bool:
     return walk(phi)
 
 
-# ---------------------------------------------------------------------------
-# alpha-equivalence
-
-
-def alpha_eq(f: Formula, g: Formula) -> bool:
-    return _alpha(f, g, {}, {})
-
-
-def _alpha_term(s: Term, t: Term, lm: Mapping[str, int], rm: Mapping[str, int]) -> bool:
-    if isinstance(s, Var) and isinstance(t, Var):
-        ls, lt = lm.get(s.name), rm.get(t.name)
-        if ls is None and lt is None:
-            return s.name == t.name
-        return ls is not None and ls == lt
-    return s == t
-
-
-def _alpha(f: Formula, g: Formula, lm: dict[str, int], rm: dict[str, int]) -> bool:
-    if type(f) is not type(g):
-        return False
-    if isinstance(f, Bot):
-        return True
-    if isinstance(f, Atom):
-        assert isinstance(g, Atom)
-        return f.pred == g.pred and len(f.args) == len(g.args) and all(
-            _alpha_term(a, b, lm, rm) for a, b in zip(f.args, g.args)
-        )
-    if isinstance(f, (MApp, AApp, TApp)):
-        return _alpha_term(f.arg, g.arg, lm, rm)
-    if isinstance(f, HApp):
-        assert isinstance(g, HApp)
-        return _alpha_term(f.pred, g.pred, lm, rm) and _alpha_term(f.arg, g.arg, lm, rm)
-    if isinstance(f, SimApp):
-        assert isinstance(g, SimApp)
-        return _alpha_term(f.left, g.left, lm, rm) and _alpha_term(
-            f.right, g.right, lm, rm
-        )
-    if isinstance(f, (And, Or, Implies)):
-        assert isinstance(g, (And, Or, Implies))
-        return _alpha(f.left, g.left, lm, rm) and _alpha(f.right, g.right, lm, rm)
-    if isinstance(f, (Forall, Exists)):
-        assert isinstance(g, (Forall, Exists))
-        level = len(lm) + len(rm)
-        lm2 = dict(lm)
-        rm2 = dict(rm)
-        lm2[f.var] = level
-        rm2[g.var] = level
-        return _alpha(f.body, g.body, lm2, rm2)
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def subformulas(phi: Formula) -> Iterable[Formula]:
     yield phi
     if isinstance(phi, (And, Or, Implies)):
@@ -404,27 +353,43 @@ def subformulas(phi: Formula) -> Iterable[Formula]:
         yield from subformulas(phi.body)
 
 
+def _atomic_terms(phi: Formula) -> tuple[Term, ...]:
+    """The argument terms of an atomic formula; () for a compound one."""
+    if isinstance(phi, Atom):
+        return phi.args
+    if isinstance(phi, (MApp, AApp, TApp)):
+        return (phi.arg,)
+    if isinstance(phi, HApp):
+        return (phi.pred, phi.arg)
+    if isinstance(phi, SimApp):
+        return (phi.left, phi.right)
+    return ()
+
+
 def quote_names(phi: Formula) -> frozenset[str]:
     """All quotation names mentioned anywhere in phi (one level, opaque)."""
-    names: set[str] = set()
+    return frozenset(t.name for sub in subformulas(phi)
+                     for t in _atomic_terms(sub) if isinstance(t, Quote))
 
-    def term(t: Term) -> None:
-        if isinstance(t, Quote):
-            names.add(t.name)
 
-    for sub in subformulas(phi):
-        if isinstance(sub, Atom):
-            for a in sub.args:
-                term(a)
-        elif isinstance(sub, (MApp, AApp, TApp)):
-            term(sub.arg)
-        elif isinstance(sub, HApp):
-            term(sub.pred)
-            term(sub.arg)
-        elif isinstance(sub, SimApp):
-            term(sub.left)
-            term(sub.right)
-    return frozenset(names)
+def first_occurrence_vars(phi: Formula) -> tuple[str, ...]:
+    """Free variables of phi ordered by first occurrence in a left-to-right
+    walk, matching their textual order."""
+    seen: dict[str, None] = {}
+
+    def walk(f: Formula, bound: frozenset[str]) -> None:
+        if isinstance(f, (And, Or, Implies)):
+            walk(f.left, bound)
+            walk(f.right, bound)
+        elif isinstance(f, (Forall, Exists)):
+            walk(f.body, bound | {f.var})
+        else:
+            for t in _atomic_terms(f):
+                if isinstance(t, Var) and t.name not in bound:
+                    seen.setdefault(t.name)
+
+    walk(phi, frozenset())
+    return tuple(seen)
 
 
 # ---------------------------------------------------------------------------

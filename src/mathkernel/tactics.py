@@ -31,27 +31,24 @@ from .kernel import (
     Justification,
     Proof,
     Step,
+    extension_instance,
     logical_instance,
     theory_instance,
 )
 from .syntax import (
     AApp,
     And,
-    Atom,
-    BOT,
     Bot,
     Environment,
     Exists,
     Forall,
     Formula,
-    HApp,
     Implies,
     MApp,
     Or,
     Quote,
-    SimApp,
-    TApp,
     Var,
+    first_occurrence_vars,
     free_vars,
     substitute,
 )
@@ -75,7 +72,7 @@ class NameStore:
         self._counter = 0
 
     def name_for(self, phi: Formula) -> str:
-        params = _ordered_free_vars(phi)
+        params = first_occurrence_vars(phi)
         for name, d in self.env.definitions.items():
             if d.body == phi and d.params == params:
                 return name
@@ -86,13 +83,6 @@ class NameStore:
                 break
         self.env.define(name, params, phi)
         return name
-
-
-def _ordered_free_vars(phi: Formula) -> tuple[str, ...]:
-    """Free variables in order of first occurrence, left to right."""
-    from .script import _first_occurrence_vars
-
-    return _first_occurrence_vars(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +107,6 @@ class ProofBuilder:
     def formula_at(self, index: int) -> Formula:
         return self.steps[index].formula
 
-    def index_of(self, phi: Formula) -> Optional[int]:
-        return self._cache.get(phi)
-
     def add(self, formula: Formula, just: Justification) -> int:
         cached = self._cache.get(formula)
         if cached is not None:
@@ -143,12 +130,10 @@ class ProofBuilder:
                         ByTheory(scheme, tuple(params)))
 
     def extension(self, scheme: str, *params) -> int:
-        from .kernel import _extension_subject, extension_instance
-
-        subject = _extension_subject(self.env, scheme, params)
-        self.enabled.add(ExtensionGrant(scheme, subject))
-        return self.add(extension_instance(self.env, scheme, params),
-                        ByExtension(scheme, tuple(params)))
+        instance = extension_instance(self.env, scheme, params)
+        # the gate subject is the sentence the first parameter names
+        self.enabled.add(ExtensionGrant(scheme, self.env.resolve(params[0])))
+        return self.add(instance, ByExtension(scheme, tuple(params)))
 
     def mp(self, minor: int, major: int) -> int:
         big = self.formula_at(major)

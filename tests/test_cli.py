@@ -127,6 +127,33 @@ def test_corpus_reports_failures(tmp_path, capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("manifest", [
+    [{"conclusion": "bot"}],
+    {"a": 1},
+    [{"script": "a.pf", "conclusion": "bot", "extensions": [1]}],
+    [{"script": "a.pf", "conclusion": "bot", "extensions": [],
+      "hypotheses": "p"}],
+], ids=["no-script", "not-a-list", "bad-extension", "bad-hypotheses"])
+def test_corpus_malformed_manifest_is_usage_error(tmp_path, capsys, manifest):
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    code, _, err = run(capsys, "corpus", "--dir", str(tmp_path))
+    assert code == 2
+    assert "malformed manifest" in err
+    assert "Traceback" not in err
+
+
+def test_corpus_unparsable_expected_formula_fails_the_entry(tmp_path, capsys):
+    src = corpus_dir()
+    entry = next(e for e in json.loads((src / "manifest.json").read_text())
+                 if e["script"] == "anomaly_assertible_liar.pf")
+    (tmp_path / entry["script"]).write_text((src / entry["script"]).read_text())
+    (tmp_path / "manifest.json").write_text(
+        json.dumps([{**entry, "conclusion": "(("}]))
+    code, out, _ = run(capsys, "corpus", "--dir", str(tmp_path))
+    assert code == 1
+    assert "FAIL" in out and "manifest:" in out
+
+
 # -- countermodel
 
 
@@ -149,6 +176,13 @@ def test_countermodel_json_is_schema_valid(capsys):
         payload = json.loads(out)
         jsonschema.validate(payload, schema("countermodel.schema.json"))
         assert payload["valid"] == (expect == 0)
+
+
+def test_countermodel_abstraction_avoids_the_formulas_own_atoms(capsys):
+    # the quantified antecedent must not be abstracted to the atom p1
+    code, out, _ = run(capsys, "countermodel", "(forall x. q) -> p1")
+    assert code == 1
+    assert "holds everywhere" not in out
 
 
 def test_countermodel_bad_formula_is_usage_error(capsys):

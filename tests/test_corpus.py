@@ -1,5 +1,6 @@
 """The bundled corpus: every entry checks, and corrupted variants do not."""
 
+import importlib.util
 import random
 from pathlib import Path
 
@@ -95,3 +96,17 @@ def test_corpus_dir_override(tmp_path, monkeypatch):
     monkeypatch.setenv("MATHKERNEL_CORPUS", str(tmp_path))
     with pytest.raises(CorpusError):
         load_manifest()  # no manifest in the empty override directory
+
+
+def test_generator_reproduces_the_shipped_corpus(tmp_path, monkeypatch):
+    tool = Path(__file__).resolve().parent.parent / "tools" / "generate_corpus.py"
+    spec = importlib.util.spec_from_file_location("generate_corpus", tool)
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    monkeypatch.setattr(generator, "OUT", tmp_path)
+    generator.main()
+    shipped = sorted(p.name for p in corpus_dir().iterdir() if p.is_file())
+    assert sorted(p.name for p in tmp_path.iterdir()) == shipped
+    for name in shipped:
+        assert (tmp_path / name).read_bytes() \
+            == (corpus_dir() / name).read_bytes(), name

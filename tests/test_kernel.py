@@ -3,6 +3,11 @@
 import pytest
 
 from mathkernel.kernel import (
+    EXTENSION_PARAMS,
+    EXTENSION_SCHEMES,
+    LOGICAL_PARAMS,
+    SCHEMES,
+    THEORY_PARAMS,
     ByExtension,
     ByHyp,
     ByLogical,
@@ -16,6 +21,7 @@ from mathkernel.kernel import (
     Step,
     check_proof,
     define_total_extension,
+    expand_params,
     extension_instance,
     is_log_instance,
     logical_instance,
@@ -28,7 +34,9 @@ from mathkernel.syntax import (
     Atom,
     BOT,
     Const,
+    DefinitionError,
     Environment,
+    IllFormedError,
     Implies,
     MApp,
     Quote,
@@ -39,6 +47,98 @@ from mathkernel.syntax import (
 )
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
+
+
+# -- the scheme registry
+
+
+def test_derived_tables_keep_their_keys_values_and_order():
+    # the script reader and writer, and the benchmark's seeded mutants,
+    # depend on these tables exactly as they are
+    assert list(LOGICAL_PARAMS.items()) == [
+        ("L1", ("f", "f")), ("L2", ("f", "f", "f")), ("L3", ("f", "f")),
+        ("L4", ("f", "f")), ("L5", ("f", "f")), ("L6", ("f", "f")),
+        ("L7", ("f", "f")), ("L8", ("f", "f", "f")), ("L9", ("f",)),
+        ("L10", ("v", "f", "t")), ("L11", ("v", "f", "t")),
+    ]
+    assert list(THEORY_PARAMS.items()) == [
+        ("MComp1", ("n", "n", "n")), ("MComp2", ("n", "n")),
+        ("MComp3", ("n", "n")), ("MComp4", ("n", "n", "n")),
+        ("MQuant1", ("n", "n", "v")), ("MQuant2", ("n", "n", "v")),
+        ("MQuant3", ("n", "n", "v")), ("MBot", ("n",)), ("MofM", ("n",)),
+        ("MofA", ("n",)), ("ALog", ("n",)), ("AMP", ("n", "n", "n")),
+        ("AGenF", ("n", "n", "v", "v")), ("AGenE", ("n", "n", "v", "v")),
+        ("AtoM", ("n",)), ("ForallCapture", ("d", "n", "n", "n*")),
+        ("Capture", ("n",)), ("TDef", ("n", "n")), ("TNeg", ("n", "n")),
+        ("HDef", ("n", "t", "n", "n")), ("HNeg", ("n", "t", "n", "n")),
+        ("SimDef", ("n", "n", "n", "n")), ("DefiniteEM", ("d", "t")),
+        ("TotalExtPos", ("p", "t")), ("TotalExtNeg", ("p", "t")),
+        ("TotalExtM", ("p", "t")),
+    ]
+    assert list(EXTENSION_PARAMS.items()) == [
+        ("ReleaseAxiom", ("n",)), ("UnrestrictedT", ("n",)),
+    ]
+    assert EXTENSION_SCHEMES == ("ReleaseAxiom", "ReleaseRule", "UnrestrictedT")
+
+
+def test_expand_params():
+    assert expand_params(("f", "f"), 2) == ("f", "f")
+    assert expand_params(("d", "n", "n", "n*"), 4) == ("d", "n", "n", "n")
+    assert expand_params(("d", "n", "n", "n*"), 6) == ("d",) + ("n",) * 5
+    for kinds, n in ((("f", "f"), 1), (("f", "f"), 3),
+                     (("d", "n", "n", "n*"), 3)):
+        with pytest.raises(SchemeError):
+            expand_params(kinds, n)
+
+
+_JUSTIFICATION = {"logical": ByLogical, "theory": ByTheory,
+                  "extension": ByExtension}
+# a value of each parameter kind that the registry environment accepts
+_GOOD = {"f": P, "t": Const("c"), "v": "x", "n": "s", "d": "Sent", "p": "R"}
+
+
+def _registry_env() -> Environment:
+    env = Environment()
+    env.declare_domain("Sent", ("c",), definite=True)
+    env.define("s", (), BOT)
+    define_total_extension(env, "R", "Sent")
+    return env
+
+
+def _ill_shaped(kinds):
+    """Parameter tuples one short, one long, and wrongly typed per slot."""
+    good = tuple(_GOOD[k] for k in kinds)
+    yield good[:-1]
+    yield good + good[-1:]
+    yield None
+    for i, kind in enumerate(kinds):
+        wrong = "a" if kind in "ft" else BOT
+        for bad in (wrong, None, 3, ["x"]):
+            yield good[:i] + (bad,) + good[i + 1:]
+
+
+def test_generic_check_rejects_unknown_names():
+    env = _registry_env()
+    with pytest.raises(DefinitionError):  # AtoM resolves nothing itself
+        theory_instance(env, "AtoM", ("nope",))
+    with pytest.raises(SchemeError, match="not a declared domain"):
+        theory_instance(env, "DefiniteEM", ("Nope", Const("c")))
+    with pytest.raises(SchemeError, match="no total extension"):
+        theory_instance(env, "TotalExtM", ("Nope", Const("c")))
+    with pytest.raises(IllFormedError):  # terms are checked for theory schemes
+        theory_instance(env, "HDef", ("s", Quote("nope"), "s", "s"))
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+def test_ill_shaped_parameters_raise_only_proof_check_errors(scheme):
+    env = _registry_env()
+    s = SCHEMES[scheme]
+    kinds = expand_params(s.params, len(s.params))
+    every_grant = frozenset(ExtensionGrant(e) for e in EXTENSION_SCHEMES)
+    for params in _ill_shaped(kinds):
+        step = Step(BOT, _JUSTIFICATION[s.kind](scheme, params))
+        with pytest.raises(ProofCheckError):
+            check_proof(env, Proof((), (step,), every_grant))
 
 
 # -- logical schemes

@@ -19,7 +19,6 @@ from mathkernel.syntax import (
     Quote,
     TApp,
     Var,
-    alpha_eq,
     captures,
     free_vars,
     iff,
@@ -67,13 +66,6 @@ def test_captures_detects_bound_collision():
     phi = Forall("y", Atom("R", (Var("x"), Var("y"))))
     assert captures(phi, "x", Var("y"))
     assert not captures(phi, "x", Const("c"))
-
-
-def test_alpha_eq():
-    a = Forall("x", Atom("P", (Var("x"),)))
-    b = Forall("y", Atom("P", (Var("y"),)))
-    assert alpha_eq(a, b)
-    assert not alpha_eq(a, Forall("y", Atom("P", (Var("z"),))))
 
 
 def test_pformat_precedence():
