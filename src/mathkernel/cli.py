@@ -28,7 +28,8 @@ from .kernel import (
     extension_instance,
 )
 from .parser import ParseError, parse_formula
-from .script import ScriptError, _emit_just, emit_script, parse_script, script_of
+from .script import (ScriptError, _emit_just, emit_script, parse_script, read_text,
+                     script_of)
 from .semantics import SemanticsError, find_countermodel, provable
 from .syntax import Environment, IllFormedError, pformat
 from .tactics import TacticError, deduction_theorem, internalize, meaningfulness_closure
@@ -75,7 +76,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if not path.is_file():
         return _fail_usage(f"no such file: {path}")
     try:
-        script, env = parse_script(path.read_text())
+        script, env = parse_script(read_text(path))
     except ScriptError as exc:
         return _fail_usage(f"{path}: {exc}")
     bad = set(args.allow) - set(EXTENSION_SCHEMES)
@@ -215,7 +216,7 @@ def _load_script(path_text: str):
     path = Path(path_text)
     if not path.is_file():
         raise ScriptError(f"no such file: {path}")
-    return parse_script(path.read_text())
+    return parse_script(read_text(path))
 
 
 def _emit_result(env: Environment, proof: Proof, out: Optional[str]) -> None:

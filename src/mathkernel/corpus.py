@@ -18,7 +18,7 @@ from typing import Optional
 
 from .kernel import ProofCheckError, check_proof
 from .parser import ParseError, parse_formula
-from .script import ScriptError, parse_script
+from .script import ScriptError, parse_script, read_text
 from .syntax import DefinitionError, IllFormedError, pformat
 
 CORPUS_DIR_VAR = "MATHKERNEL_CORPUS"
@@ -100,8 +100,8 @@ def load_manifest(directory: Optional[Path] = None) -> tuple[CorpusEntry, ...]:
     if not manifest.is_file():
         raise CorpusError(f"no manifest at {manifest}")
     try:
-        raw = json.loads(manifest.read_text())
-    except json.JSONDecodeError as exc:
+        raw = json.loads(read_text(manifest))
+    except (ScriptError, json.JSONDecodeError) as exc:
         raise CorpusError(f"malformed manifest: {exc}") from exc
     if not isinstance(raw, list):
         raise CorpusError("malformed manifest: expected a list of entries")
@@ -120,7 +120,7 @@ def check_entry(entry: CorpusEntry, directory: Optional[Path] = None
     if not path.is_file():
         return done(False, f"missing script {path}")
     try:
-        script, env = parse_script(path.read_text())
+        script, env = parse_script(read_text(path))
         judgment = check_proof(env, script.proof())
     except (ScriptError, ProofCheckError) as exc:
         return done(False, str(exc))

@@ -8,13 +8,17 @@ schemes that are unsound in general and must be enabled explicitly.
 
 Every scheme is one entry of the registry ``SCHEMES``: its kind (logical,
 theory or extension), the kinds of its parameters, and one function that
-builds its instance.  A generic check runs before every instance function:
+builds its instance.  L1..L9 are written once each, as patterns over the
+metavariables a, b and c: one function fills a pattern with the
+parameters, and one matcher recognizes the instances of every pattern in
+``is_log_instance``.  A generic check runs before every instance function:
 it checks the number of parameters and the Python type of each one for
 its kind, that a quotation name is bound, a domain declared and a total
 extension registered, and, for theory and extension schemes, that a term
 is well formed.  The instance functions check only the side conditions of
 their scheme.  ``LOGICAL_PARAMS``, ``THEORY_PARAMS``, ``EXTENSION_PARAMS``
-and ``EXTENSION_SCHEMES`` are views of the registry.
+and ``EXTENSION_SCHEMES`` are views of the registry.  ``check_proof`` checks
+the Python type of each field of a justification before using it.
 
 Quoted-formula side conditions are checked by syntactic equality after one
 level of name resolution: quotation terms inside resolved bodies are never
@@ -23,7 +27,7 @@ unfolded further.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import Callable, Iterable, Optional, Sequence, Union, get_args
 
@@ -50,6 +54,7 @@ from .syntax import (
     Term,
     TotalExtension,
     Var,
+    _atomic_terms,
     captures,
     free_vars,
     iff,
@@ -146,7 +151,40 @@ def extension_instance(env: Environment, scheme: str, params: Sequence) -> Formu
 
 
 # ---------------------------------------------------------------------------
-# logical schemes: substitution for the quantifier axioms
+# logical schemes
+#
+# L1..L9 are patterns: formulas whose leaves may be the metavariables "a",
+# "b" and "c", which stand for the first, second and third parameter.  One
+# function fills a pattern and one matcher recognizes its instances.
+
+
+def _fill(pattern: Formula, params: Sequence[Formula]) -> Formula:
+    node = type(pattern)
+    if node is str:
+        return params["abc".index(pattern)]
+    if node is Bot:
+        return pattern
+    return node(_fill(pattern.left, params), _fill(pattern.right, params))
+
+
+def _match(pattern: Formula, phi: Formula, binding: dict[str, Formula]) -> bool:
+    """Extend ``binding`` so that filling ``pattern`` with it gives ``phi``."""
+    if type(pattern) is str:
+        return binding.setdefault(pattern, phi) == phi
+    if type(pattern) is not type(phi):
+        return False
+    return type(pattern) is Bot or (
+        _match(pattern.left, phi.left, binding)
+        and _match(pattern.right, phi.right, binding))
+
+
+@dataclass(frozen=True)
+class _Pattern:
+    """The instance function of a scheme given by a pattern."""
+    pattern: Formula
+
+    def __call__(self, _env: Optional[Environment], *params: Formula) -> Formula:
+        return _fill(self.pattern, params)
 
 
 def _instance_at(body: Formula, x: str, t: Term) -> Formula:
@@ -156,131 +194,38 @@ def _instance_at(body: Formula, x: str, t: Term) -> Formula:
     return substitute(body, x, t)
 
 
-# ---------------------------------------------------------------------------
-# recognizing logical axiom instances
-
-
-def _infer_term(bt: Term, gt: Term, x: str, bound: frozenset[str],
-                cands: list[Term]) -> bool:
-    if isinstance(bt, Var) and bt.name == x and x not in bound:
-        cands.append(gt)
-        return True
-    return bt == gt
-
-
-def _infer(body: Formula, g: Formula, x: str, bound: frozenset[str],
-           cands: list[Term]) -> bool:
-    if type(body) is not type(g):
-        return False
-    if isinstance(body, Bot):
-        return True
-    if isinstance(body, Atom):
-        assert isinstance(g, Atom)
-        return (
-            body.pred == g.pred
-            and len(body.args) == len(g.args)
-            and all(
-                _infer_term(a, b, x, bound, cands)
-                for a, b in zip(body.args, g.args)
-            )
-        )
-    if isinstance(body, (MApp, AApp, TApp)):
-        return _infer_term(body.arg, g.arg, x, bound, cands)
-    if isinstance(body, HApp):
-        assert isinstance(g, HApp)
-        return _infer_term(body.pred, g.pred, x, bound, cands) and _infer_term(
-            body.arg, g.arg, x, bound, cands
-        )
-    if isinstance(body, SimApp):
-        assert isinstance(g, SimApp)
-        return _infer_term(body.left, g.left, x, bound, cands) and _infer_term(
-            body.right, g.right, x, bound, cands
-        )
-    if isinstance(body, (And, Or, Implies)):
-        assert isinstance(g, (And, Or, Implies))
-        return _infer(body.left, g.left, x, bound, cands) and _infer(
-            body.right, g.right, x, bound, cands
-        )
-    if isinstance(body, (Forall, Exists)):
-        assert isinstance(g, (Forall, Exists))
-        if body.var != g.var:
-            return False
-        return _infer(body.body, g.body, x, bound | {body.var}, cands)
-    return False
-
-
 def _match_subst(body: Formula, x: str, g: Formula) -> Optional[Term]:
-    """Find t with body[t/x] == g, without renaming any binder."""
-    cands: list[Term] = []
-    if not _infer(body, g, x, frozenset(), cands):
-        return None
-    t: Term = cands[0] if cands else Var(x)
-    if any(c != t for c in cands):
-        return None
-    if captures(body, x, t):
-        return None
-    if substitute(body, x, t) != g:
+    """The t with body[t/x] == g, without renaming any binder, if any: the
+    term of g where x first occurs free in body, or x if it does not."""
+    x_var, t, pairs = Var(x), None, [(body, g)]
+    while pairs and t is None:
+        f, h = pairs.pop()
+        if type(f) is not type(h):
+            return None
+        if isinstance(f, (And, Or, Implies)):
+            pairs += [(f.right, h.right), (f.left, h.left)]
+        elif isinstance(f, (Forall, Exists)):
+            if f.var != x:
+                pairs.append((f.body, h.body))
+        else:
+            t = next((u for s, u in zip(_atomic_terms(f), _atomic_terms(h))
+                      if s == x_var), None)
+    if t is None:
+        t = x_var
+    if captures(body, x, t) or substitute(body, x, t) != g:
         return None
     return t
 
 
 def is_log_instance(phi: Formula) -> Optional[tuple[str, tuple]]:
     """A witness (scheme, params) if phi is an L1..L11 axiom instance."""
+    for name, pattern in _PATTERNS.items():
+        binding: dict[str, Formula] = {}
+        if _match(pattern, phi, binding):
+            return (name, tuple(binding[m] for m in sorted(binding)))
     if not isinstance(phi, Implies):
         return None
     l, r = phi.left, phi.right
-    # L1: a -> (b -> a)
-    if isinstance(r, Implies) and r.right == l:
-        return ("L1", (l, r.left))
-    # L2: (a -> (b -> c)) -> ((a -> b) -> (a -> c))
-    if (
-        isinstance(l, Implies)
-        and isinstance(l.right, Implies)
-        and isinstance(r, Implies)
-        and isinstance(r.left, Implies)
-        and isinstance(r.right, Implies)
-    ):
-        a, b, c = l.left, l.right.left, l.right.right
-        if r.left == Implies(a, b) and r.right == Implies(a, c):
-            return ("L2", (a, b, c))
-    # L3: a -> (b -> a & b)
-    if (
-        isinstance(r, Implies)
-        and isinstance(r.right, And)
-        and r.right.left == l
-        and r.right.right == r.left
-    ):
-        return ("L3", (l, r.left))
-    # L4 / L5
-    if isinstance(l, And):
-        if r == l.left:
-            return ("L4", (l.left, l.right))
-        if r == l.right:
-            return ("L5", (l.left, l.right))
-    # L6 / L7
-    if isinstance(r, Or):
-        if l == r.left:
-            return ("L6", (r.left, r.right))
-        if l == r.right:
-            return ("L7", (r.left, r.right))
-    # L8: (a -> c) -> ((b -> c) -> (a | b -> c))
-    if (
-        isinstance(l, Implies)
-        and isinstance(r, Implies)
-        and isinstance(r.left, Implies)
-        and isinstance(r.right, Implies)
-        and isinstance(r.right.left, Or)
-    ):
-        a, c = l.left, l.right
-        if (
-            r.left.right == c
-            and r.right.right == c
-            and r.right.left == Or(a, r.left.left)
-        ):
-            return ("L8", (a, r.left.left, c))
-    # L9: bot -> a
-    if l == BOT:
-        return ("L9", (r,))
     # L10: (forall x. b) -> b[t/x]
     if isinstance(l, Forall):
         t = _match_subst(l.body, l.var, r)
@@ -577,21 +522,19 @@ def _unrestricted_t(env: Environment, q: str) -> Formula:
 
 
 SCHEMES: dict[str, Scheme] = {
-    "L1": Scheme("logical", ("f", "f"),
-                 lambda _, a, b: Implies(a, Implies(b, a))),
-    "L2": Scheme("logical", ("f", "f", "f"),
-                 lambda _, a, b, c: Implies(Implies(a, Implies(b, c)),
-                                            Implies(Implies(a, b), Implies(a, c)))),
+    "L1": Scheme("logical", ("f", "f"), _Pattern(Implies("a", Implies("b", "a")))),
+    "L2": Scheme("logical", ("f", "f", "f"), _Pattern(Implies(
+        Implies("a", Implies("b", "c")),
+        Implies(Implies("a", "b"), Implies("a", "c"))))),
     "L3": Scheme("logical", ("f", "f"),
-                 lambda _, a, b: Implies(a, Implies(b, And(a, b)))),
-    "L4": Scheme("logical", ("f", "f"), lambda _, a, b: Implies(And(a, b), a)),
-    "L5": Scheme("logical", ("f", "f"), lambda _, a, b: Implies(And(a, b), b)),
-    "L6": Scheme("logical", ("f", "f"), lambda _, a, b: Implies(a, Or(a, b))),
-    "L7": Scheme("logical", ("f", "f"), lambda _, a, b: Implies(b, Or(a, b))),
-    "L8": Scheme("logical", ("f", "f", "f"),
-                 lambda _, a, b, c: Implies(Implies(a, c), Implies(
-                     Implies(b, c), Implies(Or(a, b), c)))),
-    "L9": Scheme("logical", ("f",), lambda _, a: Implies(BOT, a)),
+                 _Pattern(Implies("a", Implies("b", And("a", "b"))))),
+    "L4": Scheme("logical", ("f", "f"), _Pattern(Implies(And("a", "b"), "a"))),
+    "L5": Scheme("logical", ("f", "f"), _Pattern(Implies(And("a", "b"), "b"))),
+    "L6": Scheme("logical", ("f", "f"), _Pattern(Implies("a", Or("a", "b")))),
+    "L7": Scheme("logical", ("f", "f"), _Pattern(Implies("b", Or("a", "b")))),
+    "L8": Scheme("logical", ("f", "f", "f"), _Pattern(Implies(
+        Implies("a", "c"), Implies(Implies("b", "c"), Implies(Or("a", "b"), "c"))))),
+    "L9": Scheme("logical", ("f",), _Pattern(Implies(BOT, "a"))),
     "L10": Scheme("logical", ("v", "f", "t"),
                   lambda _, x, b, t: Implies(Forall(x, b), _instance_at(b, x, t))),
     "L11": Scheme("logical", ("v", "f", "t"),
@@ -632,6 +575,8 @@ def _params_of(kind: str) -> dict[str, tuple[str, ...]]:
 
 
 LOGICAL_PARAMS = _params_of("logical")
+_PATTERNS = {name: s.instance.pattern for name, s in SCHEMES.items()
+             if isinstance(s.instance, _Pattern)}
 THEORY_PARAMS = _params_of("theory")
 EXTENSION_PARAMS = _params_of("extension")
 # ReleaseRule is a rule, not a scheme, but is gated like the extension schemes
@@ -732,6 +677,25 @@ class ByRelease:
 Justification = Union[
     ByHyp, ByLogical, ByTheory, ByMP, ByGenF, ByGenE, ByExtension, ByRelease
 ]
+
+# the fields of each justification with the exact Python type of each, read
+# from the annotations: a bool is no step index
+_FIELD_TYPES = {
+    cls: tuple((f.name, {"int": int, "str": str, "tuple": tuple}[f.type])
+               for f in fields(cls))
+    for cls in get_args(Justification)
+}
+
+
+def _check_fields(just: Justification) -> None:
+    types = _FIELD_TYPES.get(type(just))
+    if types is None:
+        raise SchemeError(f"unknown justification {just!r}")
+    for name, cls in types:
+        value = getattr(just, name)
+        if type(value) is not cls:
+            raise SchemeError(f"{type(just).__name__}.{name} must be "
+                              f"{cls.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -839,6 +803,7 @@ def check_proof(
         just = step.just
         expected: Optional[Formula] = None
         try:
+            _check_fields(just)
             if isinstance(just, ByHyp):
                 if not (0 <= just.index < len(proof.hypotheses)):
                     errors.append(StepError(i, f"no hypothesis {just.index + 1}"))
@@ -893,9 +858,6 @@ def check_proof(
                 expected = subject
                 used.setdefault(str(ExtensionGrant("ReleaseRule", subject)),
                                 ExtensionGrant("ReleaseRule", subject))
-            else:
-                errors.append(StepError(i, f"unknown justification {just!r}"))
-                continue
         except (SchemeError, DefinitionError, IllFormedError) as exc:
             errors.append(StepError(i, str(exc)))
             continue

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional, Sequence
 
 from . import kernel
@@ -168,6 +169,16 @@ def _parse_just(env: Environment, text: str, line_no: int) -> Justification:
     params = _parse_scheme_params(env, scheme.params, _split_params(m.group(2)),
                                   m.group(1), line_no)
     return _JUSTIFICATIONS[scheme.kind](m.group(1), params)
+
+
+def read_text(path: Path) -> str:
+    """The text of a script or manifest file, or ScriptError if it is not
+    UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScriptError(f"not UTF-8 text: {exc.reason} at byte {exc.start}"
+                          ) from None
 
 
 def parse_script(text: str, env: Optional[Environment] = None

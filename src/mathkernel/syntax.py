@@ -531,10 +531,16 @@ class Environment:
     # -- well-formedness
 
     def check_term(self, t: Term) -> None:
-        if isinstance(t, Quote) and t.name not in self.definitions:
-            raise IllFormedError(f"unbound quotation name: {t.name}")
-        if isinstance(t, (Var, Const)) and not t.name:
-            raise IllFormedError("empty identifier")
+        """Raise IllFormedError unless t is a term whose name is a nonempty
+        string and, for a quotation, bound."""
+        if type(t) is Quote:
+            if type(t.name) is not str or t.name not in self.definitions:
+                raise IllFormedError(f"unbound quotation name: {t.name}")
+        elif type(t) is Var or type(t) is Const:
+            if type(t.name) is not str or not t.name:
+                raise IllFormedError(f"not an identifier: {t.name!r}")
+        else:
+            raise IllFormedError(f"not a term: {t!r}")
 
     def _quote_arity(self, t: Term) -> Optional[int]:
         if isinstance(t, Quote):
@@ -542,10 +548,22 @@ class Environment:
         return None
 
     def check_formula(self, phi: Formula) -> None:
-        """Raise IllFormedError on arity or binding violations."""
+        """Raise IllFormedError on arity or binding violations, and on a
+        value that is not a formula."""
+        if isinstance(phi, (And, Or, Implies)):
+            self.check_formula(phi.left)
+            self.check_formula(phi.right)
+            return
+        if isinstance(phi, (Forall, Exists)):
+            if type(phi.var) is not str:
+                raise IllFormedError(f"not a variable: {phi.var!r}")
+            self.check_formula(phi.body)
+            return
         if isinstance(phi, Bot):
             return
         if isinstance(phi, Atom):
+            if type(phi.pred) is not str or type(phi.args) is not tuple:
+                raise IllFormedError(f"not an atomic formula: {phi!r}")
             known = self.predicates.get(phi.pred)
             if known is not None and known != len(phi.args):
                 raise IllFormedError(
@@ -583,11 +601,4 @@ class Environment:
                         f"sim requires unary predicate quotations, got arity {a}"
                     )
             return
-        if isinstance(phi, (And, Or, Implies)):
-            self.check_formula(phi.left)
-            self.check_formula(phi.right)
-            return
-        if isinstance(phi, (Forall, Exists)):
-            self.check_formula(phi.body)
-            return
-        raise TypeError(f"not a formula: {phi!r}")
+        raise IllFormedError(f"not a formula: {phi!r}")

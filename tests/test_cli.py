@@ -154,6 +154,35 @@ def test_corpus_unparsable_expected_formula_fails_the_entry(tmp_path, capsys):
     assert "FAIL" in out and "manifest:" in out
 
 
+NOT_UTF8 = b"\xff\xfe bad"
+
+
+@pytest.mark.parametrize("command", [["check"], ["tactic", "deduction"]],
+                         ids=["check", "tactic"])
+def test_script_that_is_not_utf8_is_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "bad.pf"
+    path.write_bytes(NOT_UTF8)
+    code, _, err = run(capsys, *command, str(path))
+    assert code == 2
+    assert "not UTF-8" in err and "Traceback" not in err
+
+
+def test_corpus_script_that_is_not_utf8_fails_the_entry(tmp_path, capsys):
+    entry = json.loads((corpus_dir() / "manifest.json").read_text())[0]
+    (tmp_path / entry["script"]).write_bytes(NOT_UTF8)
+    (tmp_path / "manifest.json").write_text(json.dumps([entry]))
+    code, out, _ = run(capsys, "corpus", "--dir", str(tmp_path))
+    assert code == 1
+    assert "FAIL" in out and "not UTF-8" in out
+
+
+def test_corpus_manifest_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    (tmp_path / "manifest.json").write_bytes(b"[" + NOT_UTF8 + b"]")
+    code, _, err = run(capsys, "corpus", "--dir", str(tmp_path))
+    assert code == 2
+    assert "not UTF-8" in err and "Traceback" not in err
+
+
 # -- countermodel
 
 

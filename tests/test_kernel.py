@@ -1,7 +1,14 @@
 """Axiom-scheme instantiation, scheme recognition, and proof checking."""
 
+import ast
+import random
+from dataclasses import fields
+from pathlib import Path
+from typing import get_args
+
 import pytest
 
+from mathkernel import kernel
 from mathkernel.kernel import (
     EXTENSION_PARAMS,
     EXTENSION_SCHEMES,
@@ -15,6 +22,7 @@ from mathkernel.kernel import (
     ByRelease,
     ByTheory,
     ExtensionGrant,
+    Justification,
     Proof,
     ProofCheckError,
     SchemeError,
@@ -33,17 +41,26 @@ from mathkernel.syntax import (
     And,
     Atom,
     BOT,
+    Bot,
     Const,
     DefinitionError,
     Environment,
+    Exists,
+    Forall,
+    HApp,
     IllFormedError,
     Implies,
     MApp,
+    Or,
     Quote,
+    SimApp,
+    TApp,
     Var,
+    captures,
     iff,
     neg,
     pformat,
+    substitute,
 )
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
@@ -141,6 +158,61 @@ def test_ill_shaped_parameters_raise_only_proof_check_errors(scheme):
             check_proof(env, Proof((), (step,), every_grant))
 
 
+# a value of each justification field type, and wrongly typed values
+_GOOD_FIELD = {"int": 0, "str": "x", "tuple": (BOT,)}
+_WRONG_FIELD = {"int": ("0", True, 0.0, None), "str": (7, None, ["x"]),
+                "tuple": ([BOT], None, "ab")}
+
+
+@pytest.mark.parametrize("cls", get_args(Justification),
+                         ids=lambda cls: cls.__name__)
+def test_ill_typed_justification_fields_raise_only_proof_check_errors(cls):
+    env = _registry_env()
+    every_grant = frozenset(ExtensionGrant(e) for e in EXTENSION_SCHEMES)
+    good = {f.name: _GOOD_FIELD[f.type] for f in fields(cls)}
+    for f in fields(cls):
+        for bad in _WRONG_FIELD[f.type]:
+            step = Step(BOT, cls(**{**good, f.name: bad}))
+            proof = Proof((BOT,), (Step(BOT, ByHyp(0)), step), every_grant)
+            with pytest.raises(ProofCheckError,
+                               match=rf"{cls.__name__}\.{f.name} must be"):
+                check_proof(env, proof)
+    with pytest.raises(ProofCheckError, match="unknown justification"):
+        check_proof(env, Proof((), (Step(BOT, "hyp 1"),)))
+
+
+@pytest.mark.parametrize("phi", [
+    Atom("p", (3,)), Atom("p", (Var(3),)), Atom("p", (Const(""),)),
+    Atom(["p"]), Atom("p", [Var("x")]), MApp(Quote(["s"])), MApp("s"),
+    Forall(7, BOT), Forall(["y"], BOT), "x", None, And(BOT, 3),
+], ids=["int-term", "int-variable", "empty-constant", "list-predicate",
+        "list-arguments", "list-quotation", "str-term", "int-binder",
+        "list-binder", "str", "None", "int-subformula"])
+def test_ill_typed_formulas_are_ill_formed(phi):
+    env = _registry_env()
+    with pytest.raises(IllFormedError):
+        env.check_formula(phi)
+    l1 = Implies(phi, Implies(BOT, phi))
+    for proof in (Proof((BOT,), (Step(phi, ByHyp(0)),)),
+                  Proof((phi,), (Step(Implies(BOT, BOT),
+                                      ByLogical("L9", (BOT,))),)),
+                  Proof((), (Step(l1, ByLogical("L1", (phi, BOT))),))):
+        with pytest.raises(ProofCheckError):
+            check_proof(env, proof)
+
+
+def test_kernel_imports_only_syntax_from_the_package():
+    tree = ast.parse(Path(kernel.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            assert module in (".syntax", "mathkernel.syntax") or not (
+                node.level or module.split(".")[0] == "mathkernel"), module
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                assert alias.name.split(".")[0] != "mathkernel", alias.name
+
+
 # -- logical schemes
 
 
@@ -206,6 +278,158 @@ def _prop_env():
     for name in ("p", "q", "r"):
         env.register_predicate(name, 0)
     return env
+
+
+def _reference_infer_term(bt, gt, x, bound, cands):
+    if isinstance(bt, Var) and bt.name == x and x not in bound:
+        cands.append(gt)
+        return True
+    return bt == gt
+
+
+def _reference_infer(body, g, x, bound, cands):
+    if type(body) is not type(g):
+        return False
+    if isinstance(body, Bot):
+        return True
+    if isinstance(body, Atom):
+        return (
+            body.pred == g.pred
+            and len(body.args) == len(g.args)
+            and all(_reference_infer_term(a, b, x, bound, cands)
+                    for a, b in zip(body.args, g.args))
+        )
+    if isinstance(body, (MApp, AApp, TApp)):
+        return _reference_infer_term(body.arg, g.arg, x, bound, cands)
+    if isinstance(body, HApp):
+        return (_reference_infer_term(body.pred, g.pred, x, bound, cands)
+                and _reference_infer_term(body.arg, g.arg, x, bound, cands))
+    if isinstance(body, SimApp):
+        return (_reference_infer_term(body.left, g.left, x, bound, cands)
+                and _reference_infer_term(body.right, g.right, x, bound, cands))
+    if isinstance(body, (And, Or, Implies)):
+        return (_reference_infer(body.left, g.left, x, bound, cands)
+                and _reference_infer(body.right, g.right, x, bound, cands))
+    if isinstance(body, (Forall, Exists)):
+        if body.var != g.var:
+            return False
+        return _reference_infer(body.body, g.body, x, bound | {body.var}, cands)
+    return False
+
+
+def _reference_match_subst(body, x, g):
+    cands = []
+    if not _reference_infer(body, g, x, frozenset(), cands):
+        return None
+    t = cands[0] if cands else Var(x)
+    if any(c != t for c in cands):
+        return None
+    if captures(body, x, t):
+        return None
+    if substitute(body, x, t) != g:
+        return None
+    return t
+
+
+def reference_is_log_instance(phi):
+    """The recognizer as it was before the patterns: hand-written shape
+    tests for L1..L9, and a collecting walk for L10 and L11."""
+    if not isinstance(phi, Implies):
+        return None
+    l, r = phi.left, phi.right
+    if isinstance(r, Implies) and r.right == l:
+        return ("L1", (l, r.left))
+    if (isinstance(l, Implies) and isinstance(l.right, Implies)
+            and isinstance(r, Implies) and isinstance(r.left, Implies)
+            and isinstance(r.right, Implies)):
+        a, b, c = l.left, l.right.left, l.right.right
+        if r.left == Implies(a, b) and r.right == Implies(a, c):
+            return ("L2", (a, b, c))
+    if (isinstance(r, Implies) and isinstance(r.right, And)
+            and r.right.left == l and r.right.right == r.left):
+        return ("L3", (l, r.left))
+    if isinstance(l, And):
+        if r == l.left:
+            return ("L4", (l.left, l.right))
+        if r == l.right:
+            return ("L5", (l.left, l.right))
+    if isinstance(r, Or):
+        if l == r.left:
+            return ("L6", (r.left, r.right))
+        if l == r.right:
+            return ("L7", (r.left, r.right))
+    if (isinstance(l, Implies) and isinstance(r, Implies)
+            and isinstance(r.left, Implies) and isinstance(r.right, Implies)
+            and isinstance(r.right.left, Or)):
+        a, c = l.left, l.right
+        if (r.left.right == c and r.right.right == c
+                and r.right.left == Or(a, r.left.left)):
+            return ("L8", (a, r.left.left, c))
+    if l == BOT:
+        return ("L9", (r,))
+    if isinstance(l, Forall):
+        t = _reference_match_subst(l.body, l.var, r)
+        if t is not None:
+            return ("L10", (l.var, l.body, t))
+    if isinstance(r, Exists):
+        t = _reference_match_subst(r.body, r.var, l)
+        if t is not None:
+            return ("L11", (r.var, r.body, t))
+    return None
+
+
+_VARS = ("x", "y", "z")
+_TERMS = (Var("x"), Var("y"), Var("z"), Const("c"), Quote("s"))
+
+
+def _random_formula(rng, depth):
+    """Formulas over few atoms, so that shapes repeat, with every kind of
+    atomic formula and binders over the variables terms use."""
+    if depth == 0 or rng.random() < 0.3:
+        s, t = rng.choice(_TERMS), rng.choice(_TERMS)
+        return rng.choice((BOT, Atom("q"), Atom("P", (s,)), Atom("R", (s, t)),
+                           MApp(s), TApp(s), HApp(s, t), SimApp(s, t)))
+    shape = rng.choice((And, Or, Implies, Implies, Forall, Exists))
+    if shape in (Forall, Exists):
+        return shape(rng.choice(_VARS), _random_formula(rng, depth - 1))
+    return shape(_random_formula(rng, depth - 1),
+                 _random_formula(rng, depth - 1))
+
+
+def _random_instance(rng, scheme):
+    """An instance of scheme; for L10 and L11 the substitution renames a
+    binder when the term would be captured, which gives a formula of the
+    instance's shape that is not one."""
+    kinds = LOGICAL_PARAMS[scheme]
+    if kinds == ("v", "f", "t"):
+        x, t = rng.choice(_VARS), rng.choice(_TERMS)
+        body = _random_formula(rng, 3)
+        if scheme == "L10":
+            return Implies(Forall(x, body), substitute(body, x, t))
+        return Implies(substitute(body, x, t), Exists(x, body))
+    return logical_instance(
+        scheme, tuple(_random_formula(rng, 2) for _ in kinds))
+
+
+def _seeded_formulas(seed, rounds):
+    rng = random.Random(seed)
+    for _ in range(rounds):
+        for scheme in LOGICAL_PARAMS:
+            phi = _random_instance(rng, scheme)
+            yield phi
+            other = _random_formula(rng, 2)
+            yield Implies(other, phi.right) if rng.random() < 0.5 \
+                else Implies(phi.left, other)
+            yield _random_formula(rng, 4)
+
+
+def test_is_log_instance_matches_reference_on_seeded_formulas():
+    found = 0
+    for phi in _seeded_formulas(20261018, 150):
+        witness = is_log_instance(phi)
+        assert witness == reference_is_log_instance(phi), pformat(phi)
+        found += witness is not None
+    assert found >= 1500  # instances of every kind are exercised
 
 
 # -- theory schemes
