@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from pathlib import Path
 from typing import Optional
@@ -154,17 +153,6 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 # enumerate_frames(5) alone takes about 1.5 s; 6 worlds would mean 3**15
 # order choices, each canonicalised over 720 permutations
 _MAX_WORLDS = 5
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_KEYWORDS = {"bot", "forall", "exists", "M", "A", "T", "H", "sim", "definite"}
-
-
-def _propositional_env(text: str) -> Environment:
-    """An environment that treats every bare name as a 0-ary predicate,
-    so propositional formulas parse without declarations."""
-    env = Environment()
-    for name in set(_NAME.findall(text)) - _KEYWORDS:
-        env.register_predicate(name, 0)
-    return env
 
 
 def _countermodel_json(formula: str, valid: bool, cm) -> dict:
@@ -186,9 +174,8 @@ def _countermodel_json(formula: str, valid: bool, cm) -> dict:
 def _cmd_countermodel(args: argparse.Namespace) -> int:
     if not 1 <= args.max_worlds <= _MAX_WORLDS:
         return _fail_usage(f"--max-worlds must be between 1 and {_MAX_WORLDS}")
-    env = _propositional_env(args.formula)
     try:
-        phi = parse_formula(args.formula, env)
+        phi = parse_formula(args.formula, Environment())
         cm = find_countermodel(phi, max_worlds=args.max_worlds)
         valid = cm is None and provable(phi)
     except (ParseError, IllFormedError, SemanticsError) as exc:

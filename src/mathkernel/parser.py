@@ -2,10 +2,7 @@
 
 Grammar (UTF-8 text):
 
-    formula   :=  imp ( '<->' imp )?          biconditional, non-associative
-    imp       :=  or ( '->' imp )?            right-associative
-    or        :=  and ( '|' and )*            left-associative
-    and       :=  unary ( '&' unary )*        left-associative
+    formula   :=  unary ( BINOP unary )*      by the table below
     unary     :=  '~' unary | primary
     primary   :=  '(' formula ')'
                |  'forall' VAR '.' formula    body extends to the right
@@ -16,19 +13,40 @@ Grammar (UTF-8 text):
                |  IDENT ( '(' term ( ',' term )* ')' )?
     term      :=  '`' IDENT '`' | IDENT
 
+    BINOP   precedence   associativity
+    <->     1            none
+    ->      2            right
+    |       3            left
+    &       4            left
+
+The precedences are the ``_PREC_*`` constants ``syntax.pformat`` prints
+with; one precedence-climbing loop parses every binary connective.
+
 `~p` is sugar for `p -> bot`, `a <-> b` for `(a -> b) & (b -> a)`.  A bare
 identifier in term position is an object constant if declared, otherwise a
 variable.  Predicates are registered in the symbol table at first use and
-checked for consistent arity afterwards.
+checked for consistent arity afterwards; every other atomic formula is
+checked by ``Environment.check_formula`` as it is built, except one that
+quotes the name being defined, which ``Environment.define`` checks.
+
+A formula is at most ``MAX_DEPTH`` deep: no atom lies inside more than
+``MAX_DEPTH`` levels, a level being a connective (two for `<->`, which
+stands for two), a quantifier or a pair of parentheses.  Deeper text is a
+``ParseError``, so no recursive walk over a parsed formula (hashing,
+printing, substitution, checking) comes near Python's recursion limit.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import string
 from typing import Optional
 
 from .syntax import (
+    _PREC_AND,
+    _PREC_IFF,
+    _PREC_IMP,
+    _PREC_OR,
     AApp,
     And,
     Atom,
@@ -51,71 +69,35 @@ from .syntax import (
     neg,
 )
 
+MAX_DEPTH = 256
+
 
 class ParseError(Exception):
-    def __init__(self, message: str, position: int, text: str = "") -> None:
+    def __init__(self, message: str, position: int) -> None:
         super().__init__(f"{message} (at position {position})")
         self.position = position
-        self.text = text
 
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<quote>`[A-Za-z_][A-Za-z0-9_]*`)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op><->|->|:=|[()\{\},;.&|~=])
-    """,
-    re.VERBOSE,
-)
+# a quotation, an identifier, an arrow, or any other single character; a
+# character the grammar has no use for fails where it stands
+_TOKEN_RE = re.compile(r"`[A-Za-z_][A-Za-z0-9_]*`|[A-Za-z_][A-Za-z0-9_]*|<?->|\S")
+_IDENT_START = frozenset(string.ascii_letters + "_")
 
+# connective -> (precedence, least precedence of its right operand, levels
+# it adds, constructor); a right operand of equal precedence makes `->`
+# right-associative, and `<->` is refused a second time below
+_BINARY = {
+    "<->": (_PREC_IFF, _PREC_IFF + 1, 2, iff),
+    "->": (_PREC_IMP, _PREC_IMP, 1, Implies),
+    "|": (_PREC_OR, _PREC_OR + 1, 1, Or),
+    "&": (_PREC_AND, _PREC_AND + 1, 1, And),
+}
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # quote | ident | op | end
-    value: str
-    pos: int
+# ascription -> (constructor, number of terms)
+_ASCRIPTIONS = {"M": (MApp, 1), "A": (AApp, 1), "T": (TApp, 1),
+                "H": (HApp, 2), "sim": (SimApp, 2)}
 
-
-def tokenize(text: str) -> list[Token]:
-    out: list[Token] = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ParseError(f"unexpected character {text[i]!r}", i, text)
-        kind = m.lastgroup
-        assert kind is not None
-        if kind != "ws":
-            out.append(Token(kind, m.group(), i))
-        i = m.end()
-    out.append(Token("end", "", len(text)))
-    return out
-
-
-class _Cursor:
-    def __init__(self, tokens: list[Token], text: str) -> None:
-        self.tokens = tokens
-        self.text = text
-        self.i = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.i]
-
-    def next(self) -> Token:
-        t = self.tokens[self.i]
-        self.i += 1
-        return t
-
-    def expect(self, value: str) -> Token:
-        t = self.peek()
-        if t.value != value:
-            raise ParseError(f"expected {value!r}, found {t.value!r}", t.pos, self.text)
-        return self.next()
-
-    def fail(self, message: str) -> ParseError:
-        t = self.peek()
-        return ParseError(message, t.pos, self.text)
+_TOO_DEEP = f"formula nested deeper than {MAX_DEPTH}"
 
 
 class FormulaParser:
@@ -132,122 +114,115 @@ class FormulaParser:
     # -- entry points
 
     def formula(self, text: str) -> Formula:
-        cur = _Cursor(tokenize(text), text)
-        phi = self._formula(cur)
-        if cur.peek().kind != "end":
-            raise cur.fail(f"trailing input {cur.peek().value!r}")
-        self._check(phi, cur)
+        self._start(text)
+        phi, _ = self._expr(0, 0)
+        self._finish()
         return phi
 
     def term(self, text: str) -> Term:
-        cur = _Cursor(tokenize(text), text)
-        t = self._term(cur)
-        if cur.peek().kind != "end":
-            raise cur.fail(f"trailing input {cur.peek().value!r}")
+        self._start(text)
+        t = self._term()
+        self._finish()
         return t
 
-    def _check(self, phi: Formula, cur: _Cursor) -> None:
-        # arity discipline; quote binding was checked during parsing.  A body
-        # quoting the name being defined is checked by Environment.define
-        # after the provisional binding exists.
-        if self.self_name is None:
-            self.env.check_formula(phi)
+    # -- tokens
 
-    # -- grammar
+    def _start(self, text: str) -> None:
+        self.text = text
+        self.toks = _TOKEN_RE.findall(text)
+        self.toks.append("")  # end of input
+        self.i = 0
 
-    def _formula(self, cur: _Cursor) -> Formula:
-        left = self._imp(cur)
-        if cur.peek().value == "<->":
-            cur.next()
-            right = self._imp(cur)
-            if cur.peek().value == "<->":
-                raise cur.fail("'<->' is non-associative; add parentheses")
-            return iff(left, right)
-        return left
+    def _finish(self) -> None:
+        if self.toks[self.i]:
+            raise self._fail(f"trailing input {self.toks[self.i]!r}")
 
-    def _imp(self, cur: _Cursor) -> Formula:
-        left = self._or(cur)
-        if cur.peek().value == "->":
-            cur.next()
-            return Implies(left, self._imp(cur))
-        return left
+    def _fail(self, message: str) -> ParseError:
+        starts = [m.start() for m in _TOKEN_RE.finditer(self.text)]
+        starts.append(len(self.text))
+        return ParseError(message, starts[self.i])
 
-    def _or(self, cur: _Cursor) -> Formula:
-        out = self._and(cur)
-        while cur.peek().value == "|":
-            cur.next()
-            out = Or(out, self._and(cur))
-        return out
+    def _expect(self, value: str) -> None:
+        if self.toks[self.i] != value:
+            raise self._fail(f"expected {value!r}, found {self.toks[self.i]!r}")
+        self.i += 1
 
-    def _and(self, cur: _Cursor) -> Formula:
-        out = self._unary(cur)
-        while cur.peek().value == "&":
-            cur.next()
-            out = And(out, self._unary(cur))
-        return out
+    # -- grammar; depth counts the levels above, height the levels below
 
-    def _unary(self, cur: _Cursor) -> Formula:
-        if cur.peek().value == "~":
-            cur.next()
-            return neg(self._unary(cur))
-        return self._primary(cur)
+    def _expr(self, min_prec: int, depth: int) -> tuple[Formula, int]:
+        left, height = self._unary(depth)
+        while True:
+            op = self.toks[self.i]
+            entry = _BINARY.get(op)
+            if entry is None or entry[0] < min_prec:
+                return left, height
+            _, right_prec, levels, build = entry
+            self.i += 1
+            right, right_height = self._expr(right_prec, depth + levels)
+            left, height = build(left, right), levels + max(height, right_height)
+            if depth + height > MAX_DEPTH:
+                raise self._fail(_TOO_DEEP)
+            if op == "<->" and self.toks[self.i] == "<->":
+                raise self._fail("'<->' is non-associative; add parentheses")
 
-    def _primary(self, cur: _Cursor) -> Formula:
-        tok = cur.peek()
-        if tok.value == "(":
-            cur.next()
-            phi = self._formula(cur)
-            cur.expect(")")
-            return phi
-        if tok.value in ("forall", "exists"):
-            cur.next()
-            v = cur.next()
-            if v.kind != "ident":
-                raise cur.fail("expected a variable after quantifier")
-            cur.expect(".")
-            body = self._formula(cur)
-            return (Forall if tok.value == "forall" else Exists)(v.value, body)
-        if tok.value == "bot":
-            cur.next()
-            return BOT
-        if tok.kind == "ident":
-            name = cur.next().value
-            if name in ("M", "A", "T"):
-                cur.expect("(")
-                t = self._term(cur)
-                cur.expect(")")
-                return {"M": MApp, "A": AApp, "T": TApp}[name](t)
-            if name in ("H", "sim"):
-                cur.expect("(")
-                t1 = self._term(cur)
-                cur.expect(",")
-                t2 = self._term(cur)
-                cur.expect(")")
-                return HApp(t1, t2) if name == "H" else SimApp(t1, t2)
-            args: list[Term] = []
-            if cur.peek().value == "(":
-                cur.next()
-                args.append(self._term(cur))
-                while cur.peek().value == ",":
-                    cur.next()
-                    args.append(self._term(cur))
-                cur.expect(")")
-            self.env.register_predicate(name, len(args))
-            return Atom(name, tuple(args))
-        raise cur.fail(f"expected a formula, found {tok.value!r}")
+    def _unary(self, depth: int) -> tuple[Formula, int]:
+        if depth > MAX_DEPTH:
+            raise self._fail(_TOO_DEEP)
+        tok = self.toks[self.i]
+        self.i += 1
+        if tok == "~":
+            phi, height = self._unary(depth + 1)
+            return neg(phi), height + 1
+        if tok == "(":
+            phi, height = self._expr(0, depth + 1)
+            self._expect(")")
+            return phi, height + 1
+        if tok in ("forall", "exists"):
+            var = self.toks[self.i]
+            if var[:1] not in _IDENT_START:
+                raise self._fail("expected a variable after quantifier")
+            self.i += 1
+            self._expect(".")
+            body, height = self._expr(0, depth + 1)
+            return (Forall if tok == "forall" else Exists)(var, body), height + 1
+        if tok == "bot":
+            return BOT, 0
+        if tok[:1] not in _IDENT_START:
+            self.i -= 1
+            raise self._fail(f"expected a formula, found {tok!r}")
+        ascription = _ASCRIPTIONS.get(tok)
+        args: list[Term] = []
+        if ascription or self.toks[self.i] == "(":
+            self._expect("(")
+            args.append(self._term())
+            while self.toks[self.i] == ",":
+                self.i += 1
+                args.append(self._term())
+            self._expect(")")
+        if ascription is None:
+            self.env.register_predicate(tok, len(args))
+            return Atom(tok, tuple(args)), 0
+        build, arity = ascription
+        if len(args) != arity:
+            self.i -= 1
+            raise self._fail(f"{tok} takes {arity} term(s)")
+        leaf = build(*args)
+        if self.self_name is None or Quote(self.self_name) not in args:
+            self.env.check_formula(leaf)
+        return leaf, 0
 
-    def _term(self, cur: _Cursor) -> Term:
-        tok = cur.next()
-        if tok.kind == "quote":
-            name = tok.value[1:-1]
+    def _term(self) -> Term:
+        tok = self.toks[self.i]
+        if len(tok) > 1 and tok[0] == "`":
+            name = tok[1:-1]
             if name != self.self_name and not self.env.is_bound(name):
-                raise ParseError(f"unbound quotation name `{name}`", tok.pos, cur.text)
+                raise self._fail(f"unbound quotation name `{name}`")
+            self.i += 1
             return Quote(name)
-        if tok.kind == "ident":
-            if tok.value in self.env.constants:
-                return Const(tok.value)
-            return Var(tok.value)
-        raise ParseError(f"expected a term, found {tok.value!r}", tok.pos, cur.text)
+        if tok[:1] in _IDENT_START:
+            self.i += 1
+            return Const(tok) if tok in self.env.constants else Var(tok)
+        raise self._fail(f"expected a term, found {tok!r}")
 
 
 def parse_formula(text: str, env: Environment,

@@ -141,22 +141,22 @@ def _parse_just(env: Environment, text: str, line_no: int) -> Justification:
         raise ScriptError("missing justification", line_no)
     head = words[0]
     if head == "hyp":
-        if len(words) != 2 or not words[1].isdigit():
+        if len(words) != 2 or not words[1].isdecimal():
             raise ScriptError("usage: hyp N", line_no)
         return ByHyp(int(words[1]) - 1)
     if head == "MP":
-        if len(words) != 3 or not all(w.isdigit() for w in words[1:]):
+        if len(words) != 3 or not all(w.isdecimal() for w in words[1:]):
             raise ScriptError("usage: MP minor major", line_no)
         return ByMP(int(words[1]) - 1, int(words[2]) - 1)
     if head in ("GenF", "GenE"):
-        if len(words) not in (3, 4) or not words[1].isdigit():
+        if len(words) not in (3, 4) or not words[1].isdecimal():
             raise ScriptError(f"usage: {head} N x [y]", line_no)
         x = words[2]
         y = words[3] if len(words) == 4 else x
         cls = ByGenF if head == "GenF" else ByGenE
         return cls(int(words[1]) - 1, x, y)
     if head == "Release":
-        if len(words) != 2 or not words[1].isdigit():
+        if len(words) != 2 or not words[1].isdecimal():
             raise ScriptError("usage: Release N", line_no)
         return ByRelease(int(words[1]) - 1)
     ext = head == "Ext"
@@ -266,11 +266,10 @@ def parse_script(text: str, env: Optional[Environment] = None
                         f"expected step {next_step}, found {m.group(1)}",
                         line_no)
                 in_steps = True
-                body = m.group(2)
-                if " by " not in f" {body} ":
+                fml_text, by, just_text = f" {m.group(2)} ".rpartition(" by ")
+                if not by:
                     raise ScriptError("a step needs 'formula by justification'",
                                       line_no)
-                fml_text, just_text = body.rsplit(" by ", 1)
                 phi = parse_formula(fml_text.strip(), env)
                 script.steps.append(
                     Step(phi, _parse_just(env, just_text.strip(), line_no)))

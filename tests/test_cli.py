@@ -11,6 +11,8 @@ import pytest
 
 from mathkernel.cli import main
 from mathkernel.corpus import corpus_dir
+from mathkernel.parser import MAX_DEPTH
+from test_parser import deep_texts
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -154,6 +156,31 @@ def test_corpus_unparsable_expected_formula_fails_the_entry(tmp_path, capsys):
     assert "FAIL" in out and "manifest:" in out
 
 
+@pytest.mark.parametrize("line", [
+    "1: bot by", "1: by hyp 1", "1: bot  by hyp \u00b2", "1: forall by hyp 1",
+], ids=["no-justification", "no-formula", "superscript-index", "bare-quantifier"])
+def test_check_malformed_step_is_usage_error(tmp_path, capsys, line):
+    path = tmp_path / "bad.pf"
+    path.write_text(line + "\n", encoding="utf-8")
+    code, _, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert "line 1:" in err and "Traceback" not in err
+
+
+TOO_DEEP = f"nested deeper than {MAX_DEPTH}"
+
+
+@pytest.mark.parametrize("kind", ["neg", "parens", "and", "imp"])
+def test_formula_past_the_depth_cap_is_usage_error(tmp_path, capsys, kind):
+    text = deep_texts(3000)[kind]
+    path = tmp_path / "deep.pf"
+    path.write_text(f"1: {text} by hyp 1\n")
+    code, _, err = run(capsys, "check", str(path))
+    assert code == 2 and TOO_DEEP in err and "line 1:" in err
+    code, _, err = run(capsys, "countermodel", text)
+    assert code == 2 and TOO_DEEP in err
+
+
 NOT_UTF8 = b"\xff\xfe bad"
 
 
@@ -217,6 +244,20 @@ def test_countermodel_abstraction_avoids_the_formulas_own_atoms(capsys):
 def test_countermodel_bad_formula_is_usage_error(capsys):
     code, _, _ = run(capsys, "countermodel", "p ->")
     assert code == 2
+
+
+@pytest.mark.parametrize("word", ["hyp", "def", "by", "const", "domain",
+                                  "enable"])
+def test_countermodel_reserved_word_is_usage_error(capsys, word):
+    code, _, err = run(capsys, "countermodel", f"{word} -> {word}")
+    assert code == 2
+    assert "reserved word used as predicate" in err
+
+
+@pytest.mark.parametrize("kind", ["neg", "parens", "and", "imp"])
+def test_countermodel_at_the_depth_cap(capsys, kind):
+    code, _, _ = run(capsys, "countermodel", deep_texts(MAX_DEPTH)[kind])
+    assert code in (0, 1)
 
 
 def test_countermodel_provable_holds_at_any_bound(capsys):
@@ -294,6 +335,15 @@ def test_tactic_mclosure(tmp_path, capsys):
                        "~A(`la`)")
     assert code == 0
     assert "MofA" in out and "MComp3" in out
+
+
+def test_tactic_mclosure_at_the_depth_cap(capsys):
+    # the closure of a formula at the cap is emitted and re-checked
+    code, out, _ = run(capsys, "tactic", "mclosure",
+                       corpus_path("meaningfulness_of_meaningfulness.pf"),
+                       deep_texts(MAX_DEPTH)["neg"])
+    assert code in (0, 1)
+    assert "MComp3" in out
 
 
 def test_tactic_failure_exits_one(tmp_path, capsys):

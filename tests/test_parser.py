@@ -1,10 +1,16 @@
 """Formula parsing, and the parse/print/parse identity."""
 
+import random
+import re
+from dataclasses import dataclass
+from typing import Optional
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mathkernel.parser import ParseError, parse_formula, parse_term
+from mathkernel.parser import MAX_DEPTH, ParseError, parse_formula, parse_term
 from mathkernel.syntax import (
+    DefinitionError,
     IllFormedError,
     AApp,
     And,
@@ -13,6 +19,7 @@ from mathkernel.syntax import (
     Const,
     Environment,
     Exists,
+    Formula,
     Forall,
     HApp,
     Implies,
@@ -21,8 +28,10 @@ from mathkernel.syntax import (
     Quote,
     SimApp,
     TApp,
+    Term,
     Var,
     iff,
+    first_occurrence_vars,
     neg,
     pformat,
 )
@@ -130,3 +139,309 @@ formulas = st.recursive(leaves, compounds, max_leaves=12)
 @given(formulas)
 def test_roundtrip_random_formulas(phi):
     assert rt(phi) == phi
+
+
+# -- the depth cap
+
+
+def deep_texts(n):
+    """Four formulas nested n deep: a ~ chain, parentheses, and chains of n + 1
+    terms under & and under ->."""
+    return {"neg": "~" * n + "bot",
+            "parens": "(" * n + "p" + ")" * n,
+            "and": " & ".join(["p"] * (n + 1)),
+            "imp": " -> ".join(["p"] * (n + 1))}
+
+
+@pytest.mark.parametrize("kind", ["neg", "parens", "and", "imp"])
+def test_depth_cap(kind):
+    parse_formula(deep_texts(MAX_DEPTH)[kind], env_with_vocab())
+    for n in (MAX_DEPTH + 1, 3000):
+        with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH}"):
+            parse_formula(deep_texts(n)[kind], env_with_vocab())
+
+
+def test_depth_cap_counts_a_deep_first_term_of_a_chain():
+    # the left operand sinks one level per connective that follows it
+    deep = "~" * (MAX_DEPTH - 2) + "p"
+    parse_formula(f"{deep} & p & p", env_with_vocab())
+    with pytest.raises(ParseError):
+        parse_formula(f"{deep} & p & p & p", env_with_vocab())
+    with pytest.raises(ParseError):  # <-> stands for two levels
+        parse_formula(f"~{deep} <-> p", env_with_vocab())
+
+
+# -- the one-pass parser against the five-level parser it replaced
+
+
+_REF_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<quote>`[A-Za-z_][A-Za-z0-9_]*`)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<op><->|->|:=|[()\{\},;.&|~=])
+    """,
+    re.VERBOSE,
+)
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str  # quote | ident | op | end
+    value: str
+    pos: int
+
+
+def tokenize(text: str) -> list[Token]:
+    out: list[Token] = []
+    i = 0
+    while i < len(text):
+        m = _REF_TOKEN_RE.match(text, i)
+        if m is None:
+            raise ParseError(f"unexpected character {text[i]!r}", i)
+        kind = m.lastgroup
+        assert kind is not None
+        if kind != "ws":
+            out.append(Token(kind, m.group(), i))
+        i = m.end()
+    out.append(Token("end", "", len(text)))
+    return out
+
+
+class _Cursor:
+    def __init__(self, tokens: list[Token]) -> None:
+        self.tokens = tokens
+        self.i = 0
+
+    def peek(self) -> Token:
+        return self.tokens[self.i]
+
+    def next(self) -> Token:
+        t = self.tokens[self.i]
+        self.i += 1
+        return t
+
+    def expect(self, value: str) -> Token:
+        t = self.peek()
+        if t.value != value:
+            raise ParseError(f"expected {value!r}, found {t.value!r}", t.pos)
+        return self.next()
+
+    def fail(self, message: str) -> ParseError:
+        t = self.peek()
+        return ParseError(message, t.pos)
+
+
+class ReferenceParser:
+    def __init__(self, env: Environment, self_name: Optional[str] = None) -> None:
+        self.env = env
+        self.self_name = self_name
+
+    # -- entry points
+
+    def formula(self, text: str) -> Formula:
+        cur = _Cursor(tokenize(text))
+        phi = self._formula(cur)
+        if cur.peek().kind != "end":
+            raise cur.fail(f"trailing input {cur.peek().value!r}")
+        self._check(phi, cur)
+        return phi
+
+    def _check(self, phi: Formula, cur: _Cursor) -> None:
+        # arity discipline; quote binding was checked during parsing.  A body
+        # quoting the name being defined is checked by Environment.define
+        # after the provisional binding exists.
+        if self.self_name is None:
+            self.env.check_formula(phi)
+
+    # -- grammar
+
+    def _formula(self, cur: _Cursor) -> Formula:
+        left = self._imp(cur)
+        if cur.peek().value == "<->":
+            cur.next()
+            right = self._imp(cur)
+            if cur.peek().value == "<->":
+                raise cur.fail("'<->' is non-associative; add parentheses")
+            return iff(left, right)
+        return left
+
+    def _imp(self, cur: _Cursor) -> Formula:
+        left = self._or(cur)
+        if cur.peek().value == "->":
+            cur.next()
+            return Implies(left, self._imp(cur))
+        return left
+
+    def _or(self, cur: _Cursor) -> Formula:
+        out = self._and(cur)
+        while cur.peek().value == "|":
+            cur.next()
+            out = Or(out, self._and(cur))
+        return out
+
+    def _and(self, cur: _Cursor) -> Formula:
+        out = self._unary(cur)
+        while cur.peek().value == "&":
+            cur.next()
+            out = And(out, self._unary(cur))
+        return out
+
+    def _unary(self, cur: _Cursor) -> Formula:
+        if cur.peek().value == "~":
+            cur.next()
+            return neg(self._unary(cur))
+        return self._primary(cur)
+
+    def _primary(self, cur: _Cursor) -> Formula:
+        tok = cur.peek()
+        if tok.value == "(":
+            cur.next()
+            phi = self._formula(cur)
+            cur.expect(")")
+            return phi
+        if tok.value in ("forall", "exists"):
+            cur.next()
+            v = cur.next()
+            if v.kind != "ident":
+                raise cur.fail("expected a variable after quantifier")
+            cur.expect(".")
+            body = self._formula(cur)
+            return (Forall if tok.value == "forall" else Exists)(v.value, body)
+        if tok.value == "bot":
+            cur.next()
+            return BOT
+        if tok.kind == "ident":
+            name = cur.next().value
+            if name in ("M", "A", "T"):
+                cur.expect("(")
+                t = self._term(cur)
+                cur.expect(")")
+                return {"M": MApp, "A": AApp, "T": TApp}[name](t)
+            if name in ("H", "sim"):
+                cur.expect("(")
+                t1 = self._term(cur)
+                cur.expect(",")
+                t2 = self._term(cur)
+                cur.expect(")")
+                return HApp(t1, t2) if name == "H" else SimApp(t1, t2)
+            args: list[Term] = []
+            if cur.peek().value == "(":
+                cur.next()
+                args.append(self._term(cur))
+                while cur.peek().value == ",":
+                    cur.next()
+                    args.append(self._term(cur))
+                cur.expect(")")
+            self.env.register_predicate(name, len(args))
+            return Atom(name, tuple(args))
+        raise cur.fail(f"expected a formula, found {tok.value!r}")
+
+    def _term(self, cur: _Cursor) -> Term:
+        tok = cur.next()
+        if tok.kind == "quote":
+            name = tok.value[1:-1]
+            if name != self.self_name and not self.env.is_bound(name):
+                raise ParseError(f"unbound quotation name `{name}`", tok.pos)
+            return Quote(name)
+        if tok.kind == "ident":
+            if tok.value in self.env.constants:
+                return Const(tok.value)
+            return Var(tok.value)
+        raise ParseError(f"expected a term, found {tok.value!r}", tok.pos)
+
+
+def reference_parse_formula(text, env, self_name=None):
+    """The parser as it was before precedence climbing: a tokenizer of
+    Token records, five recursive-descent levels, and a second walk that
+    checks the parsed formula.  It ran off the end of its token list on a
+    quantifier at the end of the input; that IndexError is a ParseError
+    here."""
+    try:
+        return ReferenceParser(env, self_name).formula(text)
+    except IndexError:
+        raise ParseError("input ends after a quantifier", len(text)) from None
+
+
+_ATOMS = ["p", "q", "r", "P(x)", "P(c)", "R(x, y)", "R(c, `s`)", "Q(z)",
+          "M(`s`)", "A(x)", "T(`s`)", "H(`w`, c)", "sim(`w`, `u`)", "bot"]
+# ill-formed, or quoting the name `n` that only a definition of n may quote
+_RARE_ATOMS = ["Q", "T(`w`)", "H(`s`, c)", "sim(`w`, `s`)", "M(`n`)",
+               "T(`n`)", "H(`n`, x)"]
+_SOUP = ["p", "q", "P", "R", "Q", "x", "y", "c", "`s`", "`w`", "`n`",
+         "`nosuch`", "M", "A", "T", "H", "sim", "bot", "forall", "exists",
+         "hyp", "def", "(", ")", ",", ".", "~", "&", "|", "->", "<->", "-",
+         "<", "`", "$", ":=", "\u00e9", "\u00b2", "\u00a0"]
+
+
+def _random_formula(rng, size):
+    if size <= 1:
+        return rng.choice(_RARE_ATOMS if rng.random() < 0.05 else _ATOMS)
+    k = rng.randrange(7)
+    if k == 0:
+        return "~" + _random_formula(rng, size - 1)
+    if k == 1:
+        return f"{rng.choice(['forall', 'exists'])} {rng.choice('xyz')}. " \
+            + _random_formula(rng, size - 1)
+    left = rng.randrange(1, size)
+    a, b = _random_formula(rng, left), _random_formula(rng, size - left)
+    op = rng.choice(["&", "|", "->", "->", "<->"])
+    return f"({a} {op} {b})"
+
+
+def _texts(seed, count):
+    """Seeded texts of three kinds: printed random formulas, the same with
+    one token inserted, deleted or swapped, and token soup."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        if i % 3 == 2:
+            sep = rng.choice([" ", ""])
+            out.append(sep.join(rng.choice(_SOUP)
+                                for _ in range(rng.randrange(1, 10))))
+            continue
+        text = _random_formula(rng, rng.randrange(1, 12))
+        try:  # printed if it parses, as written if it does not
+            text = pformat(reference_parse_formula(text, env_with_vocab()))
+        except (ParseError, IllFormedError):
+            pass
+        if i % 3 == 0:
+            out.append(text)
+        else:
+            toks = re.findall(r"`\w+`|\w+|<?->|\S", text)
+            j = rng.randrange(len(toks))
+            edit = rng.randrange(3)
+            if edit == 0:
+                toks.insert(j, rng.choice(_SOUP))
+            elif edit == 1:
+                del toks[j]
+            else:
+                k = rng.randrange(len(toks))
+                toks[j], toks[k] = toks[k], toks[j]
+            out.append(" ".join(toks))
+    return out
+
+
+def _outcome(parse, text, self_name):
+    """What a parse leaves: the formula or None, and the predicate table.
+    With a self_name, the definition of that name is part of the parse."""
+    env = env_with_vocab()
+    try:
+        phi = parse(text, env, self_name)
+        if self_name is not None:
+            env.define(self_name, first_occurrence_vars(phi), phi)
+    except (ParseError, IllFormedError, DefinitionError):
+        return None, None
+    return phi, env.predicates
+
+
+def test_parser_agrees_with_the_reference_parser():
+    texts = _texts(7, 3600)
+    accepted = 0
+    for i, text in enumerate(texts):
+        self_name = "n" if i % 4 == 3 else None
+        got = _outcome(parse_formula, text, self_name)
+        assert got == _outcome(reference_parse_formula, text, self_name), text
+        accepted += got[0] is not None
+    # the mix holds accepted and rejected texts in good measure
+    assert len(texts) // 4 < accepted < len(texts) * 3 // 4
