@@ -248,8 +248,6 @@ def _cmd_tactic(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    if args.topic != "paradox":
-        return _fail_usage(f"unknown demo topic: {args.topic}")
     path = corpus_dir() / "release_paradox.pf"
     try:
         script, env = _load_script(str(path))

@@ -108,6 +108,8 @@ def _check_params(env: Optional[Environment], kinds: Sequence[str],
         if kind == "f":
             if type(p) not in _FORMULAS:
                 raise SchemeError(f"expected a formula, got {p!r}")
+            if env is not None:
+                env.check_formula(p)
         elif kind == "t":
             if type(p) not in _TERMS:
                 raise SchemeError(f"expected a term, got {p!r}")
@@ -810,7 +812,15 @@ def check_proof(
                     continue
                 expected = proof.hypotheses[just.index]
             elif isinstance(just, ByLogical):
-                expected = logical_instance(just.scheme, just.params)
+                try:
+                    expected = logical_instance(just.scheme, just.params)
+                except TypeError:  # an ill-typed node inside a parameter
+                    expected = None
+                if expected == stated:
+                    continue
+                # the stated formula is checked above; the parameters are
+                # checked in env only when they do not give it
+                _check_params(env, SCHEMES[just.scheme].params, just.params)
             elif isinstance(just, ByTheory):
                 expected = theory_instance(env, just.scheme, just.params)
             elif isinstance(just, ByMP):

@@ -16,7 +16,9 @@ excluded middle and certifies that the checker's logical base is genuinely
 intuitionistic.  The search tabulates the Heyting algebra of each frame's
 upsets once and evaluates each valuation as a chain of table lookups.
 
-numpy serves only the ``holds_in_all_models`` sweep and is imported there.
+One loop, ``_first_refutation``, runs that search.  ``find_countermodel``
+gives it every frame; ``holds_in_all_models``, the model-based check that
+tests compare G4ip against, gives it only the rooted frames.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .syntax import And, Atom, Bot, Formula, Implies, Or, pformat
 
@@ -417,7 +419,6 @@ class _Algebra(NamedTuple):
 
     ups: tuple[frozenset[int], ...]
     bot: int
-    top: int
     ops: dict[int, tuple[tuple[int, ...], ...]]  # node kind -> op table
     lowest_outside: tuple[Optional[int], ...]  # per upset; None for top
 
@@ -432,7 +433,7 @@ def _algebra(frame: KripkeFrame) -> _Algebra:
         return tuple(tuple(index[op(a, b)] for b in ups) for a in ups)
 
     return _Algebra(
-        ups, index[frozenset()], index[frozenset(frame.worlds)],
+        ups, index[frozenset()],
         {_AND: table(frozenset.__and__),
          _OR: table(frozenset.__or__),
          _IMP: table(lambda a, b: frozenset(
@@ -458,6 +459,31 @@ class Countermodel:
         return "\n".join(lines)
 
 
+def _first_refutation(compiled: _Compiled, frames: Iterable[KripkeFrame]
+                      ) -> Optional[tuple[KripkeModel, int]]:
+    """The first model and world refuting the compiled skeleton: frames in
+    the order given, monotone valuations in ``itertools.product`` order over
+    ``frame.upsets()``, and the lowest refuting world.  None when no model
+    on these frames refutes it."""
+    slots = [node for _, node in compiled.atoms]
+    values = [0] * len(compiled.nodes.table)
+    for frame in frames:
+        alg = _algebra(frame)
+        program = [(i, alg.ops[kind], l, r) for i, kind, l, r in compiled.steps]
+        values[compiled.nodes.bot] = alg.bot
+        for combo in itertools.product(range(len(alg.ups)), repeat=len(slots)):
+            for slot, u in zip(slots, combo):
+                values[slot] = u
+            for i, op, l, r in program:
+                values[i] = op[values[l]][values[r]]
+            world = alg.lowest_outside[values[compiled.root]]
+            if world is not None:
+                return KripkeModel(frame, {
+                    name: alg.ups[u]
+                    for (name, _), u in zip(compiled.atoms, combo)}), world
+    return None
+
+
 def find_countermodel(phi: Formula, max_worlds: int = 4
                       ) -> Optional[Countermodel]:
     """The first countermodel to phi's propositional skeleton, searching
@@ -470,69 +496,24 @@ def find_countermodel(phi: Formula, max_worlds: int = 4
     compiled = _compile(skeleton)
     if _decide(compiled):
         return None
-    atoms = [name for name, _ in compiled.atoms]
-    slots = [node for _, node in compiled.atoms]
-    values = [0] * len(compiled.nodes.table)
-    for size in range(1, max_worlds + 1):
-        for frame in enumerate_frames(size):
-            alg = _algebra(frame)
-            program = [(i, alg.ops[kind], l, r)
-                       for i, kind, l, r in compiled.steps]
-            values[compiled.nodes.bot] = alg.bot
-            for combo in itertools.product(range(len(alg.ups)),
-                                           repeat=len(atoms)):
-                for slot, u in zip(slots, combo):
-                    values[slot] = u
-                for i, op, l, r in program:
-                    values[i] = op[values[l]][values[r]]
-                world = alg.lowest_outside[values[compiled.root]]
-                if world is not None:
-                    model = KripkeModel(frame, {
-                        a: alg.ups[u] for a, u in zip(atoms, combo)})
-                    return Countermodel(model, world, names)
-    return None
-
-
-# ---------------------------------------------------------------------------
-# vectorized validity sweep
-
-
-_MAX_GRID = 50_000_000
+    found = _first_refutation(compiled, (
+        frame for size in range(1, max_worlds + 1)
+        for frame in enumerate_frames(size)))
+    return None if found is None else Countermodel(*found, names)
 
 
 def holds_in_all_models(phi: Formula, max_worlds: int = 4) -> bool:
-    """True iff phi is forced at every world of every model on every poset
-    with at most ``max_worlds`` worlds.
+    """True iff phi's propositional skeleton is forced at every world of
+    every model on every poset with at most ``max_worlds`` worlds.  A model
+    search, without G4ip.
 
-    The sweep folds the compiled skeleton over a numpy grid of all atom
-    assignments at once, with the operations of each frame's Heyting
-    algebra of upsets as lookup tables.
-    """
-    import numpy as np
-
+    Only rooted frames, where some world has every world above it, are
+    searched.  That gives the same answer: a formula refuted at world w is
+    refuted in the submodel generated by w, which is rooted and no larger
+    (the generated-submodel lemma; Chagrov & Zakharyaschev 1997, *Modal
+    Logic*)."""
     skeleton, _ = abstract_propositional(phi)
-    compiled = _compile(skeleton)
-    k = len(compiled.atoms)
-    for size in range(1, max_worlds + 1):
-        for frame in enumerate_frames(size):
-            alg = _algebra(frame)
-            m = len(alg.ups)
-            if m ** max(k, 1) > _MAX_GRID:
-                raise SemanticsError(
-                    f"{k} atoms over {m} upsets exceeds the exhaustive sweep "
-                    "bound; use find_countermodel on a smaller formula")
-            ops = {kind: np.array(t, dtype=np.intp)
-                   for kind, t in alg.ops.items()}
-            shape = (m,) * k if k else (1,)
-            grids: list = [None] * len(compiled.nodes.table)
-            grids[compiled.nodes.bot] = np.full(shape, alg.bot, dtype=np.intp)
-            for axis, (_, node) in enumerate(compiled.atoms):
-                view = [1] * k
-                view[axis] = m
-                grids[node] = np.broadcast_to(
-                    np.arange(m, dtype=np.intp).reshape(view), shape)
-            for i, kind, l, r in compiled.steps:
-                grids[i] = ops[kind][grids[l], grids[r]]
-            if not (grids[compiled.root] == alg.top).all():
-                return False
-    return True
+    return _first_refutation(_compile(skeleton), (
+        frame for size in range(1, max_worlds + 1)
+        for frame in enumerate_frames(size)
+        if any(len(frame.above(w)) == size for w in frame.worlds))) is None

@@ -302,6 +302,14 @@ def test_cli_import_does_not_load_numpy():
                             "print('numpy' in sys.modules)")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+    # and the semantics runs with numpy unimportable
+    done = run_python("-c", "import sys; sys.modules['numpy'] = None; "
+                            "from mathkernel.semantics import "
+                            "holds_in_all_models as h; "
+                            "from mathkernel.syntax import Atom, Implies; "
+                            "p = Atom('p'); print(h(Implies(p, p), 4))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "True"
 
 
 # -- tactic

@@ -122,6 +122,11 @@ def _registry_env() -> Environment:
     return env
 
 
+# wrongly typed values of a parameter kind besides None, 3 and ["x"]; for
+# formulas and terms, also one that is ill-typed only below its top node
+_WRONG = {"f": ("a", Atom(["p"])), "t": ("a", Var(["x"]))}
+
+
 def _ill_shaped(kinds):
     """Parameter tuples one short, one long, and wrongly typed per slot."""
     good = tuple(_GOOD[k] for k in kinds)
@@ -129,8 +134,7 @@ def _ill_shaped(kinds):
     yield good + good[-1:]
     yield None
     for i, kind in enumerate(kinds):
-        wrong = "a" if kind in "ft" else BOT
-        for bad in (wrong, None, 3, ["x"]):
+        for bad in (*_WRONG.get(kind, (BOT,)), None, 3, ["x"]):
             yield good[:i] + (bad,) + good[i + 1:]
 
 
@@ -184,10 +188,11 @@ def test_ill_typed_justification_fields_raise_only_proof_check_errors(cls):
 @pytest.mark.parametrize("phi", [
     Atom("p", (3,)), Atom("p", (Var(3),)), Atom("p", (Const(""),)),
     Atom(["p"]), Atom("p", [Var("x")]), MApp(Quote(["s"])), MApp("s"),
-    Forall(7, BOT), Forall(["y"], BOT), "x", None, And(BOT, 3),
+    Forall(7, BOT), Forall(["y"], BOT), Forall(["y"], Atom("P", (Var("x"),))),
+    "x", None, And(BOT, 3),
 ], ids=["int-term", "int-variable", "empty-constant", "list-predicate",
         "list-arguments", "list-quotation", "str-term", "int-binder",
-        "list-binder", "str", "None", "int-subformula"])
+        "list-binder", "list-binder-over-x", "str", "None", "int-subformula"])
 def test_ill_typed_formulas_are_ill_formed(phi):
     env = _registry_env()
     with pytest.raises(IllFormedError):
@@ -196,7 +201,12 @@ def test_ill_typed_formulas_are_ill_formed(phi):
     for proof in (Proof((BOT,), (Step(phi, ByHyp(0)),)),
                   Proof((phi,), (Step(Implies(BOT, BOT),
                                       ByLogical("L9", (BOT,))),)),
-                  Proof((), (Step(l1, ByLogical("L1", (phi, BOT))),))):
+                  Proof((), (Step(l1, ByLogical("L1", (phi, BOT))),)),
+                  # a well-formed stated formula; the ill-typed node is
+                  # only inside the parameters
+                  Proof((), (Step(BOT, ByLogical("L1", (phi, BOT))),)),
+                  Proof((), (Step(BOT, ByLogical("L10",
+                                                 ("x", phi, Var("y")))),))):
         with pytest.raises(ProofCheckError):
             check_proof(env, proof)
 

@@ -221,8 +221,12 @@ def random_formulas(seed, count):
 
 def test_search_matches_reference_on_random_formulas():
     for phi, bound in random_formulas(20241018, 400):
+        reference = reference_countermodel(phi, bound)
         assert find_countermodel(phi, max_worlds=bound) \
-            == reference_countermodel(phi, bound), (pformat(phi), bound)
+            == reference, (pformat(phi), bound)
+        # the reference searches every frame, the sweep only rooted ones
+        assert holds_in_all_models(phi, max_worlds=bound) \
+            == (reference is None), (pformat(phi), bound)
 
 
 def test_decider_agrees_with_models_on_random_formulas():
