@@ -16,6 +16,7 @@ from mathkernel.kernel import (
     SCHEMES,
     THEORY_PARAMS,
     ByExtension,
+    ByGenF,
     ByHyp,
     ByLogical,
     ByMP,
@@ -630,26 +631,57 @@ def test_check_rejects_formula_mismatch():
         check_proof(env, proof)
 
 
-def test_check_rejects_forward_reference():
-    env = liar_env()
-    phi = AApp(Quote("la"))
-    proof = Proof(
-        (phi, Implies(phi, BOT)),
+_PHI = AApp(Quote("la"))
+
+
+# Each proof cites a step that does not precede the citing one.  A negative
+# index, read the Python way, would cite a later step whose formula fits.
+@pytest.mark.parametrize("hyps,steps,enabled", [
+    pytest.param(
+        (_PHI, Implies(_PHI, BOT)),
         (
             Step(BOT, ByMP(1, 2)),  # premises not yet established
-            Step(phi, ByHyp(0)),
-            Step(Implies(phi, BOT), ByHyp(1)),
+            Step(_PHI, ByHyp(0)),
+            Step(Implies(_PHI, BOT), ByHyp(1)),
         ),
-        frozenset(),
-    )
-    with pytest.raises(ProofCheckError):
-        check_proof(env, proof)
-
-
-def test_check_rejects_bad_hyp_index():
+        (), id="later-steps"),
+    pytest.param(
+        (),
+        (
+            Step(Implies(BOT, BOT), ByLogical("L9", (BOT,))),
+            Step(BOT, ByMP(-1, 0)),  # steps[-1] is this very step
+        ),
+        (), id="negative-minor"),
+    pytest.param(
+        (Implies(_PHI, BOT),),
+        (
+            Step(Implies(_PHI, Forall("x", BOT)), ByGenF(-1, "x", "x")),
+            Step(Implies(_PHI, BOT), ByHyp(0)),
+        ),
+        (), id="negative-generalization-premise"),
+    pytest.param(
+        (AApp(Quote("zero_eq_one")),),
+        (
+            Step(BOT, ByRelease(-1)),
+            Step(AApp(Quote("zero_eq_one")), ByHyp(0)),
+        ),
+        (ExtensionGrant("ReleaseRule", BOT),), id="negative-release-premise"),
+])
+def test_check_rejects_forward_reference(hyps, steps, enabled):
     env = liar_env()
-    proof = Proof((), (Step(BOT, ByHyp(0)),), frozenset())
-    with pytest.raises(ProofCheckError):
+    proof = Proof(hyps, steps, frozenset(enabled))
+    with pytest.raises(ProofCheckError, match="does not precede"):
+        check_proof(env, proof, granted={"ReleaseRule"})
+
+
+@pytest.mark.parametrize("hyps,index", [
+    pytest.param((), 0, id="past-the-end"),
+    pytest.param((BOT,), -1, id="negative"),  # hypotheses[-1] is bot
+])
+def test_check_rejects_bad_hyp_index(hyps, index):
+    env = liar_env()
+    proof = Proof(hyps, (Step(BOT, ByHyp(index)),), frozenset())
+    with pytest.raises(ProofCheckError, match="no hypothesis"):
         check_proof(env, proof)
 
 
