@@ -219,11 +219,12 @@ def _cmd_tactic(args: argparse.Namespace) -> int:
     try:
         script, env = _load_script(args.file)
         proof = script.proof()
+        if args.transform != "mclosure":  # it reads only the declarations
+            check_proof(env, proof, granted={g.scheme for g in proof.enabled})
         if args.transform == "deduction":
             hyp_index = None if args.hyp is None else args.hyp - 1
             result = deduction_theorem(env, proof, hyp_index)
         elif args.transform == "internalize":
-            check_proof(env, proof, granted={g.scheme for g in proof.enabled})
             m_proofs = {}
             for step in proof.steps:
                 if isinstance(step.just, ByLogical):

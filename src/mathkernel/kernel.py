@@ -18,7 +18,9 @@ extension registered, and, for theory and extension schemes, that a term
 is well formed.  The instance functions check only the side conditions of
 their scheme.  ``LOGICAL_PARAMS``, ``THEORY_PARAMS``, ``EXTENSION_PARAMS``
 and ``EXTENSION_SCHEMES`` are views of the registry.  ``check_proof`` checks
-the Python type of each field of a justification before using it.
+the Python type of each field of a justification before using it, rejects a
+step in one way, by raising at the first failed condition, and has one gate
+for the header's extension grants, shared by ``ByExtension`` and ``ByRelease``.
 
 Quoted-formula side conditions are checked by syntactic equality after one
 level of name resolution: quotation terms inside resolved bodies are never
@@ -751,10 +753,10 @@ class ProofCheckError(Exception):
         self.errors = tuple(errors)
 
 
-def _grant_covers(enabled: frozenset[ExtensionGrant], scheme: str,
-                  subject: Formula) -> bool:
+def _grant_covers(enabled: frozenset[ExtensionGrant],
+                  want: ExtensionGrant) -> bool:
     return any(
-        g.scheme == scheme and (g.formula is None or g.formula == subject)
+        g.scheme == want.scheme and (g.formula is None or g.formula == want.formula)
         for g in enabled
     )
 
@@ -786,30 +788,22 @@ def check_proof(
         except (DefinitionError, IllFormedError) as exc:
             errors.append(StepError(None, f"hypothesis {i + 1}: {exc}"))
     used: dict[str, ExtensionGrant] = {}
-    n = len(proof.steps)
 
-    def premise(idx: int, here: int) -> Optional[Formula]:
+    def premise(idx: int, here: int) -> Formula:
         if not (0 <= idx < here):
-            errors.append(StepError(
-                here, f"cited step {idx + 1} does not precede this step"))
-            return None
+            raise SchemeError(f"cited step {idx + 1} does not precede this step")
         return proof.steps[idx].formula
 
     for i, step in enumerate(proof.steps):
         stated = step.formula
+        just = step.just
+        grant: Optional[ExtensionGrant] = None
         try:
             env.check_formula(stated)
-        except (DefinitionError, IllFormedError) as exc:
-            errors.append(StepError(i, str(exc)))
-            continue
-        just = step.just
-        expected: Optional[Formula] = None
-        try:
             _check_fields(just)
             if isinstance(just, ByHyp):
                 if not (0 <= just.index < len(proof.hypotheses)):
-                    errors.append(StepError(i, f"no hypothesis {just.index + 1}"))
-                    continue
+                    raise SchemeError(f"no hypothesis {just.index + 1}")
                 expected = proof.hypotheses[just.index]
             elif isinstance(just, ByLogical):
                 try:
@@ -826,55 +820,34 @@ def check_proof(
             elif isinstance(just, ByMP):
                 minor = premise(just.minor, i)
                 major = premise(just.major, i)
-                if minor is None or major is None:
-                    continue
                 if major != Implies(minor, stated):
-                    errors.append(StepError(
-                        i,
+                    raise SchemeError(
                         f"modus ponens mismatch: step {just.major + 1} is not "
-                        f"({minor}) -> ({stated})",
-                    ))
-                    continue
+                        f"({minor}) -> ({stated})")
                 expected = stated
             elif isinstance(just, (ByGenF, ByGenE)):
-                prem = premise(just.premise, i)
-                if prem is None:
-                    continue
-                expected = generalize(prem, just.var, just.to_var,
-                                      isinstance(just, ByGenF))
+                expected = generalize(premise(just.premise, i), just.var,
+                                      just.to_var, isinstance(just, ByGenF))
             elif isinstance(just, ByExtension):
                 expected = extension_instance(env, just.scheme, just.params)
-                subject = env.resolve(just.params[0])
-                if not _grant_covers(proof.enabled, just.scheme, subject):
-                    errors.append(StepError(
-                        i, f"extension not enabled: {just.scheme}({subject})"))
-                    continue
-                used.setdefault(str(ExtensionGrant(just.scheme, subject)),
-                                ExtensionGrant(just.scheme, subject))
-            elif isinstance(just, ByRelease):
+                grant = ExtensionGrant(just.scheme, env.resolve(just.params[0]))
+            else:  # ByRelease, the one kind left after _check_fields
                 prem = premise(just.premise, i)
-                if prem is None:
-                    continue
                 if not (isinstance(prem, AApp) and isinstance(prem.arg, Quote)):
-                    errors.append(StepError(
-                        i, "release premise is not an assertibility ascription "
-                        "of a quotation"))
-                    continue
-                subject = env.resolve(prem.arg.name)
-                if not _grant_covers(proof.enabled, "ReleaseRule", subject):
-                    errors.append(StepError(
-                        i, f"extension not enabled: ReleaseRule({subject})"))
-                    continue
-                expected = subject
-                used.setdefault(str(ExtensionGrant("ReleaseRule", subject)),
-                                ExtensionGrant("ReleaseRule", subject))
+                    raise SchemeError("release premise is not an assertibility "
+                                      "ascription of a quotation")
+                expected = env.resolve(prem.arg.name)
+                grant = ExtensionGrant("ReleaseRule", expected)
+            if grant is not None:
+                if not _grant_covers(proof.enabled, grant):
+                    raise SchemeError(f"extension not enabled: {grant}")
+                used.setdefault(str(grant), grant)
+            if expected != stated:
+                raise SchemeError(
+                    f"stated formula ({stated}) differs from the justified "
+                    f"formula ({expected})")
         except (SchemeError, DefinitionError, IllFormedError) as exc:
             errors.append(StepError(i, str(exc)))
-            continue
-        if expected != stated:
-            errors.append(StepError(
-                i, f"stated formula ({stated}) differs from the justified "
-                f"formula ({expected})"))
     if errors:
         raise ProofCheckError(errors)
     return Judgment(

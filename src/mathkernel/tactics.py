@@ -16,6 +16,7 @@ points are:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Mapping, Optional, Sequence
 
 from .kernel import (
@@ -30,8 +31,10 @@ from .kernel import (
     ExtensionGrant,
     Justification,
     Proof,
+    SchemeError,
     Step,
     extension_instance,
+    generalize,
     logical_instance,
     theory_instance,
 )
@@ -47,10 +50,8 @@ from .syntax import (
     MApp,
     Or,
     Quote,
-    Var,
     first_occurrence_vars,
     free_vars,
-    substitute,
 )
 
 
@@ -144,26 +145,18 @@ class ProofBuilder:
         return self.add(big.right, ByMP(minor, major))
 
     def genf(self, premise: int, x: str, y: Optional[str] = None) -> int:
-        return self._gen(premise, x, y, forall=True)
+        return self._gen(ByGenF(premise, x, x if y is None else y))
 
     def gene(self, premise: int, x: str, y: Optional[str] = None) -> int:
-        return self._gen(premise, x, y, forall=False)
+        return self._gen(ByGenE(premise, x, x if y is None else y))
 
-    def _gen(self, premise: int, x: str, y: Optional[str], forall: bool) -> int:
-        y = x if y is None else y
-        prem = self.formula_at(premise)
-        if not isinstance(prem, Implies):
-            raise TacticError("generalization premise is not an implication")
-        if forall:
-            ctx, gen = prem.left, prem.right
-        else:
-            gen, ctx = prem.left, prem.right
-        shifted = substitute(gen, x, Var(y))
-        if forall:
-            out: Formula = Implies(ctx, Forall(y, shifted))
-            return self.add(out, ByGenF(premise, x, y))
-        out = Implies(Exists(y, shifted), ctx)
-        return self.add(out, ByGenE(premise, x, y))
+    def _gen(self, just: ByGenF | ByGenE) -> int:
+        try:
+            out = generalize(self.formula_at(just.premise), just.var,
+                             just.to_var, isinstance(just, ByGenF))
+        except SchemeError as exc:
+            raise TacticError(str(exc)) from None
+        return self.add(out, just)
 
     def release(self, premise: int) -> int:
         prem = self.formula_at(premise)
@@ -177,30 +170,16 @@ class ProofBuilder:
         """Splice another proof in, mapping its hypotheses onto this
         builder's hypotheses or already-proven steps."""
         self.enabled |= sub.enabled
-        hyp_map: list[tuple[str, int]] = []
-        for h in sub.hypotheses:
-            if h in self._cache:
-                hyp_map.append(("step", self._cache[h]))
-            elif h in self.hypotheses:
-                hyp_map.append(("hyp", self.hypotheses.index(h)))
-            else:
-                raise TacticError(
-                    f"embedded proof needs unavailable hypothesis ({h})")
         loc: dict[int, int] = {}
         for i, st in enumerate(sub.steps):
             j = st.just
-            if isinstance(j, ByHyp):
-                kind, k = hyp_map[j.index]
-                loc[i] = k if kind == "step" else self.add(st.formula, ByHyp(k))
-            elif isinstance(j, ByMP):
-                loc[i] = self.add(st.formula, ByMP(loc[j.minor], loc[j.major]))
-            elif isinstance(j, (ByGenF, ByGenE)):
-                cls = ByGenF if isinstance(j, ByGenF) else ByGenE
-                loc[i] = self.add(st.formula, cls(loc[j.premise], j.var, j.to_var))
-            elif isinstance(j, ByRelease):
-                loc[i] = self.add(st.formula, ByRelease(loc[j.premise]))
-            else:  # axiom-style steps have no premises
-                loc[i] = self.add(st.formula, j)
+            # a hypothesis already proven here is reused by ``add``
+            if isinstance(j, ByHyp) and st.formula not in self._cache:
+                if st.formula not in self.hypotheses:
+                    raise TacticError("embedded proof needs unavailable "
+                                      f"hypothesis ({st.formula})")
+                j = ByHyp(self.hypotheses.index(st.formula))
+            loc[i] = self.add(st.formula, _renumber(j, loc))
         return loc[len(sub.steps) - 1]
 
     def ensure_last(self, index: int) -> None:
@@ -295,16 +274,32 @@ def commute(b: ProofBuilder, a: Formula, c: Formula, index: int) -> int:
 # deduction theorem
 
 
+def _cited(just: Justification) -> tuple[int, ...]:
+    """The indices of the steps ``just`` cites."""
+    if isinstance(just, ByMP):
+        return (just.minor, just.major)
+    if isinstance(just, (ByGenF, ByGenE, ByRelease)):
+        return (just.premise,)
+    return ()
+
+
+def _renumber(just: Justification, loc: Mapping[int, int]) -> Justification:
+    """``just`` citing step ``loc[k]`` wherever it cites step ``k``."""
+    if isinstance(just, ByMP):
+        return ByMP(loc[just.minor], loc[just.major])
+    if isinstance(just, (ByGenF, ByGenE, ByRelease)):
+        return replace(just, premise=loc[just.premise])
+    return just
+
+
 def _dependencies(proof: Proof, hyp_index: int) -> list[bool]:
     dep = [False] * len(proof.steps)
     for i, st in enumerate(proof.steps):
         j = st.just
         if isinstance(j, ByHyp):
             dep[i] = j.index == hyp_index
-        elif isinstance(j, ByMP):
-            dep[i] = dep[j.minor] or dep[j.major]
-        elif isinstance(j, (ByGenF, ByGenE, ByRelease)):
-            dep[i] = dep[j.premise]
+        else:
+            dep[i] = any(dep[k] for k in _cited(j))
     return dep
 
 
@@ -339,18 +334,9 @@ def deduction_theorem(env: Environment, proof: Proof,
     for i, st in enumerate(proof.steps):
         j = st.just
         if not dep[i]:
-            if isinstance(j, ByHyp):
-                k = j.index if j.index < hyp_index else j.index - 1
-                loc[i] = b.add(st.formula, ByHyp(k))
-            elif isinstance(j, ByMP):
-                loc[i] = b.add(st.formula, ByMP(loc[j.minor], loc[j.major]))
-            elif isinstance(j, (ByGenF, ByGenE)):
-                cls = type(j)
-                loc[i] = b.add(st.formula, cls(loc[j.premise], j.var, j.to_var))
-            elif isinstance(j, ByRelease):
-                loc[i] = b.add(st.formula, ByRelease(loc[j.premise]))
-            else:
-                loc[i] = b.add(st.formula, j)
+            if isinstance(j, ByHyp) and j.index > hyp_index:
+                j = ByHyp(j.index - 1)
+            loc[i] = b.add(st.formula, _renumber(j, loc))
             continue
         if isinstance(j, ByHyp):
             loc[i] = identity_imp(b, h)

@@ -354,11 +354,22 @@ def test_tactic_mclosure_at_the_depth_cap(capsys):
     assert "MComp3" in out
 
 
-def test_tactic_failure_exits_one(tmp_path, capsys):
+@pytest.mark.parametrize("text", [
+    pytest.param("def s := bot\n1: M(`s`) by MBot[s]\n",
+                 id="nothing-to-discharge"),
+    # proofs that do not check are rejected before any transformation
+    pytest.param("hyp 1: P(x)\n1: P(x) by hyp 1\n"
+                 "2: P(x) -> forall x. P(x) by GenF 1 x\n",
+                 id="generalizing-a-non-implication"),
+    pytest.param("hyp 1: p\n1: p by hyp 1\n2: q by MP 1 5\n",
+                 id="citing-a-missing-step"),
+])
+def test_tactic_failure_exits_one(tmp_path, capsys, text):
     src = tmp_path / "in.pf"
-    src.write_text("def s := bot\n1: M(`s`) by MBot[s]\n")
+    src.write_text(text)
     code, _, err = run(capsys, "tactic", "deduction", str(src))
-    assert code == 1  # nothing to discharge
+    assert code == 1
+    assert err.startswith("error: ")
 
 
 # -- demo

@@ -720,6 +720,12 @@ def test_release_rule_gating():
     judgment = check_proof(env, Proof((a_bot,), steps, frozenset({grant})),
                            granted={"ReleaseRule"})
     assert judgment.extensions_used == (grant,)
+    # only an assertibility ascription is released, even under a grant
+    m_bot = MApp(Quote("zero_eq_one"))
+    m_steps = (Step(m_bot, ByHyp(0)), Step(BOT, ByRelease(0)))
+    with pytest.raises(ProofCheckError, match="release premise"):
+        check_proof(env, Proof((m_bot,), m_steps, frozenset({grant})),
+                    granted={"ReleaseRule"})
 
 
 def test_partial_grant_by_formula():

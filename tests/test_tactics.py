@@ -48,6 +48,19 @@ def prop_env():
     return env
 
 
+# -- proof builder
+
+
+def test_builder_genf_rejects_a_variable_free_in_the_fixed_side():
+    env = prop_env()
+    dx, q = parse_formula("D(x)", env), parse_formula("q", env)
+    b = ProofBuilder(env)
+    s = b.logical("L1", dx, q)  # D(x) -> (q -> D(x))
+    with pytest.raises(TacticError, match="occurs free in the fixed side"):
+        b.genf(s, "x")
+    assert len(b) == 1
+
+
 # -- deduction theorem
 
 
