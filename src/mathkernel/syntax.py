@@ -9,7 +9,8 @@ and resolving a name never unfolds quotations inside the body.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from functools import lru_cache
+from typing import Mapping, Optional, Sequence, Union
 
 
 class IllFormedError(Exception):
@@ -114,49 +115,66 @@ class SimApp:
         return f"sim({self.left}, {self.right})"
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class _Compound:
+    """Base of the compound formulas.  A node computes its hash, free
+    variables and quotation names on first use and keeps them in slots, so
+    none of them walks the subtree again; ``==`` still compares fields.
+    Pickling and copying rebuild a node from its fields: no cached value
+    leaves the process (string hashes are salted per process)."""
+
+    __slots__ = ("_hash", "_fv", "_qn")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self._fields())
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
     def __str__(self) -> str:
         return pformat(self)
 
 
-@dataclass(frozen=True)
-class Or:
+@dataclass(frozen=True, slots=True)
+class And(_Compound):
     left: "Formula"
     right: "Formula"
-
-    def __str__(self) -> str:
-        return pformat(self)
+    __hash__ = _Compound.__hash__
 
 
-@dataclass(frozen=True)
-class Implies:
+@dataclass(frozen=True, slots=True)
+class Or(_Compound):
     left: "Formula"
     right: "Formula"
-
-    def __str__(self) -> str:
-        return pformat(self)
+    __hash__ = _Compound.__hash__
 
 
-@dataclass(frozen=True)
-class Forall:
+@dataclass(frozen=True, slots=True)
+class Implies(_Compound):
+    left: "Formula"
+    right: "Formula"
+    __hash__ = _Compound.__hash__
+
+
+@dataclass(frozen=True, slots=True)
+class Forall(_Compound):
     var: str
     body: "Formula"
-
-    def __str__(self) -> str:
-        return pformat(self)
+    __hash__ = _Compound.__hash__
 
 
-@dataclass(frozen=True)
-class Exists:
+@dataclass(frozen=True, slots=True)
+class Exists(_Compound):
     var: str
     body: "Formula"
-
-    def __str__(self) -> str:
-        return pformat(self)
+    __hash__ = _Compound.__hash__
 
 
 Formula = Union[
@@ -164,6 +182,7 @@ Formula = Union[
 ]
 
 BOT = Bot()
+_ATOMIC = (Bot, Atom, MApp, AApp, TApp, HApp, SimApp)
 
 
 def neg(phi: Formula) -> Formula:
@@ -208,7 +227,7 @@ def pformat(phi: Formula) -> str:
 
 
 def _fmt(phi: Formula, prec: int) -> str:
-    if isinstance(phi, (Bot, Atom, MApp, AApp, TApp, HApp, SimApp)):
+    if isinstance(phi, _ATOMIC):
         return str(phi)
     if isinstance(phi, (Forall, Exists)):
         kw = "forall" if isinstance(phi, Forall) else "exists"
@@ -237,29 +256,49 @@ def _fmt(phi: Formula, prec: int) -> str:
 # free variables and substitution
 
 
+_EMPTY: frozenset[str] = frozenset()  # shared by every node that has none
+
+
+def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+    """a | b, reusing an operand that already contains the other."""
+    if b <= a:
+        return a
+    if a <= b:
+        return b
+    return a | b
+
+
+@lru_cache(maxsize=1024)
+def _singleton(name: str) -> frozenset[str]:
+    """One shared set per name, so that the leaf sets compound nodes keep
+    are not one copy per leaf."""
+    return frozenset((name,))
+
+
 def term_vars(t: Term) -> frozenset[str]:
-    return frozenset((t.name,)) if isinstance(t, Var) else frozenset()
+    return _singleton(t.name) if isinstance(t, Var) else _EMPTY
 
 
 def free_vars(phi: Formula) -> frozenset[str]:
-    if isinstance(phi, Bot):
-        return frozenset()
-    if isinstance(phi, Atom):
-        out: frozenset[str] = frozenset()
-        for t in phi.args:
-            out |= term_vars(t)
-        return out
-    if isinstance(phi, (MApp, AApp, TApp)):
-        return term_vars(phi.arg)
-    if isinstance(phi, HApp):
-        return term_vars(phi.pred) | term_vars(phi.arg)
-    if isinstance(phi, SimApp):
-        return term_vars(phi.left) | term_vars(phi.right)
-    if isinstance(phi, (And, Or, Implies)):
-        return free_vars(phi.left) | free_vars(phi.right)
-    if isinstance(phi, (Forall, Exists)):
-        return free_vars(phi.body) - {phi.var}
-    raise TypeError(f"not a formula: {phi!r}")
+    if isinstance(phi, _Compound):
+        try:
+            return phi._fv
+        except AttributeError:
+            pass
+        if isinstance(phi, (Forall, Exists)):
+            fv = free_vars(phi.body)
+            if phi.var in fv:
+                fv = (fv - {phi.var}) or _EMPTY
+        else:
+            fv = _union(free_vars(phi.left), free_vars(phi.right))
+        object.__setattr__(phi, "_fv", fv)
+        return fv
+    if not isinstance(phi, _ATOMIC):
+        raise TypeError(f"not a formula: {phi!r}")
+    out = _EMPTY
+    for t in _atomic_terms(phi):
+        out = _union(out, term_vars(t))
+    return out
 
 
 def _fresh(base: str, avoid: frozenset[str]) -> str:
@@ -344,15 +383,6 @@ def captures(phi: Formula, x: str, t: Term) -> bool:
     return walk(phi)
 
 
-def subformulas(phi: Formula) -> Iterable[Formula]:
-    yield phi
-    if isinstance(phi, (And, Or, Implies)):
-        yield from subformulas(phi.left)
-        yield from subformulas(phi.right)
-    elif isinstance(phi, (Forall, Exists)):
-        yield from subformulas(phi.body)
-
-
 def _atomic_terms(phi: Formula) -> tuple[Term, ...]:
     """The argument terms of an atomic formula; () for a compound one."""
     if isinstance(phi, Atom):
@@ -368,13 +398,29 @@ def _atomic_terms(phi: Formula) -> tuple[Term, ...]:
 
 def quote_names(phi: Formula) -> frozenset[str]:
     """All quotation names mentioned anywhere in phi (one level, opaque)."""
-    return frozenset(t.name for sub in subformulas(phi)
-                     for t in _atomic_terms(sub) if isinstance(t, Quote))
+    if isinstance(phi, _Compound):
+        try:
+            return phi._qn
+        except AttributeError:
+            pass
+        if isinstance(phi, (Forall, Exists)):
+            qn = quote_names(phi.body)
+        else:
+            qn = _union(quote_names(phi.left), quote_names(phi.right))
+        object.__setattr__(phi, "_qn", qn)
+        return qn
+    out = _EMPTY
+    for t in _atomic_terms(phi):
+        if isinstance(t, Quote):
+            out = _union(out, _singleton(t.name))
+    return out
 
 
 def first_occurrence_vars(phi: Formula) -> tuple[str, ...]:
     """Free variables of phi ordered by first occurrence in a left-to-right
     walk, matching their textual order."""
+    if not free_vars(phi):
+        return ()
     seen: dict[str, None] = {}
 
     def walk(f: Formula, bound: frozenset[str]) -> None:
@@ -433,6 +479,8 @@ class Environment:
 
     def __init__(self) -> None:
         self.definitions: dict[str, Definition] = {}
+        # (params, body) -> the first name defined with exactly those
+        self._names: dict[tuple[tuple[str, ...], Formula], str] = {}
         self.domains: dict[str, Domain] = {}
         self.predicates: dict[str, int] = {}
         self.constants: set[str] = set()
@@ -503,7 +551,12 @@ class Environment:
         except IllFormedError:
             del self.definitions[name]
             raise
+        self._names.setdefault((d.params, body), name)
         return d
+
+    def name_of(self, params: tuple[str, ...], body: Formula) -> Optional[str]:
+        """The first name defined with exactly these parameters and body."""
+        return self._names.get((params, body))
 
     def is_bound(self, name: str) -> bool:
         return name in self.definitions

@@ -74,9 +74,9 @@ class NameStore:
 
     def name_for(self, phi: Formula) -> str:
         params = first_occurrence_vars(phi)
-        for name, d in self.env.definitions.items():
-            if d.body == phi and d.params == params:
-                return name
+        name = self.env.name_of(params, phi)
+        if name is not None:
+            return name
         while True:
             self._counter += 1
             name = f"{self.prefix}{self._counter}"
@@ -298,9 +298,19 @@ def _dependencies(proof: Proof, hyp_index: int) -> list[bool]:
         j = st.just
         if isinstance(j, ByHyp):
             dep[i] = j.index == hyp_index
-        else:
-            dep[i] = any(dep[k] for k in _cited(j))
+            continue
+        for k in _cited(j):
+            if not 0 <= k < i:
+                raise TacticError(
+                    f"step {i + 1}: cited step {k + 1} does not precede it")
+        dep[i] = any(dep[k] for k in _cited(j))
     return dep
+
+
+def _implication(phi: Formula, what: str) -> Implies:
+    if not isinstance(phi, Implies):
+        raise TacticError(f"{what} must be an implication, got ({phi})")
+    return phi
 
 
 def deduction_theorem(env: Environment, proof: Proof,
@@ -345,8 +355,8 @@ def deduction_theorem(env: Environment, proof: Proof,
             a2 = b.logical("L2", h, minor, st.formula)
             loc[i] = b.mp(lifted(j.minor), b.mp(lifted(j.major), a2))
         elif isinstance(j, (ByGenF, ByGenE)):
-            prem = proof.steps[j.premise].formula
-            assert isinstance(prem, Implies)
+            prem = _implication(proof.steps[j.premise].formula,
+                                f"the premise of step {i + 1}")
             if j.var in free_vars(h):
                 raise TacticError(
                     f"cannot discharge ({h}): its free variable {j.var} is "
@@ -362,8 +372,8 @@ def deduction_theorem(env: Environment, proof: Proof,
                 src = lifted(j.premise)          # H -> (gen -> ctx)
                 swapped = commute(b, h, prem.left, src)  # gen -> (H -> ctx)
                 gen_step = b.gene(swapped, j.var, j.to_var)
-                ex = b.formula_at(gen_step)
-                assert isinstance(ex, Implies)
+                ex = _implication(b.formula_at(gen_step),
+                                  "an existential generalization")
                 loc[i] = commute(b, ex.left, h, gen_step)
         elif isinstance(j, ByRelease):
             raise TacticError(
@@ -469,50 +479,63 @@ def internalize(env: Environment, proof: Proof,
 
 
 def m_closure_into(b: ProofBuilder, ns: NameStore, phi: Formula,
-                   leaves: Mapping[Formula, int] = {}) -> tuple[int, str]:
+                   leaves: Mapping[Formula, int] = {},
+                   memo: Optional[dict[Formula, tuple[int, str]]] = None
+                   ) -> tuple[int, str]:
     """Derive M(`phi`) by recursion on phi's shape.  ``leaves`` maps leaf
     formulas with no compositional scheme (atoms, T, H, sim ascriptions) to
     steps already proving M of them.  Returns (step index, quotation name).
+
+    ``memo`` holds the result for each subformula already derived in this
+    call, so a subformula met again is not walked again; deriving it again
+    would add no step and name nothing new.
     """
-    env = b.env
+    if memo is None:
+        memo = {}
+    elif phi in memo:
+        return memo[phi]
     if phi in leaves:
         index = leaves[phi]
-        return index, _quote_of(b.formula_at(index), "a leaf fact")
-    if isinstance(phi, Bot):
+        out = index, _quote_of(b.formula_at(index), "a leaf fact")
+    elif isinstance(phi, Bot):
         q = ns.name_for(phi)
-        return b.theory("MBot", q), q
-    if isinstance(phi, MApp):
+        out = b.theory("MBot", q), q
+    elif isinstance(phi, MApp):
         q = ns.name_for(phi)
-        return b.theory("MofM", q), q
-    if isinstance(phi, AApp):
+        out = b.theory("MofM", q), q
+    elif isinstance(phi, AApp):
         q = ns.name_for(phi)
-        return b.theory("MofA", q), q
-    if isinstance(phi, And):
-        ia, qa = m_closure_into(b, ns, phi.left, leaves)
-        ib, qb = m_closure_into(b, ns, phi.right, leaves)
+        out = b.theory("MofA", q), q
+    elif isinstance(phi, And):
+        ia, qa = m_closure_into(b, ns, phi.left, leaves, memo)
+        ib, qb = m_closure_into(b, ns, phi.right, leaves, memo)
         q = ns.name_for(phi)
         l3 = b.logical("L3", MApp(Quote(qa)), MApp(Quote(qb)))
         both = b.mp(ib, b.mp(ia, l3))
-        return b.mp(both, b.theory("MComp1", qa, qb, q)), q
-    if isinstance(phi, Or):
-        ia, qa = m_closure_into(b, ns, And(phi.left, phi.right), leaves)
+        out = b.mp(both, b.theory("MComp1", qa, qb, q)), q
+    elif isinstance(phi, Or):
+        ia, qa = m_closure_into(b, ns, And(phi.left, phi.right), leaves, memo)
         q = ns.name_for(phi)
-        return b.mp(ia, b.theory("MComp2", qa, q)), q
-    if isinstance(phi, Implies):
-        ia, qa = m_closure_into(b, ns, Or(phi.left, phi.right), leaves)
+        out = b.mp(ia, b.theory("MComp2", qa, q)), q
+    elif isinstance(phi, Implies):
+        ia, qa = m_closure_into(b, ns, Or(phi.left, phi.right), leaves, memo)
         q = ns.name_for(phi)
-        return b.mp(ia, b.theory("MComp3", qa, q)), q
-    if isinstance(phi, Forall):
-        ib, qb = m_closure_into(b, ns, phi.body, leaves)
+        out = b.mp(ia, b.theory("MComp3", qa, q)), q
+    elif isinstance(phi, Forall):
+        ib, qb = m_closure_into(b, ns, phi.body, leaves, memo)
         q = ns.name_for(phi)
-        return b.mp(ib, b.theory("MQuant1", qb, q, phi.var)), q
-    if isinstance(phi, Exists):
-        ia, qa = m_closure_into(b, ns, Forall(phi.var, phi.body), leaves)
+        out = b.mp(ib, b.theory("MQuant1", qb, q, phi.var)), q
+    elif isinstance(phi, Exists):
+        ia, qa = m_closure_into(b, ns, Forall(phi.var, phi.body), leaves,
+                                memo)
         q = ns.name_for(phi)
-        return b.mp(ia, b.theory("MQuant2", qa, q, phi.var)), q
-    raise TacticError(
-        f"no compositional meaningfulness scheme applies to ({phi}); "
-        "provide it as a leaf fact")
+        out = b.mp(ia, b.theory("MQuant2", qa, q, phi.var)), q
+    else:
+        raise TacticError(
+            f"no compositional meaningfulness scheme applies to ({phi}); "
+            "provide it as a leaf fact")
+    memo[phi] = out
+    return out
 
 
 def meaningfulness_closure(env: Environment, phi: Formula,

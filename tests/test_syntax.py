@@ -1,6 +1,10 @@
 """Formula construction, substitution, definitions, and well-formedness."""
 
+import copy
+import pickle
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mathkernel.syntax import (
     AApp,
@@ -12,21 +16,26 @@ from mathkernel.syntax import (
     Environment,
     Exists,
     Forall,
+    HApp,
     IllFormedError,
     Implies,
     MApp,
     Or,
     Quote,
+    SimApp,
     TApp,
     Var,
     captures,
+    first_occurrence_vars,
     free_vars,
     iff,
     is_neg,
     neg,
     pformat,
+    quote_names,
     substitute,
 )
+from mathkernel.tactics import NameStore
 
 
 def test_neg_is_implication_to_bot():
@@ -127,3 +136,154 @@ def test_instantiate_parameterized_definition():
     env = Environment()
     env.define("w", ("x",), MApp(Var("x")))
     assert env.instantiate("w", (Const("c"),)) == MApp(Const("c"))
+
+
+# -- cached facts on compound nodes, against uncached reference walks
+
+TERMS = st.one_of(st.builds(Var, st.sampled_from("xyz")),
+                  st.builds(Const, st.sampled_from("cd")),
+                  st.builds(Quote, st.sampled_from(["s", "t"])))
+LEAVES = st.one_of(st.just(BOT),
+                   st.builds(Atom, st.sampled_from("PQ"),
+                             st.lists(TERMS, max_size=2).map(tuple)),
+                   st.builds(MApp, TERMS), st.builds(AApp, TERMS),
+                   st.builds(TApp, TERMS), st.builds(HApp, TERMS, TERMS),
+                   st.builds(SimApp, TERMS, TERMS))
+
+
+def _extend(children):
+    binary = st.sampled_from([And, Or, Implies])
+    quant = st.sampled_from([Forall, Exists])
+    return st.one_of(
+        st.builds(lambda c, a, b: c(a, b), binary, children, children),
+        st.builds(lambda c, a: c(a, a), binary, children),  # a shared subtree
+        st.builds(lambda c, v, a: c(v, a), quant, st.sampled_from("xyz"),
+                  children))
+
+
+FORMULAS = st.recursive(LEAVES, _extend, max_leaves=12)
+
+
+class _Hashed:
+    """Stands in a tuple for a value whose hash is already known."""
+
+    def __init__(self, h):
+        self.h = h
+
+    def __hash__(self):
+        return self.h
+
+
+def reference_hash(phi):
+    """The frozen-dataclass hash, the hash of the tuple of fields, recomputed
+    through the whole tree."""
+    if isinstance(phi, (And, Or, Implies)):
+        return hash((_Hashed(reference_hash(phi.left)),
+                     _Hashed(reference_hash(phi.right))))
+    if isinstance(phi, (Forall, Exists)):
+        return hash((phi.var, _Hashed(reference_hash(phi.body))))
+    return hash(phi)
+
+
+def reference_free_vars(phi):
+    if isinstance(phi, (And, Or, Implies)):
+        return reference_free_vars(phi.left) | reference_free_vars(phi.right)
+    if isinstance(phi, (Forall, Exists)):
+        return reference_free_vars(phi.body) - {phi.var}
+    return free_vars(phi)
+
+
+def reference_quote_names(phi):
+    if isinstance(phi, (And, Or, Implies)):
+        return (reference_quote_names(phi.left)
+                | reference_quote_names(phi.right))
+    if isinstance(phi, (Forall, Exists)):
+        return reference_quote_names(phi.body)
+    return quote_names(phi)
+
+
+def reference_eq(a, b):
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, (And, Or, Implies)):
+        return reference_eq(a.left, b.left) and reference_eq(a.right, b.right)
+    if isinstance(a, (Forall, Exists)):
+        return a.var == b.var and reference_eq(a.body, b.body)
+    return a == b
+
+
+@settings(max_examples=200, deadline=None)
+@given(FORMULAS, FORMULAS)
+def test_cached_facts_match_reference_walks(phi, other):
+    for f in (phi, other):
+        for _ in range(2):  # the first call fills the caches
+            assert hash(f) == reference_hash(f)
+            assert free_vars(f) == reference_free_vars(f)
+            assert quote_names(f) == reference_quote_names(f)
+    assert (phi == other) == reference_eq(phi, other)
+    twin = copy.deepcopy(phi)
+    assert twin == phi and hash(twin) == hash(phi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(FORMULAS)
+def test_pickle_and_deepcopy_rebuild_nodes_without_caches(phi):
+    fresh = copy.deepcopy(phi)  # built from fields: nothing cached yet
+    hash(phi), free_vars(phi), quote_names(phi)
+    data = pickle.dumps(phi)
+    assert data == pickle.dumps(fresh)
+    for slot in (b"_hash", b"_fv", b"_qn"):
+        assert slot not in data
+    assert pickle.loads(data) == phi
+    assert copy.deepcopy(phi) == phi
+    assert pickle.loads(pickle.dumps(And(BOT, BOT))) == And(BOT, BOT)
+
+
+def test_nodes_without_free_variables_share_one_empty_set():
+    phi = Forall("x", And(MApp(Var("x")), BOT))
+    assert free_vars(phi) is free_vars(BOT) is free_vars(Implies(BOT, BOT))
+    assert quote_names(phi) is quote_names(BOT)
+
+
+# -- the name index of Environment.define, against the linear scan
+
+NAMES = ["a", "b", "c"]
+BODIES = ([BOT, MApp(Var("x")), And(MApp(Var("x")), BOT)]
+          + [f(Quote(n)) for n in NAMES for f in (MApp, TApp)]
+          + [Implies(TApp(Quote(n)), MApp(Var("x"))) for n in NAMES])
+
+
+def reference_name_of(env, params, body):
+    for name, d in env.definitions.items():
+        if d.body == body and d.params == params:
+            return name
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(NAMES),
+                          st.sampled_from([(), ("x",)]),
+                          st.sampled_from(BODIES)), max_size=12),
+       st.sampled_from(BODIES))
+def test_name_index_matches_the_linear_scan(defines, wanted):
+    env = Environment()
+    for name, params, body in defines:
+        # conflicting, unbound, mis-scoped and ill-formed definitions
+        # (T of a predicate quotation, rolled back after binding) all fail
+        try:
+            env.define(name, params, body)
+        except (DefinitionError, IllFormedError):
+            pass
+        for ps in [(), ("x",)]:
+            for b in BODIES:
+                assert env.name_of(ps, b) == reference_name_of(env, ps, b)
+    expected = reference_name_of(env, first_occurrence_vars(wanted), wanted)
+    try:
+        got = NameStore(env).name_for(wanted)
+    except (DefinitionError, IllFormedError):
+        assert expected is None
+        return
+    if expected is not None:
+        assert got == expected
+    else:
+        assert got not in NAMES and env.resolve(got) == wanted

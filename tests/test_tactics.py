@@ -8,8 +8,11 @@ import pytest
 from proofgen import make_env, random_proof
 
 from mathkernel.kernel import (
+    ByGenE,
+    ByGenF,
     ByHyp,
     ByLogical,
+    ByMP,
     ByRelease,
     ByTheory,
     ExtensionGrant,
@@ -17,14 +20,18 @@ from mathkernel.kernel import (
     Step,
     check_proof,
 )
-from mathkernel.parser import parse_formula
+from mathkernel.parser import MAX_DEPTH, parse_formula
 from mathkernel.syntax import (
     AApp,
+    And,
     BOT,
+    Bot,
     Environment,
+    Exists,
     Forall,
     Implies,
     MApp,
+    Or,
     Quote,
     Var,
     neg,
@@ -34,8 +41,10 @@ from mathkernel.tactics import (
     NameStore,
     ProofBuilder,
     TacticError,
+    _quote_of,
     deduction_theorem,
     internalize,
+    m_closure_into,
     meaningfulness_closure,
 )
 
@@ -156,6 +165,32 @@ def test_deduction_on_empty_hypotheses_is_rejected():
         deduction_theorem(env, b.build())
 
 
+@pytest.mark.parametrize("minor, major", [
+    pytest.param(0, 4, id="out-of-range"),
+    pytest.param(0, 2, id="forward"),
+    pytest.param(0, 1, id="itself"),
+    pytest.param(-1, 0, id="negative"),
+])
+def test_deduction_rejects_a_citation_that_does_not_precede(minor, major):
+    env = prop_env()
+    p, q = parse_formula("p", env), parse_formula("q", env)
+    proof = Proof((p,), (Step(p, ByHyp(0)), Step(q, ByMP(minor, major)),
+                         Step(p, ByHyp(0))), frozenset())
+    with pytest.raises(TacticError, match="does not precede"):
+        deduction_theorem(env, proof)
+
+
+@pytest.mark.parametrize("rule", [ByGenF, ByGenE])
+def test_deduction_rejects_generalizing_a_non_implication(rule):
+    env = prop_env()
+    dx = parse_formula("D(x)", env)
+    proof = Proof((dx,), (Step(dx, ByHyp(0)),
+                          Step(parse_formula("forall x. D(x)", env),
+                               rule(0, "x", "x"))), frozenset())
+    with pytest.raises(TacticError, match="must be an implication"):
+        deduction_theorem(env, proof)
+
+
 # -- internalization
 
 
@@ -273,3 +308,84 @@ def test_random_proofs_transform_soundly():
                     for s in proof.steps if isinstance(s.just, ByLogical)}
         out = internalize(env, proof, m_proofs)
         check_proof(env, out)
+
+
+# -- the memoized closure against the closure that re-walks every subformula
+
+
+def reference_m_closure(b, ns, phi, leaves={}):
+    """``m_closure_into`` without the memo: a subformula met again is
+    derived again."""
+    if phi in leaves:
+        index = leaves[phi]
+        return index, _quote_of(b.formula_at(index), "a leaf fact")
+    if isinstance(phi, Bot):
+        q = ns.name_for(phi)
+        return b.theory("MBot", q), q
+    if isinstance(phi, MApp):
+        q = ns.name_for(phi)
+        return b.theory("MofM", q), q
+    if isinstance(phi, AApp):
+        q = ns.name_for(phi)
+        return b.theory("MofA", q), q
+    if isinstance(phi, And):
+        ia, qa = reference_m_closure(b, ns, phi.left, leaves)
+        ib, qb = reference_m_closure(b, ns, phi.right, leaves)
+        q = ns.name_for(phi)
+        l3 = b.logical("L3", MApp(Quote(qa)), MApp(Quote(qb)))
+        both = b.mp(ib, b.mp(ia, l3))
+        return b.mp(both, b.theory("MComp1", qa, qb, q)), q
+    if isinstance(phi, Or):
+        ia, qa = reference_m_closure(b, ns, And(phi.left, phi.right), leaves)
+        q = ns.name_for(phi)
+        return b.mp(ia, b.theory("MComp2", qa, q)), q
+    if isinstance(phi, Implies):
+        ia, qa = reference_m_closure(b, ns, Or(phi.left, phi.right), leaves)
+        q = ns.name_for(phi)
+        return b.mp(ia, b.theory("MComp3", qa, q)), q
+    if isinstance(phi, Forall):
+        ib, qb = reference_m_closure(b, ns, phi.body, leaves)
+        q = ns.name_for(phi)
+        return b.mp(ib, b.theory("MQuant1", qb, q, phi.var)), q
+    if isinstance(phi, Exists):
+        ia, qa = reference_m_closure(b, ns, Forall(phi.var, phi.body), leaves)
+        q = ns.name_for(phi)
+        return b.mp(ia, b.theory("MQuant2", qa, q, phi.var)), q
+    raise TacticError(f"no compositional meaningfulness scheme for ({phi})")
+
+
+def _closures(closure, env, formulas):
+    """The closures of ``formulas`` one after another in one builder, as
+    the corpus generator runs them.  The builder starts from hypotheses M
+    of the left part of each formula: a closure derives such a part again
+    all the same, so neither the memo nor an earlier call may shortcut
+    through steps the builder already has."""
+    ns = NameStore(env)
+    parts = [phi.left for phi in formulas if isinstance(phi, Implies)]
+    b = ProofBuilder(env, tuple(MApp(Quote(ns.name_for(p))) for p in parts))
+    for i in range(len(parts)):
+        b.hyp(i)
+    results = [closure(b, ns, phi) for phi in formulas]
+    return results, b.steps, list(env.definitions.values())
+
+
+def test_memoized_closure_matches_the_reference_on_criterion_07_formulas():
+    rng = random.Random(20240817)  # the criterion-07 seed and generator
+    for _ in range(200):
+        env = make_env()
+        proof = random_proof(rng, env, n_hyps=rng.randint(0, 2),
+                             n_moves=rng.randint(2, 8))
+        axioms = [s.formula for s in proof.steps
+                  if isinstance(s.just, ByLogical)]
+        assert (_closures(m_closure_into, make_env(), axioms)
+                == _closures(reference_m_closure, make_env(), axioms))
+
+
+def test_memoized_closure_matches_the_reference_at_the_depth_cap():
+    phi = BOT
+    for _ in range(MAX_DEPTH):
+        phi = neg(phi)
+    shared = And(phi, Or(phi, Forall("x", phi)))  # one subtree met 3 times
+    for f in (phi, shared):
+        assert (_closures(m_closure_into, Environment(), [f])
+                == _closures(reference_m_closure, Environment(), [f]))
