@@ -308,6 +308,15 @@ def generalize(premise: Formula, x: str, y: str, forall: bool) -> Formula:
     return Implies(Exists(y, shifted), ctx)
 
 
+def release(env: Environment, premise: Formula) -> Formula:
+    """The conclusion of the release rule from ``premise``: from A(`q`),
+    the body of q.  SchemeError when the premise is not A of a quotation."""
+    if not (isinstance(premise, AApp) and isinstance(premise.arg, Quote)):
+        raise SchemeError("release premise is not an assertibility "
+                          "ascription of a quotation")
+    return env.resolve(premise.arg.name)
+
+
 def _mcomp1(env: Environment, qa: str, qb: str, qand: str) -> Formula:
     _expect(env.resolve(qand) == And(env.resolve(qa), env.resolve(qb)),
             f"body of {qand} is not the conjunction of {qa} and {qb}")
@@ -832,11 +841,7 @@ def check_proof(
                 expected = extension_instance(env, just.scheme, just.params)
                 grant = ExtensionGrant(just.scheme, env.resolve(just.params[0]))
             else:  # ByRelease, the one kind left after _check_fields
-                prem = premise(just.premise, i)
-                if not (isinstance(prem, AApp) and isinstance(prem.arg, Quote)):
-                    raise SchemeError("release premise is not an assertibility "
-                                      "ascription of a quotation")
-                expected = env.resolve(prem.arg.name)
+                expected = release(env, premise(just.premise, i))
                 grant = ExtensionGrant("ReleaseRule", expected)
             if grant is not None:
                 if not _grant_covers(proof.enabled, grant):

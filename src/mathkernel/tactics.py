@@ -36,6 +36,7 @@ from .kernel import (
     extension_instance,
     generalize,
     logical_instance,
+    release,
     theory_instance,
 )
 from .syntax import (
@@ -159,10 +160,10 @@ class ProofBuilder:
         return self.add(out, just)
 
     def release(self, premise: int) -> int:
-        prem = self.formula_at(premise)
-        if not (isinstance(prem, AApp) and isinstance(prem.arg, Quote)):
-            raise TacticError("release premise must be A of a quotation")
-        body = self.env.resolve(prem.arg.name)
+        try:
+            body = release(self.env, self.formula_at(premise))
+        except SchemeError as exc:
+            raise TacticError(str(exc)) from None
         self.enabled.add(ExtensionGrant("ReleaseRule", body))
         return self.add(body, ByRelease(premise))
 
@@ -182,14 +183,13 @@ class ProofBuilder:
             loc[i] = self.add(st.formula, _renumber(j, loc))
         return loc[len(sub.steps) - 1]
 
-    def ensure_last(self, index: int) -> None:
-        """Make the step at ``index`` the proof's conclusion, re-deriving it
-        at the end if later steps were appended since."""
-        if index != len(self.steps) - 1:
-            self.steps.append(self.steps[index])
-
-    def build(self) -> Proof:
-        return Proof(self.hypotheses, tuple(self.steps), frozenset(self.enabled))
+    def build(self, conclusion: Optional[int] = None) -> Proof:
+        """The proof of the step at ``conclusion``: only the steps it
+        depends on, renumbered so that it comes last.  With no conclusion,
+        every step so far, dead or live."""
+        steps = (tuple(self.steps) if conclusion is None
+                 else _live_steps(self.steps, conclusion))
+        return Proof(self.hypotheses, steps, frozenset(self.enabled))
 
 
 def identity_imp(b: ProofBuilder, phi: Formula) -> int:
@@ -209,22 +209,21 @@ def weaken(b: ProofBuilder, index: int, hyp: Formula) -> int:
     return b.mp(index, a)
 
 
-def _derive(b: ProofBuilder, antecedents: Sequence[Formula],
+def _derive(b: ProofBuilder, index: int, antecedents: Sequence[Formula],
             forward: Callable[[ProofBuilder, Sequence[int]], int]) -> int:
     """Prove the curried implication from ``antecedents`` to the formula
-    ``forward`` builds from them, then splice it into ``b``.
+    ``forward`` builds from them and the step at ``index`` of ``b``, then
+    splice it into ``b``.
 
-    ``forward`` receives a scratch builder whose hypotheses are the
-    already-proven formulas of ``b`` it may cite (resolved by ``embed``)
-    followed by ``antecedents``; it must use only hypothesis, logical-axiom
-    and modus-ponens steps, so the repeated discharges below never recurse
-    back into a generalization case.
+    ``forward`` receives a scratch builder whose hypotheses are the formula
+    at ``index`` (hypothesis 0, resolved by ``embed``) followed by
+    ``antecedents``, and the hypothesis indices of the antecedents; it must
+    use only hypothesis, logical-axiom and modus-ponens steps, so the
+    repeated discharges below never recurse back into a generalization case.
     """
-    known = tuple(b._cache)  # formulas already proven in the outer builder
-    mini = ProofBuilder(b.env, known + tuple(antecedents))
-    goal = forward(mini, tuple(range(len(known), len(known) + len(antecedents))))
-    mini.ensure_last(goal)  # the goal may have deduplicated onto an early step
-    proof = mini.build()
+    mini = ProofBuilder(b.env, (b.formula_at(index), *antecedents))
+    goal = forward(mini, range(1, 1 + len(antecedents)))
+    proof = mini.build(goal)
     for _ in antecedents:
         proof = deduction_theorem(b.env, proof)
     return b.embed(proof)
@@ -232,55 +231,56 @@ def _derive(b: ProofBuilder, antecedents: Sequence[Formula],
 
 def curry(b: ProofBuilder, h: Formula, ctx: Formula, index: int) -> int:
     """From (h & ctx) -> phi derive h -> (ctx -> phi)."""
-    src = b.formula_at(index)
 
     def forward(mini: ProofBuilder, hx: Sequence[int]) -> int:
         ih, ictx = (mini.hyp(k) for k in hx)
         l3 = mini.logical("L3", h, ctx)
         conj = mini.mp(ictx, mini.mp(ih, l3))
-        s = mini.hyp(mini.hypotheses.index(src))
-        return mini.mp(conj, s)
+        return mini.mp(conj, mini.hyp(0))
 
-    return _derive(b, (h, ctx), forward)
+    return _derive(b, index, (h, ctx), forward)
 
 
 def uncurry(b: ProofBuilder, h: Formula, ctx: Formula, index: int) -> int:
     """From h -> (ctx -> phi) derive (h & ctx) -> phi."""
-    src = b.formula_at(index)
-    conj = And(h, ctx)
 
     def forward(mini: ProofBuilder, hx: Sequence[int]) -> int:
         ic = mini.hyp(hx[0])
-        s = mini.hyp(mini.hypotheses.index(src))
+        s = mini.hyp(0)
         ih = mini.mp(mini.mp(ic, mini.logical("L4", h, ctx)), s)
         return mini.mp(mini.mp(ic, mini.logical("L5", h, ctx)), ih)
 
-    return _derive(b, (conj,), forward)
+    return _derive(b, index, (And(h, ctx),), forward)
 
 
 def commute(b: ProofBuilder, a: Formula, c: Formula, index: int) -> int:
     """From a -> (c -> phi) derive c -> (a -> phi)."""
-    src = b.formula_at(index)
 
     def forward(mini: ProofBuilder, hx: Sequence[int]) -> int:
         ic, ia = (mini.hyp(k) for k in hx)
-        s = mini.hyp(mini.hypotheses.index(src))
-        return mini.mp(ic, mini.mp(ia, s))
+        return mini.mp(ic, mini.mp(ia, mini.hyp(0)))
 
-    return _derive(b, (c, a), forward)
+    return _derive(b, index, (c, a), forward)
 
 
 # ---------------------------------------------------------------------------
 # deduction theorem
 
 
-def _cited(just: Justification) -> tuple[int, ...]:
-    """The indices of the steps ``just`` cites."""
+def _cited(just: Justification, here: int) -> tuple[int, ...]:
+    """The indices of the steps that step ``here``, justified by ``just``,
+    cites.  TacticError if one of them does not precede it."""
     if isinstance(just, ByMP):
-        return (just.minor, just.major)
-    if isinstance(just, (ByGenF, ByGenE, ByRelease)):
-        return (just.premise,)
-    return ()
+        cited: tuple[int, ...] = (just.minor, just.major)
+    elif isinstance(just, (ByGenF, ByGenE, ByRelease)):
+        cited = (just.premise,)
+    else:
+        return ()
+    for k in cited:
+        if not 0 <= k < here:
+            raise TacticError(
+                f"step {here + 1}: cited step {k + 1} does not precede it")
+    return cited
 
 
 def _renumber(just: Justification, loc: Mapping[int, int]) -> Justification:
@@ -292,18 +292,45 @@ def _renumber(just: Justification, loc: Mapping[int, int]) -> Justification:
     return just
 
 
+def _live(steps: Sequence[Step], conclusion: int) -> list[bool]:
+    """Which of ``steps[:conclusion + 1]`` the step at ``conclusion``
+    depends on, directly or through other steps; it depends on itself."""
+    if not 0 <= conclusion < len(steps):
+        raise TacticError(f"no step {conclusion + 1} to conclude with")
+    live = [False] * (conclusion + 1)
+    live[conclusion] = True
+    for i in range(conclusion, -1, -1):
+        if live[i]:
+            for k in _cited(steps[i].just, i):
+                live[k] = True
+    return live
+
+
+def _live_steps(steps: Sequence[Step], conclusion: int) -> tuple[Step, ...]:
+    """The steps the step at ``conclusion`` depends on, renumbered so that
+    it comes last; the same steps, unrenumbered, when every one is live."""
+    live = _live(steps, conclusion)
+    if all(live):
+        return tuple(steps[:conclusion + 1])
+    loc: dict[int, int] = {}
+    out: list[Step] = []
+    for i, st in enumerate(steps[:conclusion + 1]):
+        if live[i]:
+            loc[i] = len(out)
+            out.append(Step(st.formula, _renumber(st.just, loc)))
+    return tuple(out)
+
+
 def _dependencies(proof: Proof, hyp_index: int) -> list[bool]:
+    """Which steps depend on hypothesis ``hyp_index``.  Checks that every
+    step, dead or live, cites only steps before it."""
     dep = [False] * len(proof.steps)
     for i, st in enumerate(proof.steps):
         j = st.just
         if isinstance(j, ByHyp):
             dep[i] = j.index == hyp_index
-            continue
-        for k in _cited(j):
-            if not 0 <= k < i:
-                raise TacticError(
-                    f"step {i + 1}: cited step {k + 1} does not precede it")
-        dep[i] = any(dep[k] for k in _cited(j))
+        else:
+            dep[i] = any(dep[k] for k in _cited(j, i))
     return dep
 
 
@@ -318,8 +345,10 @@ def deduction_theorem(env: Environment, proof: Proof,
     """Discharge one hypothesis H: from a proof of phi using H, a proof of
     H -> phi that no longer lists H.
 
-    Steps that never depend on H are copied verbatim and weakened only on
-    demand.  Generalization steps under H go through conjunction currying
+    Only the steps phi depends on are lifted, and the result keeps only the
+    steps H -> phi depends on; every citation of the input, dead steps'
+    too, must cite an earlier step.  Steps that never depend on H are
+    copied verbatim and weakened only on demand.  Generalization steps under H go through conjunction currying
     (for the universal rule) or antecedent commutation (for the existential
     rule); both fail if the generalized variable occurs free in H.  A
     release step may not depend on H, since release applies only to proven
@@ -332,6 +361,7 @@ def deduction_theorem(env: Environment, proof: Proof,
     h = proof.hypotheses[hyp_index]
     new_hyps = (proof.hypotheses[:hyp_index] + proof.hypotheses[hyp_index + 1:])
     dep = _dependencies(proof, hyp_index)
+    live = _live(proof.steps, len(proof.steps) - 1)
     b = ProofBuilder(env, new_hyps, frozenset(proof.enabled))
     loc: dict[int, int] = {}
 
@@ -342,6 +372,8 @@ def deduction_theorem(env: Environment, proof: Proof,
         return weaken(b, loc[i], h)
 
     for i, st in enumerate(proof.steps):
+        if not live[i]:
+            continue
         j = st.just
         if not dep[i]:
             if isinstance(j, ByHyp) and j.index > hyp_index:
@@ -380,9 +412,7 @@ def deduction_theorem(env: Environment, proof: Proof,
                 "cannot discharge a hypothesis through a release step")
         else:
             raise TacticError(f"unexpected dependent step: {j!r}")
-    final = lifted(len(proof.steps) - 1)
-    b.ensure_last(final)
-    return b.build()
+    return b.build(lifted(len(proof.steps) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -461,17 +491,20 @@ def internalize(env: Environment, proof: Proof,
 
     ``m_proofs`` maps each logical-axiom instance used to a proof of M of
     a quotation of it; those proofs may only use hypotheses from the same
-    A(`psi_i`) list.
+    A(`psi_i`) list.  Only the steps phi depends on are internalized, so
+    an axiom that only a dead step uses needs no M-proof, and the result
+    keeps only the steps A(`phi`) depends on.
     """
+    proof = replace(proof, steps=_live_steps(proof.steps, len(proof.steps) - 1))
+    axioms = {st.formula for st in proof.steps if isinstance(st.just, ByLogical)}
     ns = NameStore(env)
     hyp_names = [ns.name_for(h) for h in proof.hypotheses]
     b = ProofBuilder(env, tuple(AApp(Quote(n)) for n in hyp_names),
                      frozenset(proof.enabled))
     a_hyps = [b.hyp(i) for i in range(len(hyp_names))]
-    m_facts = {phi: b.embed(p) for phi, p in m_proofs.items()}
+    m_facts = {phi: b.embed(p) for phi, p in m_proofs.items() if phi in axioms}
     index, _ = internalize_into(b, ns, proof, a_hyps, m_facts)
-    b.ensure_last(index)
-    return b.build()
+    return b.build(index)
 
 
 # ---------------------------------------------------------------------------
@@ -546,8 +579,7 @@ def meaningfulness_closure(env: Environment, phi: Formula,
     b = ProofBuilder(env, tuple(MApp(Quote(n)) for n in hyp_names))
     leaves = {l: b.hyp(i) for i, l in enumerate(assumed)}
     index, _ = m_closure_into(b, ns, phi, leaves)
-    b.ensure_last(index)
-    return b.build()
+    return b.build(index)
 
 
 def m_decompose_into(b: ProofBuilder, ns: NameStore, index: int,

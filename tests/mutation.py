@@ -1,4 +1,5 @@
-"""Single-step proof mutations, shared by the corpus and acceptance tests.
+"""Single-step proof mutations, shared by the corpus and acceptance tests,
+and a reference walk over a proof's citations.
 
 Three mutation kinds are produced: a step's stated formula is altered, a
 premise index is redirected, or a justification's scheme name is swapped.
@@ -144,3 +145,17 @@ def drop_step(proof: Proof, index: int) -> Proof:
             j = ByRelease(remap(j.premise))
         steps.append(Step(st.formula, j))
     return Proof(proof.hypotheses, tuple(steps), proof.enabled)
+
+
+def dead_steps(proof: Proof) -> list[int]:
+    """The indices of the steps that the last step does not cite, directly
+    or through other steps."""
+    live = {len(proof.steps) - 1}
+    for i in reversed(range(len(proof.steps))):
+        if i in live:
+            j = proof.steps[i].just
+            if isinstance(j, ByMP):
+                live.update((j.minor, j.major))
+            elif isinstance(j, (ByGenF, ByGenE, ByRelease)):
+                live.add(j.premise)
+    return [i for i in range(len(proof.steps)) if i not in live]

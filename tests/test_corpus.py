@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from mutation import drop_step, mutations
+from mutation import dead_steps, drop_step, mutations
 
 from mathkernel.corpus import (
     CorpusError,
@@ -60,6 +60,12 @@ def test_ungated_entries_use_no_extensions():
             script, env = load(entry.script)
             judgment = check_proof(env, script.proof(), granted=set())
             assert judgment.extensions_used == ()
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.script)
+def test_every_step_is_live(entry):
+    script, _ = load(entry.script)
+    assert dead_steps(script.proof()) == []
 
 
 def test_missing_script_reported():

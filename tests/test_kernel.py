@@ -34,6 +34,7 @@ from mathkernel.kernel import (
     extension_instance,
     is_log_instance,
     logical_instance,
+    release,
     theory_instance,
 )
 from mathkernel.parser import parse_formula
@@ -726,6 +727,14 @@ def test_release_rule_gating():
     with pytest.raises(ProofCheckError, match="release premise"):
         check_proof(env, Proof((m_bot,), m_steps, frozenset({grant})),
                     granted={"ReleaseRule"})
+
+
+def test_release_gives_the_body_of_an_asserted_quotation():
+    env = liar_env()
+    assert release(env, AApp(Quote("la"))) == env.resolve("la")
+    for premise in (MApp(Quote("la")), AApp(Const("c")), BOT):
+        with pytest.raises(SchemeError, match="release premise"):
+            release(env, premise)
 
 
 def test_partial_grant_by_formula():

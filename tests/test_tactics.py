@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from mutation import dead_steps
 from proofgen import make_env, random_proof
 
 from mathkernel.kernel import (
@@ -68,6 +69,56 @@ def test_builder_genf_rejects_a_variable_free_in_the_fixed_side():
     with pytest.raises(TacticError, match="occurs free in the fixed side"):
         b.genf(s, "x")
     assert len(b) == 1
+
+
+def test_builder_release_rejects_a_premise_that_is_not_a_quoted_assertion():
+    env = prop_env()
+    b = ProofBuilder(env, (parse_formula("q", env),))
+    with pytest.raises(TacticError, match="release premise"):
+        b.release(b.hyp(0))
+    assert len(b) == 1 and not b.enabled
+
+
+def builder_with_dead_steps():
+    """A builder whose step 7, forall x. D(x) -> q, is reached through a
+    release, a universal generalization and modus ponens; steps 0, 2 and 5
+    are dead, and so is step 8, added after it."""
+    env = prop_env()
+    p, q = parse_formula("p", env), parse_formula("q", env)
+    env.define("s", (), q)
+    b = ProofBuilder(env, (AApp(Quote("s")),))
+    b.logical("L1", p, q)
+    a_s = b.hyp(0)                             # A(`s`)
+    b.logical("L1", q, p)
+    got_q = b.release(a_s)                     # q
+    weak = b.logical("L1", q, parse_formula("D(x)", env))  # q -> D(x) -> q
+    b.logical("L9", q)
+    gen = b.genf(weak, "x")                    # q -> forall x. D(x) -> q
+    k = b.mp(got_q, gen)
+    b.logical("L3", q, q)
+    assert (k, len(b)) == (7, 9)
+    return env, b, k
+
+
+def test_build_keeps_only_the_steps_the_conclusion_depends_on():
+    env, b, k = builder_with_dead_steps()
+    proof = b.build(k)
+    assert [st.formula for st in proof.steps] \
+        == [b.formula_at(i) for i in (1, 3, 4, 6, 7)]
+    assert [st.just for st in proof.steps] == [
+        ByHyp(0), ByRelease(0), b.steps[4].just, ByGenF(2, "x", "x"),
+        ByMP(1, 3)]
+    assert check_proof(env, proof).conclusion == b.formula_at(k)
+    with pytest.raises(TacticError, match="no step 10"):
+        b.build(len(b))
+
+
+def test_build_without_a_conclusion_keeps_every_step():
+    env, b, _ = builder_with_dead_steps()
+    proof = b.build()
+    assert proof.steps == tuple(b.steps)
+    assert len(dead_steps(proof)) == 8  # all but the last
+    check_proof(env, proof)
 
 
 # -- deduction theorem
@@ -191,6 +242,29 @@ def test_deduction_rejects_generalizing_a_non_implication(rule):
         deduction_theorem(env, proof)
 
 
+def test_deduction_lifts_only_live_steps():
+    env = prop_env()
+    p, q = parse_formula("p", env), parse_formula("q", env)
+
+    def proof(dead: bool) -> Proof:
+        b = ProofBuilder(env, (p, Implies(p, q)))
+        if dead:
+            b.logical("L1", p, q)
+        hp = b.hyp(0)
+        if dead:  # a dead step that depends on the discharged hypothesis
+            b.mp(b.hyp(1), b.logical("L1", Implies(p, q), q))
+        b.mp(hp, b.hyp(1))
+        return b.build()
+
+    with_dead = proof(dead=True)
+    assert len(dead_steps(with_dead)) == 3
+    out = deduction_theorem(env, with_dead)
+    assert out == deduction_theorem(env, proof(dead=False))
+    assert dead_steps(out) == []
+    judgment = check_proof(env, out)
+    assert pformat(judgment.conclusion) == "(p -> q) -> q"
+
+
 # -- internalization
 
 
@@ -246,6 +320,22 @@ def test_internalize_requires_meaningfulness_facts():
     b.logical("L1", phi, phi)
     with pytest.raises(TacticError):
         internalize(env, b.build(), {})
+
+
+def test_internalize_needs_no_meaningfulness_for_a_dead_axiom():
+    env = Environment()
+    env.define("s0", (), BOT)
+    phi, psi = AApp(Quote("s0")), MApp(Quote("s0"))
+    b = ProofBuilder(env, (phi, Implies(phi, psi)))
+    b.logical("L1", phi, psi)  # dead, and no M-proof is given for it
+    k = b.mp(b.hyp(0), b.hyp(1))
+    proof = b.build()
+    assert dead_steps(proof) == [0]
+    out = internalize(env, proof, {})
+    assert dead_steps(out) == []
+    conclusion = check_proof(env, out).conclusion
+    assert isinstance(conclusion, AApp)
+    assert env.resolve(conclusion.arg.name) == b.formula_at(k)
 
 
 # -- meaningfulness closure

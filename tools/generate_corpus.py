@@ -81,14 +81,12 @@ def contradiction_lemma(env: Environment, x: Formula) -> Proof:
     imp1 = nb.mp(nb.hyp(0), nb.logical("L4", fwd, bwd))
     hx = nb.hyp(1)
     nx = nb.mp(hx, imp1)
-    nb.mp(hx, nx)
-    inner = deduction_theorem(env, nb.build())  # (c,) |- ~x
+    inner = deduction_theorem(env, nb.build(nb.mp(hx, nx)))  # (c,) |- ~x
     ob = ProofBuilder(env, (c,))
     notx = ob.embed(inner)
     back = ob.mp(ob.hyp(0), ob.logical("L5", fwd, bwd))
     x_ = ob.mp(notx, back)
-    ob.mp(x_, notx)
-    return ob.build()
+    return ob.build(ob.mp(x_, notx))
 
 
 def internalized_absurdity(env: Environment, b: ProofBuilder, ns: NameStore,
@@ -131,8 +129,7 @@ def anomaly_assertible_liar(env: Environment) -> Proof:
     cap = b.mp(m_la, b.theory("Capture", "la"))
     hi = b.hyp(0)
     a = b.mp(hi, cap)
-    b.mp(a, hi)
-    return deduction_theorem(env, b.build())
+    return deduction_theorem(env, b.build(b.mp(a, hi)))
 
 
 def assertible_liar_collapse(env: Environment) -> Proof:
@@ -145,8 +142,7 @@ def assertible_liar_collapse(env: Environment) -> Proof:
     l3 = b.logical("L3", AApp(Quote("ala")), AApp(Quote("la")))
     conj = b.mp(hi, b.mp(a2, l3))
     amp = b.theory("AMP", "ala", "zero_eq_one", "la")
-    b.mp(conj, amp)
-    return deduction_theorem(env, b.build())
+    return deduction_theorem(env, b.build(b.mp(conj, amp)))
 
 
 def entry_1():
@@ -164,8 +160,7 @@ def entry_3():
     b = ProofBuilder(env)
     ns = NameStore(env)
     index, _ = m_closure_into(b, ns, env.resolve("la"))
-    b.ensure_last(index)
-    return env, b.build()
+    return env, b.build(index)
 
 
 def liar_t_env() -> Environment:
@@ -183,33 +178,31 @@ def entry_4():
     hi = b.hyp(0)
     a = b.mp(hi, tn)
     m = b.mp(a, b.theory("AtoM", "liar"))
-    b.mp(m, hi)
-    return env, deduction_theorem(env, b.build())
+    return env, deduction_theorem(env, b.build(b.mp(m, hi)))
 
 
-def _liar_meaningful_collapse(env: Environment) -> ProofBuilder:
+def _liar_meaningful_collapse(env: Environment) -> tuple[ProofBuilder, int]:
+    """A builder with a step proving A(`zero_eq_one`) from M(`liar`), and
+    that step's index."""
     x = TApp(Quote("liar"))
     env.define("truth_bic", (), iff(x, neg(x)))
     b = ProofBuilder(env, (MApp(Quote("liar")),))
     ns = NameStore(env)
     td = b.theory("TDef", "liar", "truth_bic")
     a_bic = b.mp(b.hyp(0), td)
-    index = internalized_absurdity(env, b, ns, a_bic, "truth_bic", x)
-    b.ensure_last(index)
-    return b
+    return b, internalized_absurdity(env, b, ns, a_bic, "truth_bic", x)
 
 
 def entry_5():
     env = liar_t_env()
-    b = _liar_meaningful_collapse(env)
-    return env, deduction_theorem(env, b.build())
+    b, index = _liar_meaningful_collapse(env)
+    return env, deduction_theorem(env, b.build(index))
 
 
 def entry_5b():
     env = liar_t_env()
-    b = _liar_meaningful_collapse(env)
-    b.release(len(b.steps) - 1)
-    return env, b.build()
+    b, index = _liar_meaningful_collapse(env)
+    return env, b.build(b.release(index))
 
 
 def entry_6():
@@ -240,8 +233,8 @@ def entry_6():
                                                Implies(pf, x1))))
     i2 = nb.mp(q_, nb.mp(nb.hyp(1), nb.logical("L5", Implies(x2, qf),
                                                Implies(qf, x2))))
-    nb.mp(i2, nb.mp(i1, nb.logical("L3", x1, x2)))
-    lemma_fwd = deduction_theorem(env, nb.build())
+    last = nb.mp(i2, nb.mp(i1, nb.logical("L3", x1, x2)))
+    lemma_fwd = deduction_theorem(env, nb.build(last))
 
     # backward direction: from the biconditionals and x1 & x2, recover x3
     nb = ProofBuilder(env, (c1, c2, c3, And(x1, x2)))
@@ -252,16 +245,16 @@ def entry_6():
     q_ = nb.mp(ix2, nb.mp(nb.hyp(1), nb.logical("L4", Implies(x2, qf),
                                                 Implies(qf, x2))))
     ipq = nb.mp(q_, nb.mp(p_, nb.logical("L3", pf, qf)))
-    nb.mp(ipq, nb.mp(nb.hyp(2), nb.logical("L5", Implies(x3, pq),
-                                           Implies(pq, x3))))
-    lemma_bwd = deduction_theorem(env, nb.build())
+    last = nb.mp(ipq, nb.mp(nb.hyp(2), nb.logical("L5", Implies(x3, pq),
+                                                  Implies(pq, x3))))
+    lemma_bwd = deduction_theorem(env, nb.build(last))
 
     ob = ProofBuilder(env, (c1, c2, c3))
     f = ob.embed(lemma_fwd)
     g = ob.embed(lemma_bwd)
-    ob.mp(g, ob.mp(f, ob.logical("L3", Implies(x3, And(x1, x2)),
-                                 Implies(And(x1, x2), x3))))
-    obj = ob.build()
+    last = ob.mp(g, ob.mp(f, ob.logical("L3", Implies(x3, And(x1, x2)),
+                                        Implies(And(x1, x2), x3))))
+    obj = ob.build(last)
 
     # outer derivation: from M(`phi`) & M(`psi`), assert the distribution law
     h = And(MApp(Quote("phi")), MApp(Quote("psi")))
@@ -289,8 +282,7 @@ def entry_6():
         if isinstance(st.just, ByLogical) and st.formula not in m_facts:
             m_facts[st.formula] = m_closure_into(b, ns, st.formula, leaves)[0]
     index, _ = internalize_into(b, ns, obj, [a1, a2, a3], m_facts)
-    b.ensure_last(index)
-    return env, deduction_theorem(env, b.build())
+    return env, deduction_theorem(env, b.build(index))
 
 
 def entry_7(released: bool):
@@ -317,9 +309,7 @@ def entry_7(released: bool):
     l3 = b.logical("L3", AApp(Quote("hbic_s1")), AApp(Quote("hbic_s2")))
     conj = b.mp(a_insts[1], b.mp(a_insts[0], l3))
     a_univ = b.mp(conj, fc)
-    if released:
-        b.release(a_univ)
-    return env, b.build()
+    return env, b.build(b.release(a_univ) if released else a_univ)
 
 
 def russell_env() -> Environment:
@@ -339,8 +329,7 @@ def entry_8a():
     hi = b.hyp(0)
     a = b.mp(hi, hn)
     m = b.mp(a, b.theory("AtoM", "RR"))
-    b.mp(m, hi)
-    return env, deduction_theorem(env, b.build())
+    return env, deduction_theorem(env, b.build(b.mp(m, hi)))
 
 
 def entry_8b():
@@ -352,8 +341,7 @@ def entry_8b():
     hd = b.theory("HDef", "R", Quote("R"), "RR", "holding_bic")
     a_bic = b.mp(b.hyp(0), hd)
     index = internalized_absurdity(env, b, ns, a_bic, "holding_bic", x)
-    b.ensure_last(index)
-    return env, deduction_theorem(env, b.build())
+    return env, deduction_theorem(env, b.build(index))
 
 
 def russell_a_env() -> Environment:
@@ -373,8 +361,7 @@ def entry_9a():
     cap = b.mp(m, b.theory("Capture", "rara"))
     hi = b.hyp(0)
     a = b.mp(hi, cap)
-    b.mp(a, hi)
-    return env, deduction_theorem(env, b.build())
+    return env, deduction_theorem(env, b.build(b.mp(a, hi)))
 
 
 def entry_9b():
@@ -386,8 +373,8 @@ def entry_9b():
     a2 = b.mp(hi, cap)
     l3 = b.logical("L3", AApp(Quote("arara")), AApp(Quote("rara")))
     conj = b.mp(hi, b.mp(a2, l3))
-    b.mp(conj, b.theory("AMP", "arara", "zero_eq_one", "rara"))
-    return env, deduction_theorem(env, b.build())
+    last = b.mp(conj, b.theory("AMP", "arara", "zero_eq_one", "rara"))
+    return env, deduction_theorem(env, b.build(last))
 
 
 def entry_10():
@@ -402,8 +389,7 @@ def entry_10():
     azeq = AApp(Quote("zero_eq_one"))
     w = weaken(b, rel, ala)
     comp = b.mp(i2, b.mp(w, b.logical("L2", ala, azeq, BOT)))
-    b.mp(comp, i1)
-    return env, b.build()
+    return env, b.build(b.mp(comp, i1))
 
 
 def entry_11():
@@ -412,8 +398,7 @@ def entry_11():
     b = ProofBuilder(env)
     b.extension("UnrestrictedT", "liar")     # T(`liar`) <-> ~T(`liar`)
     obj = contradiction_lemma(env, x)
-    b.embed(obj)
-    return env, b.build()
+    return env, b.build(b.embed(obj))
 
 
 def entry_12(kind: str):
@@ -421,10 +406,10 @@ def entry_12(kind: str):
     env.define("m_la", (), MApp(Quote("la")))
     b = ProofBuilder(env)
     if kind == "M":
-        b.theory("MofM", "m_la")
+        index = b.theory("MofM", "m_la")
     else:
-        b.theory("MofA", "ala")
-    return env, b.build()
+        index = b.theory("MofA", "ala")
+    return env, b.build(index)
 
 
 ENTRIES = [
