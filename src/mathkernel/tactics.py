@@ -186,7 +186,11 @@ class ProofBuilder:
     def build(self, conclusion: Optional[int] = None) -> Proof:
         """The proof of the step at ``conclusion``: only the steps it
         depends on, renumbered so that it comes last.  With no conclusion,
-        every step so far, dead or live."""
+        every step so far, dead or live.
+
+        Either way the header keeps every grant the builder holds, also
+        those only a dropped step used: a transformed proof lists the
+        grants its input listed, whichever steps survive."""
         steps = (tuple(self.steps) if conclusion is None
                  else _live_steps(self.steps, conclusion))
         return Proof(self.hypotheses, steps, frozenset(self.enabled))
@@ -308,10 +312,8 @@ def _live(steps: Sequence[Step], conclusion: int) -> list[bool]:
 
 def _live_steps(steps: Sequence[Step], conclusion: int) -> tuple[Step, ...]:
     """The steps the step at ``conclusion`` depends on, renumbered so that
-    it comes last; the same steps, unrenumbered, when every one is live."""
+    it comes last."""
     live = _live(steps, conclusion)
-    if all(live):
-        return tuple(steps[:conclusion + 1])
     loc: dict[int, int] = {}
     out: list[Step] = []
     for i, st in enumerate(steps[:conclusion + 1]):
@@ -348,11 +350,11 @@ def deduction_theorem(env: Environment, proof: Proof,
     Only the steps phi depends on are lifted, and the result keeps only the
     steps H -> phi depends on; every citation of the input, dead steps'
     too, must cite an earlier step.  Steps that never depend on H are
-    copied verbatim and weakened only on demand.  Generalization steps under H go through conjunction currying
-    (for the universal rule) or antecedent commutation (for the existential
-    rule); both fail if the generalized variable occurs free in H.  A
-    release step may not depend on H, since release applies only to proven
-    assertibility facts.
+    copied verbatim and weakened only on demand.  Generalization steps
+    under H go through conjunction currying (for the universal rule) or
+    antecedent commutation (for the existential rule); both fail if the
+    generalized variable occurs free in H.  A release step may not depend
+    on H, since release applies only to proven assertibility facts.
     """
     if hyp_index is None:
         hyp_index = len(proof.hypotheses) - 1

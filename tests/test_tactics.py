@@ -113,6 +113,15 @@ def test_build_keeps_only_the_steps_the_conclusion_depends_on():
         b.build(len(b))
 
 
+def test_build_keeps_the_grant_of_a_dropped_release():
+    env, b, _ = builder_with_dead_steps()
+    proof = b.build(6)  # q -> forall x. D(x) -> q, without the release
+    assert not any(isinstance(st.just, ByRelease) for st in proof.steps)
+    assert proof.enabled == frozenset(b.enabled)
+    assert ExtensionGrant("ReleaseRule", b.formula_at(3)) in proof.enabled
+    assert check_proof(env, proof).conclusion == b.formula_at(6)
+
+
 def test_build_without_a_conclusion_keeps_every_step():
     env, b, _ = builder_with_dead_steps()
     proof = b.build()
