@@ -19,7 +19,6 @@ from .corpus import CorpusError, CorpusReport, corpus_dir, run_corpus
 from .kernel import (
     EXTENSION_SCHEMES,
     ByExtension,
-    ByLogical,
     ProofCheckError,
     Judgment,
     Proof,
@@ -31,7 +30,8 @@ from .script import (ScriptError, _emit_just, emit_script, parse_script, read_te
                      script_of)
 from .semantics import SemanticsError, find_countermodel, provable
 from .syntax import Environment, IllFormedError, pformat
-from .tactics import TacticError, deduction_theorem, internalize, meaningfulness_closure
+from .tactics import (TacticError, deduction_theorem, internalize,
+                      live_axioms, meaningfulness_closure)
 
 
 _USAGE_ERROR = 2
@@ -225,12 +225,8 @@ def _cmd_tactic(args: argparse.Namespace) -> int:
             hyp_index = None if args.hyp is None else args.hyp - 1
             result = deduction_theorem(env, proof, hyp_index)
         elif args.transform == "internalize":
-            m_proofs = {}
-            for step in proof.steps:
-                if isinstance(step.just, ByLogical):
-                    m_proofs.setdefault(
-                        step.formula,
-                        meaningfulness_closure(env, step.formula))
+            m_proofs = {phi: meaningfulness_closure(env, phi)
+                        for phi in live_axioms(proof)}
             result = internalize(env, proof, m_proofs)
         else:  # mclosure
             phi = parse_formula(args.formula, env)

@@ -27,7 +27,10 @@ identifier in term position is an object constant if declared, otherwise a
 variable.  Predicates are registered in the symbol table at first use and
 checked for consistent arity afterwards; every other atomic formula is
 checked by ``Environment.check_formula`` as it is built, except one that
-quotes the name being defined, which ``Environment.define`` checks.
+quotes the name being defined, which ``Environment.define`` checks.  Each
+quotation leaf (`M`, `A` or `T` of a quotation) is built and checked once
+per script: a parser returns the leaf it built and checked before for every
+later occurrence of the same text, so equal leaves are one object.
 
 A formula is at most ``MAX_DEPTH`` deep: no atom lies inside more than
 ``MAX_DEPTH`` levels, a level being a connective (two for `<->`, which
@@ -96,6 +99,8 @@ _BINARY = {
 # ascription -> (constructor, number of terms)
 _ASCRIPTIONS = {"M": (MApp, 1), "A": (AApp, 1), "T": (TApp, 1),
                 "H": (HApp, 2), "sim": (SimApp, 2)}
+# the ascriptions whose leaves over a quotation a parser shares
+_SHARED = frozenset({"M", "A", "T"})
 
 _TOO_DEEP = f"formula nested deeper than {MAX_DEPTH}"
 
@@ -103,31 +108,38 @@ _TOO_DEEP = f"formula nested deeper than {MAX_DEPTH}"
 class FormulaParser:
     """Parses formulas and terms against an Environment's symbol table.
 
-    ``self_name`` allows the name currently being defined to appear quoted
-    inside its own body.
+    One parser may parse every formula of a script, the environment growing
+    in between.  It keeps each `M`, `A` or `T` leaf over a quotation once
+    ``Environment.check_formula`` has accepted it, and returns that object
+    for every later occurrence: a bound name stays bound with the same
+    definition, so the leaf stays well formed.
     """
 
-    def __init__(self, env: Environment, self_name: Optional[str] = None) -> None:
+    def __init__(self, env: Environment) -> None:
         self.env = env
-        self.self_name = self_name
+        # (ascription, quotation token) -> the checked leaf built for it
+        self._leaves: dict[tuple[str, str], Formula] = {}
 
     # -- entry points
 
-    def formula(self, text: str) -> Formula:
-        self._start(text)
+    def formula(self, text: str, self_name: Optional[str] = None) -> Formula:
+        """``self_name`` allows the name being defined to appear quoted
+        inside its own body."""
+        self._start(text, self_name)
         phi, _ = self._expr(0, 0)
         self._finish()
         return phi
 
     def term(self, text: str) -> Term:
-        self._start(text)
+        self._start(text, None)
         t = self._term()
         self._finish()
         return t
 
     # -- tokens
 
-    def _start(self, text: str) -> None:
+    def _start(self, text: str, self_name: Optional[str]) -> None:
+        self.self_name = self_name
         self.text = text
         self.toks = _TOKEN_RE.findall(text)
         self.toks.append("")  # end of input
@@ -190,6 +202,15 @@ class FormulaParser:
         if tok[:1] not in _IDENT_START:
             self.i -= 1
             raise self._fail(f"expected a formula, found {tok!r}")
+        shared = None
+        if tok in _SHARED and self.toks[self.i] == "(":
+            # neither "(" nor a quotation is the last token: the
+            # end-of-input sentinel is, so a hit leaves i + 2 in range
+            shared = (tok, self.toks[self.i + 1])
+            leaf = self._leaves.get(shared)
+            if leaf is not None and self.toks[self.i + 2] == ")":
+                self.i += 3
+                return leaf, 0
         ascription = _ASCRIPTIONS.get(tok)
         args: list[Term] = []
         if ascription or self.toks[self.i] == "(":
@@ -209,6 +230,8 @@ class FormulaParser:
         leaf = build(*args)
         if self.self_name is None or Quote(self.self_name) not in args:
             self.env.check_formula(leaf)
+            if shared is not None and type(args[0]) is Quote:
+                self._leaves[shared] = leaf
         return leaf, 0
 
     def _term(self) -> Term:
@@ -227,7 +250,7 @@ class FormulaParser:
 
 def parse_formula(text: str, env: Environment,
                   self_name: Optional[str] = None) -> Formula:
-    return FormulaParser(env, self_name).formula(text)
+    return FormulaParser(env).formula(text, self_name)
 
 
 def parse_term(text: str, env: Environment) -> Term:

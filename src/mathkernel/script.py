@@ -45,7 +45,7 @@ from .kernel import (
     Step,
     expand_params,
 )
-from .parser import FormulaParser, ParseError, parse_formula, parse_term
+from .parser import FormulaParser, ParseError
 from .syntax import (
     DefinitionError,
     Environment,
@@ -104,7 +104,7 @@ def _split_params(text: str) -> list[str]:
     return parts
 
 
-def _parse_scheme_params(env: Environment, kinds: Sequence[str],
+def _parse_scheme_params(fp: FormulaParser, kinds: Sequence[str],
                          parts: Sequence[str], scheme: str,
                          line_no: int) -> tuple:
     try:
@@ -115,9 +115,9 @@ def _parse_scheme_params(env: Environment, kinds: Sequence[str],
     for kind, part in zip(kinds, parts):
         try:
             if kind == "f":
-                out.append(parse_formula(part, env))
+                out.append(fp.formula(part))
             elif kind == "t":
-                out.append(parse_term(part, env))
+                out.append(fp.term(part))
             else:  # v, n, d, p: bare identifiers
                 if not re.fullmatch(_IDENT, part):
                     raise ScriptError(
@@ -135,7 +135,7 @@ _JUSTIFICATIONS = {"logical": ByLogical, "theory": ByTheory,
                    "extension": ByExtension}
 
 
-def _parse_just(env: Environment, text: str, line_no: int) -> Justification:
+def _parse_just(fp: FormulaParser, text: str, line_no: int) -> Justification:
     words = text.split()
     if not words:
         raise ScriptError("missing justification", line_no)
@@ -166,7 +166,7 @@ def _parse_just(env: Environment, text: str, line_no: int) -> Justification:
     if scheme is None or ext != (scheme.kind == "extension"):
         what = "unknown extension" if ext else "unrecognized"
         raise ScriptError(f"{what} justification: {text!r}", line_no)
-    params = _parse_scheme_params(env, scheme.params, _split_params(m.group(2)),
+    params = _parse_scheme_params(fp, scheme.params, _split_params(m.group(2)),
                                   m.group(1), line_no)
     return _JUSTIFICATIONS[scheme.kind](m.group(1), params)
 
@@ -184,9 +184,13 @@ def read_text(path: Path) -> str:
 def parse_script(text: str, env: Optional[Environment] = None
                  ) -> tuple[Script, Environment]:
     """Parse a proof script, building up the definitional environment as
-    directives are encountered.  Returns the script and the environment."""
+    directives are encountered.  Returns the script and the environment.
+
+    One parser reads every formula and term of the script, so each
+    quotation leaf is built and checked once."""
     if env is None:
         env = Environment()
+    fp = FormulaParser(env)
     script = Script()
     next_hyp = 1
     next_step = 1
@@ -233,7 +237,7 @@ def parse_script(text: str, env: Optional[Environment] = None
                     raise ScriptError("usage: def name[/N | (x, y)] := formula",
                                       line_no)
                 name = m.group(1)
-                body = FormulaParser(env, self_name=name).formula(m.group(4))
+                body = fp.formula(m.group(4), self_name=name)
                 if m.group(3) is not None:
                     params = tuple(
                         p.strip() for p in m.group(3).split(",") if p.strip())
@@ -255,7 +259,7 @@ def parse_script(text: str, env: Optional[Environment] = None
                         f"expected 'hyp {next_hyp}: formula'", line_no)
                 if in_steps:
                     raise ScriptError("hypotheses must precede steps", line_no)
-                script.hypotheses.append(parse_formula(m.group(2), env))
+                script.hypotheses.append(fp.formula(m.group(2)))
                 next_hyp += 1
             else:
                 m = _STEP_RE.fullmatch(line)
@@ -270,9 +274,9 @@ def parse_script(text: str, env: Optional[Environment] = None
                 if not by:
                     raise ScriptError("a step needs 'formula by justification'",
                                       line_no)
-                phi = parse_formula(fml_text.strip(), env)
+                phi = fp.formula(fml_text.strip())
                 script.steps.append(
-                    Step(phi, _parse_just(env, just_text.strip(), line_no)))
+                    Step(phi, _parse_just(fp, just_text.strip(), line_no)))
                 next_step += 1
         except ScriptError:
             raise
@@ -282,7 +286,7 @@ def parse_script(text: str, env: Optional[Environment] = None
         phi = None
         if fml_text is not None:
             try:
-                phi = parse_formula(fml_text, env)
+                phi = fp.formula(fml_text)
             except (ParseError, IllFormedError) as exc:
                 raise ScriptError(str(exc), line_no) from exc
         script.enables.append(ExtensionGrant(scheme, phi))

@@ -312,15 +312,27 @@ def _live(steps: Sequence[Step], conclusion: int) -> list[bool]:
 
 def _live_steps(steps: Sequence[Step], conclusion: int) -> tuple[Step, ...]:
     """The steps the step at ``conclusion`` depends on, renumbered so that
-    it comes last."""
+    it comes last.  A step that keeps its index keeps its ``Step`` object:
+    every step before it is kept too, so its citations keep theirs."""
     live = _live(steps, conclusion)
     loc: dict[int, int] = {}
     out: list[Step] = []
     for i, st in enumerate(steps[:conclusion + 1]):
         if live[i]:
             loc[i] = len(out)
-            out.append(Step(st.formula, _renumber(st.just, loc)))
+            out.append(st if loc[i] == i
+                       else Step(st.formula, _renumber(st.just, loc)))
     return tuple(out)
+
+
+def live_axioms(proof: Proof) -> list[Formula]:
+    """The distinct logical-axiom instances the last step of ``proof``
+    depends on, in order of first use: the formulas ``internalize`` needs
+    M-proofs of."""
+    live = _live(proof.steps, len(proof.steps) - 1)
+    return list(dict.fromkeys(
+        st.formula for st, kept in zip(proof.steps, live)
+        if kept and isinstance(st.just, ByLogical)))
 
 
 def _dependencies(proof: Proof, hyp_index: int) -> list[bool]:

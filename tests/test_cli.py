@@ -11,7 +11,10 @@ import pytest
 
 from mathkernel.cli import main
 from mathkernel.corpus import corpus_dir
+from mathkernel.kernel import check_proof
 from mathkernel.parser import MAX_DEPTH
+from mathkernel.script import parse_script
+from mathkernel.syntax import pformat
 from test_parser import deep_texts
 
 
@@ -335,6 +338,20 @@ def test_tactic_internalize(tmp_path, capsys):
     code, out, _ = run(capsys, "tactic", "internalize", str(src))
     assert code == 0
     assert "ALog" in out
+
+
+def test_tactic_internalize_needs_no_m_proof_of_a_dead_axiom(tmp_path,
+                                                              capsys):
+    # no compositional scheme gives M of the dead step's atom p
+    src = tmp_path / "in.pf"
+    src.write_text("def s := bot\n"
+                   "1: p -> q -> p by L1[p; q]\n"
+                   "2: A(`s`) -> M(`s`) -> A(`s`) by L1[A(`s`); M(`s`)]\n")
+    code, out, err = run(capsys, "tactic", "internalize", str(src))
+    assert (code, err) == (0, "")
+    script, env = parse_script(out)
+    judgment = check_proof(env, script.proof())
+    assert pformat(judgment.conclusion).startswith("A(`")
 
 
 def test_tactic_mclosure(tmp_path, capsys):

@@ -16,7 +16,7 @@ from mathkernel.corpus import (
     run_corpus,
 )
 from mathkernel.kernel import ByTheory, ProofCheckError, check_proof
-from mathkernel.script import parse_script
+from mathkernel.script import emit_script, parse_script, script_of
 
 
 ENTRIES = load_manifest()
@@ -66,6 +66,13 @@ def test_ungated_entries_use_no_extensions():
 def test_every_step_is_live(entry):
     script, _ = load(entry.script)
     assert dead_steps(script.proof()) == []
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.script)
+def test_script_text_round_trips(entry):
+    text = (corpus_dir() / entry.script).read_text()
+    parsed, env = parse_script(text)
+    assert emit_script(script_of(env, parsed.proof())) == text
 
 
 def test_missing_script_reported():

@@ -8,7 +8,13 @@ from typing import Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mathkernel.parser import MAX_DEPTH, ParseError, parse_formula, parse_term
+from mathkernel.parser import (
+    MAX_DEPTH,
+    FormulaParser,
+    ParseError,
+    parse_formula,
+    parse_term,
+)
 from mathkernel.syntax import (
     DefinitionError,
     IllFormedError,
@@ -93,6 +99,47 @@ def test_parse_errors():
     for bad in ("p ->", "(p", "forall. p", "M()", "`nosuch`", "p q"):
         with pytest.raises(ParseError):
             parse_formula(bad, ENV)
+
+
+def test_one_parser_shares_checked_quotation_leaves():
+    env = Environment()
+    env.define("a", (), BOT)
+    fp = FormulaParser(env)
+    first = fp.formula("M(`a`) & A(`a`) & T(`a`)")
+    second = fp.formula("T(`a`) -> A(`a`) | M(`a`)")
+    assert second.left is first.right
+    assert second.right.left is first.left.right
+    assert second.right.right is first.left.left
+    # a bare identifier is never shared: a later const line may change it
+    assert fp.formula("M(c)") is not fp.formula("M(c)")
+
+
+def test_a_rejected_leaf_is_not_shared():
+    env = Environment()
+    env.define("w", ("x",), Atom("P", (Var("x"),)))
+    fp = FormulaParser(env)
+    for _ in range(2):
+        with pytest.raises(IllFormedError):
+            fp.formula("T(`w`)")  # T of a name with a parameter
+
+
+@pytest.mark.parametrize("text, message", [
+    ("M(", "expected a term, found '' (at position 2)"),
+    ("M(`a`", "expected ')', found '' (at position 5)"),
+    ("A(`a` &", "expected ')', found '&' (at position 6)"),
+    ("T(`a`, `a`)", "T takes 1 term(s) (at position 10)"),
+    ("M(`a`) & M(`zz`)", "unbound quotation name `zz` (at position 11)"),
+    ("M(`a`) & M(`a`", "expected ')', found '' (at position 14)"),
+])
+def test_errors_after_shared_leaves_are_unchanged(text, message):
+    env = Environment()
+    env.define("a", (), BOT)
+    fp = FormulaParser(env)
+    fp.formula("M(`a`) & A(`a`) & T(`a`)")
+    for parse in (fp.formula, lambda t: parse_formula(t, env)):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == message
 
 
 def test_ill_formed_rejected():

@@ -4,7 +4,7 @@ import pytest
 
 from mathkernel.kernel import ByMP, ByTheory, ExtensionGrant, check_proof
 from mathkernel.script import ScriptError, emit_script, parse_script, script_of
-from mathkernel.syntax import BOT, pformat
+from mathkernel.syntax import BOT, Const, MApp, Var, pformat
 
 
 GOOD = """\
@@ -108,3 +108,60 @@ def test_hypothesis_numbering_is_one_based():
     bad = GOOD.replace("hyp 1:", "hyp 0:")
     with pytest.raises(ScriptError):
         parse_script(bad)
+
+
+def test_equal_quotation_leaves_of_a_script_are_one_object():
+    text = """\
+def s := bot
+hyp 1: A(`s`)
+1: A(`s`) -> M(`s`) -> A(`s`) by L1[A(`s`); M(`s`)]
+2: A(`s`) by hyp 1
+3: M(`s`) -> A(`s`) by MP 2 1
+"""
+    script, env = parse_script(text)
+    a_s = script.hypotheses[0]
+    one, two, three = (st.formula for st in script.steps)
+    assert one.left is a_s and one.right.right is a_s
+    assert two is a_s and three.right is a_s
+    assert three.left is one.right.left
+    assert script.steps[0].just.params == (a_s, one.right.left)
+    check_proof(env, script.proof())
+
+
+def test_a_self_quoting_leaf_is_not_shared():
+    # the body's A(`la`) is parsed before la is bound, so it is not checked
+    # there and a later A(`la`) is built afresh
+    script, env = parse_script(GOOD)
+    self_leaf = script.defs[0].body.left
+    stated = script.steps[2].formula.right
+    assert self_leaf == stated and self_leaf is not stated
+    assert script.defs[1].body is stated  # checked in ala's body, shared
+    check_proof(env, script.proof())
+
+
+def test_a_bare_identifier_follows_a_later_const_line():
+    text = """\
+hyp 1: M(c)
+const c
+hyp 2: M(c)
+1: M(c) by hyp 2
+"""
+    script, env = parse_script(text)
+    assert script.hypotheses == [MApp(Var("c")), MApp(Const("c"))]
+    assert script.steps[0].formula == MApp(Const("c"))
+    check_proof(env, script.proof())
+
+
+@pytest.mark.parametrize("formula, error", [
+    ("M(", "expected a term, found '' (at position 2)"),
+    ("M(`s`", "expected ')', found '' (at position 5)"),
+    ("A(`s` &", "expected ')', found '&' (at position 6)"),
+    ("M(`s`) & M(`zz`)", "unbound quotation name `zz` (at position 11)"),
+])
+def test_a_bad_leaf_after_shared_ones_names_its_line_and_position(formula,
+                                                                 error):
+    text = f"def s := bot\n1: M(`s`) by MBot[s]\n2: {formula} by MBot[s]\n"
+    with pytest.raises(ScriptError) as exc:
+        parse_script(text)
+    assert exc.value.line_no == 3
+    assert str(exc.value) == f"line 3: {error}"

@@ -44,7 +44,9 @@ from mathkernel.tactics import (
     TacticError,
     _quote_of,
     deduction_theorem,
+    identity_imp,
     internalize,
+    live_axioms,
     m_closure_into,
     meaningfulness_closure,
 )
@@ -120,6 +122,34 @@ def test_build_keeps_the_grant_of_a_dropped_release():
     assert proof.enabled == frozenset(b.enabled)
     assert ExtensionGrant("ReleaseRule", b.formula_at(3)) in proof.enabled
     assert check_proof(env, proof).conclusion == b.formula_at(6)
+
+
+def test_build_keeps_the_step_objects_of_an_all_live_builder():
+    env = prop_env()
+    b = ProofBuilder(env)
+    k = identity_imp(b, parse_formula("p", env))
+    proof = b.build(k)
+    assert len(proof.steps) == len(b.steps)
+    assert all(kept is st for kept, st in zip(proof.steps, b.steps))
+    # behind the first dropped step, a kept step is renumbered, so copied
+    env, b, k = builder_with_dead_steps()
+    assert not any(kept is st for kept, st in zip(b.build(k).steps, b.steps))
+
+
+def test_live_axioms_are_the_distinct_axioms_the_conclusion_uses():
+    env = prop_env()
+    p, q = parse_formula("p", env), parse_formula("q", env)
+    b = ProofBuilder(env)
+    b.logical("L1", q, p)                     # dead
+    identity_imp(b, p)                        # three axioms, two MPs
+    proof = b.build()
+    assert live_axioms(proof) == [b.formula_at(1), b.formula_at(2),
+                                  b.formula_at(4)]
+    # an axiom cited twice is listed once
+    twice = Proof((), (Step(b.formula_at(1), ByLogical("L1", (p, p))),
+                       Step(b.formula_at(1), ByLogical("L1", (p, p))),
+                       Step(p, ByMP(0, 1))))
+    assert live_axioms(twice) == [b.formula_at(1)]
 
 
 def test_build_without_a_conclusion_keeps_every_step():
