@@ -20,7 +20,9 @@ their scheme.  ``LOGICAL_PARAMS``, ``THEORY_PARAMS``, ``EXTENSION_PARAMS``
 and ``EXTENSION_SCHEMES`` are views of the registry.  ``check_proof`` checks
 the Python type of each field of a justification before using it, rejects a
 step in one way, by raising at the first failed condition, and has one gate
-for the header's extension grants, shared by ``ByExtension`` and ``ByRelease``.
+for the header's extension grants, shared by ``ByExtension`` and ``ByRelease``;
+``extension_grant`` and ``release`` give the grant subjects, to the checker
+and to the proof builder alike.
 
 Quoted-formula side conditions are checked by syntactic equality after one
 level of name resolution: quotation terms inside resolved bodies are never
@@ -762,6 +764,13 @@ class ProofCheckError(Exception):
         self.errors = tuple(errors)
 
 
+def extension_grant(env: Environment, scheme: str,
+                    params: Sequence) -> ExtensionGrant:
+    """The grant a ``ByExtension`` step of ``scheme`` needs: the gate
+    subject is the sentence its first parameter names."""
+    return ExtensionGrant(scheme, env.resolve(params[0]))
+
+
 def _grant_covers(enabled: frozenset[ExtensionGrant],
                   want: ExtensionGrant) -> bool:
     return any(
@@ -839,7 +848,7 @@ def check_proof(
                                       just.to_var, isinstance(just, ByGenF))
             elif isinstance(just, ByExtension):
                 expected = extension_instance(env, just.scheme, just.params)
-                grant = ExtensionGrant(just.scheme, env.resolve(just.params[0]))
+                grant = extension_grant(env, just.scheme, just.params)
             else:  # ByRelease, the one kind left after _check_fields
                 expected = release(env, premise(just.premise, i))
                 grant = ExtensionGrant("ReleaseRule", expected)

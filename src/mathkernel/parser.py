@@ -27,10 +27,17 @@ identifier in term position is an object constant if declared, otherwise a
 variable.  Predicates are registered in the symbol table at first use and
 checked for consistent arity afterwards; every other atomic formula is
 checked by ``Environment.check_formula`` as it is built, except one that
-quotes the name being defined, which ``Environment.define`` checks.  Each
-quotation leaf (`M`, `A` or `T` of a quotation) is built and checked once
-per script: a parser returns the leaf it built and checked before for every
-later occurrence of the same text, so equal leaves are one object.
+quotes the name being defined, which ``Environment.define`` checks.
+
+One parser reads every formula of a script and shares equal subformulas:
+each quotation leaf (`M`, `A` or `T` of a quotation) is built and checked
+once, a nullary atom is built once, and a compound formula whose children
+are the same objects is built once, so equal subformulas of a script are
+one object.  A kernel comparison of two of them stops at the first shared
+node, and ``Environment.check_formula`` skips a node it checked before.
+Other leaves (an atom with arguments, `H`, `sim`, and `M`, `A` or `T` of a
+bare identifier, which a later `const` line may turn into a constant) are
+built afresh each time, and so are the formulas above them.
 
 A formula is at most ``MAX_DEPTH`` deep: no atom lies inside more than
 ``MAX_DEPTH`` levels, a level being a connective (two for `<->`, which
@@ -68,8 +75,6 @@ from .syntax import (
     TApp,
     Term,
     Var,
-    iff,
-    neg,
 )
 
 MAX_DEPTH = 256
@@ -88,9 +93,10 @@ _IDENT_START = frozenset(string.ascii_letters + "_")
 
 # connective -> (precedence, least precedence of its right operand, levels
 # it adds, constructor); a right operand of equal precedence makes `->`
-# right-associative, and `<->` is refused a second time below
+# right-associative, `<->` (no constructor: it stands for two implications)
+# is refused a second time below
 _BINARY = {
-    "<->": (_PREC_IFF, _PREC_IFF + 1, 2, iff),
+    "<->": (_PREC_IFF, _PREC_IFF + 1, 2, None),
     "->": (_PREC_IMP, _PREC_IMP, 1, Implies),
     "|": (_PREC_OR, _PREC_OR + 1, 1, Or),
     "&": (_PREC_AND, _PREC_AND + 1, 1, And),
@@ -112,13 +118,19 @@ class FormulaParser:
     in between.  It keeps each `M`, `A` or `T` leaf over a quotation once
     ``Environment.check_formula`` has accepted it, and returns that object
     for every later occurrence: a bound name stays bound with the same
-    definition, so the leaf stays well formed.
+    definition, so the leaf stays well formed.  It returns one object for
+    each nullary atom and for each compound formula over the same children.
     """
 
     def __init__(self, env: Environment) -> None:
         self.env = env
         # (ascription, quotation token) -> the checked leaf built for it
         self._leaves: dict[tuple[str, str], Formula] = {}
+        self._atoms: dict[str, Atom] = {}  # predicate -> its nullary atom
+        # (constructor, variable or id(first child), id(last child)) -> the
+        # node; keyed by identity, since hashing a node by value costs a
+        # Python call per node, and the node keeps its children alive
+        self._nodes: dict[tuple[type, object, int], Formula] = {}
 
     # -- entry points
 
@@ -171,7 +183,12 @@ class FormulaParser:
             _, right_prec, levels, build = entry
             self.i += 1
             right, right_height = self._expr(right_prec, depth + levels)
-            left, height = build(left, right), levels + max(height, right_height)
+            if build is None:  # a <-> b is (a -> b) & (b -> a)
+                left = self._node(And, self._node(Implies, left, right),
+                                  self._node(Implies, right, left))
+            else:
+                left = self._node(build, left, right)
+            height = levels + max(height, right_height)
             if depth + height > MAX_DEPTH:
                 raise self._fail(_TOO_DEEP)
             if op == "<->" and self.toks[self.i] == "<->":
@@ -184,7 +201,7 @@ class FormulaParser:
         self.i += 1
         if tok == "~":
             phi, height = self._unary(depth + 1)
-            return neg(phi), height + 1
+            return self._node(Implies, phi, BOT), height + 1
         if tok == "(":
             phi, height = self._expr(0, depth + 1)
             self._expect(")")
@@ -196,7 +213,8 @@ class FormulaParser:
             self.i += 1
             self._expect(".")
             body, height = self._expr(0, depth + 1)
-            return (Forall if tok == "forall" else Exists)(var, body), height + 1
+            quantifier = Forall if tok == "forall" else Exists
+            return self._node(quantifier, var, body), height + 1
         if tok == "bot":
             return BOT, 0
         if tok[:1] not in _IDENT_START:
@@ -222,7 +240,12 @@ class FormulaParser:
             self._expect(")")
         if ascription is None:
             self.env.register_predicate(tok, len(args))
-            return Atom(tok, tuple(args)), 0
+            if args:
+                return Atom(tok, tuple(args)), 0
+            atom = self._atoms.get(tok)
+            if atom is None:
+                atom = self._atoms[tok] = Atom(tok)
+            return atom, 0
         build, arity = ascription
         if len(args) != arity:
             self.i -= 1
@@ -233,6 +256,15 @@ class FormulaParser:
             if shared is not None and type(args[0]) is Quote:
                 self._leaves[shared] = leaf
         return leaf, 0
+
+    def _node(self, build: type, first: Formula | str,
+              last: Formula) -> Formula:
+        """The one node ``build(first, last)`` of this parser."""
+        key = (build, first if type(first) is str else id(first), id(last))
+        node = self._nodes.get(key)
+        if node is None:
+            node = self._nodes[key] = build(first, last)
+        return node
 
     def _term(self) -> Term:
         tok = self.toks[self.i]

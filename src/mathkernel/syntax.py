@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Optional, Sequence, Union
+from operator import attrgetter
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 
 class IllFormedError(Exception):
@@ -124,19 +125,19 @@ class _Compound:
 
     __slots__ = ("_hash", "_fv", "_qn")
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__match_args__)
+    # the tuple of a node's fields, set on each class below
+    _fields: Callable[["_Compound"], tuple]
 
     def __hash__(self) -> int:
         try:
             return self._hash
         except AttributeError:
-            h = hash(self._fields())
+            h = hash(self._fields(self))
             object.__setattr__(self, "_hash", h)
             return h
 
     def __reduce__(self):
-        return type(self), self._fields()
+        return type(self), self._fields(self)
 
     def __str__(self) -> str:
         return pformat(self)
@@ -176,6 +177,9 @@ class Exists(_Compound):
     body: "Formula"
     __hash__ = _Compound.__hash__
 
+
+for _cls in (And, Or, Implies, Forall, Exists):
+    _cls._fields = attrgetter(*_cls.__match_args__)
 
 Formula = Union[
     Bot, Atom, MApp, AApp, TApp, HApp, SimApp, And, Or, Implies, Forall, Exists
@@ -474,7 +478,15 @@ _RESERVED = {"bot", "forall", "exists", "M", "A", "T", "H", "sim", "def",
 class Environment:
     """Names, domains, and the symbol table.
 
-    Built once in a setup phase, then treated as read-only by the checker.
+    Built in a setup phase; the checker adds no name, domain or predicate.
+    ``check_formula`` remembers each compound node it has accepted, by
+    identity, and skips it from then on: a node stays well formed while
+    names are only added.  The memo is emptied when a new predicate name is
+    registered (an atom accepted with the name unknown may have another
+    arity) and when ``define`` rolls back a provisional binding (a node
+    accepted while the name was bound no longer is).  It holds the nodes
+    it remembers for the environment's life, and a pickle or copy of the
+    environment starts with an empty one.
     """
 
     def __init__(self) -> None:
@@ -485,6 +497,13 @@ class Environment:
         self.predicates: dict[str, int] = {}
         self.constants: set[str] = set()
         self.extensions: dict[str, TotalExtension] = {}
+        # id(node) -> node, for each compound node check_formula accepted;
+        # keyed by identity, never by the node (an equality hit walks as far
+        # as a check does), and a hit needs the stored node itself
+        self._checked: dict[int, Formula] = {}
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_checked": {}}
 
     # -- symbol table
 
@@ -496,6 +515,8 @@ class Environment:
             raise IllFormedError(
                 f"arity mismatch for predicate {name}: {old} vs {arity}"
             )
+        if old is None:
+            self._checked.clear()
         self.predicates[name] = arity
 
     def declare_constant(self, name: str) -> None:
@@ -550,6 +571,7 @@ class Environment:
             self.check_formula(body)
         except IllFormedError:
             del self.definitions[name]
+            self._checked.clear()
             raise
         self._names.setdefault((d.params, body), name)
         return d
@@ -603,14 +625,17 @@ class Environment:
     def check_formula(self, phi: Formula) -> None:
         """Raise IllFormedError on arity or binding violations, and on a
         value that is not a formula."""
-        if isinstance(phi, (And, Or, Implies)):
-            self.check_formula(phi.left)
-            self.check_formula(phi.right)
-            return
-        if isinstance(phi, (Forall, Exists)):
-            if type(phi.var) is not str:
-                raise IllFormedError(f"not a variable: {phi.var!r}")
-            self.check_formula(phi.body)
+        if isinstance(phi, _Compound):
+            if self._checked.get(id(phi)) is phi:
+                return
+            if isinstance(phi, (Forall, Exists)):
+                if type(phi.var) is not str:
+                    raise IllFormedError(f"not a variable: {phi.var!r}")
+                self.check_formula(phi.body)
+            else:
+                self.check_formula(phi.left)
+                self.check_formula(phi.right)
+            self._checked[id(phi)] = phi
             return
         if isinstance(phi, Bot):
             return

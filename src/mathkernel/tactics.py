@@ -33,6 +33,7 @@ from .kernel import (
     Proof,
     SchemeError,
     Step,
+    extension_grant,
     extension_instance,
     generalize,
     logical_instance,
@@ -133,8 +134,7 @@ class ProofBuilder:
 
     def extension(self, scheme: str, *params) -> int:
         instance = extension_instance(self.env, scheme, params)
-        # the gate subject is the sentence the first parameter names
-        self.enabled.add(ExtensionGrant(scheme, self.env.resolve(params[0])))
+        self.enabled.add(extension_grant(self.env, scheme, params))
         return self.add(instance, ByExtension(scheme, tuple(params)))
 
     def mp(self, minor: int, major: int) -> int:

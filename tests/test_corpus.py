@@ -1,5 +1,6 @@
 """The bundled corpus: every entry checks, and corrupted variants do not."""
 
+import copy
 import importlib.util
 import random
 from pathlib import Path
@@ -15,7 +16,7 @@ from mathkernel.corpus import (
     load_manifest,
     run_corpus,
 )
-from mathkernel.kernel import ByTheory, ProofCheckError, check_proof
+from mathkernel.kernel import ByTheory, Judgment, ProofCheckError, check_proof
 from mathkernel.script import emit_script, parse_script, script_of
 
 
@@ -91,6 +92,25 @@ def test_twenty_mutations_rejected(entry):
     for mutated in mutations(rng, proof, count=20):
         with pytest.raises(ProofCheckError):
             check_proof(env, mutated)
+
+
+def verdict(env, proof):
+    try:
+        return check_proof(env, proof)
+    except ProofCheckError as exc:
+        return exc.errors
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.script)
+def test_a_warm_environment_gives_the_verdicts_of_a_fresh_one(entry):
+    # env has checked the proof's definitions and, one by one, the proof
+    # and its mutants; a copy of env starts with an empty memo
+    script, env = load(entry.script)
+    proof = script.proof()
+    cases = [proof, *mutations(random.Random(entry.script), proof, count=20)]
+    warm = [verdict(env, p) for p in cases]
+    assert isinstance(warm[0], Judgment)
+    assert warm == [verdict(copy.copy(env), p) for p in cases]
 
 
 def test_deleting_the_capture_step_breaks_the_anomaly():

@@ -114,6 +114,28 @@ def test_one_parser_shares_checked_quotation_leaves():
     assert fp.formula("M(c)") is not fp.formula("M(c)")
 
 
+def test_one_parser_shares_equal_compound_subformulas():
+    env = Environment()
+    env.define("a", (), BOT)
+    fp = FormulaParser(env)
+    bic = fp.formula("p <-> M(`a`)")
+    # both implications inside <-> are the ones written out
+    assert bic.left is fp.formula("p -> M(`a`)")
+    assert bic.right is fp.formula("M(`a`) -> p")
+    assert fp.formula("(p -> M(`a`)) & (M(`a`) -> p)") is bic
+    assert fp.formula("~(p <-> M(`a`))").left is bic
+    assert fp.formula("~p") is fp.formula("p -> bot")
+    assert fp.formula("forall x. ~p") is fp.formula("(forall x. (~p))")
+    assert fp.formula("forall x. ~p") is not fp.formula("forall y. ~p")
+    assert fp.formula("exists x. ~p") is not fp.formula("forall x. ~p")
+    assert fp.formula("p & q") is not fp.formula("p | q")
+    # equal values, whoever built them, and a fresh parser builds its own
+    assert fp.formula("p <-> M(`a`)") == iff(Atom("p"), MApp(Quote("a")))
+    assert parse_formula("p <-> M(`a`)", env) is not bic
+    # a leaf with arguments is built afresh, and so is what lies above it
+    assert fp.formula("~P(`a`)") is not fp.formula("~P(`a`)")
+
+
 def test_a_rejected_leaf_is_not_shared():
     env = Environment()
     env.define("w", ("x",), Atom("P", (Var("x"),)))
@@ -130,6 +152,13 @@ def test_a_rejected_leaf_is_not_shared():
     ("T(`a`, `a`)", "T takes 1 term(s) (at position 10)"),
     ("M(`a`) & M(`zz`)", "unbound quotation name `zz` (at position 11)"),
     ("M(`a`) & M(`a`", "expected ')', found '' (at position 14)"),
+    ("M(`a`) & A(`a`) & T(`a`) &",
+     "expected a formula, found '' (at position 26)"),
+    ("(M(`a`) & A(`a`)) <-> T(`a`) <-> bot",
+     "'<->' is non-associative; add parentheses (at position 29)"),
+    ("~(M(`a`) & A(`a`) & T(`a`)", "expected ')', found '' (at position 26)"),
+    ("forall x. M(`a`) & A(`a`) & T(`zz`)",
+     "unbound quotation name `zz` (at position 30)"),
 ])
 def test_errors_after_shared_leaves_are_unchanged(text, message):
     env = Environment()

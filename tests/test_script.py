@@ -4,7 +4,7 @@ import pytest
 
 from mathkernel.kernel import ByMP, ByTheory, ExtensionGrant, check_proof
 from mathkernel.script import ScriptError, emit_script, parse_script, script_of
-from mathkernel.syntax import BOT, Const, MApp, Var, pformat
+from mathkernel.syntax import BOT, Const, MApp, Var, neg, pformat
 
 
 GOOD = """\
@@ -152,11 +152,66 @@ hyp 2: M(c)
     check_proof(env, script.proof())
 
 
+def test_an_mp_step_states_the_consequent_of_its_major_premise():
+    text = """\
+def s := bot
+hyp 1: A(`s`)
+1: A(`s`) by hyp 1
+2: A(`s`) -> ~M(`s`) -> A(`s`) by L1[A(`s`); ~M(`s`)]
+3: ~M(`s`) -> A(`s`) by MP 1 2
+"""
+    script, env = parse_script(text)
+    one, two, three = (st.formula for st in script.steps)
+    assert three is two.right
+    assert script.steps[1].just.params[1] is three.left
+    check_proof(env, script.proof())
+
+
+def test_both_implications_of_a_biconditional_are_shared():
+    text = """\
+def s := bot
+hyp 1: p <-> M(`s`)
+1: p <-> M(`s`) by hyp 1
+2: (p -> M(`s`)) & (M(`s`) -> p) -> p -> M(`s`) by L4[p -> M(`s`); M(`s`) -> p]
+3: p -> M(`s`) by MP 1 2
+"""
+    script, env = parse_script(text)
+    bic = script.hypotheses[0]
+    one, two, three = (st.formula for st in script.steps)
+    assert one is bic and two.left is bic
+    assert three is bic.left and two.right is bic.left
+    assert script.steps[1].just.params == (bic.left, bic.right)
+    check_proof(env, script.proof())
+
+
+def test_a_compound_over_a_bare_identifier_follows_a_later_const_line():
+    text = """\
+hyp 1: ~M(c)
+const c
+hyp 2: ~M(c)
+1: ~M(c) by hyp 2
+"""
+    script, env = parse_script(text)
+    before, after = script.hypotheses
+    assert before == neg(MApp(Var("c"))) and after == neg(MApp(Const("c")))
+    assert before.left is not after.left
+    # a leaf over a bare identifier is never shared, nor what lies above it
+    assert script.steps[0].formula == after
+    assert script.steps[0].formula is not after
+    check_proof(env, script.proof())
+
+
 @pytest.mark.parametrize("formula, error", [
     ("M(", "expected a term, found '' (at position 2)"),
     ("M(`s`", "expected ')', found '' (at position 5)"),
     ("A(`s` &", "expected ')', found '&' (at position 6)"),
     ("M(`s`) & M(`zz`)", "unbound quotation name `zz` (at position 11)"),
+    ("~M(`s`) & ~M(`s`) & ~M(`zz`)",
+     "unbound quotation name `zz` (at position 23)"),
+    ("(M(`s`) <-> M(`s`)) <-> ~~",
+     "expected a formula, found '' (at position 26)"),
+    ("(~M(`s`) -> bot) & (~M(`s`) -> bot",
+     "expected ')', found '' (at position 34)"),
 ])
 def test_a_bad_leaf_after_shared_ones_names_its_line_and_position(formula,
                                                                  error):

@@ -4,13 +4,14 @@ import copy
 import pickle
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mathkernel.syntax import (
     AApp,
     And,
     Atom,
     BOT,
+    Bot,
     Const,
     DefinitionError,
     Environment,
@@ -287,3 +288,145 @@ def test_name_index_matches_the_linear_scan(defines, wanted):
         assert got == expected
     else:
         assert got not in NAMES and env.resolve(got) == wanted
+
+
+# -- the memo of Environment.check_formula, against the memo-free walk
+
+
+def reference_check_formula(env, phi):
+    """Environment.check_formula as it was before the memo: every node of
+    phi walked against env's current names and predicates."""
+    if isinstance(phi, (And, Or, Implies)):
+        reference_check_formula(env, phi.left)
+        reference_check_formula(env, phi.right)
+        return
+    if isinstance(phi, (Forall, Exists)):
+        if type(phi.var) is not str:
+            raise IllFormedError(f"not a variable: {phi.var!r}")
+        reference_check_formula(env, phi.body)
+        return
+    if isinstance(phi, Bot):
+        return
+    if isinstance(phi, Atom):
+        if type(phi.pred) is not str or type(phi.args) is not tuple:
+            raise IllFormedError(f"not an atomic formula: {phi!r}")
+        known = env.predicates.get(phi.pred)
+        if known is not None and known != len(phi.args):
+            raise IllFormedError(
+                f"predicate {phi.pred} expects {known} arguments")
+        for t in phi.args:
+            env.check_term(t)
+        return
+    if isinstance(phi, (MApp, AApp)):
+        env.check_term(phi.arg)
+        return
+    if isinstance(phi, TApp):
+        env.check_term(phi.arg)
+        a = env._quote_arity(phi.arg)
+        if a is not None and a != 0:
+            raise IllFormedError(
+                f"T applied to quotation of arity {a}; a sentence is required")
+        return
+    if isinstance(phi, HApp):
+        env.check_term(phi.pred)
+        env.check_term(phi.arg)
+        a = env._quote_arity(phi.pred)
+        if a is not None and a != 1:
+            raise IllFormedError(
+                f"H requires a unary predicate quotation, got arity {a}")
+        return
+    if isinstance(phi, SimApp):
+        for t in (phi.left, phi.right):
+            env.check_term(t)
+            a = env._quote_arity(t)
+            if a is not None and a != 1:
+                raise IllFormedError(
+                    f"sim requires unary predicate quotations, got arity {a}")
+        return
+    raise IllFormedError(f"not a formula: {phi!r}")
+
+
+def verdict(check, phi):
+    try:
+        check(phi)
+    except IllFormedError as exc:
+        return str(exc)
+    return None
+
+
+def memo_leaves():
+    """Fresh leaves: quotations of names that may be unbound, bound as a
+    sentence, or bound as a predicate; atoms whose predicate arity may be
+    registered later; and ill-typed nodes."""
+    x = Var("x")
+    return [BOT, Atom("P"), Atom("P", (x,)), Atom("Q", (Const("c"), x)),
+            AApp(Quote("la")), TApp(Quote("la")), MApp(Quote("s")),
+            TApp(Quote("w")), HApp(Quote("w"), x), SimApp(Quote("w"), x),
+            Atom(["p"]), Atom("P", [x]), Implies(1, BOT), Forall(3, BOT)]
+
+
+MEMO_OPS = st.lists(st.one_of(
+    # a compound node over two nodes built so far: sharing by identity
+    st.tuples(st.just("node"), st.sampled_from([And, Or, Implies]),
+              st.integers(0, 99), st.integers(0, 99)),
+    st.tuples(st.just("quant"), st.sampled_from([Forall, Exists]),
+              st.sampled_from("xy"), st.integers(0, 99)),
+    st.tuples(st.just("define"), st.sampled_from(["la", "s", "w"]),
+              st.sampled_from([(), ("x",)]), st.integers(0, 99)),
+    st.tuples(st.just("register"), st.sampled_from("PQ"), st.integers(0, 2)),
+), max_size=30)
+
+
+def run_memo_ops(env, ops):
+    """Apply ops to env and to a growing pool of shared nodes; after each
+    op, check_formula gives every node of the pool, in order, the
+    reference's verdict and message."""
+    pool = memo_leaves()
+    for op in ops:
+        kind = op[0]
+        if kind == "node":
+            pool.append(op[1](pool[op[2] % len(pool)], pool[op[3] % len(pool)]))
+        elif kind == "quant":
+            pool.append(op[1](op[2], pool[op[3] % len(pool)]))
+        elif kind == "define":
+            try:
+                env.define(op[1], op[2], pool[op[3] % len(pool)])
+            except (DefinitionError, IllFormedError, TypeError):
+                pass  # TypeError: the free variables of an ill-typed body
+        else:
+            try:
+                env.register_predicate(op[1], op[2])
+            except IllFormedError:
+                pass
+        for phi in pool:
+            assert verdict(env.check_formula, phi) == verdict(
+                lambda f: reference_check_formula(env, f), phi)
+    return pool
+
+
+@settings(max_examples=300, deadline=None)
+@given(MEMO_OPS)
+# Implies(A(`la`), bot) passes while la is provisionally bound, then
+# T(`w`) fails and la is unbound again
+@example([("node", Implies, 4, 0), ("node", Or, 14, 7),
+          ("define", "la", (), 15)])
+# P(x) passes while P is unknown; then P gets arity 2
+@example([("node", And, 2, 0), ("register", "P", 2)])
+def test_check_formula_memo_matches_the_memo_free_walk(ops):
+    env = Environment()
+    env.define("w", ("x",), MApp(Var("x")))  # T(`w`) is ill formed
+    pool = run_memo_ops(env, ops)
+    for twin in (copy.deepcopy(env), pickle.loads(pickle.dumps(env))):
+        for phi in pool:
+            assert verdict(twin.check_formula, phi) == verdict(
+                env.check_formula, phi)
+
+
+def test_a_copied_environment_starts_with_an_empty_memo():
+    env = Environment()
+    env.define("s", (), BOT)
+    env.check_formula(And(MApp(Quote("s")), BOT))
+    for twin in (copy.copy(env), copy.deepcopy(env),
+                 pickle.loads(pickle.dumps(env))):
+        assert twin._checked == {}
+        assert twin.definitions == env.definitions

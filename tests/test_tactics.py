@@ -18,8 +18,10 @@ from mathkernel.kernel import (
     ByTheory,
     ExtensionGrant,
     Proof,
+    SCHEMES,
     Step,
     check_proof,
+    extension_grant,
 )
 from mathkernel.parser import MAX_DEPTH, parse_formula
 from mathkernel.syntax import (
@@ -245,6 +247,19 @@ def test_deduction_preserves_extension_grants():
     b.hyp(0)
     out = deduction_theorem(env, b.build())
     assert out.enabled == frozenset({grant})
+
+
+@pytest.mark.parametrize("scheme", [name for name, s in SCHEMES.items()
+                                    if s.kind == "extension"])
+def test_builder_grants_what_the_kernel_requires(scheme):
+    env = Environment()
+    env.define("s", (), neg(AApp(Quote("s"))))
+    b = ProofBuilder(env)
+    b.extension(scheme, "s")
+    grant = extension_grant(env, scheme, ("s",))
+    assert b.enabled == {grant}
+    judgment = check_proof(env, b.build(), granted=[scheme])
+    assert judgment.extensions_used == (grant,)
 
 
 def test_deduction_on_empty_hypotheses_is_rejected():
