@@ -26,8 +26,8 @@ from .kernel import (
     extension_instance,
 )
 from .parser import ParseError, parse_formula
-from .script import (ScriptError, _emit_just, emit_script, parse_script, read_text,
-                     script_of)
+from .script import (ScriptError, emit_just, emit_script, parse_script,
+                     read_text, script_of)
 from .semantics import SemanticsError, find_countermodel, provable
 from .syntax import Environment, IllFormedError, pformat
 from .tactics import (TacticError, deduction_theorem, internalize,
@@ -219,6 +219,9 @@ def _cmd_tactic(args: argparse.Namespace) -> int:
     try:
         script, env = _load_script(args.file)
         proof = script.proof()
+        if args.transform == "deduction" and args.hyp is not None and not (
+                1 <= args.hyp <= len(proof.hypotheses)):
+            return _fail_usage(f"no hypothesis {args.hyp} to discharge")
         if args.transform != "mclosure":  # it reads only the declarations
             check_proof(env, proof, granted={g.scheme for g in proof.enabled})
         if args.transform == "deduction":
@@ -270,7 +273,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
             note = (f"   <-- extension instance {pformat(instance)}, "
                     f"admitted only because {step.just.scheme} is granted")
         print(f"{marker} {i + 1:3d}: {pformat(step.formula)}"
-              f"   by {_emit_just(step.just)}{note}")
+              f"   by {emit_just(step.just)}{note}")
     print()
     print(_render_judgment(judgment))
     print("Without the grant (omit --allow on `check`), the same script "

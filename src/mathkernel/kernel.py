@@ -8,21 +8,28 @@ schemes that are unsound in general and must be enabled explicitly.
 
 Every scheme is one entry of the registry ``SCHEMES``: its kind (logical,
 theory or extension), the kinds of its parameters, and one function that
-builds its instance.  L1..L9 are written once each, as patterns over the
-metavariables a, b and c: one function fills a pattern with the
-parameters, and one matcher recognizes the instances of every pattern in
-``is_log_instance``.  A generic check runs before every instance function:
+builds its instance.  A generic check runs before every instance function:
 it checks the number of parameters and the Python type of each one for
 its kind, that a quotation name is bound, a domain declared and a total
 extension registered, and, for theory and extension schemes, that a term
 is well formed.  The instance functions check only the side conditions of
 their scheme.  ``LOGICAL_PARAMS``, ``THEORY_PARAMS``, ``EXTENSION_PARAMS``
-and ``EXTENSION_SCHEMES`` are views of the registry.  ``check_proof`` checks
-the Python type of each field of a justification before using it, rejects a
-step in one way, by raising at the first failed condition, and has one gate
-for the header's extension grants, shared by ``ByExtension`` and ``ByRelease``;
-``extension_grant`` and ``release`` give the grant subjects, to the checker
-and to the proof builder alike.
+and ``EXTENSION_SCHEMES`` are views of the registry.
+
+L1..L9 are written once each, as patterns over the metavariables a, b and
+c, and one matcher serves both uses of a pattern: with its slots free it
+recognizes an instance (``is_log_instance``), and with a step's parameters
+in its slots it checks the stated formula of an L1..L9 step.  A modus
+ponens step is checked by comparing the fields of its major premise.  So
+a step that checks builds no formula: ``_fill`` builds an instance only
+for the tactics (``logical_instance``) and for the message of a rejected
+step.
+
+``check_proof`` checks the Python type of each field of a justification
+before using it, rejects a step in one way, by raising at the first failed
+condition, and has one gate for the header's extension grants, shared by
+``ByExtension`` and ``ByRelease``; ``extension_grant`` and ``release`` give
+the grant subjects, to the checker and to the proof builder alike.
 
 Quoted-formula side conditions are checked by syntactic equality after one
 level of name resolution: quotation terms inside resolved bodies are never
@@ -161,27 +168,48 @@ def extension_instance(env: Environment, scheme: str, params: Sequence) -> Formu
 #
 # L1..L9 are patterns: formulas whose leaves may be the metavariables "a",
 # "b" and "c", which stand for the first, second and third parameter.  One
-# function fills a pattern and one matcher recognizes its instances.
+# function fills a pattern; one matcher recognizes its instances and checks
+# a stated formula against given parameters.
+
+
+_SLOT = {"a": 0, "b": 1, "c": 2}  # the parameter each metavariable stands for
 
 
 def _fill(pattern: Formula, params: Sequence[Formula]) -> Formula:
     node = type(pattern)
     if node is str:
-        return params["abc".index(pattern)]
+        return params[_SLOT[pattern]]
     if node is Bot:
         return pattern
     return node(_fill(pattern.left, params), _fill(pattern.right, params))
 
 
-def _match(pattern: Formula, phi: Formula, binding: dict[str, Formula]) -> bool:
-    """Extend ``binding`` so that filling ``pattern`` with it gives ``phi``."""
+def _match(pattern: Formula, phi: Formula, binding: list) -> bool:
+    """Bind the free slots of ``binding``, one per metavariable and None
+    while free, so that filling ``pattern`` with it gives ``phi``.  A bound
+    slot must be ``phi`` or equal it; nothing is built."""
     if type(pattern) is str:
-        return binding.setdefault(pattern, phi) == phi
+        slot = _SLOT[pattern]
+        bound = binding[slot]
+        if bound is None:
+            binding[slot] = phi
+            return True
+        return bound is phi or bound == phi
     if type(pattern) is not type(phi):
         return False
     return type(pattern) is Bot or (
         _match(pattern.left, phi.left, binding)
         and _match(pattern.right, phi.right, binding))
+
+
+def _states_pattern_instance(scheme: str, params: tuple, phi: Formula) -> bool:
+    """Whether ``phi`` is the instance of the L1..L9 scheme ``scheme`` for
+    ``params``, and the count and types of ``params`` are right: the
+    pattern is matched with every slot bound, so nothing is built."""
+    entry = _PATTERNS.get(scheme)
+    return (entry is not None and len(params) == entry[1]
+            and _FORMULAS.issuperset(map(type, params))
+            and _match(entry[0], phi, list(params)))
 
 
 @dataclass(frozen=True)
@@ -225,10 +253,10 @@ def _match_subst(body: Formula, x: str, g: Formula) -> Optional[Term]:
 
 def is_log_instance(phi: Formula) -> Optional[tuple[str, tuple]]:
     """A witness (scheme, params) if phi is an L1..L11 axiom instance."""
-    for name, pattern in _PATTERNS.items():
-        binding: dict[str, Formula] = {}
+    for name, (pattern, n) in _PATTERNS.items():
+        binding: list = [None, None, None]
         if _match(pattern, phi, binding):
-            return (name, tuple(binding[m] for m in sorted(binding)))
+            return (name, tuple(binding[:n]))
     if not isinstance(phi, Implies):
         return None
     l, r = phi.left, phi.right
@@ -590,7 +618,9 @@ def _params_of(kind: str) -> dict[str, tuple[str, ...]]:
 
 
 LOGICAL_PARAMS = _params_of("logical")
-_PATTERNS = {name: s.instance.pattern for name, s in SCHEMES.items()
+# the pattern of each of L1..L9 and its number of parameters
+_PATTERNS = {name: (s.instance.pattern, len(s.params))
+             for name, s in SCHEMES.items()
              if isinstance(s.instance, _Pattern)}
 THEORY_PARAMS = _params_of("theory")
 EXTENSION_PARAMS = _params_of("extension")
@@ -824,6 +854,10 @@ def check_proof(
                     raise SchemeError(f"no hypothesis {just.index + 1}")
                 expected = proof.hypotheses[just.index]
             elif isinstance(just, ByLogical):
+                if _states_pattern_instance(just.scheme, just.params, stated):
+                    continue
+                # L10, L11 or a mismatch: build the instance and compare, so
+                # that a rejection names the justified formula
                 try:
                     expected = logical_instance(just.scheme, just.params)
                 except TypeError:  # an ill-typed node inside a parameter
@@ -838,6 +872,10 @@ def check_proof(
             elif isinstance(just, ByMP):
                 minor = premise(just.minor, i)
                 major = premise(just.major, i)
+                if (type(major) is Implies
+                        and (major.left is minor or major.left == minor)
+                        and (major.right is stated or major.right == stated)):
+                    continue
                 if major != Implies(minor, stated):
                     raise SchemeError(
                         f"modus ponens mismatch: step {just.major + 1} is not "

@@ -324,7 +324,7 @@ def _emit_param(kind: str, value) -> str:
     return str(value)  # terms and identifiers print as themselves
 
 
-def _emit_just(just: Justification) -> str:
+def emit_just(just: Justification) -> str:
     if isinstance(just, ByHyp):
         return f"hyp {just.index + 1}"
     if isinstance(just, ByMP):
@@ -367,5 +367,5 @@ def emit_script(script: Script) -> str:
     for i, h in enumerate(script.hypotheses, start=1):
         lines.append(f"hyp {i}: {pformat(h)}")
     for i, s in enumerate(script.steps, start=1):
-        lines.append(f"{i}: {pformat(s.formula)} by {_emit_just(s.just)}")
+        lines.append(f"{i}: {pformat(s.formula)} by {emit_just(s.just)}")
     return "\n".join(lines) + "\n"

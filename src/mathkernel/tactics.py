@@ -40,6 +40,7 @@ from .kernel import (
     release,
     theory_instance,
 )
+from .script import emit_just
 from .syntax import (
     AApp,
     And,
@@ -442,7 +443,8 @@ def _quote_of(phi: Formula, what: str) -> str:
 def internalize_into(b: ProofBuilder, ns: NameStore, sub: Proof,
                      a_hyps: Sequence[int],
                      m_facts: Mapping[Formula, int]) -> tuple[int, str]:
-    """Simulate a purely logical proof inside the assertibility operator.
+    """Simulate a purely logical proof inside the assertibility operator:
+    the steps its last step depends on, which must all be logical.
 
     ``a_hyps[i]`` must prove A(`h_i`) for the i-th hypothesis of ``sub``;
     ``m_facts`` maps each logical-axiom instance used by ``sub`` to a step
@@ -460,7 +462,10 @@ def internalize_into(b: ProofBuilder, ns: NameStore, sub: Proof,
             raise TacticError(
                 f"assertibility fact {i + 1} quotes ({env.resolve(q)}), "
                 f"not the hypothesis ({h})")
+    live = _live(sub.steps, len(sub.steps) - 1)
     for i, st in enumerate(sub.steps):
+        if not live[i]:
+            continue
         j = st.just
         if isinstance(j, ByHyp):
             loc[i] = a_hyps[j.index]
@@ -492,8 +497,8 @@ def internalize_into(b: ProofBuilder, ns: NameStore, sub: Proof,
             loc[i] = b.mp(loc[j.premise], ag)
             names[i] = qres
         else:
-            raise TacticError(
-                f"only logical steps can be internalized, found {j!r}")
+            raise TacticError(f"step {i + 1}: only logical steps can be "
+                              f"internalized, found {emit_just(j)}")
     last = len(sub.steps) - 1
     return loc[last], names[last]
 
@@ -509,8 +514,7 @@ def internalize(env: Environment, proof: Proof,
     an axiom that only a dead step uses needs no M-proof, and the result
     keeps only the steps A(`phi`) depends on.
     """
-    proof = replace(proof, steps=_live_steps(proof.steps, len(proof.steps) - 1))
-    axioms = {st.formula for st in proof.steps if isinstance(st.just, ByLogical)}
+    axioms = set(live_axioms(proof))
     ns = NameStore(env)
     hyp_names = [ns.name_for(h) for h in proof.hypotheses]
     b = ProofBuilder(env, tuple(AApp(Quote(n)) for n in hyp_names),

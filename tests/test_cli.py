@@ -331,6 +331,26 @@ def test_tactic_deduction_emits_checkable_script(tmp_path, capsys):
     assert "(p -> q) -> q" in out
 
 
+@pytest.mark.parametrize("hyp", ["0", "3", "-1"])
+def test_tactic_deduction_hyp_out_of_range_is_a_usage_error(tmp_path, capsys,
+                                                            hyp):
+    src = tmp_path / "in.pf"
+    src.write_text("hyp 1: p\nhyp 2: p -> q\n"
+                   "1: p by hyp 1\n2: p -> q by hyp 2\n3: q by MP 1 2\n")
+    code, out, err = run(capsys, "tactic", "deduction", str(src),
+                         "--hyp", hyp)
+    assert (code, out) == (2, "")
+    assert err == f"error: no hypothesis {hyp} to discharge\n"
+
+
+def test_tactic_internalize_names_a_theory_step_by_number_and_rule(capsys):
+    code, out, err = run(capsys, "tactic", "internalize",
+                         corpus_path("release_paradox.pf"))
+    assert (code, out) == (1, "")
+    assert err == ("error: step 1: only logical steps can be internalized, "
+                   "found MofA[ala]\n")
+
+
 def test_tactic_internalize(tmp_path, capsys):
     src = tmp_path / "in.pf"
     src.write_text("def s := bot\n"

@@ -1,14 +1,17 @@
 """Axiom-scheme instantiation, scheme recognition, and proof checking."""
 
 import ast
+import copy
 import random
 from dataclasses import fields
 from pathlib import Path
 from typing import get_args
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mathkernel import kernel
+from mathkernel.corpus import corpus_dir
 from mathkernel.kernel import (
     EXTENSION_PARAMS,
     EXTENSION_SCHEMES,
@@ -28,6 +31,7 @@ from mathkernel.kernel import (
     ProofCheckError,
     SchemeError,
     Step,
+    StepError,
     check_proof,
     define_total_extension,
     expand_params,
@@ -38,6 +42,7 @@ from mathkernel.kernel import (
     theory_instance,
 )
 from mathkernel.parser import parse_formula
+from mathkernel.script import parse_script
 from mathkernel.syntax import (
     AApp,
     And,
@@ -435,6 +440,16 @@ def _seeded_formulas(seed, rounds):
             yield _random_formula(rng, 4)
 
 
+def _corpus_pattern_steps():
+    """The stated formula of every L1..L9 step of the corpus scripts."""
+    for path in sorted(corpus_dir().glob("*.pf")):
+        script, _ = parse_script(path.read_text())
+        for step in script.steps:
+            if isinstance(step.just, ByLogical) and step.just.scheme not in (
+                    "L10", "L11"):
+                yield step.formula
+
+
 def test_is_log_instance_matches_reference_on_seeded_formulas():
     found = 0
     for phi in _seeded_formulas(20261018, 150):
@@ -442,6 +457,14 @@ def test_is_log_instance_matches_reference_on_seeded_formulas():
         assert witness == reference_is_log_instance(phi), pformat(phi)
         found += witness is not None
     assert found >= 1500  # instances of every kind are exercised
+    # and on real steps: every L1..L9 step of the corpus
+    corpus_steps = 0
+    for phi in _corpus_pattern_steps():
+        witness = is_log_instance(phi)
+        assert witness is not None, pformat(phi)
+        assert witness == reference_is_log_instance(phi), pformat(phi)
+        corpus_steps += 1
+    assert corpus_steps >= 1400
 
 
 # -- theory schemes
@@ -746,3 +769,204 @@ def test_partial_grant_by_formula():
     # the header grants ReleaseAxiom only for a different sentence
     with pytest.raises(ProofCheckError):
         check_proof(env, proof, granted={"ReleaseAxiom"})
+
+
+# -- the step checker against a build-and-compare reference
+
+
+def reference_check_errors(env, proof):
+    """The errors of ``check_proof`` on a proof of hypothesis, logical and
+    modus ponens steps, found by building each justified formula and
+    comparing it with the stated one."""
+    errors = []
+    for i, h in enumerate(proof.hypotheses):
+        try:
+            env.check_formula(h)
+        except (DefinitionError, IllFormedError) as exc:
+            errors.append(StepError(None, f"hypothesis {i + 1}: {exc}"))
+    for i, step in enumerate(proof.steps):
+        stated, just = step.formula, step.just
+        try:
+            env.check_formula(stated)
+            if isinstance(just, ByHyp):
+                expected = proof.hypotheses[just.index]
+            elif isinstance(just, ByLogical):
+                try:
+                    expected = logical_instance(just.scheme, just.params)
+                except TypeError:  # an ill-typed node inside a parameter
+                    expected = None
+                if expected != stated:
+                    kernel._check_params(env, LOGICAL_PARAMS[just.scheme],
+                                         just.params)
+            else:
+                minor = proof.steps[just.minor].formula
+                major = proof.steps[just.major].formula
+                if major != Implies(minor, stated):
+                    raise SchemeError(
+                        f"modus ponens mismatch: step {just.major + 1} is not "
+                        f"({minor}) -> ({stated})")
+                expected = stated
+            if expected != stated:
+                raise SchemeError(
+                    f"stated formula ({stated}) differs from the justified "
+                    f"formula ({expected})")
+        except (SchemeError, DefinitionError, IllFormedError) as exc:
+            errors.append(StepError(i, str(exc)))
+    return errors
+
+
+def _diff_env() -> Environment:
+    env = Environment()
+    env.register_predicate("R", 1)
+    env.define("s", (), BOT)
+    return env
+
+
+# leaves well formed in _diff_env, ill formed there (R is unary, t is
+# unbound), and ill-typed
+_WELL_LEAVES = (P, Q, BOT, Atom("R", (Var("x"),)), MApp(Quote("s")))
+_ILL_FORMED_LEAVES = (Atom("R", ()), MApp(Quote("t")))
+_ILL_TYPED_LEAVES = (3, None, "p", Var("x"), Atom(["p"]), Forall(7, P))
+
+
+def _formulas(leaves):
+    return st.recursive(st.sampled_from(leaves), lambda sub: st.one_of(
+        st.builds(Implies, sub, sub), st.builds(And, sub, sub),
+        st.builds(Or, sub, sub),
+        st.builds(Forall, st.sampled_from("xy"), sub),
+        st.builds(Exists, st.sampled_from("xy"), sub)), max_leaves=6)
+
+
+WELL_FORMED = _formulas(_WELL_LEAVES)
+# premises are printed in messages, so they stay well-typed
+PREMISES = st.one_of(WELL_FORMED,
+                     _formulas(_WELL_LEAVES + _ILL_FORMED_LEAVES))
+FORMULAS = st.one_of(WELL_FORMED, PREMISES, _formulas(
+    _WELL_LEAVES + _ILL_FORMED_LEAVES + _ILL_TYPED_LEAVES))
+# a parameter of each kind of the logical schemes, sometimes of a wrong type
+PARAMS = {"f": FORMULAS,
+          "v": st.sampled_from(("x", "y", 7)),
+          "t": st.sampled_from((Var("x"), Var("y"), Const("c"), Quote("s"),
+                                P, "x"))}
+
+
+def _rebuilt(phi):
+    """A formula equal to ``phi`` that shares no node with it."""
+    if isinstance(phi, (And, Or, Implies)):
+        return type(phi)(_rebuilt(phi.left), _rebuilt(phi.right))
+    if isinstance(phi, (Forall, Exists)):
+        return type(phi)(phi.var, _rebuilt(phi.body))
+    return copy.copy(phi)
+
+
+def _each_occurrence(draw, scheme, params):
+    """The instance of an L1..L9 scheme with each occurrence of a
+    parameter drawn anew: the parameter, a copy of it, or another
+    formula."""
+    marks = tuple(Atom(f"mark{k}") for k in range(len(params)))
+
+    def fill(phi):
+        if isinstance(phi, (And, Or, Implies)):
+            return type(phi)(fill(phi.left), fill(phi.right))
+        if phi not in marks:
+            return phi
+        p = params[marks.index(phi)]
+        return (p, _rebuilt(p), draw(WELL_FORMED))[draw(st.integers(0, 2))]
+
+    return fill(logical_instance(scheme, marks))
+
+
+@st.composite
+def logical_step_proofs(draw):
+    """One-step proofs by an L1..L11 step, its parameters mostly of the
+    right count and kinds, its stated formula the instance of them, of
+    copies of them, or of other parameters, the instance with each
+    occurrence of a parameter drawn anew, or any formula."""
+    scheme = draw(st.sampled_from(sorted(LOGICAL_PARAMS)))
+    kinds = LOGICAL_PARAMS[scheme]
+    count = draw(st.sampled_from((len(kinds),) * 4 + (0, 1, 2, 3, 4)))
+    kinds = (kinds + ("f",) * 4)[:count]
+    params = tuple(draw(PARAMS[k]) for k in kinds)
+    how = draw(st.sampled_from(("same", "copies", "other", "each", "any")))
+    try:
+        if how == "same":
+            stated = logical_instance(scheme, params)
+        elif how == "copies":
+            stated = logical_instance(scheme, tuple(map(_rebuilt, params)))
+        elif how == "other":
+            stated = logical_instance(
+                scheme, tuple(draw(PARAMS[k]) for k in kinds))
+        elif how == "each" and scheme not in ("L10", "L11"):
+            stated = _each_occurrence(draw, scheme, params)
+        else:
+            stated = draw(FORMULAS)
+    except (SchemeError, TypeError):  # no instance to state
+        stated = draw(FORMULAS)
+    return Proof((), (Step(stated, ByLogical(scheme, params)),))
+
+
+def _mp_proof(minor, major, stated):
+    return Proof((minor, major), (Step(minor, ByHyp(0)), Step(major, ByHyp(1)),
+                                  Step(stated, ByMP(0, 1))))
+
+
+@st.composite
+def mp_step_proofs(draw):
+    """Proofs of a modus ponens step from two hypotheses, the major premise
+    the implication from the minor one to the stated formula, made of the
+    same nodes or of copies, with one side drawn anew, or a formula that
+    is not an implication."""
+    minor, stated = draw(PREMISES), draw(PREMISES)
+    how = draw(st.sampled_from(("same", "copies", "left", "right", "other")))
+    if how == "same":
+        major = Implies(minor, stated)
+    elif how == "copies":
+        major = Implies(_rebuilt(minor), _rebuilt(stated))
+    elif how == "left":
+        major = Implies(draw(PREMISES), stated)
+    elif how == "right":
+        major = Implies(minor, draw(PREMISES))
+    else:
+        major = draw(st.one_of(st.builds(And, st.just(minor), st.just(stated)),
+                               st.builds(Or, st.just(minor), st.just(stated)),
+                               PREMISES))
+    return _mp_proof(minor, major, stated)
+
+
+def _l1(a, b):
+    return Implies(a, Implies(b, a))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(logical_step_proofs(), mp_step_proofs()))
+# parameters equal to the stated subformulas but distinct objects
+@example(Proof((), (Step(_l1(And(P, Q), Q),
+                         ByLogical("L1", (And(P, Q), Atom("q")))),)))
+# the two occurrences of a differ
+@example(Proof((), (Step(Implies(P, Implies(Q, Q)),
+                         ByLogical("L1", (P, Q))),)))
+# only the right side differs: this is the L5 instance
+@example(Proof((), (Step(Implies(And(P, Q), Q), ByLogical("L4", (P, Q))),)))
+# the instance of other parameters
+@example(Proof((), (Step(_l1(Q, P), ByLogical("L1", (P, Q))),)))
+# an ill-typed node inside a parameter
+@example(Proof((), (Step(_l1(P, Q), ByLogical("L1", (P, And(Q, 3)))),)))
+# a wrong parameter count, and a term for a formula
+@example(Proof((), (Step(_l1(P, Q), ByLogical("L1", (P,))),)))
+@example(Proof((), (Step(_l1(P, Q), ByLogical("L1", (P, Var("x")))),)))
+# a quantifier axiom, built as before
+@example(Proof((), (Step(Implies(Forall("x", Atom("R", (Var("x"),))),
+                                 Atom("R", (Const("c"),))),
+                         ByLogical("L10", ("x", Atom("R", (Var("x"),)),
+                                           Const("c")))),)))
+# a major premise equal to the implication, and one that is none
+@example(_mp_proof(P, Implies(Atom("p"), Q), Q))
+@example(_mp_proof(P, And(P, Q), Q))
+@example(_mp_proof(P, Implies(P, R), Q))
+def test_check_proof_matches_build_and_compare(proof):
+    try:
+        check_proof(_diff_env(), proof)
+        errors = []
+    except ProofCheckError as exc:
+        errors = list(exc.errors)
+    assert errors == reference_check_errors(_diff_env(), proof)

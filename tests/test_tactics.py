@@ -364,6 +364,12 @@ def test_internalize_rejects_theory_steps():
                   frozenset())
     with pytest.raises(TacticError):
         internalize(env, proof, {})
+    # named by its number in the input, ahead of a dead step, and its rule
+    dead = Step(Implies(BOT, BOT), ByLogical("L9", (BOT,)))
+    proof = Proof((), (dead,) + proof.steps, frozenset())
+    with pytest.raises(TacticError, match=r"^step 2: only logical steps can "
+                       r"be internalized, found MBot\[s\]$"):
+        internalize(env, proof, {})
 
 
 def test_internalize_requires_meaningfulness_facts():
