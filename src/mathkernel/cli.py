@@ -30,8 +30,8 @@ from .script import (ScriptError, emit_just, emit_script, parse_script,
                      read_text, script_of)
 from .semantics import SemanticsError, find_countermodel, provable
 from .syntax import Environment, IllFormedError, pformat
-from .tactics import (TacticError, deduction_theorem, internalize,
-                      live_axioms, meaningfulness_closure)
+from .tactics import (NoHypothesisError, TacticError, deduction_theorem,
+                      internalize, live_axioms, meaningfulness_closure)
 
 
 _USAGE_ERROR = 2
@@ -219,9 +219,6 @@ def _cmd_tactic(args: argparse.Namespace) -> int:
     try:
         script, env = _load_script(args.file)
         proof = script.proof()
-        if args.transform == "deduction" and args.hyp is not None and not (
-                1 <= args.hyp <= len(proof.hypotheses)):
-            return _fail_usage(f"no hypothesis {args.hyp} to discharge")
         if args.transform != "mclosure":  # it reads only the declarations
             check_proof(env, proof, granted={g.scheme for g in proof.enabled})
         if args.transform == "deduction":
@@ -235,7 +232,7 @@ def _cmd_tactic(args: argparse.Namespace) -> int:
             phi = parse_formula(args.formula, env)
             result = meaningfulness_closure(env, phi)
         _emit_result(env, result, args.out)
-    except (ScriptError, ParseError, IllFormedError) as exc:
+    except (ScriptError, ParseError, IllFormedError, NoHypothesisError) as exc:
         return _fail_usage(str(exc))
     except (TacticError, ProofCheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,9 +21,9 @@ c, and one matcher serves both uses of a pattern: with its slots free it
 recognizes an instance (``is_log_instance``), and with a step's parameters
 in its slots it checks the stated formula of an L1..L9 step.  A modus
 ponens step is checked by comparing the fields of its major premise.  So
-a step that checks builds no formula: ``_fill`` builds an instance only
-for the tactics (``logical_instance``) and for the message of a rejected
-step.
+an L1..L9 or modus ponens step that checks builds no formula: ``_fill``
+builds an L1..L9 instance only for the tactics (``logical_instance``) and
+for the message of a rejected step.
 
 ``check_proof`` checks the Python type of each field of a justification
 before using it, rejects a step in one way, by raising at the first failed
@@ -206,10 +206,12 @@ def _states_pattern_instance(scheme: str, params: tuple, phi: Formula) -> bool:
     """Whether ``phi`` is the instance of the L1..L9 scheme ``scheme`` for
     ``params``, and the count and types of ``params`` are right: the
     pattern is matched with every slot bound, so nothing is built."""
-    entry = _PATTERNS.get(scheme)
-    return (entry is not None and len(params) == entry[1]
+    # the count and type checks of _check_params(None, ...) for the all-'f'
+    # parameters of L1..L9, made inline: this runs for most steps checked
+    pattern = _PATTERNS.get(scheme)
+    return (pattern is not None and len(params) == len(LOGICAL_PARAMS[scheme])
             and _FORMULAS.issuperset(map(type, params))
-            and _match(entry[0], phi, list(params)))
+            and _match(pattern, phi, list(params)))
 
 
 @dataclass(frozen=True)
@@ -253,10 +255,10 @@ def _match_subst(body: Formula, x: str, g: Formula) -> Optional[Term]:
 
 def is_log_instance(phi: Formula) -> Optional[tuple[str, tuple]]:
     """A witness (scheme, params) if phi is an L1..L11 axiom instance."""
-    for name, (pattern, n) in _PATTERNS.items():
+    for name, pattern in _PATTERNS.items():
         binding: list = [None, None, None]
         if _match(pattern, phi, binding):
-            return (name, tuple(binding[:n]))
+            return (name, tuple(binding[:len(LOGICAL_PARAMS[name])]))
     if not isinstance(phi, Implies):
         return None
     l, r = phi.left, phi.right
@@ -618,9 +620,8 @@ def _params_of(kind: str) -> dict[str, tuple[str, ...]]:
 
 
 LOGICAL_PARAMS = _params_of("logical")
-# the pattern of each of L1..L9 and its number of parameters
-_PATTERNS = {name: (s.instance.pattern, len(s.params))
-             for name, s in SCHEMES.items()
+# the pattern of each of L1..L9
+_PATTERNS = {name: s.instance.pattern for name, s in SCHEMES.items()
              if isinstance(s.instance, _Pattern)}
 THEORY_PARAMS = _params_of("theory")
 EXTENSION_PARAMS = _params_of("extension")
@@ -872,15 +873,13 @@ def check_proof(
             elif isinstance(just, ByMP):
                 minor = premise(just.minor, i)
                 major = premise(just.major, i)
-                if (type(major) is Implies
+                if not (type(major) is Implies
                         and (major.left is minor or major.left == minor)
                         and (major.right is stated or major.right == stated)):
-                    continue
-                if major != Implies(minor, stated):
                     raise SchemeError(
                         f"modus ponens mismatch: step {just.major + 1} is not "
                         f"({minor}) -> ({stated})")
-                expected = stated
+                continue
             elif isinstance(just, (ByGenF, ByGenE)):
                 expected = generalize(premise(just.premise, i), just.var,
                                       just.to_var, isinstance(just, ByGenF))

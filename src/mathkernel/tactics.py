@@ -62,6 +62,10 @@ class TacticError(Exception):
     """A tactic's precondition is not met."""
 
 
+class NoHypothesisError(TacticError):
+    """The hypothesis named to discharge is not one of the proof's."""
+
+
 # ---------------------------------------------------------------------------
 # fresh quotation names
 
@@ -370,9 +374,11 @@ def deduction_theorem(env: Environment, proof: Proof,
     on H, since release applies only to proven assertibility facts.
     """
     if hyp_index is None:
+        if not proof.hypotheses:
+            raise TacticError("the proof has no hypothesis to discharge")
         hyp_index = len(proof.hypotheses) - 1
     if not (0 <= hyp_index < len(proof.hypotheses)):
-        raise TacticError(f"no hypothesis {hyp_index + 1} to discharge")
+        raise NoHypothesisError(f"no hypothesis {hyp_index + 1} to discharge")
     h = proof.hypotheses[hyp_index]
     new_hyps = (proof.hypotheses[:hyp_index] + proof.hypotheses[hyp_index + 1:])
     dep = _dependencies(proof, hyp_index)

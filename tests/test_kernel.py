@@ -970,3 +970,11 @@ def test_check_proof_matches_build_and_compare(proof):
     except ProofCheckError as exc:
         errors = list(exc.errors)
     assert errors == reference_check_errors(_diff_env(), proof)
+
+
+@pytest.mark.xfail(strict=True, raises=TypeError,
+                   reason="a rejection message prints an ill-typed formula")
+def test_check_proof_reports_an_ill_typed_hypothesis():
+    proof = Proof((Implies(P, 3),), (Step(P, ByHyp(0)),))
+    with pytest.raises(ProofCheckError):
+        check_proof(_diff_env(), proof)
