@@ -26,10 +26,11 @@ builds an L1..L9 instance only for the tactics (``logical_instance``) and
 for the message of a rejected step.
 
 ``check_proof`` checks the Python type of each field of a justification
-before using it, rejects a step in one way, by raising at the first failed
-condition, and has one gate for the header's extension grants, shared by
-``ByExtension`` and ``ByRelease``; ``extension_grant`` and ``release`` give
-the grant subjects, to the checker and to the proof builder alike.
+before using it, lets no step cite an ill-formed hypothesis or step,
+rejects a step in one way, by raising at the first failed condition, and
+has one gate for the header's extension grants, shared by ``ByExtension``
+and ``ByRelease``; ``extension_grant`` and ``release`` give the grant
+subjects, to the checker and to the proof builder alike.
 
 Quoted-formula side conditions are checked by syntactic equality after one
 level of name resolution: quotation terms inside resolved bodies are never
@@ -39,7 +40,7 @@ unfolded further.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import partial
+from functools import partial, reduce
 from typing import Callable, Iterable, Optional, Sequence, Union, get_args
 
 from .syntax import (
@@ -309,13 +310,6 @@ def _object(env: Environment, c: Term) -> None:
             "the witness must be a declared object constant")
 
 
-def _fold_and(parts: Sequence[Formula]) -> Formula:
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
-
-
 def generalize(premise: Formula, x: str, y: str, forall: bool) -> Formula:
     """The conclusion of generalizing ``premise`` over ``x``, renamed to
     ``y``: from ctx -> gen, ctx -> (forall y. gen[y/x]) if ``forall``; from
@@ -449,7 +443,7 @@ def _forall_capture(env: Environment, dom_name: str, pred: str, quniv: str,
     _expect(bu.body == Implies(Atom(dom.predicate, (Var(x),)),
                                env.instantiate(pred, [Var(x)])),
             f"body of {quniv} does not relativize {pred} to {dom_name}")
-    return Implies(_fold_and([_a(q) for q in insts]), _a(quniv))
+    return Implies(reduce(And, [_a(q) for q in insts]), _a(quniv))
 
 
 def _capture(env: Environment, q: str) -> Formula:
@@ -724,24 +718,27 @@ Justification = Union[
     ByHyp, ByLogical, ByTheory, ByMP, ByGenF, ByGenE, ByExtension, ByRelease
 ]
 
-# the fields of each justification with the exact Python type of each, read
-# from the annotations: a bool is no step index
-_FIELD_TYPES = {
-    cls: tuple((f.name, {"int": int, "str": str, "tuple": tuple}[f.type])
-               for f in fields(cls))
-    for cls in get_args(Justification)
-}
+# per class, whether each field has exactly its annotated type, a bool being
+# no step index; the fields are read at once, as this runs for every step
+_scheme_call = lambda j: type(j.scheme) is str and type(j.params) is tuple
+_gen = lambda j: type(j.premise) is int and type(j.var) is str and type(j.to_var) is str
+_WELL_TYPED = {ByHyp: lambda j: type(j.index) is int, ByLogical: _scheme_call,
+               ByTheory: _scheme_call, ByExtension: _scheme_call,
+               ByMP: lambda j: type(j.minor) is int and type(j.major) is int,
+               ByGenF: _gen, ByGenE: _gen,
+               ByRelease: lambda j: type(j.premise) is int}
 
 
 def _check_fields(just: Justification) -> None:
-    types = _FIELD_TYPES.get(type(just))
-    if types is None:
+    well_typed = _WELL_TYPED.get(type(just))
+    if well_typed is None:
         raise SchemeError(f"unknown justification {just!r}")
-    for name, cls in types:
-        value = getattr(just, name)
-        if type(value) is not cls:
-            raise SchemeError(f"{type(just).__name__}.{name} must be "
-                              f"{cls.__name__}, got {value!r}")
+    if not well_typed(just):
+        for f in fields(just):
+            value = getattr(just, f.name)
+            if type(value) is not {"int": int, "str": str, "tuple": tuple}[f.type]:
+                raise SchemeError(f"{type(just).__name__}.{f.name} must be "
+                                  f"{f.type}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -831,16 +828,22 @@ def check_proof(
                 errors.append(StepError(
                     None, f"extension {g.scheme} enabled by the header but "
                     "not granted by the caller"))
+    # the hypotheses and steps whose formula is ill formed, which none may cite
+    ill_hyps: set[int] = set()
+    ill_steps: set[int] = set()
     for i, h in enumerate(proof.hypotheses):
         try:
             env.check_formula(h)
         except (DefinitionError, IllFormedError) as exc:
             errors.append(StepError(None, f"hypothesis {i + 1}: {exc}"))
+            ill_hyps.add(i)
     used: dict[str, ExtensionGrant] = {}
 
     def premise(idx: int, here: int) -> Formula:
         if not (0 <= idx < here):
             raise SchemeError(f"cited step {idx + 1} does not precede this step")
+        if idx in ill_steps:
+            raise SchemeError(f"cited step {idx + 1} is ill formed")
         return proof.steps[idx].formula
 
     for i, step in enumerate(proof.steps):
@@ -849,10 +852,17 @@ def check_proof(
         grant: Optional[ExtensionGrant] = None
         try:
             env.check_formula(stated)
+        except (DefinitionError, IllFormedError) as exc:
+            errors.append(StepError(i, str(exc)))
+            ill_steps.add(i)
+            continue
+        try:
             _check_fields(just)
             if isinstance(just, ByHyp):
                 if not (0 <= just.index < len(proof.hypotheses)):
                     raise SchemeError(f"no hypothesis {just.index + 1}")
+                if just.index in ill_hyps:
+                    raise SchemeError(f"hypothesis {just.index + 1} is ill formed")
                 expected = proof.hypotheses[just.index]
             elif isinstance(just, ByLogical):
                 if _states_pattern_instance(just.scheme, just.params, stated):

@@ -39,6 +39,16 @@ Other leaves (an atom with arguments, `H`, `sim`, and `M`, `A` or `T` of a
 bare identifier, which a later `const` line may turn into a constant) are
 built afresh each time, and so are the formulas above them.
 
+A quotation leaf written without spaces, such as M(`q`) (a glued leaf), is
+one token, and the parser holds each leaf it has checked under that text;
+a spaced leaf, such as M( `q` ), has the same key.  Quotation leaves make
+up most of the text of a script, so an operand that is a held glued leaf
+is taken from that table with no further call.  A glued leaf read for the
+first time, or found where it is no operand (a term, a quantifier's
+variable, trailing input), is split back into its four tokens and read as
+before, and an error position is found in the text by the same split, so
+every message and position is what the four tokens give.
+
 A formula is at most ``MAX_DEPTH`` deep: no atom lies inside more than
 ``MAX_DEPTH`` levels, a level being a connective (two for `<->`, which
 stands for two), a quantifier or a pair of parentheses.  Deeper text is a
@@ -86,9 +96,11 @@ class ParseError(Exception):
         self.position = position
 
 
-# a quotation, an identifier, an arrow, or any other single character; a
-# character the grammar has no use for fails where it stands
-_TOKEN_RE = re.compile(r"`[A-Za-z_][A-Za-z0-9_]*`|[A-Za-z_][A-Za-z0-9_]*|<?->|\S")
+# an `M`, `A` or `T` leaf over a quotation written without spaces (a glued
+# leaf), a quotation, an identifier, an arrow, or any other single
+# character; a character the grammar has no use for fails where it stands
+_TOKEN_RE = re.compile(r"[MAT]\(`[A-Za-z_][A-Za-z0-9_]*`\)"
+                       r"|`[A-Za-z_][A-Za-z0-9_]*`|[A-Za-z_][A-Za-z0-9_]*|<?->|\S")
 _IDENT_START = frozenset(string.ascii_letters + "_")
 
 # connective -> (precedence, least precedence of its right operand, levels
@@ -116,16 +128,18 @@ class FormulaParser:
 
     One parser may parse every formula of a script, the environment growing
     in between.  It keeps each `M`, `A` or `T` leaf over a quotation once
-    ``Environment.check_formula`` has accepted it, and returns that object
-    for every later occurrence: a bound name stays bound with the same
-    definition, so the leaf stays well formed.  It returns one object for
-    each nullary atom and for each compound formula over the same children.
+    ``Environment.check_formula`` has accepted it, keyed by the leaf's text
+    written without spaces, and returns that object for every later
+    occurrence, a glued one read as a single token: a bound name stays
+    bound with the same definition, so the leaf stays well formed.  It
+    returns one object for each nullary atom and for each compound formula
+    over the same children.
     """
 
     def __init__(self, env: Environment) -> None:
         self.env = env
-        # (ascription, quotation token) -> the checked leaf built for it
-        self._leaves: dict[tuple[str, str], Formula] = {}
+        # glued leaf text, such as M(`q`) -> the checked leaf built for it
+        self._leaves: dict[str, Formula] = {}
         self._atoms: dict[str, Atom] = {}  # predicate -> its nullary atom
         # (constructor, variable or id(first child), id(last child)) -> the
         # node; keyed by identity, since hashing a node by value costs a
@@ -157,26 +171,49 @@ class FormulaParser:
         self.toks.append("")  # end of input
         self.i = 0
 
+    def _split(self) -> str:
+        """The token at i, a glued leaf there first split back into the
+        four tokens it is read as where it is no operand."""
+        tok = self.toks[self.i]
+        if tok[1:2] == "(":  # no other token has "(" second
+            self.toks[self.i:self.i + 1] = tok[0], "(", tok[2:-1], ")"
+            tok = tok[0]
+        return tok
+
     def _finish(self) -> None:
         if self.toks[self.i]:
-            raise self._fail(f"trailing input {self.toks[self.i]!r}")
+            raise self._fail(f"trailing input {self._split()!r}")
 
     def _fail(self, message: str) -> ParseError:
-        starts = [m.start() for m in _TOKEN_RE.finditer(self.text)]
+        starts: list[int] = []
+        for m in _TOKEN_RE.finditer(self.text):
+            if self.toks[len(starts)] == m.group():
+                starts.append(m.start())
+            else:  # a glued leaf split into four tokens
+                starts += m.start(), m.start() + 1, m.start() + 2, m.end() - 1
         starts.append(len(self.text))
         return ParseError(message, starts[self.i])
 
     def _expect(self, value: str) -> None:
         if self.toks[self.i] != value:
-            raise self._fail(f"expected {value!r}, found {self.toks[self.i]!r}")
+            raise self._fail(f"expected {value!r}, found {self._split()!r}")
         self.i += 1
 
     # -- grammar; depth counts the levels above, height the levels below
 
     def _expr(self, min_prec: int, depth: int) -> tuple[Formula, int]:
-        left, height = self._unary(depth)
+        toks = self.toks
+        left = self._leaves.get(toks[self.i])
+        if left is None:
+            left, height = self._unary(depth)
+        else:  # a glued leaf this parser holds
+            if depth > MAX_DEPTH:
+                raise self._fail(_TOO_DEEP)
+            self.i += 1
+            height = 0
+        nodes = self._nodes
         while True:
-            op = self.toks[self.i]
+            op = toks[self.i]
             entry = _BINARY.get(op)
             if entry is None or entry[0] < min_prec:
                 return left, height
@@ -186,8 +223,12 @@ class FormulaParser:
             if build is None:  # a <-> b is (a -> b) & (b -> a)
                 left = self._node(And, self._node(Implies, left, right),
                                   self._node(Implies, right, left))
-            else:
-                left = self._node(build, left, right)
+            else:  # self._node(build, left, right), inline
+                key = (build, id(left), id(right))
+                node = nodes.get(key)
+                if node is None:
+                    node = nodes[key] = build(left, right)
+                left = node
             height = levels + max(height, right_height)
             if depth + height > MAX_DEPTH:
                 raise self._fail(_TOO_DEEP)
@@ -197,7 +238,7 @@ class FormulaParser:
     def _unary(self, depth: int) -> tuple[Formula, int]:
         if depth > MAX_DEPTH:
             raise self._fail(_TOO_DEEP)
-        tok = self.toks[self.i]
+        tok = self._split()  # a glued leaf here is new, or the operand of ~
         self.i += 1
         if tok == "~":
             phi, height = self._unary(depth + 1)
@@ -207,7 +248,7 @@ class FormulaParser:
             self._expect(")")
             return phi, height + 1
         if tok in ("forall", "exists"):
-            var = self.toks[self.i]
+            var = self._split()
             if var[:1] not in _IDENT_START:
                 raise self._fail("expected a variable after quantifier")
             self.i += 1
@@ -222,9 +263,10 @@ class FormulaParser:
             raise self._fail(f"expected a formula, found {tok!r}")
         shared = None
         if tok in _SHARED and self.toks[self.i] == "(":
-            # neither "(" nor a quotation is the last token: the
-            # end-of-input sentinel is, so a hit leaves i + 2 in range
-            shared = (tok, self.toks[self.i + 1])
+            # a spaced leaf has the key of the glued one; neither "(" nor
+            # a quotation is the last token: the end-of-input sentinel is,
+            # so a hit leaves i + 2 in range
+            shared = f"{tok}({self.toks[self.i + 1]})"
             leaf = self._leaves.get(shared)
             if leaf is not None and self.toks[self.i + 2] == ")":
                 self.i += 3
@@ -274,6 +316,7 @@ class FormulaParser:
                 raise self._fail(f"unbound quotation name `{name}`")
             self.i += 1
             return Quote(name)
+        tok = self._split()
         if tok[:1] in _IDENT_START:
             self.i += 1
             return Const(tok) if tok in self.env.constants else Var(tok)

@@ -19,6 +19,7 @@ from mathkernel.kernel import (
     SCHEMES,
     THEORY_PARAMS,
     ByExtension,
+    ByGenE,
     ByGenF,
     ByHyp,
     ByLogical,
@@ -774,10 +775,19 @@ def test_partial_grant_by_formula():
 # -- the step checker against a build-and-compare reference
 
 
+def _ill_formed(env, phi):
+    try:
+        env.check_formula(phi)
+    except (DefinitionError, IllFormedError):
+        return True
+    return False
+
+
 def reference_check_errors(env, proof):
     """The errors of ``check_proof`` on a proof of hypothesis, logical and
     modus ponens steps, found by building each justified formula and
-    comparing it with the stated one."""
+    comparing it with the stated one.  A step may not cite an ill-formed
+    hypothesis or step."""
     errors = []
     for i, h in enumerate(proof.hypotheses):
         try:
@@ -790,6 +800,9 @@ def reference_check_errors(env, proof):
             env.check_formula(stated)
             if isinstance(just, ByHyp):
                 expected = proof.hypotheses[just.index]
+                if _ill_formed(env, expected):
+                    raise SchemeError(
+                        f"hypothesis {just.index + 1} is ill formed")
             elif isinstance(just, ByLogical):
                 try:
                     expected = logical_instance(just.scheme, just.params)
@@ -799,6 +812,9 @@ def reference_check_errors(env, proof):
                     kernel._check_params(env, LOGICAL_PARAMS[just.scheme],
                                          just.params)
             else:
+                for k in (just.minor, just.major):
+                    if _ill_formed(env, proof.steps[k].formula):
+                        raise SchemeError(f"cited step {k + 1} is ill formed")
                 minor = proof.steps[just.minor].formula
                 major = proof.steps[just.major].formula
                 if major != Implies(minor, stated):
@@ -972,9 +988,31 @@ def test_check_proof_matches_build_and_compare(proof):
     assert errors == reference_check_errors(_diff_env(), proof)
 
 
-@pytest.mark.xfail(strict=True, raises=TypeError,
-                   reason="a rejection message prints an ill-typed formula")
 def test_check_proof_reports_an_ill_typed_hypothesis():
     proof = Proof((Implies(P, 3),), (Step(P, ByHyp(0)),))
-    with pytest.raises(ProofCheckError):
+    with pytest.raises(ProofCheckError) as exc:
         check_proof(_diff_env(), proof)
+    assert [str(e) for e in exc.value.errors] == [
+        "proof: hypothesis 1: not a formula: 3",
+        "step 1: hypothesis 1 is ill formed"]
+
+
+@pytest.mark.parametrize("ill", [
+    Implies(P, 3), Implies(Atom("R", (Var(3),)), P), AApp(Quote(["s"])),
+    Implies(P, Atom("R", (Var(["x"]),)))],
+    ids=["int-subformula", "int-variable", "list-quotation", "list-variable"])
+@pytest.mark.parametrize("just", [
+    ByMP(0, 1), ByMP(1, 0), ByGenF(0, "x", "y"), ByGenE(0, "x", "y"),
+    ByRelease(0)], ids=["mp-minor", "mp-major", "genf", "gene", "release"])
+def test_a_step_citing_an_ill_typed_step_is_rejected(ill, just):
+    # step 1 states the ill-typed formula, step 2 is well formed, and step
+    # 3 cites step 1, which no rule may read: printing or generalizing an
+    # ill-typed formula raises TypeError
+    proof = Proof((ill, Implies(P, P)),
+                  (Step(ill, ByHyp(0)), Step(Implies(P, P), ByHyp(1)),
+                   Step(P, just)),
+                  frozenset({ExtensionGrant("ReleaseRule")}))
+    with pytest.raises(ProofCheckError) as exc:
+        check_proof(_diff_env(), proof)
+    assert [e.index for e in exc.value.errors] == [None, 0, 2]
+    assert str(exc.value.errors[2]) == "step 3: cited step 1 is ill formed"

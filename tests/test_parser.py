@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mathkernel.parser import (
+    _TOKEN_RE,
     MAX_DEPTH,
     FormulaParser,
     ParseError,
@@ -169,6 +170,75 @@ def test_errors_after_shared_leaves_are_unchanged(text, message):
         with pytest.raises(ParseError) as exc:
             parse(text)
         assert str(exc.value) == message
+
+
+# a leaf written without spaces, such as M(`a`), is one token where it is an
+# operand; in any other place it is read as its four tokens, as before
+@pytest.mark.parametrize("text, message", [
+    ("H(M(`a`), c)", "expected ')', found '(' (at position 3)"),
+    ("P(A(`a`))", "expected ')', found '(' (at position 3)"),
+    ("sim(`a`, T(`a`))", "expected ')', found '(' (at position 10)"),
+    ("forall M(`a`). p", "expected '.', found '(' (at position 8)"),
+    ("p M(`a`)", "trailing input 'M' (at position 2)"),
+    ("~M(`a`) M(`a`)", "trailing input 'M' (at position 8)"),
+    ("M M(`a`)", "expected '(', found 'M' (at position 2)"),
+    ("M(M(`a`))", "expected ')', found '(' (at position 3)"),
+    ("p & M(`zz`)", "unbound quotation name `zz` (at position 6)"),
+    ("T(`a`) -> T(`zz`)", "unbound quotation name `zz` (at position 12)"),
+])
+def test_glued_leaves_out_of_operand_position_fail_as_before(text, message):
+    env = Environment()
+    env.define("a", (), BOT)
+    env.register_predicate("P", 1)
+    fp = FormulaParser(env)
+    fp.formula("M(`a`) & A(`a`) & T(`a`)")
+    for parse in (fp.formula, lambda t: parse_formula(t, env)):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == message
+
+
+def test_a_definition_quoting_itself_shares_no_leaf():
+    fp = FormulaParser(Environment())
+    assert fp.formula("M(`n`) -> p", self_name="n") == Implies(
+        MApp(Quote("n")), Atom("p"))
+    with pytest.raises(ParseError) as exc:
+        fp.formula("M(`n`) -> p")
+    assert str(exc.value) == "unbound quotation name `n` (at position 2)"
+
+
+def test_a_glued_leaf_is_one_token():
+    assert _TOKEN_RE.findall("M(`a`) -> A(`b`)") == ["M(`a`)", "->", "A(`b`)"]
+    # inside a longer identifier, or spaced, a leaf is several tokens
+    assert _TOKEN_RE.findall("XM(`a`)") == ["XM", "(", "`a`", ")"]
+    assert _TOKEN_RE.findall("M( `a` )") == ["M", "(", "`a`", ")"]
+
+
+def test_spaced_and_glued_leaves_are_one_node():
+    env = Environment()
+    env.define("a", (), BOT)
+    fp = FormulaParser(env)
+    spaced = fp.formula("M( `a` )")
+    assert fp.formula("M(`a`)") is spaced
+    glued = fp.formula("T(`a`)")
+    assert fp.formula("T (`a` )") is glued
+    assert fp.formula("~ T( `a`)").left is glued
+    # both are held under the text of the glued leaf, the token it reads
+    assert fp._leaves == {"M(`a`)": spaced, "T(`a`)": glued}
+
+
+def test_depth_cap_holds_for_a_held_leaf():
+    env = Environment()
+    env.define("s", (), BOT)
+    fp = FormulaParser(env)
+    leaf = fp.formula("M(`s`)")
+    assert fp.formula("(" * MAX_DEPTH + "M(`s`)" + ")" * MAX_DEPTH) is leaf
+    deep = "(" * (MAX_DEPTH + 1) + "M(`s`)" + ")" * (MAX_DEPTH + 1)
+    for parse in (fp.formula, lambda t: parse_formula(t, env)):
+        with pytest.raises(ParseError) as exc:
+            parse(deep)
+        assert str(exc.value) == (f"formula nested deeper than {MAX_DEPTH} "
+                                  f"(at position {MAX_DEPTH + 1})")
 
 
 def test_ill_formed_rejected():
@@ -521,3 +591,48 @@ def test_parser_agrees_with_the_reference_parser():
         accepted += got[0] is not None
     # the mix holds accepted and rejected texts in good measure
     assert len(texts) // 4 < accepted < len(texts) * 3 // 4
+
+
+# -- one parser over many texts against a fresh parser for each
+
+
+_GLUED = ["M(`s`)", "A(`s`)", "T(`s`)", "M(`w`)", "T(`w`)", "M(`n`)",
+          "T(`n`)", "A(`nosuch`)"]
+
+
+def _glued_texts(seed, count):
+    """Seeded texts full of glued leaves: random formulas, some with one
+    token inserted, and token soup."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        if i % 2:
+            text = _random_formula(rng, rng.randrange(1, 10))
+            if rng.random() < 0.4:
+                j = rng.randrange(len(text) + 1)
+                text = text[:j] + rng.choice(_GLUED + _SOUP) + text[j:]
+        else:
+            sep = rng.choice([" ", "", ""])
+            text = sep.join(rng.choice(_GLUED + _SOUP)
+                            for _ in range(rng.randrange(1, 12)))
+        out.append(text)
+    return out
+
+
+def _parsed(fp, text, self_name):
+    try:
+        return fp.formula(text, self_name)
+    except (ParseError, IllFormedError) as exc:
+        return type(exc), str(exc)
+
+
+def test_one_parser_reads_each_text_as_a_fresh_parser_does():
+    env = env_with_vocab()
+    fp = FormulaParser(env)
+    outcomes = set()
+    for i, text in enumerate(_glued_texts(15, 1500)):
+        self_name = "n" if i % 5 == 4 else None
+        fresh = _parsed(FormulaParser(env), text, self_name)
+        assert _parsed(fp, text, self_name) == fresh, text
+        outcomes.add(fresh[0] if type(fresh) is tuple else "formula")
+    assert outcomes == {ParseError, IllFormedError, "formula"}
