@@ -41,13 +41,12 @@ built afresh each time, and so are the formulas above them.
 
 A quotation leaf written without spaces, such as M(`q`) (a glued leaf), is
 one token, and the parser holds each leaf it has checked under that text;
-a spaced leaf, such as M( `q` ), has the same key.  Quotation leaves make
-up most of the text of a script, so an operand that is a held glued leaf
-is taken from that table with no further call.  A glued leaf read for the
-first time, or found where it is no operand (a term, a quantifier's
-variable, trailing input), is split back into its four tokens and read as
-before, and an error position is found in the text by the same split, so
-every message and position is what the four tokens give.
+a spaced leaf, such as M( `q` ), has the same key.  An operand, also of
+`~`, that is a held glued leaf is taken from that table with no call.  A
+glued leaf read for the first time, or found where it is no operand (a
+term, a quantifier's variable, trailing input), is split back into its four
+tokens, and so is the text when an error position is found, so every
+message and position is what the four tokens give.
 
 A formula is at most ``MAX_DEPTH`` deep: no atom lies inside more than
 ``MAX_DEPTH`` levels, a level being a connective (two for `<->`, which
@@ -66,6 +65,7 @@ from .syntax import (
     _PREC_AND,
     _PREC_IFF,
     _PREC_IMP,
+    _PREC_NEG,
     _PREC_OR,
     AApp,
     And,
@@ -238,10 +238,10 @@ class FormulaParser:
     def _unary(self, depth: int) -> tuple[Formula, int]:
         if depth > MAX_DEPTH:
             raise self._fail(_TOO_DEEP)
-        tok = self._split()  # a glued leaf here is new, or the operand of ~
+        tok = self._split()  # a glued leaf here is new
         self.i += 1
-        if tok == "~":
-            phi, height = self._unary(depth + 1)
+        if tok == "~":  # no binary connective binds tighter: one operand
+            phi, height = self._expr(_PREC_NEG, depth + 1)
             return self._node(Implies, phi, BOT), height + 1
         if tok == "(":
             phi, height = self._expr(0, depth + 1)

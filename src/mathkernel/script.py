@@ -18,6 +18,11 @@ first, then hypotheses, then numbered steps::
 
 Step and hypothesis numbers are 1-based and must be consecutive.  Scheme
 parameters are separated by ``;`` because formulas contain commas.
+
+A ``Script`` keeps grants, hypotheses and steps; its declarations live only
+in its ``Environment``, which the writer prints: domains as declared, the
+constants no domain lists (sorted), then definitions as defined, each with
+its parameters written out (``def w(v0) := A(v0)``).
 """
 
 from __future__ import annotations
@@ -68,22 +73,12 @@ class ScriptError(Exception):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class DefDecl:
-    name: str
-    params: tuple[str, ...]
-    explicit_params: bool  # written as name(x, y) rather than name/2
-    body: Formula
-
-
 @dataclass
 class Script:
-    """A parsed proof script, declaration order preserved."""
+    """A proof with the environment that declares its names."""
 
+    env: Environment
     enables: list[ExtensionGrant] = field(default_factory=list)
-    domains: list[tuple[str, tuple[str, ...], bool]] = field(default_factory=list)
-    consts: list[str] = field(default_factory=list)
-    defs: list[DefDecl] = field(default_factory=list)
     hypotheses: list[Formula] = field(default_factory=list)
     steps: list[Step] = field(default_factory=list)
 
@@ -191,7 +186,7 @@ def parse_script(text: str, env: Optional[Environment] = None
     if env is None:
         env = Environment()
     fp = FormulaParser(env)
-    script = Script()
+    script = Script(env)
     next_hyp = 1
     next_step = 1
     in_steps = False
@@ -219,15 +214,12 @@ def parse_script(text: str, env: Optional[Environment] = None
                         line_no)
                 consts = tuple(
                     c.strip() for c in m.group(2).split(",") if c.strip())
-                definite = m.group(3) is not None
-                env.declare_domain(m.group(1), consts, definite)
-                script.domains.append((m.group(1), consts, definite))
+                env.declare_domain(m.group(1), consts, m.group(3) is not None)
             elif line.startswith("const "):
                 name = line[len("const "):].strip()
                 if not re.fullmatch(_IDENT, name):
                     raise ScriptError(f"bad constant name: {name!r}", line_no)
                 env.declare_constant(name)
-                script.consts.append(name)
             elif line.startswith("def "):
                 m = re.fullmatch(
                     rf"def\s+({_IDENT})\s*"
@@ -241,17 +233,14 @@ def parse_script(text: str, env: Optional[Environment] = None
                 if m.group(3) is not None:
                     params = tuple(
                         p.strip() for p in m.group(3).split(",") if p.strip())
-                    explicit = True
                 else:
                     params = first_occurrence_vars(body)
-                    explicit = False
                     want = int(m.group(2)) if m.group(2) else 0
                     if len(params) != want:
                         raise ScriptError(
                             f"{name} declared with arity {want} but its body "
                             f"has {len(params)} free variables", line_no)
                 env.define(name, params, body)
-                script.defs.append(DefDecl(name, params, explicit, body))
             elif line.startswith("hyp "):
                 m = _STEP_RE.fullmatch(line[len("hyp "):].strip())
                 if not m or int(m.group(1)) != next_hyp:
@@ -296,22 +285,10 @@ def parse_script(text: str, env: Optional[Environment] = None
 
 
 def script_of(env: Environment, proof: Proof) -> Script:
-    """Package a proof with every declaration of its environment, so the
-    emitted text is checkable from scratch."""
-    domain_consts: set[str] = set()
-    domains = []
-    for dom in env.domains.values():
-        domains.append((dom.predicate, dom.constants, dom.definite))
-        domain_consts.update(dom.constants)
-    return Script(
-        enables=sorted(proof.enabled, key=str),
-        domains=domains,
-        consts=sorted(env.constants - domain_consts),
-        defs=[DefDecl(d.name, d.params, bool(d.params), d.body)
-              for d in env.definitions.values()],
-        hypotheses=list(proof.hypotheses),
-        steps=list(proof.steps),
-    )
+    """Package a proof with its environment, whose every declaration the
+    emitted text repeats, so that it is checkable from scratch."""
+    return Script(env, sorted(proof.enabled, key=str), list(proof.hypotheses),
+                  list(proof.steps))
 
 
 # ---------------------------------------------------------------------------
@@ -351,18 +328,15 @@ def emit_script(script: Script) -> str:
             lines.append(f"enable {g.scheme}")
         else:
             lines.append(f"enable {g.scheme}({pformat(g.formula)})")
-    for name, consts, definite in script.domains:
-        tail = " definite" if definite else ""
-        lines.append(f"domain {name} = {{{', '.join(consts)}}}{tail}")
-    for c in script.consts:
+    env = script.env
+    for name, dom in env.domains.items():
+        tail = " definite" if dom.definite else ""
+        lines.append(f"domain {name} = {{{', '.join(dom.constants)}}}{tail}")
+    listed = {c for dom in env.domains.values() for c in dom.constants}
+    for c in sorted(env.constants - listed):
         lines.append(f"const {c}")
-    for d in script.defs:
-        if d.explicit_params:
-            head = f"{d.name}({', '.join(d.params)})"
-        elif d.params:
-            head = f"{d.name}/{len(d.params)}"
-        else:
-            head = d.name
+    for d in env.definitions.values():
+        head = f"{d.name}({', '.join(d.params)})" if d.params else d.name
         lines.append(f"def {head} := {pformat(d.body)}")
     for i, h in enumerate(script.hypotheses, start=1):
         lines.append(f"hyp {i}: {pformat(h)}")

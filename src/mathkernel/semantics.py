@@ -16,6 +16,10 @@ excluded middle and certifies that the checker's logical base is genuinely
 intuitionistic.  The search tabulates the Heyting algebra of each frame's
 upsets once and evaluates each valuation as a chain of table lookups.
 
+Both run on a node table that ``_compile`` builds in one walk, abstracting
+each maximal non-propositional subformula to an atom as it interns;
+``abstract_propositional`` decodes that table into a formula.
+
 One loop, ``_first_refutation``, runs that search.  ``find_countermodel``
 gives it every frame; ``holds_in_all_models``, the model-based check that
 tests compare G4ip against, gives it only the rooted frames.
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .syntax import And, Atom, Bot, Formula, Implies, Or, pformat
+from .syntax import BOT, And, Atom, Bot, Formula, Implies, Or, pformat
 
 
 class SemanticsError(Exception):
@@ -149,82 +153,14 @@ def _force(model: KripkeModel, w: int, phi: Formula) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# abstraction of arbitrary formulas to the propositional skeleton
-
-
-def _propositional_atoms(phi: Formula) -> set[str]:
-    """The names of the 0-ary atoms outside every non-propositional
-    subformula of phi."""
-    atoms: set[str] = set()
-    seen: set[int] = set()
-    stack = [phi]
-    while stack:
-        f = stack.pop()
-        if id(f) not in seen:
-            seen.add(id(f))
-            if isinstance(f, (And, Or, Implies)):
-                stack += (f.left, f.right)
-            elif isinstance(f, Atom) and not f.args:
-                atoms.add(f.pred)
-    return atoms
-
-
-def abstract_propositional(phi: Formula) -> tuple[Formula, dict[str, Formula]]:
-    """Replace each maximal non-propositional subformula with a fresh
-    propositional atom, identical subformulas sharing an atom.  Returns the
-    skeleton and the atom-to-subformula mapping.  Atoms are numbered in
-    left-to-right order of first occurrence, skipping names phi already
-    uses as atoms.
-
-    The walk keeps its own stack, so the connective depth of phi is not
-    bounded by Python's recursion limit; a non-propositional subformula
-    too deep to compare raises SemanticsError."""
-    table: dict[Formula, str] = {}
-    names: dict[str, Formula] = {}
-    out: dict[int, Formula] = {}  # id of a subformula of phi -> its image
-    taken: Optional[set[str]] = None  # phi's own atoms, found when needed
-    counter = 0
-    stack = [phi]
-    while stack:
-        f = stack[-1]
-        if id(f) in out:
-            stack.pop()
-            continue
-        if isinstance(f, (And, Or, Implies)):
-            missing = [g for g in (f.right, f.left) if id(g) not in out]
-            if missing:
-                stack += missing  # the left child ends on top: done first
-                continue
-            out[id(f)] = type(f)(out[id(f.left)], out[id(f.right)])
-        elif isinstance(f, Bot) or (isinstance(f, Atom) and not f.args):
-            out[id(f)] = f
-        else:
-            try:
-                name = table.get(f)
-            except RecursionError:
-                raise SemanticsError(
-                    "formula nested too deeply to abstract") from None
-            if name is None:
-                if taken is None:
-                    taken = _propositional_atoms(phi)
-                counter += 1
-                while f"p{counter}" in taken:
-                    counter += 1
-                name = table[f] = f"p{counter}"
-                names[name] = f
-            out[id(f)] = Atom(name)
-        stack.pop()
-    return out[id(phi)], names
-
-
-# ---------------------------------------------------------------------------
-# compiled skeletons
+# the propositional skeleton, abstracted and interned in one walk
 
 
 # node kinds; node i of a table is (kind, left, right), and an atom node
 # keeps its name in ``left``
 _BOT, _ATOM, _AND, _OR, _IMP = range(5)
 _KINDS = {And: _AND, Or: _OR, Implies: _IMP}
+_TYPES = {kind: t for t, kind in _KINDS.items()}
 
 
 class _Nodes:
@@ -250,36 +186,80 @@ class _Compiled(NamedTuple):
     root: int
     atoms: tuple[tuple[str, int], ...]  # (name, node), sorted by name
     steps: tuple[tuple[int, int, int, int], ...]  # postfix (node, kind, l, r)
+    names: dict[str, Formula]  # fresh atom -> the subformula it stands for
 
 
-def _compile(skeleton: Formula) -> _Compiled:
-    """Intern a propositional skeleton, without recursion, into a node
-    table whose compound nodes in id order form a postfix program."""
+def _compile(phi: Formula) -> _Compiled:
+    """The propositional skeleton of phi, built in one walk and interned
+    into a node table whose compound nodes in id order form a postfix
+    program.
+
+    Each maximal non-propositional subformula becomes a fresh propositional
+    atom, identical subformulas sharing one.  Fresh atoms are p1, p2, ...
+    in left-to-right order of first occurrence, skipping names phi already
+    uses as atoms.  The walk keeps its own stack, so the connective depth
+    of phi is not bounded by Python's recursion limit; a non-propositional
+    subformula too deep to compare raises SemanticsError."""
     nodes = _Nodes()
-    done: dict[int, int] = {}  # id of a subformula -> its node
-    stack = [skeleton]
+    fresh: dict[Formula, int] = {}  # abstracted subformula -> its atom node
+    taken: set[str] = set()  # the names of phi's own atoms
+    done: dict[int, int] = {}  # id of a subformula of phi -> its node
+    stack = [phi]
     while stack:
         f = stack[-1]
         if id(f) in done:
             stack.pop()
             continue
-        if isinstance(f, Bot):
-            done[id(f)] = nodes.bot
-        elif isinstance(f, Atom):
-            done[id(f)] = nodes.make(_ATOM, f.pred)
-        else:
+        if isinstance(f, (And, Or, Implies)):
             missing = [g for g in (f.right, f.left) if id(g) not in done]
             if missing:
-                stack += missing
+                stack += missing  # the left child ends on top: done first
                 continue
             done[id(f)] = nodes.make(_KINDS[type(f)], done[id(f.left)],
                                      done[id(f.right)])
+        elif isinstance(f, Bot):
+            done[id(f)] = nodes.bot
+        elif isinstance(f, Atom) and not f.args:
+            taken.add(f.pred)
+            done[id(f)] = nodes.make(_ATOM, f.pred)
+        else:
+            try:
+                node = fresh.get(f)
+            except RecursionError:
+                raise SemanticsError(
+                    "formula nested too deeply to abstract") from None
+            if node is None:
+                # named after the walk, once phi's own atoms are all known;
+                # no other node can equal it, so it skips the _Nodes index
+                node = fresh[f] = len(nodes.table)
+                nodes.table.append((_ATOM, None, None))
+            done[id(f)] = node
         stack.pop()
+    names: dict[str, Formula] = {}
+    counter = 0
+    for f, node in fresh.items():
+        counter += 1
+        while f"p{counter}" in taken:
+            counter += 1
+        names[f"p{counter}"] = f
+        nodes.table[node] = (_ATOM, f"p{counter}", None)
     atoms = sorted((name, i) for i, (kind, name, _) in enumerate(nodes.table)
                    if kind == _ATOM)
     steps = tuple((i, kind, l, r) for i, (kind, l, r) in enumerate(nodes.table)
                   if kind >= _AND)
-    return _Compiled(nodes, done[id(skeleton)], tuple(atoms), steps)
+    return _Compiled(nodes, done[id(phi)], tuple(atoms), steps, names)
+
+
+def abstract_propositional(phi: Formula) -> tuple[Formula, dict[str, Formula]]:
+    """The skeleton ``_compile`` interns, as a formula, and the
+    atom-to-subformula mapping; equal subformulas of the skeleton are one
+    object."""
+    compiled = _compile(phi)
+    built: list[Formula] = []
+    for kind, left, right in compiled.nodes.table:
+        built.append(BOT if kind == _BOT else Atom(left) if kind == _ATOM
+                     else _TYPES[kind](built[left], built[right]))
+    return built[compiled.root], compiled.names
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +344,7 @@ def provable(phi: Formula) -> bool:
     """True iff the propositional skeleton of phi (see
     ``abstract_propositional``) is a theorem of intuitionistic
     propositional logic, decided by G4ip."""
-    skeleton, _ = abstract_propositional(phi)
-    return _decide(_compile(skeleton))
+    return _decide(_compile(phi))
 
 
 # ---------------------------------------------------------------------------
@@ -492,14 +471,13 @@ def find_countermodel(phi: Formula, max_worlds: int = 4
     ``itertools.product`` order over ``frame.upsets()``, and the lowest
     refuting world.  None when G4ip proves the skeleton, or when no model
     within the bound refutes it."""
-    skeleton, names = abstract_propositional(phi)
-    compiled = _compile(skeleton)
+    compiled = _compile(phi)
     if _decide(compiled):
         return None
     found = _first_refutation(compiled, (
         frame for size in range(1, max_worlds + 1)
         for frame in enumerate_frames(size)))
-    return None if found is None else Countermodel(*found, names)
+    return None if found is None else Countermodel(*found, compiled.names)
 
 
 def holds_in_all_models(phi: Formula, max_worlds: int = 4) -> bool:
@@ -512,8 +490,7 @@ def holds_in_all_models(phi: Formula, max_worlds: int = 4) -> bool:
     refuted in the submodel generated by w, which is rooted and no larger
     (the generated-submodel lemma; Chagrov & Zakharyaschev 1997, *Modal
     Logic*)."""
-    skeleton, _ = abstract_propositional(phi)
-    return _first_refutation(_compile(skeleton), (
+    return _first_refutation(_compile(phi), (
         frame for size in range(1, max_worlds + 1)
         for frame in enumerate_frames(size)
         if any(len(frame.above(w)) == size for w in frame.worlds))) is None

@@ -71,12 +71,12 @@ class NoHypothesisError(TacticError):
 
 
 class NameStore:
-    """Hands out quotation names for formulas, reusing an existing binding
-    when some definition already has exactly the requested body."""
+    """Hands out quotation names q1, q2, ... for formulas, reusing an
+    existing binding when some definition already has exactly the
+    requested body."""
 
-    def __init__(self, env: Environment, prefix: str = "q") -> None:
+    def __init__(self, env: Environment) -> None:
         self.env = env
-        self.prefix = prefix
         self._counter = 0
 
     def name_for(self, phi: Formula) -> str:
@@ -86,7 +86,7 @@ class NameStore:
             return name
         while True:
             self._counter += 1
-            name = f"{self.prefix}{self._counter}"
+            name = f"q{self._counter}"
             if not self.env.is_bound(name):
                 break
         self.env.define(name, params, phi)

@@ -85,9 +85,32 @@ def ws1 := A(s1)
 1: Sent(s1) | ~Sent(s1) by DefiniteEM[Sent; s1]
 """
     script, env = parse_script(text)
-    assert script.domains == [("Sent", ("s1", "s2"), True)]
-    assert "c" in script.consts
+    assert [(d.predicate, d.constants, d.definite)
+            for d in env.domains.values()] == [("Sent", ("s1", "s2"), True)]
+    assert "c" in env.constants
     check_proof(env, script.proof())
+
+
+def test_every_kind_of_declaration_round_trips():
+    text = """\
+domain Sent = {s1, s2} definite
+domain Obj = {o1}
+const c
+def la := ~A(`la`)
+def w/1 := A(v0)
+def g(x, y) := H(`w`, x) & H(`w`, y)
+1: Sent(s1) | ~Sent(s1) by DefiniteEM[Sent; s1]
+"""
+    script, env = parse_script(text)
+    # the writer names a definition's parameters instead of counting them
+    emitted = text.replace("def w/1", "def w(v0)")
+    assert emit_script(script_of(env, script.proof())) == emitted
+    assert emit_script(script) == emitted
+    script2, env2 = parse_script(emitted)
+    assert script2.proof() == script.proof()
+    assert env2.domains == env.domains and env2.constants == env.constants
+    assert env2.definitions == env.definitions
+    assert emit_script(script_of(env2, script2.proof())) == emitted
 
 
 def test_parameterized_definition_forms():
@@ -132,10 +155,10 @@ def test_a_self_quoting_leaf_is_not_shared():
     # the body's A(`la`) is parsed before la is bound, so it is not checked
     # there and a later A(`la`) is built afresh
     script, env = parse_script(GOOD)
-    self_leaf = script.defs[0].body.left
+    self_leaf = env.resolve("la").left
     stated = script.steps[2].formula.right
     assert self_leaf == stated and self_leaf is not stated
-    assert script.defs[1].body is stated  # checked in ala's body, shared
+    assert env.resolve("ala") is stated  # checked in ala's body, shared
     check_proof(env, script.proof())
 
 

@@ -16,6 +16,14 @@ from mathkernel.semantics import (
     KripkeFrame,
     KripkeModel,
     SemanticsError,
+    _ATOM,
+    _AND,
+    _KINDS,
+    _Compiled,
+    _Nodes,
+    _compile,
+    _decide,
+    _first_refutation,
     _force,
     abstract_propositional,
     chain_frame,
@@ -31,10 +39,16 @@ from mathkernel.syntax import (
     And,
     Atom,
     BOT,
+    Bot,
     Environment,
+    Forall,
+    HApp,
     Implies,
+    MApp,
     Or,
     Quote,
+    TApp,
+    Var,
     neg,
     pformat,
 )
@@ -331,3 +345,145 @@ def test_random_formula_abstraction_roundtrip_validity(seed):
     skeleton, _ = abstract_propositional(phi)
     assert holds_in_all_models(phi, max_worlds=2) \
         == holds_in_all_models(skeleton, max_worlds=2)
+
+
+def reference_propositional_atoms(phi):
+    """The names of the 0-ary atoms outside every non-propositional
+    subformula of phi, found by a walk of their own."""
+    atoms = set()
+    seen = set()
+    stack = [phi]
+    while stack:
+        g = stack.pop()
+        if id(g) not in seen:
+            seen.add(id(g))
+            if isinstance(g, (And, Or, Implies)):
+                stack += (g.left, g.right)
+            elif isinstance(g, Atom) and not g.args:
+                atoms.add(g.pred)
+    return atoms
+
+
+def reference_abstract_propositional(phi):
+    """The first of the two walks ``_compile`` replaced: the skeleton as a
+    formula, each subformula of phi (by identity) mapped to a new image."""
+    table = {}
+    names = {}
+    out = {}  # id of a subformula of phi -> its image
+    taken = None  # phi's own atoms, found when needed
+    counter = 0
+    stack = [phi]
+    while stack:
+        g = stack[-1]
+        if id(g) in out:
+            stack.pop()
+            continue
+        if isinstance(g, (And, Or, Implies)):
+            missing = [h for h in (g.right, g.left) if id(h) not in out]
+            if missing:
+                stack += missing  # the left child ends on top: done first
+                continue
+            out[id(g)] = type(g)(out[id(g.left)], out[id(g.right)])
+        elif isinstance(g, Bot) or (isinstance(g, Atom) and not g.args):
+            out[id(g)] = g
+        else:
+            name = table.get(g)
+            if name is None:
+                if taken is None:
+                    taken = reference_propositional_atoms(phi)
+                counter += 1
+                while f"p{counter}" in taken:
+                    counter += 1
+                name = table[g] = f"p{counter}"
+                names[name] = g
+            out[id(g)] = Atom(name)
+        stack.pop()
+    return out[id(phi)], names
+
+
+def reference_compile(skeleton, names):
+    """The second walk: intern the skeleton, by the identity of its
+    subformulas, into a node table."""
+    nodes = _Nodes()
+    done = {}  # id of a subformula -> its node
+    stack = [skeleton]
+    while stack:
+        g = stack[-1]
+        if id(g) in done:
+            stack.pop()
+            continue
+        if isinstance(g, Bot):
+            done[id(g)] = nodes.bot
+        elif isinstance(g, Atom):
+            done[id(g)] = nodes.make(_ATOM, g.pred)
+        else:
+            missing = [h for h in (g.right, g.left) if id(h) not in done]
+            if missing:
+                stack += missing
+                continue
+            done[id(g)] = nodes.make(_KINDS[type(g)], done[id(g.left)],
+                                     done[id(g.right)])
+        stack.pop()
+    atoms = sorted((name, i) for i, (kind, name, _) in enumerate(nodes.table)
+                   if kind == _ATOM)
+    steps = tuple((i, kind, l, r) for i, (kind, l, r) in enumerate(nodes.table)
+                  if kind >= _AND)
+    return _Compiled(nodes, done[id(skeleton)], tuple(atoms), steps, names)
+
+
+def abstraction_formulas(seed, count):
+    """``count`` seeded formulas over atoms named as fresh atoms are (p1, p2)
+    and non-propositional leaves, each leaf either shared or built anew, and
+    subtrees reused by identity; each with a world bound of 1 to 3."""
+    rng = random.Random(seed)
+    env = Environment()
+    env.define("s", (), BOT)
+    env.define("t", (), BOT)
+    x = Var("x")
+    makers = [lambda: AApp(Quote("s")), lambda: MApp(Quote("t")),
+              lambda: TApp(Quote("s")), lambda: Atom("P", (x,)),
+              lambda: HApp(Quote("s"), x),
+              lambda: Forall("x", Or(Atom("P", (x,)), Atom("p1")))]
+    shared = [make() for make in makers]
+    props = [Atom("p1"), Atom("p2"), Atom("q"), BOT]
+
+    def rand(depth, built):
+        roll = rng.random()
+        if depth == 0 or roll < 0.3:
+            if rng.random() < 0.5:
+                return rng.choice(props)
+            if rng.random() < 0.5:
+                return rng.choice(shared)
+            return rng.choice(makers)()  # equal to a shared one, not it
+        if built and roll < 0.4:
+            return rng.choice(built)
+        phi = rng.choice((And, Or, Implies))(rand(depth - 1, built),
+                                             rand(depth - 1, built))
+        built.append(phi)
+        return phi
+
+    return [(rand(4, []), rng.randint(1, 3)) for _ in range(count)]
+
+
+def test_one_walk_compiles_as_the_two_walks_did():
+    # atom names and node order decide which countermodel the search finds
+    # first and the `pN abbreviates:` lines the CLI prints
+    skipped = 0  # formulas whose own atoms push a fresh name further up
+    for phi, bound in abstraction_formulas(20261019, 300):
+        skeleton, names = reference_abstract_propositional(phi)
+        reference = reference_compile(skeleton, names)
+        compiled = _compile(phi)
+        assert compiled.nodes.table == reference.nodes.table, pformat(phi)
+        assert compiled[1:] == reference[1:], pformat(phi)
+        assert abstract_propositional(phi) == (skeleton, names)
+        assert provable(phi) == _decide(reference)
+        expected = None
+        if not _decide(reference):
+            found = _first_refutation(reference, (
+                frame for size in range(1, bound + 1)
+                for frame in enumerate_frames(size)))
+            if found is not None:
+                expected = Countermodel(*found, names)
+        assert find_countermodel(phi, max_worlds=bound) == expected
+        skipped += set(names) != {f"p{i}" for i in range(1, len(names) + 1)}
+    assert skipped >= 50
