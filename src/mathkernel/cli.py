@@ -15,7 +15,8 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .corpus import CorpusError, CorpusReport, corpus_dir, run_corpus
+from .corpus import (CorpusError, CorpusReport, corpus_dir, judgment_json,
+                     run_corpus)
 from .kernel import (
     EXTENSION_SCHEMES,
     ByExtension,
@@ -42,26 +43,12 @@ def _fail_usage(message: str) -> int:
     return _USAGE_ERROR
 
 
-def _judgment_json(judgment: Judgment) -> dict:
-    return {
-        "hypotheses": [pformat(h) for h in judgment.hypotheses],
-        "conclusion": pformat(judgment.conclusion),
-        "extensions": [
-            {"scheme": g.scheme,
-             "formula": None if g.formula is None else pformat(g.formula)}
-            for g in judgment.extensions_used
-        ],
-    }
-
-
 def _render_judgment(judgment: Judgment) -> str:
     hyps = ", ".join(pformat(h) for h in judgment.hypotheses)
     line = f"{hyps} ⊦ {pformat(judgment.conclusion)}" if hyps \
         else f"⊦ {pformat(judgment.conclusion)}"
     if judgment.extensions_used:
-        grants = ", ".join(
-            g.scheme if g.formula is None else f"{g.scheme}({pformat(g.formula)})"
-            for g in judgment.extensions_used)
+        grants = ", ".join(map(str, judgment.extensions_used))
         line += f"   [extensions: {grants}]"
     return line
 
@@ -106,7 +93,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 print(f"{path}: {err}", file=sys.stderr)
         return 1
     report["ok"] = True
-    report["judgment"] = _judgment_json(judgment)
+    report["judgment"] = judgment_json(judgment)
     if args.json:
         print(json.dumps(report, indent=2))
     else:

@@ -9,19 +9,16 @@ scratch, so nothing depends on the tools that produced them.
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .kernel import ProofCheckError, check_proof
+from .kernel import Judgment, ProofCheckError, check_proof
 from .parser import ParseError, parse_formula
 from .script import ScriptError, parse_script, read_text
 from .syntax import DefinitionError, IllFormedError, pformat
-
-CORPUS_DIR_VAR = "MATHKERNEL_CORPUS"
 
 
 class CorpusError(Exception):
@@ -56,11 +53,21 @@ class CorpusReport:
 
 
 def corpus_dir() -> Path:
-    """The directory holding the scripts; overridable for testing."""
-    override = os.environ.get(CORPUS_DIR_VAR)
-    if override:
-        return Path(override)
+    """The directory holding the shipped scripts and their manifest."""
     return Path(str(resources.files(__package__) / "corpus"))
+
+
+def judgment_json(judgment: Judgment) -> dict:
+    """A judgment as the manifest records it and `check --json` prints it."""
+    return {
+        "hypotheses": [pformat(h) for h in judgment.hypotheses],
+        "conclusion": pformat(judgment.conclusion),
+        "extensions": [
+            {"scheme": g.scheme,
+             "formula": None if g.formula is None else pformat(g.formula)}
+            for g in judgment.extensions_used
+        ],
+    }
 
 
 def _entry(i: int, item) -> CorpusEntry:
@@ -128,9 +135,11 @@ def check_entry(entry: CorpusEntry, directory: Optional[Path] = None
         want_conclusion = parse_formula(entry.conclusion, env)
         want_hyps = tuple(
             pformat(parse_formula(h, env)) for h in entry.hypotheses)
+        # a scheme's blanket grant (None) sorts before its formula grants
         want_ext = tuple(sorted(
-            (scheme, None if f is None else pformat(parse_formula(f, env)))
-            for scheme, f in entry.extensions))
+            ((scheme, None if f is None else pformat(parse_formula(f, env)))
+             for scheme, f in entry.extensions),
+            key=lambda g: (g[0], g[1] is not None, g[1] or "")))
     except (ParseError, DefinitionError, IllFormedError) as exc:
         return done(False, f"manifest: {exc}")
     if judgment.conclusion != want_conclusion:
@@ -140,9 +149,9 @@ def check_entry(entry: CorpusEntry, directory: Optional[Path] = None
     if got_hyps != want_hyps:
         return done(False, f"hypotheses {list(got_hyps)}, "
                            f"expected {list(want_hyps)}")
-    got_ext = tuple(sorted(
-        (g.scheme, None if g.formula is None else pformat(g.formula))
-        for g in judgment.extensions_used))
+    # the kernel records each grant it used with the formula it covered
+    got_ext = tuple(sorted((g.scheme, pformat(g.formula))
+                           for g in judgment.extensions_used))
     if got_ext != want_ext:
         return done(False, f"extensions {list(got_ext)}, "
                            f"expected {list(want_ext)}")

@@ -764,10 +764,6 @@ class Proof:
     steps: tuple[Step, ...]
     enabled: frozenset[ExtensionGrant] = frozenset()
 
-    @property
-    def conclusion(self) -> Formula:
-        return self.steps[-1].formula
-
 
 @dataclass(frozen=True)
 class Judgment:

@@ -176,15 +176,13 @@ def read_text(path: Path) -> str:
                           ) from None
 
 
-def parse_script(text: str, env: Optional[Environment] = None
-                 ) -> tuple[Script, Environment]:
-    """Parse a proof script, building up the definitional environment as
+def parse_script(text: str) -> tuple[Script, Environment]:
+    """Parse a proof script into a fresh environment, building it up as
     directives are encountered.  Returns the script and the environment.
 
     One parser reads every formula and term of the script, so each
     quotation leaf is built and checked once."""
-    if env is None:
-        env = Environment()
+    env = Environment()
     fp = FormulaParser(env)
     script = Script(env)
     next_hyp = 1
@@ -322,12 +320,7 @@ def emit_just(just: Justification) -> str:
 
 def emit_script(script: Script) -> str:
     """Render a script back to text; parsing the result reproduces it."""
-    lines: list[str] = []
-    for g in script.enables:
-        if g.formula is None:
-            lines.append(f"enable {g.scheme}")
-        else:
-            lines.append(f"enable {g.scheme}({pformat(g.formula)})")
+    lines = [f"enable {g}" for g in script.enables]
     env = script.env
     for name, dom in env.domains.items():
         tail = " definite" if dom.definite else ""

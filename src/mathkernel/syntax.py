@@ -336,16 +336,8 @@ def _subst(phi: Formula, sub: Mapping[str, Term]) -> Formula:
         return phi
     if isinstance(phi, Atom):
         return Atom(phi.pred, tuple(_subst_term(a, sub) for a in phi.args))
-    if isinstance(phi, MApp):
-        return MApp(_subst_term(phi.arg, sub))
-    if isinstance(phi, AApp):
-        return AApp(_subst_term(phi.arg, sub))
-    if isinstance(phi, TApp):
-        return TApp(_subst_term(phi.arg, sub))
-    if isinstance(phi, HApp):
-        return HApp(_subst_term(phi.pred, sub), _subst_term(phi.arg, sub))
-    if isinstance(phi, SimApp):
-        return SimApp(_subst_term(phi.left, sub), _subst_term(phi.right, sub))
+    if isinstance(phi, _ATOMIC):  # its fields are its terms, in order
+        return type(phi)(*(_subst_term(t, sub) for t in _atomic_terms(phi)))
     if isinstance(phi, (And, Or, Implies)):
         return type(phi)(_subst(phi.left, sub), _subst(phi.right, sub))
     if isinstance(phi, (Forall, Exists)):

@@ -159,6 +159,22 @@ def test_corpus_unparsable_expected_formula_fails_the_entry(tmp_path, capsys):
     assert "FAIL" in out and "manifest:" in out
 
 
+def test_corpus_blanket_and_formula_grant_of_one_scheme_fail_the_entry(
+        tmp_path, capsys):
+    src = corpus_dir()
+    entry = next(e for e in json.loads((src / "manifest.json").read_text())
+                 if e["script"] == "release_paradox.pf")
+    (tmp_path / entry["script"]).write_text((src / entry["script"]).read_text())
+    grants = [{"scheme": "ReleaseAxiom", "formula": "bot"},
+              {"scheme": "ReleaseAxiom", "formula": None}]
+    (tmp_path / "manifest.json").write_text(
+        json.dumps([{**entry, "extensions": grants}]))
+    code, out, err = run(capsys, "corpus", "--dir", str(tmp_path))
+    assert code == 1 and "Traceback" not in err
+    assert ("extensions [('ReleaseAxiom', 'bot')], expected "
+            "[('ReleaseAxiom', None), ('ReleaseAxiom', 'bot')]") in out
+
+
 @pytest.mark.parametrize("line", [
     "1: bot by", "1: by hyp 1", "1: bot  by hyp \u00b2", "1: forall by hyp 1",
 ], ids=["no-justification", "no-formula", "superscript-index", "bare-quantifier"])

@@ -125,10 +125,11 @@ def test_deleting_the_capture_step_breaks_the_anomaly():
             check_proof(env, drop_step(proof, i))
 
 
-def test_corpus_dir_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("MATHKERNEL_CORPUS", str(tmp_path))
-    with pytest.raises(CorpusError):
-        load_manifest()  # no manifest in the empty override directory
+def test_corpus_dir_override(tmp_path):
+    # the directory `corpus --dir` passes; this one holds no manifest
+    with pytest.raises(CorpusError) as exc:
+        run_corpus(tmp_path)
+    assert str(exc.value) == f"no manifest at {tmp_path / 'manifest.json'}"
 
 
 def test_generator_reproduces_the_shipped_corpus(tmp_path, monkeypatch):

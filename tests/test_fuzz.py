@@ -26,6 +26,9 @@ JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-2, 2),
                         st.sampled_from(["", "p", "((", "bot", "~~A(`la`)",
                                          "ReleaseRule", "nosuch.pf"]),
                         st.lists(st.sampled_from(["p", "bot", 1]), max_size=2),
+                        # one scheme granted for one formula and for all
+                        st.just([{"scheme": "ReleaseAxiom", "formula": "bot"},
+                                 {"scheme": "ReleaseAxiom", "formula": None}]),
                         st.just({}))
 
 

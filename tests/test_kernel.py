@@ -618,6 +618,79 @@ def test_definite_em_requires_definiteness():
         theory_instance(env, "DefiniteEM", ("Open", Const("c1")))
 
 
+def test_total_extension_needs_a_declared_definite_domain():
+    env = Environment()
+    env.declare_domain("Open", ("c1",), definite=False)
+    with pytest.raises(SchemeError) as exc:
+        define_total_extension(env, "Tr", "Nowhere")
+    assert str(exc.value) == "Nowhere is not a declared domain"
+    with pytest.raises(SchemeError) as exc:
+        define_total_extension(env, "Tr", "Open")
+    assert str(exc.value) == ("domain Open is not declared definite; a "
+                              "predicate can only be totalized over a "
+                              "definite range")
+    assert env.extensions == {}
+
+
+def _errors(env, proof):
+    """The messages of the errors check_proof finds in ``proof``."""
+    with pytest.raises(ProofCheckError) as exc:
+        check_proof(env, proof)
+    return [str(e) for e in exc.value.errors]
+
+
+def _sim_env():
+    env = Environment()
+    env.register_predicate("D", 1)
+    env.register_predicate("E", 1)
+    for name, params, body in [
+            ("w", ("x",), "D(x)"), ("v", ("x",), "E(x)"), ("s", (), "bot"),
+            ("u", (), "forall x. D(x) <-> E(x)"),
+            ("b", (), "sim(`w`, `v`) <-> T(`u`)"),
+            ("u2", (), "forall x. D(x) <-> D(x)"),
+            ("b2", (), "sim(`v`, `w`) <-> T(`u`)")]:
+        env.define(name, params, parse_formula(body, env))
+    return env
+
+
+@pytest.mark.parametrize("params,message", [
+    (("w", "v", "u", "b"), None),
+    (("s", "v", "u", "b"), "s has arity 0; a unary predicate is required"),
+    (("w", "s", "u", "b"), "s has arity 0; a unary predicate is required"),
+    (("w", "v", "w", "b"), "w has arity 1; a sentence is required"),
+    (("w", "v", "u", "v"), "v has arity 1; a sentence is required"),
+    (("w", "v", "s", "b"), "the extensional-equivalence body is not quantified"),
+    (("w", "v", "u2", "b"),
+     "body of u2 is not the pointwise biconditional of w and v"),
+    (("w", "v", "u", "b2"),
+     "body of b2 is not the concept-equivalence biconditional"),
+], ids=["accepted", "first-not-unary", "second-not-unary",
+        "universal-not-a-sentence", "biconditional-not-a-sentence",
+        "not-quantified", "not-pointwise", "not-the-sim-biconditional"])
+def test_simdef_side_conditions(params, message):
+    env = _sim_env()
+    qp, qq, _, qbic = params
+    stated = Implies(And(MApp(Quote(qp)), MApp(Quote(qq))), AApp(Quote(qbic)))
+    proof = Proof((), (Step(stated, ByTheory("SimDef", params)),))
+    if message is None:
+        assert check_proof(env, proof).conclusion == stated
+    else:
+        assert _errors(env, proof) == [f"step 1: SimDef: {message}"]
+
+
+def test_mquant3_takes_an_existential_to_its_body():
+    env = Environment()
+    env.register_predicate("D", 1)
+    env.define("d", ("x",), parse_formula("D(x)", env))
+    env.define("e", (), parse_formula("exists x. D(x)", env))
+    stated = Implies(MApp(Quote("e")), MApp(Quote("d")))
+    ok = Proof((), (Step(stated, ByTheory("MQuant3", ("e", "d", "x"))),))
+    assert check_proof(env, ok).conclusion == stated
+    bad = Proof((), (Step(stated, ByTheory("MQuant3", ("e", "d", "y"))),))
+    assert _errors(env, bad) == [
+        "step 1: MQuant3: body of e is not (exists y) applied to d"]
+
+
 # -- extension schemes
 
 
@@ -654,6 +727,42 @@ def test_check_rejects_formula_mismatch():
     proof = Proof((), (Step(BOT, ByLogical("L1", (P, Q))),), frozenset())
     with pytest.raises(ProofCheckError):
         check_proof(env, proof)
+
+
+def test_a_proof_needs_steps():
+    with pytest.raises(ProofCheckError) as exc:
+        check_proof(liar_env(), Proof((), ()))
+    assert exc.value.errors == (StepError(None, "a proof must have steps"),)
+
+
+def test_a_theory_step_may_not_cite_a_logical_scheme():
+    stated = logical_instance("L1", (P, Q))
+    proof = Proof((), (Step(stated, ByTheory("L1", (P, Q))),))
+    assert _errors(_prop_env(), proof) == ["step 1: unknown theory scheme: L1"]
+
+
+@pytest.mark.parametrize("rule", [ByGenF, ByGenE], ids=["GenF", "GenE"])
+@pytest.mark.parametrize("gen,renamed,message", [
+    ("Q(x, y)", "Q(y, y)",
+     "y occurs free in the generalized side of the premise"),
+    ("exists y. Q(x, y)", "exists y. Q(y, y)",
+     "renaming x to y would capture a variable"),
+], ids=["free-target", "capture"])
+def test_generalization_renaming_side_conditions(rule, gen, renamed, message):
+    # the stated formula is the one renaming x to y by rote would give,
+    # and it does not follow from the premise
+    env = Environment()
+    env.register_predicate("p", 0)
+    env.register_predicate("Q", 2)
+    p = Atom("p")
+    gen, renamed = parse_formula(gen, env), parse_formula(renamed, env)
+    if rule is ByGenF:
+        premise, stated = Implies(p, gen), Implies(p, Forall("y", renamed))
+    else:
+        premise, stated = Implies(gen, p), Implies(Exists("y", renamed), p)
+    proof = Proof((premise,), (Step(premise, ByHyp(0)),
+                               Step(stated, rule(0, "x", "y"))))
+    assert _errors(env, proof) == [f"step 2: {message}"]
 
 
 _PHI = AApp(Quote("la"))

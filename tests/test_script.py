@@ -2,7 +2,8 @@
 
 import pytest
 
-from mathkernel.kernel import ByMP, ByTheory, ExtensionGrant, check_proof
+from mathkernel.kernel import (ByGenE, ByGenF, ByMP, ByTheory, ExtensionGrant,
+                               check_proof)
 from mathkernel.script import ScriptError, emit_script, parse_script, script_of
 from mathkernel.syntax import BOT, Const, MApp, Var, neg, pformat
 
@@ -111,6 +112,54 @@ def g(x, y) := H(`w`, x) & H(`w`, y)
     assert env2.domains == env.domains and env2.constants == env.constants
     assert env2.definitions == env.definitions
     assert emit_script(script_of(env2, script2.proof())) == emitted
+
+
+def test_generalizations_and_a_blanket_grant_round_trip():
+    text = """\
+enable ReleaseRule
+1: bot -> A(x) by L9[A(x)]
+2: bot -> (forall x. A(x)) by GenF 1 x
+3: bot -> (forall y. A(y)) by GenF 1 x y
+4: ~bot by L9[bot]
+5: ~bot -> A(x) -> ~bot by L1[~bot; A(x)]
+6: A(x) -> ~bot by MP 4 5
+7: (exists x. A(x)) -> ~bot by GenE 6 x
+8: (exists y. A(y)) -> ~bot by GenE 6 x y
+"""
+    script, env = parse_script(text)
+    assert script.enables == [ExtensionGrant("ReleaseRule")]
+    gens = [st.just for st in script.steps
+            if isinstance(st.just, (ByGenF, ByGenE))]
+    assert gens == [ByGenF(0, "x", "x"), ByGenF(0, "x", "y"),
+                    ByGenE(5, "x", "x"), ByGenE(5, "x", "y")]
+    check_proof(env, script.proof())
+    assert emit_script(script_of(env, script.proof())) == text
+
+
+def test_a_domain_may_be_declared_twice_alike():
+    text = """\
+domain Sent = {s1, s2}
+domain Sent = {s1, s2}
+1: Sent(s1) -> Sent(s1) | ~Sent(s1) by L6[Sent(s1); ~Sent(s1)]
+"""
+    script, env = parse_script(text)
+    assert list(env.domains) == ["Sent"]
+    assert emit_script(script) == text.replace("domain Sent = {s1, s2}\n", "", 1)
+
+
+@pytest.mark.parametrize("line,message", [
+    ("domain Sent = {s1}", "conflicting redeclaration of domain Sent"),
+    ("def g(x, x) := bot", "repeated parameter in definition of g"),
+    ("1: ~bot by L9[bot; bot]", "L9: expected 1 parameters, got 2"),
+    ("1: ~bot by ForallCapture[Sent; w; u]",
+     "ForallCapture: expected at least 4 parameters, got 3"),
+], ids=["conflicting-domain", "repeated-parameter", "too-many-parameters",
+        "too-few-parameters"])
+def test_declaration_and_parameter_errors_name_the_line(line, message):
+    text = f"domain Sent = {{s1, s2}}\n{line}\n"
+    with pytest.raises(ScriptError) as exc:
+        parse_script(text)
+    assert str(exc.value) == f"line 2: {message}"
 
 
 def test_parameterized_definition_forms():

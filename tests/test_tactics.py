@@ -50,6 +50,7 @@ from mathkernel.tactics import (
     internalize,
     live_axioms,
     m_closure_into,
+    m_decompose_into,
     meaningfulness_closure,
 )
 
@@ -398,6 +399,29 @@ def test_internalize_needs_no_meaningfulness_for_a_dead_axiom():
     assert env.resolve(conclusion.arg.name) == b.formula_at(k)
 
 
+@pytest.mark.parametrize("rule", [ByGenF, ByGenE], ids=["GenF", "GenE"])
+@pytest.mark.parametrize("to_var", ["x", "y"], ids=["kept", "renamed"])
+def test_internalize_through_a_generalization(rule, to_var):
+    env = Environment()
+    ax, imp = AApp(Var("x")), Implies(BOT, BOT)
+    b = ProofBuilder(env)
+    if rule is ByGenF:
+        b.genf(b.logical("L9", ax), "x", to_var)  # from bot -> A(x)
+    else:
+        lifted = b.mp(b.logical("L9", BOT), b.logical("L1", imp, ax))
+        b.gene(lifted, "x", to_var)  # from A(x) -> bot -> bot
+    proof = b.build()
+    m_proofs = {phi: meaningfulness_closure(env, phi)
+                for phi in live_axioms(proof)}
+    out = internalize(env, proof, m_proofs)
+    conclusion = check_proof(env, out).conclusion
+    assert env.resolve(conclusion.arg.name) == proof.steps[-1].formula
+    scheme = "AGenF" if rule is ByGenF else "AGenE"
+    assert [st.just.params[2:] for st in out.steps
+            if isinstance(st.just, ByTheory)
+            and st.just.scheme == scheme] == [("x", to_var)]
+
+
 # -- meaningfulness closure
 
 
@@ -439,6 +463,23 @@ def test_m_closure_accepts_assumed_leaves():
     judgment = check_proof(env, proof)
     assert len(judgment.hypotheses) == 1
     assert isinstance(judgment.hypotheses[0], MApp)
+
+
+@pytest.mark.parametrize("text,schemes", [
+    ("forall x. A(x)", ["MQuant2", "MQuant3"]),
+    ("exists x. A(x)", ["MQuant3"]),
+], ids=["forall", "exists"])
+def test_m_decompose_a_quantifier_into_its_body(text, schemes):
+    env = Environment()
+    env.define("q", (), parse_formula(text, env))
+    b = ProofBuilder(env, (MApp(Quote("q")),))
+    (body, (index, qb)), = m_decompose_into(b, NameStore(env), b.hyp(0),
+                                            "q").items()
+    assert body == AApp(Var("x")) and env.resolve(qb) == body
+    proof = b.build(index)
+    assert check_proof(env, proof).conclusion == MApp(Quote(qb))
+    assert [st.just.scheme for st in proof.steps
+            if isinstance(st.just, ByTheory)] == schemes
 
 
 # -- transformer soundness on random proofs (the full-size run is in the

@@ -15,7 +15,8 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from mathkernel.kernel import ExtensionGrant, Proof, check_proof
+from mathkernel.corpus import judgment_json
+from mathkernel.kernel import Proof, check_proof
 from mathkernel.script import emit_script, parse_script, script_of
 from mathkernel.syntax import (
     AApp,
@@ -34,7 +35,6 @@ from mathkernel.syntax import (
     Var,
     iff,
     neg,
-    pformat,
 )
 from mathkernel.tactics import (
     NameStore,
@@ -55,17 +55,7 @@ def finish(env: Environment, proof: Proof) -> tuple[str, dict]:
     check_proof(env, proof)
     text = emit_script(script_of(env, proof))
     reparsed, fresh = parse_script(text)
-    judgment = check_proof(fresh, reparsed.proof())
-    expected = {
-        "hypotheses": [pformat(h) for h in judgment.hypotheses],
-        "conclusion": pformat(judgment.conclusion),
-        "extensions": [
-            {"scheme": g.scheme,
-             "formula": None if g.formula is None else pformat(g.formula)}
-            for g in judgment.extensions_used
-        ],
-    }
-    return text, expected
+    return text, judgment_json(check_proof(fresh, reparsed.proof()))
 
 
 # ---------------------------------------------------------------------------
