@@ -4,7 +4,9 @@ paradox derivation.
 
 Exit codes: 0 on success, 1 on a failed check or a formula that is not
 intuitionistically valid, 2 on usage errors (bad input files, unparsable
-formulas, a world bound outside 1..5).
+formulas, a world bound outside 1..5, an output path that cannot be
+written).  ``main`` maps each library error to its exit code; only
+``check`` reports its own errors, prefixed with the script's path.
 """
 
 from __future__ import annotations
@@ -17,15 +19,8 @@ from typing import Optional
 
 from .corpus import (CorpusError, CorpusReport, corpus_dir, judgment_json,
                      run_corpus)
-from .kernel import (
-    EXTENSION_SCHEMES,
-    ByExtension,
-    ProofCheckError,
-    Judgment,
-    Proof,
-    check_proof,
-    extension_instance,
-)
+from .kernel import (EXTENSION_SCHEMES, ByExtension, Judgment, Proof,
+                     ProofCheckError, check_proof)
 from .parser import ParseError, parse_formula
 from .script import (ScriptError, emit_just, emit_script, parse_script,
                      read_text, script_of)
@@ -118,10 +113,7 @@ def _report_json(report: CorpusReport) -> dict:
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
-    try:
-        report = run_corpus(Path(args.dir) if args.dir else None)
-    except CorpusError as exc:
-        return _fail_usage(str(exc))
+    report = run_corpus(Path(args.dir) if args.dir else None)
     if args.json:
         print(json.dumps(_report_json(report), indent=2))
     else:
@@ -161,12 +153,9 @@ def _countermodel_json(formula: str, valid: bool, cm) -> dict:
 def _cmd_countermodel(args: argparse.Namespace) -> int:
     if not 1 <= args.max_worlds <= _MAX_WORLDS:
         return _fail_usage(f"--max-worlds must be between 1 and {_MAX_WORLDS}")
-    try:
-        phi = parse_formula(args.formula, Environment())
-        cm = find_countermodel(phi, max_worlds=args.max_worlds)
-        valid = cm is None and provable(phi)
-    except (ParseError, IllFormedError, SemanticsError) as exc:
-        return _fail_usage(str(exc))
+    phi = parse_formula(args.formula, Environment())
+    cm = find_countermodel(phi, max_worlds=args.max_worlds)
+    valid = cm is None and provable(phi)
     if args.json:
         print(json.dumps(_countermodel_json(args.formula, valid, cm), indent=2))
     elif valid:
@@ -194,7 +183,7 @@ def _load_script(path_text: str):
 
 
 def _emit_result(env: Environment, proof: Proof, out: Optional[str]) -> None:
-    check_proof(env, proof, granted={g.scheme for g in proof.enabled})
+    check_proof(env, proof)
     text = emit_script(script_of(env, proof))
     if out:
         Path(out).write_text(text)
@@ -203,27 +192,21 @@ def _emit_result(env: Environment, proof: Proof, out: Optional[str]) -> None:
 
 
 def _cmd_tactic(args: argparse.Namespace) -> int:
-    try:
-        script, env = _load_script(args.file)
-        proof = script.proof()
-        if args.transform != "mclosure":  # it reads only the declarations
-            check_proof(env, proof, granted={g.scheme for g in proof.enabled})
-        if args.transform == "deduction":
-            hyp_index = None if args.hyp is None else args.hyp - 1
-            result = deduction_theorem(env, proof, hyp_index)
-        elif args.transform == "internalize":
-            m_proofs = {phi: meaningfulness_closure(env, phi)
-                        for phi in live_axioms(proof)}
-            result = internalize(env, proof, m_proofs)
-        else:  # mclosure
-            phi = parse_formula(args.formula, env)
-            result = meaningfulness_closure(env, phi)
-        _emit_result(env, result, args.out)
-    except (ScriptError, ParseError, IllFormedError, NoHypothesisError) as exc:
-        return _fail_usage(str(exc))
-    except (TacticError, ProofCheckError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    script, env = _load_script(args.file)
+    proof = script.proof()
+    if args.transform != "mclosure":  # it reads only the declarations
+        check_proof(env, proof)
+    if args.transform == "deduction":
+        hyp_index = None if args.hyp is None else args.hyp - 1
+        result = deduction_theorem(env, proof, hyp_index)
+    elif args.transform == "internalize":
+        m_proofs = {phi: meaningfulness_closure(env, phi)
+                    for phi in live_axioms(proof)}
+        result = internalize(env, proof, m_proofs)
+    else:  # mclosure; argparse reads a formula `--` after `--` as []
+        phi = parse_formula("--" if args.formula == [] else args.formula, env)
+        result = meaningfulness_closure(env, phi)
+    _emit_result(env, result, args.out)
     return 0
 
 
@@ -233,28 +216,19 @@ def _cmd_tactic(args: argparse.Namespace) -> int:
 
 def _cmd_demo(args: argparse.Namespace) -> int:
     path = corpus_dir() / "release_paradox.pf"
-    try:
-        script, env = _load_script(str(path))
-    except ScriptError as exc:
-        return _fail_usage(str(exc))
+    script, env = _load_script(str(path))
     proof = script.proof()
-    granted = {g.scheme for g in proof.enabled}
-    try:
-        judgment = check_proof(env, proof, granted=granted)
-    except ProofCheckError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return 1
+    judgment = check_proof(env, proof)
     print(f"script: {path}")
-    print(f"granted extensions: {', '.join(sorted(granted))}")
+    print("granted extensions: "
+          f"{', '.join(sorted(g.scheme for g in proof.enabled))}")
     print()
     for i, step in enumerate(proof.steps):
         marker = "   "
         note = ""
         if isinstance(step.just, ByExtension):
             marker = ">>>"
-            instance = extension_instance(env, step.just.scheme,
-                                          step.just.params)
-            note = (f"   <-- extension instance {pformat(instance)}, "
+            note = (f"   <-- extension instance {pformat(step.formula)}, "
                     f"admitted only because {step.just.scheme} is granted")
         print(f"{marker} {i + 1:3d}: {pformat(step.formula)}"
               f"   by {emit_just(step.just)}{note}")
@@ -333,9 +307,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# library errors by the exit code they end a command with; NoHypothesisError
+# is a TacticError, so the usage errors are tried first
+_USAGE_ERRORS = (ScriptError, ParseError, IllFormedError, NoHypothesisError,
+                 CorpusError, SemanticsError, OSError)
+_CHECK_ERRORS = (TacticError, ProofCheckError)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _USAGE_ERRORS as exc:
+        return _fail_usage(str(exc))
+    except _CHECK_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ first, then hypotheses, then numbered steps::
     enable ReleaseAxiom(A(`f`) -> bot)   # or just: enable ReleaseRule
     domain Sent = {s1, s2} definite      # 'definite' is optional
     const c
+    extend Tr over Sent                  # Tr totalized: Tr_ext, Tr_ext_s1, ...
     def la := ~A(`la`)                   # arity 0; self-quotation allowed
     def w/1 := A(v0)                     # params inferred, first occurrence
     def g(x, y) := Q(x, y)               # params given explicitly
@@ -19,10 +20,14 @@ first, then hypotheses, then numbered steps::
 Step and hypothesis numbers are 1-based and must be consecutive.  Scheme
 parameters are separated by ``;`` because formulas contain commas.
 
+``extend P over D`` runs ``kernel.define_total_extension`` over the
+constants declared so far.
+
 A ``Script`` keeps grants, hypotheses and steps; its declarations live only
 in its ``Environment``, which the writer prints: domains as declared, the
-constants no domain lists (sorted), then definitions as defined, each with
-its parameters written out (``def w(v0) := A(v0)``).
+constants no domain lists (sorted), total extensions, then definitions as
+defined (an extension's own names among them), each with its parameters
+written out (``def w(v0) := A(v0)``).
 """
 
 from __future__ import annotations
@@ -218,6 +223,12 @@ def parse_script(text: str) -> tuple[Script, Environment]:
                 if not re.fullmatch(_IDENT, name):
                     raise ScriptError(f"bad constant name: {name!r}", line_no)
                 env.declare_constant(name)
+            elif line.startswith("extend "):
+                m = re.fullmatch(rf"extend\s+({_IDENT})\s+over\s+({_IDENT})",
+                                 line)
+                if not m:
+                    raise ScriptError("usage: extend P over Domain", line_no)
+                kernel.define_total_extension(env, m.group(1), m.group(2))
             elif line.startswith("def "):
                 m = re.fullmatch(
                     rf"def\s+({_IDENT})\s*"
@@ -267,7 +278,8 @@ def parse_script(text: str) -> tuple[Script, Environment]:
                 next_step += 1
         except ScriptError:
             raise
-        except (ParseError, DefinitionError, IllFormedError) as exc:
+        except (ParseError, DefinitionError, IllFormedError,
+                SchemeError) as exc:
             raise ScriptError(str(exc), line_no) from exc
     for scheme, fml_text, line_no in pending_enables:
         phi = None
@@ -328,6 +340,8 @@ def emit_script(script: Script) -> str:
     listed = {c for dom in env.domains.values() for c in dom.constants}
     for c in sorted(env.constants - listed):
         lines.append(f"const {c}")
+    for ext in env.extensions.values():
+        lines.append(f"extend {ext.base} over {ext.domain}")
     for d in env.definitions.values():
         head = f"{d.name}({', '.join(d.params)})" if d.params else d.name
         lines.append(f"def {head} := {pformat(d.body)}")

@@ -145,11 +145,9 @@ def _force(model: KripkeModel, w: int, phi: Formula) -> bool:
         return _force(model, w, phi.left) and _force(model, w, phi.right)
     if isinstance(phi, Or):
         return _force(model, w, phi.left) or _force(model, w, phi.right)
-    if isinstance(phi, Implies):
-        return all(
-            not _force(model, v, phi.left) or _force(model, v, phi.right)
-            for v in model.frame.above(w))
-    raise SemanticsError(f"not a propositional formula: ({pformat(phi)})")
+    # an implication: eval_at lets no other formula through
+    return all(not _force(model, v, phi.left) or _force(model, v, phi.right)
+               for v in model.frame.above(w))
 
 
 # ---------------------------------------------------------------------------

@@ -464,7 +464,8 @@ class TotalExtension:
 
 
 _RESERVED = {"bot", "forall", "exists", "M", "A", "T", "H", "sim", "def",
-             "domain", "const", "enable", "hyp", "by", "definite"}
+             "domain", "const", "enable", "hyp", "by", "definite", "extend",
+             "over"}
 
 
 class Environment:

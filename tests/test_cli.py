@@ -425,6 +425,25 @@ def test_tactic_failure_exits_one(tmp_path, capsys, text):
     assert err.startswith("error: ")
 
 
+def test_tactic_output_path_that_cannot_be_written_is_usage_error(tmp_path,
+                                                                  capsys):
+    out_path = tmp_path / "missing" / "out.pf"
+    code, out, err = run(capsys, "tactic", "mclosure",
+                         corpus_path("anomaly_assertible_liar.pf"), "bot",
+                         "-o", str(out_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out_path.parent.exists()
+
+
+def test_tactic_mclosure_formula_after_double_dash_is_usage_error(capsys):
+    code, out, err = run(capsys, "tactic", "mclosure",
+                         corpus_path("anomaly_assertible_liar.pf"), "--", "--")
+    assert (code, out) == (2, "")
+    assert err == "error: expected a formula, found '-' (at position 0)\n"
+
+
 # -- demo
 
 

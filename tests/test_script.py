@@ -3,9 +3,10 @@
 import pytest
 
 from mathkernel.kernel import (ByGenE, ByGenF, ByMP, ByTheory, ExtensionGrant,
-                               check_proof)
+                               check_proof, define_total_extension)
 from mathkernel.script import ScriptError, emit_script, parse_script, script_of
-from mathkernel.syntax import BOT, Const, MApp, Var, neg, pformat
+from mathkernel.syntax import BOT, Const, Environment, MApp, Var, neg, pformat
+from mathkernel.tactics import ProofBuilder
 
 
 GOOD = """\
@@ -292,3 +293,62 @@ def test_a_bad_leaf_after_shared_ones_names_its_line_and_position(formula,
         parse_script(text)
     assert exc.value.line_no == 3
     assert str(exc.value) == f"line 3: {error}"
+
+
+def test_a_total_extension_survives_the_writer():
+    env = Environment()
+    env.declare_domain("Sent", ("s1", "s2"), definite=True)
+    define_total_extension(env, "Tr0", "Sent")
+    b = ProofBuilder(env)
+    b.theory("TotalExtM", "Tr0", Const("s2"))
+    proof = b.build(b.theory("TotalExtPos", "Tr0", Const("s1")))
+    judgment = check_proof(env, proof)
+    text = emit_script(script_of(env, proof))
+    assert text.splitlines()[:3] == ["domain Sent = {s1, s2} definite",
+                                     "extend Tr0 over Sent",
+                                     "def Tr0_ext_s1 := Tr0_ext(s1)"]
+    script, fresh = parse_script(text)
+    assert fresh.extensions == env.extensions
+    assert check_proof(fresh, script.proof()) == judgment
+    assert emit_script(script_of(fresh, script.proof())) == text
+
+
+@pytest.mark.parametrize("line,message", [
+    ("extend Tr over Nowhere", "Nowhere is not a declared domain"),
+    ("extend Tr over Sent", "domain Sent is not declared definite; a "
+                            "predicate can only be totalized over a definite "
+                            "range"),
+    ("extend Tr", "usage: extend P over Domain"),
+    ("def over := bot", "reserved word used as name: over"),
+], ids=["undeclared-domain", "indefinite-domain", "no-domain",
+        "reserved-word"])
+def test_extend_errors_name_the_line(line, message):
+    text = f"domain Sent = {{s1, s2}}\n{line}\n1: ~bot by L9[bot]\n"
+    with pytest.raises(ScriptError) as exc:
+        parse_script(text)
+    assert str(exc.value) == f"line 2: {message}"
+
+
+ONE_STEP = "1: ~bot by L9[bot]\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("1: bot -> bot by GenF 1\n", "line 1: usage: GenF N x [y]"),
+    ("1: bot -> bot by Release 1 2\n", "line 1: usage: Release N"),
+    ("const 9c\n" + ONE_STEP, "line 1: bad constant name: '9c'"),
+    ("def w/2 := A(v0)\n" + ONE_STEP,
+     "line 1: w declared with arity 2 but its body has 1 free variables"),
+    (ONE_STEP + "hyp 1: bot\n", "line 2: hypotheses must precede steps"),
+    ("def s := bot\n", "a proof script needs at least one step"),
+    ("enable Nothing\n" + ONE_STEP, "line 1: unknown extension: 'Nothing'"),
+    ("domain Sent = s1, s2\n" + ONE_STEP,
+     "line 1: usage: domain Name = {c1, c2, ...} [definite]"),
+    ("enable ReleaseAxiom(bot ->)\n" + ONE_STEP,
+     "line 1: expected a formula, found '' (at position 6)"),
+], ids=["genf-usage", "release-usage", "bad-constant", "arity-mismatch",
+        "hypothesis-after-step", "no-steps", "unknown-extension",
+        "malformed-domain", "unparsable-grant"])
+def test_reader_errors_are_pinned(text, message):
+    with pytest.raises(ScriptError) as exc:
+        parse_script(text)
+    assert str(exc.value) == message

@@ -78,6 +78,15 @@ def test_frame_validation():
         KripkeFrame(2, frozenset({(0, 0)}))  # not reflexive
 
 
+def test_frame_validation_names_the_fault():
+    with pytest.raises(SemanticsError) as exc:
+        KripkeFrame(2, frozenset({(0, 0), (1, 1), (0, 2)}))
+    assert str(exc.value) == "order mentions unknown world (0, 2)"
+    with pytest.raises(SemanticsError) as exc:
+        KripkeFrame(3, frozenset({(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)}))
+    assert str(exc.value) == "order is not transitive: 0 <= 1 <= 2"
+
+
 def test_chain_frame():
     frame = chain_frame(3)
     assert set(frame.above(0)) == {0, 1, 2}

@@ -16,36 +16,15 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from mathkernel.corpus import judgment_json
-from mathkernel.kernel import Proof, check_proof
+from mathkernel.kernel import ByLogical, Proof, check_proof
+from mathkernel.parser import parse_formula
 from mathkernel.script import emit_script, parse_script, script_of
-from mathkernel.syntax import (
-    AApp,
-    And,
-    Atom,
-    BOT,
-    Const,
-    Environment,
-    Forall,
-    Formula,
-    HApp,
-    Implies,
-    MApp,
-    Quote,
-    TApp,
-    Var,
-    iff,
-    neg,
-)
-from mathkernel.tactics import (
-    NameStore,
-    ProofBuilder,
-    deduction_theorem,
-    internalize_into,
-    m_closure_into,
-    m_decompose_into,
-    weaken,
-)
-from mathkernel.kernel import ByLogical
+from mathkernel.syntax import (AApp, And, Atom, BOT, Const, Environment,
+                               Forall, Formula, HApp, Implies, MApp, Quote,
+                               TApp, Var, iff, neg)
+from mathkernel.tactics import (NameStore, ProofBuilder, deduction_theorem,
+                                internalize_into, m_closure_into,
+                                m_decompose_into, weaken)
 
 OUT = pathlib.Path(__file__).resolve().parents[1] / "src" / "mathkernel" / "corpus"
 
@@ -62,94 +41,127 @@ def finish(env: Environment, proof: Proof) -> tuple[str, dict]:
 # shared pieces
 
 
+def bic_half(b: ProofBuilder, bic: int, x: Formula, y: Formula,
+             scheme: str) -> int:
+    """From step ``bic`` proving x <-> y, the step x -> y (scheme L4) or
+    y -> x (scheme L5)."""
+    return b.mp(bic, b.logical(scheme, Implies(x, y), Implies(y, x)))
+
+
 def contradiction_lemma(env: Environment, x: Formula) -> Proof:
     """The purely logical proof that a sentence equivalent to its own
     negation yields bot: from x <-> ~x, derive bot."""
-    c = iff(x, neg(x))
-    fwd, bwd = Implies(x, neg(x)), Implies(neg(x), x)
-    nb = ProofBuilder(env, (c, x))
-    imp1 = nb.mp(nb.hyp(0), nb.logical("L4", fwd, bwd))
+    nb = ProofBuilder(env, (iff(x, neg(x)), x))
+    imp1 = bic_half(nb, nb.hyp(0), x, neg(x), "L4")
     hx = nb.hyp(1)
     nx = nb.mp(hx, imp1)
-    inner = deduction_theorem(env, nb.build(nb.mp(hx, nx)))  # (c,) |- ~x
-    ob = ProofBuilder(env, (c,))
+    inner = deduction_theorem(env, nb.build(nb.mp(hx, nx)))  # x <-> ~x |- ~x
+    ob = ProofBuilder(env, (iff(x, neg(x)),))
     notx = ob.embed(inner)
-    back = ob.mp(ob.hyp(0), ob.logical("L5", fwd, bwd))
-    x_ = ob.mp(notx, back)
+    x_ = ob.mp(notx, bic_half(ob, ob.hyp(0), x, neg(x), "L5"))
     return ob.build(ob.mp(x_, notx))
 
 
-def internalized_absurdity(env: Environment, b: ProofBuilder, ns: NameStore,
-                           a_bic: int, qbic: str, x: Formula) -> int:
-    """Given a step proving A(`qbic`) where qbic's body is x <-> ~x, derive
-    A of the distinguished falsehood by running the contradiction lemma
-    inside the assertibility operator."""
+def forward_parts(b: ProofBuilder, ns: NameStore, a_bic: int, qbic: str,
+                  x: Formula, y: Formula) -> dict[Formula, tuple[int, str]]:
+    """Given a step proving A(`qbic`) where qbic's body is x <-> y, derive
+    M of x and of y: ``m_decompose_into``'s map for x -> y."""
     m_bic = b.mp(a_bic, b.theory("AtoM", qbic))
-    parts = m_decompose_into(b, ns, m_bic, qbic)
-    i_fwd, q_fwd = parts[Implies(x, neg(x))]
-    leaves = {x: m_decompose_into(b, ns, i_fwd, q_fwd)[x][0]}
-    obj = contradiction_lemma(env, x)
+    i_fwd, q_fwd = m_decompose_into(b, ns, m_bic, qbic)[Implies(x, y)]
+    return m_decompose_into(b, ns, i_fwd, q_fwd)
+
+
+def internalize_over(b: ProofBuilder, ns: NameStore, obj: Proof,
+                     premises: list[int], leaves: dict[Formula, int]) -> int:
+    """Run the logical proof obj inside the assertibility operator, from
+    steps asserting its hypotheses; each logical step's M-fact is closed
+    over the given leaf M-facts."""
     m_facts = {}
     for st in obj.steps:
-        if isinstance(st.just, ByLogical):
+        if isinstance(st.just, ByLogical) and st.formula not in m_facts:
             m_facts[st.formula] = m_closure_into(b, ns, st.formula, leaves)[0]
-    index, _ = internalize_into(b, ns, obj, [a_bic], m_facts)
-    return index
+    return internalize_into(b, ns, obj, premises, m_facts)[0]
+
+
+# ---------------------------------------------------------------------------
+# the four anomaly arguments, each for any sentence it applies to
+
+
+def anomaly_assertible(env: Environment, q: str) -> Proof:
+    """|- ~~A(`q`) for q := ~A(`q`): assuming q is not assertible leads to
+    absurdity."""
+    b = ProofBuilder(env, (neg(AApp(Quote(q))),))
+    m, _ = m_closure_into(b, NameStore(env), env.resolve(q))
+    cap = b.mp(m, b.theory("Capture", q))
+    hi = b.hyp(0)
+    return deduction_theorem(env, b.build(b.mp(b.mp(hi, cap), hi)))
+
+
+def assertible_collapse(env: Environment, q: str, aq: str) -> Proof:
+    """|- A(`q`) -> A(`zero_eq_one`) for q := ~A(`q`) and aq := A(`q`)."""
+    b = ProofBuilder(env, (AApp(Quote(q)),))
+    cap = b.mp(b.theory("MofA", aq), b.theory("Capture", aq))
+    hi = b.hyp(0)
+    a2 = b.mp(hi, cap)                     # A(`aq`)
+    l3 = b.logical("L3", AApp(Quote(aq)), AApp(Quote(q)))
+    conj = b.mp(hi, b.mp(a2, l3))
+    amp = b.theory("AMP", aq, "zero_eq_one", q)
+    return deduction_theorem(env, b.build(b.mp(conj, amp)))
+
+
+def anomaly_meaningful(env: Environment, q: str, rule: tuple) -> Proof:
+    """|- ~~M(`q`), where the theory step ``rule`` proves
+    ~M(`q`) -> A(`q`)."""
+    b = ProofBuilder(env, (neg(MApp(Quote(q))),))
+    step = b.theory(*rule)
+    hi = b.hyp(0)
+    m = b.mp(b.mp(hi, step), b.theory("AtoM", q))
+    return deduction_theorem(env, b.build(b.mp(m, hi)))
+
+
+def meaningful_collapse(env: Environment, q: str, x: Formula, qbic: str,
+                        rule: tuple) -> tuple[ProofBuilder, int]:
+    """A builder with a step proving A(`zero_eq_one`) from M(`q`), and that
+    step's index.  Defines qbic := x <-> ~x; the theory step ``rule`` with
+    qbic as its last parameter proves M(`q`) -> A(`qbic`), and the
+    contradiction lemma runs inside the assertibility operator."""
+    env.define(qbic, (), iff(x, neg(x)))
+    b = ProofBuilder(env, (MApp(Quote(q)),))
+    ns = NameStore(env)
+    step = b.theory(*rule, qbic)
+    a_bic = b.mp(b.hyp(0), step)
+    leaves = {x: forward_parts(b, ns, a_bic, qbic, x, neg(x))[x][0]}
+    obj = contradiction_lemma(env, x)
+    return b, internalize_over(b, ns, obj, [a_bic], leaves)
 
 
 # ---------------------------------------------------------------------------
 # the entries
 
 
-def liar_a_env() -> Environment:
+def a_env(q: str, aq: str) -> Environment:
+    """An assertibility sentence q := ~A(`q`), with aq := A(`q`)."""
     env = Environment()
-    env.define("la", (), neg(AApp(Quote("la"))))
-    env.define("ala", (), AApp(Quote("la")))
+    env.define(q, (), neg(AApp(Quote(q))))
+    env.define(aq, (), AApp(Quote(q)))
     env.define("zero_eq_one", (), BOT)
     return env
 
 
-def anomaly_assertible_liar(env: Environment) -> Proof:
-    """|- ~~A(`la`): assuming the assertible liar is not assertible leads
-    to absurdity."""
-    h = neg(AApp(Quote("la")))
-    b = ProofBuilder(env, (h,))
-    ns = NameStore(env)
-    m_la, _ = m_closure_into(b, ns, env.resolve("la"))
-    cap = b.mp(m_la, b.theory("Capture", "la"))
-    hi = b.hyp(0)
-    a = b.mp(hi, cap)
-    return deduction_theorem(env, b.build(b.mp(a, hi)))
-
-
-def assertible_liar_collapse(env: Environment) -> Proof:
-    """|- A(`la`) -> A(`zero_eq_one`)."""
-    b = ProofBuilder(env, (AApp(Quote("la")),))
-    m = b.theory("MofA", "ala")
-    cap = b.mp(m, b.theory("Capture", "ala"))
-    hi = b.hyp(0)
-    a2 = b.mp(hi, cap)                     # A(`ala`)
-    l3 = b.logical("L3", AApp(Quote("ala")), AApp(Quote("la")))
-    conj = b.mp(hi, b.mp(a2, l3))
-    amp = b.theory("AMP", "ala", "zero_eq_one", "la")
-    return deduction_theorem(env, b.build(b.mp(conj, amp)))
-
-
 def entry_1():
-    env = liar_a_env()
-    return env, anomaly_assertible_liar(env)
+    env = a_env("la", "ala")
+    return env, anomaly_assertible(env, "la")
 
 
 def entry_2():
-    env = liar_a_env()
-    return env, assertible_liar_collapse(env)
+    env = a_env("la", "ala")
+    return env, assertible_collapse(env, "la", "ala")
 
 
 def entry_3():
-    env = liar_a_env()
+    env = a_env("la", "ala")
     b = ProofBuilder(env)
-    ns = NameStore(env)
-    index, _ = m_closure_into(b, ns, env.resolve("la"))
+    index, _ = m_closure_into(b, NameStore(env), env.resolve("la"))
     return env, b.build(index)
 
 
@@ -162,67 +174,36 @@ def liar_t_env() -> Environment:
 
 def entry_4():
     env = liar_t_env()
-    h = neg(MApp(Quote("liar")))
-    b = ProofBuilder(env, (h,))
-    tn = b.theory("TNeg", "liar", "liar")
-    hi = b.hyp(0)
-    a = b.mp(hi, tn)
-    m = b.mp(a, b.theory("AtoM", "liar"))
-    return env, deduction_theorem(env, b.build(b.mp(m, hi)))
+    return env, anomaly_meaningful(env, "liar", ("TNeg", "liar", "liar"))
 
 
-def _liar_meaningful_collapse(env: Environment) -> tuple[ProofBuilder, int]:
-    """A builder with a step proving A(`zero_eq_one`) from M(`liar`), and
-    that step's index."""
-    x = TApp(Quote("liar"))
-    env.define("truth_bic", (), iff(x, neg(x)))
-    b = ProofBuilder(env, (MApp(Quote("liar")),))
-    ns = NameStore(env)
-    td = b.theory("TDef", "liar", "truth_bic")
-    a_bic = b.mp(b.hyp(0), td)
-    return b, internalized_absurdity(env, b, ns, a_bic, "truth_bic", x)
-
-
-def entry_5():
+def entry_5(released: bool):
     env = liar_t_env()
-    b, index = _liar_meaningful_collapse(env)
+    b, index = meaningful_collapse(env, "liar", TApp(Quote("liar")),
+                                   "truth_bic", ("TDef", "liar"))
+    if released:
+        return env, b.build(b.release(index))
     return env, deduction_theorem(env, b.build(index))
-
-
-def entry_5b():
-    env = liar_t_env()
-    b, index = _liar_meaningful_collapse(env)
-    return env, b.build(b.release(index))
 
 
 def entry_6():
     env = Environment()
-    p, q = "p", "q"
-    from mathkernel.parser import parse_formula
-
-    P = lambda s: parse_formula(s, env)
-    env.define("phi", (), P("p"))
-    env.define("psi", (), P("q"))
-    env.define("phi_and_psi", (), P("p & q"))
+    pf, qf, pq = (parse_formula(s, env) for s in ("p", "q", "p & q"))
     x1, x2, x3 = (TApp(Quote(n)) for n in ("phi", "psi", "phi_and_psi"))
-    env.define("tb1", (), iff(x1, P("p")))
-    env.define("tb2", (), iff(x2, P("q")))
-    env.define("tb3", (), iff(x3, P("p & q")))
-    env.define("tdist", (), iff(x3, And(x1, x2)))
-    pf, qf, pq = P("p"), P("q"), P("p & q")
-    c1, c2, c3 = env.resolve("tb1"), env.resolve("tb2"), env.resolve("tb3")
+    c1, c2, c3 = iff(x1, pf), iff(x2, qf), iff(x3, pq)
+    for name, body in (("phi", pf), ("psi", qf), ("phi_and_psi", pq),
+                       ("tb1", c1), ("tb2", c2), ("tb3", c3),
+                       ("tdist", iff(x3, And(x1, x2)))):
+        env.define(name, (), body)
 
     # object lemma, forward direction: from the three biconditionals and x3,
     # recover x1 & x2
     nb = ProofBuilder(env, (c1, c2, c3, x3))
-    both = nb.mp(nb.hyp(3), nb.mp(nb.hyp(2), nb.logical("L4", Implies(x3, pq),
-                                                        Implies(pq, x3))))
+    both = nb.mp(nb.hyp(3), bic_half(nb, nb.hyp(2), x3, pq, "L4"))
     p_ = nb.mp(both, nb.logical("L4", pf, qf))
     q_ = nb.mp(both, nb.logical("L5", pf, qf))
-    i1 = nb.mp(p_, nb.mp(nb.hyp(0), nb.logical("L5", Implies(x1, pf),
-                                               Implies(pf, x1))))
-    i2 = nb.mp(q_, nb.mp(nb.hyp(1), nb.logical("L5", Implies(x2, qf),
-                                               Implies(qf, x2))))
+    i1 = nb.mp(p_, bic_half(nb, nb.hyp(0), x1, pf, "L5"))
+    i2 = nb.mp(q_, bic_half(nb, nb.hyp(1), x2, qf, "L5"))
     last = nb.mp(i2, nb.mp(i1, nb.logical("L3", x1, x2)))
     lemma_fwd = deduction_theorem(env, nb.build(last))
 
@@ -230,13 +211,10 @@ def entry_6():
     nb = ProofBuilder(env, (c1, c2, c3, And(x1, x2)))
     ix1 = nb.mp(nb.hyp(3), nb.logical("L4", x1, x2))
     ix2 = nb.mp(nb.hyp(3), nb.logical("L5", x1, x2))
-    p_ = nb.mp(ix1, nb.mp(nb.hyp(0), nb.logical("L4", Implies(x1, pf),
-                                                Implies(pf, x1))))
-    q_ = nb.mp(ix2, nb.mp(nb.hyp(1), nb.logical("L4", Implies(x2, qf),
-                                                Implies(qf, x2))))
+    p_ = nb.mp(ix1, bic_half(nb, nb.hyp(0), x1, pf, "L4"))
+    q_ = nb.mp(ix2, bic_half(nb, nb.hyp(1), x2, qf, "L4"))
     ipq = nb.mp(q_, nb.mp(p_, nb.logical("L3", pf, qf)))
-    last = nb.mp(ipq, nb.mp(nb.hyp(2), nb.logical("L5", Implies(x3, pq),
-                                                  Implies(pq, x3))))
+    last = nb.mp(ipq, bic_half(nb, nb.hyp(2), x3, pq, "L5"))
     lemma_bwd = deduction_theorem(env, nb.build(last))
 
     ob = ProofBuilder(env, (c1, c2, c3))
@@ -260,18 +238,11 @@ def entry_6():
     leaves: dict[Formula, int] = {}
     for a_idx, qb, x, base in ((a1, "tb1", x1, pf), (a2, "tb2", x2, qf),
                                (a3, "tb3", x3, pq)):
-        m_b = b.mp(a_idx, b.theory("AtoM", qb))
-        parts = m_decompose_into(b, ns, m_b, qb)
-        i_fwd, q_fwd = parts[Implies(x, base)]
-        sub = m_decompose_into(b, ns, i_fwd, q_fwd)
+        sub = forward_parts(b, ns, a_idx, qb, x, base)
         leaves[x] = sub[x][0]
         if not isinstance(base, And):
             leaves[base] = sub[base][0]
-    m_facts = {}
-    for st in obj.steps:
-        if isinstance(st.just, ByLogical) and st.formula not in m_facts:
-            m_facts[st.formula] = m_closure_into(b, ns, st.formula, leaves)[0]
-    index, _ = internalize_into(b, ns, obj, [a1, a2, a3], m_facts)
+    index = internalize_over(b, ns, obj, [a1, a2, a3], leaves)
     return env, deduction_theorem(env, b.build(index))
 
 
@@ -313,67 +284,35 @@ def russell_env() -> Environment:
 
 def entry_8a():
     env = russell_env()
-    h = neg(MApp(Quote("RR")))
-    b = ProofBuilder(env, (h,))
-    hn = b.theory("HNeg", "R", Quote("R"), "RR", "RR")
-    hi = b.hyp(0)
-    a = b.mp(hi, hn)
-    m = b.mp(a, b.theory("AtoM", "RR"))
-    return env, deduction_theorem(env, b.build(b.mp(m, hi)))
+    rule = ("HNeg", "R", Quote("R"), "RR", "RR")
+    return env, anomaly_meaningful(env, "RR", rule)
 
 
 def entry_8b():
     env = russell_env()
-    x = HApp(Quote("R"), Quote("R"))
-    env.define("holding_bic", (), iff(x, neg(x)))
-    b = ProofBuilder(env, (MApp(Quote("RR")),))
-    ns = NameStore(env)
-    hd = b.theory("HDef", "R", Quote("R"), "RR", "holding_bic")
-    a_bic = b.mp(b.hyp(0), hd)
-    index = internalized_absurdity(env, b, ns, a_bic, "holding_bic", x)
+    rule = ("HDef", "R", Quote("R"), "RR")
+    b, index = meaningful_collapse(env, "RR", HApp(Quote("R"), Quote("R")),
+                                   "holding_bic", rule)
     return env, deduction_theorem(env, b.build(index))
 
 
-def russell_a_env() -> Environment:
-    env = Environment()
-    env.define("rara", (), neg(AApp(Quote("rara"))))
-    env.define("arara", (), AApp(Quote("rara")))
-    env.define("zero_eq_one", (), BOT)
-    return env
-
-
 def entry_9a():
-    env = russell_a_env()
-    h = neg(AApp(Quote("rara")))
-    b = ProofBuilder(env, (h,))
-    ns = NameStore(env)
-    m, _ = m_closure_into(b, ns, env.resolve("rara"))
-    cap = b.mp(m, b.theory("Capture", "rara"))
-    hi = b.hyp(0)
-    a = b.mp(hi, cap)
-    return env, deduction_theorem(env, b.build(b.mp(a, hi)))
+    env = a_env("rara", "arara")
+    return env, anomaly_assertible(env, "rara")
 
 
 def entry_9b():
-    env = russell_a_env()
-    b = ProofBuilder(env, (AApp(Quote("rara")),))
-    m = b.theory("MofA", "arara")
-    cap = b.mp(m, b.theory("Capture", "arara"))
-    hi = b.hyp(0)
-    a2 = b.mp(hi, cap)
-    l3 = b.logical("L3", AApp(Quote("arara")), AApp(Quote("rara")))
-    conj = b.mp(hi, b.mp(a2, l3))
-    last = b.mp(conj, b.theory("AMP", "arara", "zero_eq_one", "rara"))
-    return env, deduction_theorem(env, b.build(last))
+    env = a_env("rara", "arara")
+    return env, assertible_collapse(env, "rara", "arara")
 
 
 def entry_10():
-    env = liar_a_env()
-    p1 = anomaly_assertible_liar(env)       # |- ~~A(`la`)
-    p2 = assertible_liar_collapse(env)      # |- A(`la`) -> A(`zero_eq_one`)
+    env = a_env("la", "ala")
+    p1 = anomaly_assertible(env, "la")
+    p2 = assertible_collapse(env, "la", "ala")
     b = ProofBuilder(env)
-    i1 = b.embed(p1)
-    i2 = b.embed(p2)
+    i1 = b.embed(p1)                         # ~~A(`la`)
+    i2 = b.embed(p2)                         # A(`la`) -> A(`zero_eq_one`)
     rel = b.extension("ReleaseAxiom", "zero_eq_one")  # A(`zero_eq_one`) -> bot
     ala = AApp(Quote("la"))
     azeq = AApp(Quote("zero_eq_one"))
@@ -392,14 +331,11 @@ def entry_11():
 
 
 def entry_12(kind: str):
-    env = liar_a_env()
+    env = a_env("la", "ala")
     env.define("m_la", (), MApp(Quote("la")))
+    scheme, name = ("MofM", "m_la") if kind == "M" else ("MofA", "ala")
     b = ProofBuilder(env)
-    if kind == "M":
-        index = b.theory("MofM", "m_la")
-    else:
-        index = b.theory("MofA", "ala")
-    return env, b.build(index)
+    return env, b.build(b.theory(scheme, name))
 
 
 ENTRIES = [
@@ -411,9 +347,9 @@ ENTRIES = [
      "the assertible liar sentence is meaningful, by compositional closure"),
     ("anomaly_liar_meaningful", entry_4,
      "the truth-liar sentence is not not meaningful"),
-    ("liar_meaningful_collapse", entry_5,
+    ("liar_meaningful_collapse", lambda: entry_5(False),
      "if the truth-liar is meaningful, the falsehood is assertible"),
-    ("liar_meaningful_collapse_released", entry_5b,
+    ("liar_meaningful_collapse_released", lambda: entry_5(True),
      "with the release rule, meaningfulness of the truth-liar yields "
      "the falsehood outright"),
     ("truth_conjunction_distribution", entry_6,

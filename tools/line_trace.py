@@ -13,7 +13,11 @@ plugin.  The report lists, per module, its count of executable lines and
 the ranges of those that did not run.  Code run in a child process, such
 as a test that starts ``python -m mathkernel``, is not traced, and a
 module edited during the run is reported against its new line numbers.
-Only the standard library is used.
+
+The plugin loads a Hypothesis profile with ``derandomize=True``, so the
+property tests draw the same inputs on every run, and two runs on the same
+source list the same lines.  Apart from that profile, only the standard
+library is used.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ import sys
 import threading
 from pathlib import Path
 from types import CodeType, FrameType
+
+from hypothesis import settings
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mathkernel"
 
@@ -109,5 +115,7 @@ def pytest_terminal_summary(terminalreporter) -> None:
     write(f"total: {missed} of {total} executable lines not run")
 
 
+settings.register_profile("line_trace", derandomize=True)
+settings.load_profile("line_trace")
 sys.settrace(_global)
 threading.settrace(_global)
