@@ -34,7 +34,9 @@ subjects, to the checker and to the proof builder alike.
 
 Quoted-formula side conditions are checked by syntactic equality after one
 level of name resolution: quotation terms inside resolved bodies are never
-unfolded further.
+unfolded further.  The theory schemes build each ``M``, ``A`` and ``T`` leaf
+over a quotation with ``syntax.quoted``, so it is the object a parsed step
+or the proof builder holds, and comparing the two stops at it.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ from .syntax import (
     Or,
     Quote,
     SimApp,
-    TApp,
     Term,
     TotalExtension,
     Var,
@@ -71,6 +72,7 @@ from .syntax import (
     free_vars,
     iff,
     neg,
+    quoted,
     substitute,
 )
 
@@ -280,12 +282,9 @@ def is_log_instance(phi: Formula) -> Optional[tuple[str, tuple]]:
 # theory schemes
 
 
-def _m(q: str) -> Formula:
-    return MApp(Quote(q))
-
-
-def _a(q: str) -> Formula:
-    return AApp(Quote(q))
+_m = partial(quoted, "M")  # M(`q`)
+_a = partial(quoted, "A")  # A(`q`)
+_t = partial(quoted, "T")  # T(`q`)
 
 
 def _expect(cond: bool, message: str) -> None:
@@ -453,14 +452,14 @@ def _capture(env: Environment, q: str) -> Formula:
 
 def _tdef(env: Environment, q: str, qbic: str) -> Formula:
     _sentence(env, q, qbic)
-    _expect(env.resolve(qbic) == iff(TApp(Quote(q)), env.resolve(q)),
+    _expect(env.resolve(qbic) == iff(_t(q), env.resolve(q)),
             f"body of {qbic} is not the truth biconditional for {q}")
     return Implies(_m(q), _a(qbic))
 
 
 def _tneg(env: Environment, q: str, qneg: str) -> Formula:
     _sentence(env, q, qneg)
-    _expect(env.resolve(qneg) == neg(TApp(Quote(q))),
+    _expect(env.resolve(qneg) == neg(_t(q)),
             f"body of {qneg} is not the negated truth ascription for {q}")
     return Implies(neg(_m(q)), _a(qneg))
 
@@ -506,7 +505,7 @@ def _simdef(env: Environment, qp: str, qq: str, quniv: str,
             f"body of {quniv} is not the pointwise biconditional of {qp} "
             f"and {qq}")
     _expect(env.resolve(qbic)
-            == iff(SimApp(Quote(qp), Quote(qq)), TApp(Quote(quniv))),
+            == iff(SimApp(Quote(qp), Quote(qq)), _t(quniv)),
             f"body of {qbic} is not the concept-equivalence biconditional")
     return Implies(And(_m(qp), _m(qq)), _a(qbic))
 
@@ -553,7 +552,7 @@ def _release_axiom(env: Environment, q: str) -> Formula:
 
 def _unrestricted_t(env: Environment, q: str) -> Formula:
     _sentence(env, q)
-    return iff(TApp(Quote(q)), env.resolve(q))
+    return iff(_t(q), env.resolve(q))
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +648,7 @@ def define_total_extension(env: Environment, base: str, domain: str) -> list[For
     env.register_predicate(base, 1)
     extended = f"{base}_ext"
     env.register_predicate(extended, 1)
-    env.extensions[base] = TotalExtension(base, domain, extended)
+    env.declare_extension(TotalExtension(base, domain, extended))
     out: list[Formula] = []
     for c in env.universe:
         env.define(total_extension_name(base, c), (), Atom(extended, (Const(c),)))
@@ -899,7 +898,7 @@ def check_proof(
                 if not _grant_covers(proof.enabled, grant):
                     raise SchemeError(f"extension not enabled: {grant}")
                 used.setdefault(str(grant), grant)
-            if expected != stated:
+            if expected is not stated and expected != stated:
                 raise SchemeError(
                     f"stated formula ({stated}) differs from the justified "
                     f"formula ({expected})")

@@ -27,11 +27,13 @@ identifier in term position is an object constant if declared, otherwise a
 variable.  Predicates are registered in the symbol table at first use and
 checked for consistent arity afterwards; every other atomic formula is
 checked by ``Environment.check_formula`` as it is built, except one that
-quotes the name being defined, which ``Environment.define`` checks.
+quotes the name being defined, which ``Environment.define`` checks; such
+a leaf is built afresh and held nowhere, as the name is not bound yet.
 
 One parser reads every formula of a script and shares equal subformulas:
-each quotation leaf (`M`, `A` or `T` of a quotation) is built and checked
-once, a nullary atom is built once, and a compound formula whose children
+each quotation leaf (`M`, `A` or `T` of a quotation) is checked once and is
+the one leaf ``syntax.quoted`` gives, which the kernel and the tactics build
+too, a nullary atom is built once, and a compound formula whose children
 are the same objects is built once, so equal subformulas of a script are
 one object.  A kernel comparison of two of them stops at the first shared
 node, and ``Environment.check_formula`` skips a node it checked before.
@@ -85,6 +87,7 @@ from .syntax import (
     TApp,
     Term,
     Var,
+    quoted,
 )
 
 MAX_DEPTH = 256
@@ -292,11 +295,13 @@ class FormulaParser:
         if len(args) != arity:
             self.i -= 1
             raise self._fail(f"{tok} takes {arity} term(s)")
-        leaf = build(*args)
-        if self.self_name is None or Quote(self.self_name) not in args:
-            self.env.check_formula(leaf)
-            if shared is not None and type(args[0]) is Quote:
-                self._leaves[shared] = leaf
+        if self.self_name is not None and Quote(self.self_name) in args:
+            return build(*args), 0  # Environment.define checks it
+        held = shared is not None and type(args[0]) is Quote
+        leaf = quoted(tok, args[0].name) if held else build(*args)
+        self.env.check_formula(leaf)
+        if held:
+            self._leaves[shared] = leaf
         return leaf, 0
 
     def _node(self, build: type, first: Formula | str,

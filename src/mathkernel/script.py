@@ -24,10 +24,12 @@ parameters are separated by ``;`` because formulas contain commas.
 constants declared so far.
 
 A ``Script`` keeps grants, hypotheses and steps; its declarations live only
-in its ``Environment``, which the writer prints: domains as declared, the
-constants no domain lists (sorted), total extensions, then definitions as
-defined (an extension's own names among them), each with its parameters
-written out (``def w(v0) := A(v0)``).
+in its ``Environment``, which the writer prints in the order they were
+made (``Environment.declarations``): domains, constants declared on their
+own, total extensions, and definitions (an extension's own names among
+them), each with its parameters written out (``def w(v0) := A(v0)``).  So
+a re-read ``extend`` covers the constants the original did.  The writer
+renders each formula node once per script, however many lines share it.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import kernel
 from .kernel import (
@@ -57,12 +59,16 @@ from .kernel import (
 )
 from .parser import FormulaParser, ParseError
 from .syntax import (
+    Definition,
     DefinitionError,
+    Domain,
     Environment,
     Formula,
     IllFormedError,
+    TotalExtension,
     first_occurrence_vars,
     pformat,
+    renderer,
 )
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -305,13 +311,10 @@ def script_of(env: Environment, proof: Proof) -> Script:
 # writing
 
 
-def _emit_param(kind: str, value) -> str:
-    if kind.startswith("f"):
-        return pformat(value)
-    return str(value)  # terms and identifiers print as themselves
-
-
-def emit_just(just: Justification) -> str:
+def emit_just(just: Justification,
+              render: Callable[[Formula], str] = pformat) -> str:
+    """The text of a justification, its formula parameters rendered by
+    ``render``."""
     if isinstance(just, ByHyp):
         return f"hyp {just.index + 1}"
     if isinstance(just, ByMP):
@@ -324,7 +327,9 @@ def emit_just(just: Justification) -> str:
         return f"Release {just.premise + 1}"
     if isinstance(just, (ByLogical, ByTheory, ByExtension)):
         kinds = expand_params(SCHEMES[just.scheme].params, len(just.params))
-        body = "; ".join(_emit_param(k, p) for k, p in zip(kinds, just.params))
+        # terms and identifiers print as themselves
+        body = "; ".join(render(p) if k == "f" else str(p)
+                         for k, p in zip(kinds, just.params))
         prefix = "Ext " if isinstance(just, ByExtension) else ""
         return f"{prefix}{just.scheme}[{body}]"
     raise TypeError(f"not a justification: {just!r}")
@@ -332,21 +337,23 @@ def emit_just(just: Justification) -> str:
 
 def emit_script(script: Script) -> str:
     """Render a script back to text; parsing the result reproduces it."""
+    render = renderer()  # one memo for every formula of the script
     lines = [f"enable {g}" for g in script.enables]
-    env = script.env
-    for name, dom in env.domains.items():
-        tail = " definite" if dom.definite else ""
-        lines.append(f"domain {name} = {{{', '.join(dom.constants)}}}{tail}")
-    listed = {c for dom in env.domains.values() for c in dom.constants}
-    for c in sorted(env.constants - listed):
-        lines.append(f"const {c}")
-    for ext in env.extensions.values():
-        lines.append(f"extend {ext.base} over {ext.domain}")
-    for d in env.definitions.values():
-        head = f"{d.name}({', '.join(d.params)})" if d.params else d.name
-        lines.append(f"def {head} := {pformat(d.body)}")
+    for decl in script.env.declarations:
+        if isinstance(decl, Definition):
+            head = (f"{decl.name}({', '.join(decl.params)})" if decl.params
+                    else decl.name)
+            lines.append(f"def {head} := {render(decl.body)}")
+        elif isinstance(decl, Domain):
+            tail = " definite" if decl.definite else ""
+            lines.append(f"domain {decl.predicate} = "
+                         f"{{{', '.join(decl.constants)}}}{tail}")
+        elif isinstance(decl, TotalExtension):
+            lines.append(f"extend {decl.base} over {decl.domain}")
+        else:
+            lines.append(f"const {decl}")
     for i, h in enumerate(script.hypotheses, start=1):
-        lines.append(f"hyp {i}: {pformat(h)}")
+        lines.append(f"hyp {i}: {render(h)}")
     for i, s in enumerate(script.steps, start=1):
-        lines.append(f"{i}: {pformat(s.formula)} by {emit_just(s.just)}")
+        lines.append(f"{i}: {render(s.formula)} by {emit_just(s.just, render)}")
     return "\n".join(lines) + "\n"

@@ -188,6 +188,20 @@ Formula = Union[
 BOT = Bot()
 _ATOMIC = (Bot, Atom, MApp, AApp, TApp, HApp, SimApp)
 
+# how many quotation leaves ``quoted`` keeps, the most recently used
+QUOTED_CACHE_SIZE = 2048
+_ASCRIBED = {"M": MApp, "A": AApp, "T": TApp}
+
+
+@lru_cache(maxsize=QUOTED_CACHE_SIZE)
+def quoted(ascription: str, name: str) -> Formula:
+    """The one ``M``, ``A`` or ``T`` leaf (as ``ascription`` says) over the
+    quotation of ``name``.  Equal arguments give the same object while it
+    is among the ``QUOTED_CACHE_SIZE`` leaves last asked for, so that the
+    kernel, the parser and the tactics build one leaf and compare it by
+    identity."""
+    return _ASCRIBED[ascription](Quote(name))
+
 
 def neg(phi: Formula) -> Formula:
     return Implies(phi, BOT)
@@ -223,37 +237,55 @@ _PREC_IMP = 2
 _PREC_OR = 3
 _PREC_AND = 4
 _PREC_NEG = 5
+_PREC_ATOM = 10
 
 
 def pformat(phi: Formula) -> str:
     """Render phi in the concrete grammar; parse(pformat(phi)) == phi."""
-    return _fmt(phi, 0)
+    return renderer()(phi)
 
 
-def _fmt(phi: Formula, prec: int) -> str:
-    if isinstance(phi, _ATOMIC):
-        return str(phi)
-    if isinstance(phi, (Forall, Exists)):
-        kw = "forall" if isinstance(phi, Forall) else "exists"
-        s = f"{kw} {phi.var}. {_fmt(phi.body, 0)}"
-        return f"({s})" if prec > 0 else s
-    two = as_iff(phi)
-    if two is not None:
-        s = f"{_fmt(two[0], _PREC_IMP)} <-> {_fmt(two[1], _PREC_IMP)}"
-        return f"({s})" if prec > _PREC_IFF else s
-    if is_neg(phi):
-        assert isinstance(phi, Implies)
-        return f"~{_fmt(phi.left, _PREC_NEG)}"
-    if isinstance(phi, Implies):
-        s = f"{_fmt(phi.left, _PREC_IMP + 1)} -> {_fmt(phi.right, _PREC_IMP)}"
-        return f"({s})" if prec > _PREC_IMP else s
-    if isinstance(phi, Or):
-        s = f"{_fmt(phi.left, _PREC_OR)} | {_fmt(phi.right, _PREC_OR + 1)}"
-        return f"({s})" if prec > _PREC_OR else s
-    if isinstance(phi, And):
-        s = f"{_fmt(phi.left, _PREC_AND)} & {_fmt(phi.right, _PREC_AND + 1)}"
-        return f"({s})" if prec > _PREC_AND else s
-    raise TypeError(f"not a formula: {phi!r}")
+def renderer() -> Callable[[Formula], str]:
+    """A function that renders formulas as ``pformat`` does, with one memo
+    for all of them: a node it meets again, in the same formula or a later
+    one, at any precedence, is not walked again.  The memo is keyed by node
+    identity and holds each node it has rendered, so no key is reused while
+    the function lives; dropping the function drops the memo."""
+    # id(node) -> (its text without outer parentheses, its precedence, node)
+    memo: dict[int, tuple[str, int, Formula]] = {}
+
+    def at(phi: Formula, prec: int) -> str:
+        """phi where an operand of precedence at least prec is wanted."""
+        hit = memo.get(id(phi))
+        if hit is None:
+            hit = memo[id(phi)] = (*layout(phi), phi)
+        return hit[0] if hit[1] >= prec else f"({hit[0]})"
+
+    def layout(phi: Formula) -> tuple[str, int]:
+        if isinstance(phi, _ATOMIC):
+            return str(phi), _PREC_ATOM
+        if isinstance(phi, (Forall, Exists)):
+            kw = "forall" if isinstance(phi, Forall) else "exists"
+            return f"{kw} {phi.var}. {at(phi.body, 0)}", 0
+        two = as_iff(phi)
+        if two is not None:
+            return (f"{at(two[0], _PREC_IMP)} <-> {at(two[1], _PREC_IMP)}",
+                    _PREC_IFF)
+        if is_neg(phi):  # no operand asks for more than _PREC_NEG
+            assert isinstance(phi, Implies)
+            return f"~{at(phi.left, _PREC_NEG)}", _PREC_NEG
+        if isinstance(phi, Implies):
+            return (f"{at(phi.left, _PREC_IMP + 1)} -> "
+                    f"{at(phi.right, _PREC_IMP)}", _PREC_IMP)
+        if isinstance(phi, Or):
+            return (f"{at(phi.left, _PREC_OR)} | {at(phi.right, _PREC_OR + 1)}",
+                    _PREC_OR)
+        if isinstance(phi, And):
+            return (f"{at(phi.left, _PREC_AND)} & "
+                    f"{at(phi.right, _PREC_AND + 1)}", _PREC_AND)
+        raise TypeError(f"not a formula: {phi!r}")
+
+    return lambda phi: at(phi, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +495,11 @@ class TotalExtension:
     extended: str
 
 
+# one entry of ``Environment.declarations``; a string is a constant
+# declared on its own
+Declaration = Union[Domain, str, TotalExtension, Definition]
+
+
 _RESERVED = {"bot", "forall", "exists", "M", "A", "T", "H", "sim", "def",
              "domain", "const", "enable", "hyp", "by", "definite", "extend",
              "over"}
@@ -490,6 +527,11 @@ class Environment:
         self.predicates: dict[str, int] = {}
         self.constants: set[str] = set()
         self.extensions: dict[str, TotalExtension] = {}
+        # every domain, constant declared on its own, total extension and
+        # definition, in the order it was made: a total extension covers
+        # the constants declared before it, and a body reads as a constant
+        # only a name declared before it
+        self.declarations: list[Declaration] = []
         # id(node) -> node, for each compound node check_formula accepted;
         # keyed by identity, never by the node (an equality hit walks as far
         # as a check does), and a hit needs the stored node itself
@@ -513,9 +555,17 @@ class Environment:
         self.predicates[name] = arity
 
     def declare_constant(self, name: str) -> None:
+        if self._add_constant(name):
+            self.declarations.append(name)
+
+    def _add_constant(self, name: str) -> bool:
+        """Add a constant to the universe; whether it is new."""
         if name in _RESERVED:
             raise IllFormedError(f"reserved word used as constant: {name}")
+        if name in self.constants:
+            return False
         self.constants.add(name)
+        return True
 
     @property
     def universe(self) -> tuple[str, ...]:
@@ -532,10 +582,16 @@ class Environment:
             raise DefinitionError(f"conflicting redeclaration of domain {predicate}")
         self.register_predicate(predicate, 1)
         for c in constants:
-            self.declare_constant(c)
+            self._add_constant(c)
         dom = Domain(predicate, tuple(constants), definite)
         self.domains[predicate] = dom
+        self.declarations.append(dom)
         return dom
+
+    def declare_extension(self, ext: TotalExtension) -> None:
+        """Register the total extension of ``ext.base``."""
+        self.extensions[ext.base] = ext
+        self.declarations.append(ext)
 
     # -- definitions
 
@@ -567,6 +623,7 @@ class Environment:
             self._checked.clear()
             raise
         self._names.setdefault((d.params, body), name)
+        self.declarations.append(d)
         return d
 
     def name_of(self, params: tuple[str, ...], body: Formula) -> Optional[str]:

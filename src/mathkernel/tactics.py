@@ -55,6 +55,7 @@ from .syntax import (
     Quote,
     first_occurrence_vars,
     free_vars,
+    quoted,
 )
 
 
@@ -144,10 +145,11 @@ class ProofBuilder:
 
     def mp(self, minor: int, major: int) -> int:
         big = self.formula_at(major)
-        if not isinstance(big, Implies) or big.left != self.formula_at(minor):
+        small = self.formula_at(minor)
+        if not isinstance(big, Implies) or (big.left is not small
+                                            and big.left != small):
             raise TacticError(
-                f"modus ponens mismatch: ({self.formula_at(minor)}) against "
-                f"({big})")
+                f"modus ponens mismatch: ({small}) against ({big})")
         return self.add(big.right, ByMP(minor, major))
 
     def genf(self, premise: int, x: str, y: Optional[str] = None) -> int:
@@ -489,7 +491,7 @@ def internalize_into(b: ProofBuilder, ns: NameStore, sub: Proof,
         elif isinstance(j, ByMP):
             qminor, qimp = names[j.minor], names[j.major]
             qres = ns.name_for(st.formula)
-            l3 = b.logical("L3", AApp(Quote(qminor)), AApp(Quote(qimp)))
+            l3 = b.logical("L3", quoted("A", qminor), quoted("A", qimp))
             both = b.mp(loc[j.major], b.mp(loc[j.minor], l3))
             amp = b.theory("AMP", qminor, qres, qimp)
             loc[i] = b.mp(both, amp)
@@ -521,7 +523,7 @@ def internalize(env: Environment, proof: Proof,
     axioms = set(live_axioms(proof))
     ns = NameStore(env)
     hyp_names = [ns.name_for(h) for h in proof.hypotheses]
-    b = ProofBuilder(env, tuple(AApp(Quote(n)) for n in hyp_names),
+    b = ProofBuilder(env, tuple(quoted("A", n) for n in hyp_names),
                      frozenset(proof.enabled))
     a_hyps = [b.hyp(i) for i in range(len(hyp_names))]
     m_facts = {phi: b.embed(p) for phi, p in m_proofs.items() if phi in axioms}
@@ -565,7 +567,7 @@ def m_closure_into(b: ProofBuilder, ns: NameStore, phi: Formula,
         ia, qa = m_closure_into(b, ns, phi.left, leaves, memo)
         ib, qb = m_closure_into(b, ns, phi.right, leaves, memo)
         q = ns.name_for(phi)
-        l3 = b.logical("L3", MApp(Quote(qa)), MApp(Quote(qb)))
+        l3 = b.logical("L3", quoted("M", qa), quoted("M", qb))
         both = b.mp(ib, b.mp(ia, l3))
         out = b.mp(both, b.theory("MComp1", qa, qb, q)), q
     elif isinstance(phi, Or):
@@ -598,7 +600,7 @@ def meaningfulness_closure(env: Environment, phi: Formula,
     """A proof of M(`phi`), from hypotheses M(`l`) for each assumed leaf."""
     ns = NameStore(env)
     hyp_names = [ns.name_for(l) for l in assumed]
-    b = ProofBuilder(env, tuple(MApp(Quote(n)) for n in hyp_names))
+    b = ProofBuilder(env, tuple(quoted("M", n) for n in hyp_names))
     leaves = {l: b.hyp(i) for i, l in enumerate(assumed)}
     index, _ = m_closure_into(b, ns, phi, leaves)
     return b.build(index)
@@ -628,7 +630,7 @@ def m_decompose_into(b: ProofBuilder, ns: NameStore, index: int,
         qa = ns.name_for(phi.left)
         qb = ns.name_for(phi.right)
         both = b.mp(index, b.theory("MComp4", qname, qa, qb))
-        ma, mb = MApp(Quote(qa)), MApp(Quote(qb))
+        ma, mb = quoted("M", qa), quoted("M", qb)
         ia = b.mp(both, b.logical("L4", ma, mb))
         ib = b.mp(both, b.logical("L5", ma, mb))
         return {phi.left: (ia, qa), phi.right: (ib, qb)}

@@ -158,6 +158,12 @@ def test_generic_check_rejects_unknown_names():
         theory_instance(env, "HDef", ("s", Quote("nope"), "s", "s"))
 
 
+def test_parameters_that_are_no_sequence_are_rejected():
+    with pytest.raises(SchemeError) as exc:
+        theory_instance(_registry_env(), "MBot", "q")
+    assert str(exc.value) == "MBot: expected a tuple of parameters, got 'q'"
+
+
 @pytest.mark.parametrize("scheme", list(SCHEMES))
 def test_ill_shaped_parameters_raise_only_proof_check_errors(scheme):
     env = _registry_env()

@@ -8,6 +8,7 @@ from typing import Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mathkernel.kernel import theory_instance
 from mathkernel.parser import (
     _TOKEN_RE,
     MAX_DEPTH,
@@ -41,7 +42,10 @@ from mathkernel.syntax import (
     first_occurrence_vars,
     neg,
     pformat,
+    quoted,
 )
+from mathkernel.script import parse_script
+from mathkernel.tactics import ProofBuilder, meaningfulness_closure
 
 
 def env_with_vocab() -> Environment:
@@ -205,6 +209,33 @@ def test_a_definition_quoting_itself_shares_no_leaf():
     with pytest.raises(ParseError) as exc:
         fp.formula("M(`n`) -> p")
     assert str(exc.value) == "unbound quotation name `n` (at position 2)"
+
+
+def test_a_leaf_quoting_the_name_being_defined_is_held_nowhere():
+    env = Environment()
+    fp = FormulaParser(env)
+    body = fp.formula("M(`n`) -> M( `n` )", self_name="n")
+    # built afresh, unchecked, and held nowhere: n is not bound yet
+    assert body.left is not quoted("M", "n")
+    assert body.right is not quoted("M", "n") and body.right is not body.left
+    assert fp._leaves == {}
+    env.define("n", (), body)
+    assert fp.formula("M(`n`)") is quoted("M", "n")
+    assert fp._leaves == {"M(`n`)": quoted("M", "n")}
+
+
+def test_a_parsed_leaf_is_the_leaf_kernel_and_builder_build():
+    script, env = parse_script("def q := bot\n1: M(`q`) by MBot[q]\n"
+                               "2: A(`q`) -> M(`q`) by AtoM[q]\n")
+    leaf = script.steps[0].formula
+    assert leaf is quoted("M", "q")
+    assert theory_instance(env, "MBot", ("q",)) is leaf
+    assert theory_instance(env, "AtoM", ("q",)).right is leaf
+    assert script.steps[1].formula.left is quoted("A", "q")
+    b = ProofBuilder(env)
+    assert b.formula_at(b.theory("MBot", "q")) is leaf
+    proof = meaningfulness_closure(env, BOT)
+    assert proof.steps[-1].formula is leaf  # q already names bot
 
 
 def test_a_glued_leaf_is_one_token():

@@ -3,9 +3,11 @@
 import pytest
 
 from mathkernel.kernel import (ByGenE, ByGenF, ByMP, ByTheory, ExtensionGrant,
-                               check_proof, define_total_extension)
+                               Proof, ProofCheckError, Step, check_proof,
+                               define_total_extension)
 from mathkernel.script import ScriptError, emit_script, parse_script, script_of
-from mathkernel.syntax import BOT, Const, Environment, MApp, Var, neg, pformat
+from mathkernel.syntax import (BOT, Const, Environment, MApp, Var, neg,
+                               pformat, quoted)
 from mathkernel.tactics import ProofBuilder
 
 
@@ -311,6 +313,54 @@ def test_a_total_extension_survives_the_writer():
     assert fresh.extensions == env.extensions
     assert check_proof(fresh, script.proof()) == judgment
     assert emit_script(script_of(fresh, script.proof())) == text
+
+
+def _extend_then_declare_a_constant(env):
+    env.declare_domain("Sent", ("s1",), definite=True)
+    define_total_extension(env, "Tr", "Sent")
+    env.declare_constant("c")
+
+
+def _extend_then_declare_a_domain(env):
+    env.declare_domain("Sent", ("s1",), definite=True)
+    define_total_extension(env, "Tr", "Sent")
+    env.declare_domain("Obj", ("c",), definite=True)
+
+
+def _define_then_extend(env):
+    env.define("z", (), BOT)
+    env.declare_domain("Sent", ("s1",), definite=True)
+    define_total_extension(env, "Tr", "Sent")
+    env.declare_constant("c")
+
+
+def _define_then_declare_a_constant(env):
+    env.declare_domain("Sent", ("s1",), definite=True)
+    define_total_extension(env, "Tr", "Sent")
+    env.define("w", ("c",), MApp(Var("c")))  # c a variable here
+    env.declare_constant("c")
+
+
+@pytest.mark.parametrize("declare", [
+    _extend_then_declare_a_constant, _extend_then_declare_a_domain,
+    _define_then_extend, _define_then_declare_a_constant,
+], ids=lambda f: f.__name__.strip("_"))
+def test_the_writer_keeps_the_order_of_declarations(declare):
+    env = Environment()
+    declare(env)
+    b = ProofBuilder(env)
+    proof = b.build(b.theory("TotalExtM", "Tr", Const("s1")))
+    text = emit_script(script_of(env, proof))
+    script, fresh = parse_script(text)
+    assert fresh.declarations == env.declarations
+    assert emit_script(script_of(fresh, script.proof())) == text
+    # c was declared after the extension, which so has no name for it
+    step = Step(quoted("M", "Tr_ext_c"),
+                ByTheory("TotalExtM", ("Tr", Const("c"))))
+    for e in (env, fresh):
+        with pytest.raises(ProofCheckError) as exc:
+            check_proof(e, Proof((), (step,)))
+        assert str(exc.value) == "step 1: unbound quotation name: Tr_ext_c"
 
 
 @pytest.mark.parametrize("line,message", [

@@ -2,11 +2,19 @@
 
 import copy
 import pickle
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mathkernel.syntax import (
+    _ATOMIC,
+    _PREC_AND,
+    _PREC_IFF,
+    _PREC_IMP,
+    _PREC_NEG,
+    _PREC_OR,
+    QUOTED_CACHE_SIZE,
     AApp,
     And,
     Atom,
@@ -32,8 +40,11 @@ from mathkernel.syntax import (
     iff,
     is_neg,
     neg,
+    as_iff,
     pformat,
     quote_names,
+    quoted,
+    renderer,
     substitute,
 )
 from mathkernel.tactics import NameStore
@@ -430,3 +441,133 @@ def test_a_copied_environment_starts_with_an_empty_memo():
                  pickle.loads(pickle.dumps(env))):
         assert twin._checked == {}
         assert twin.definitions == env.definitions
+
+
+# -- the memoizing renderer, against the recursive printer it replaced
+
+
+def reference_pformat(phi):
+    return _reference_fmt(phi, 0)
+
+
+def _reference_fmt(phi, prec):
+    if isinstance(phi, _ATOMIC):
+        return str(phi)
+    if isinstance(phi, (Forall, Exists)):
+        kw = "forall" if isinstance(phi, Forall) else "exists"
+        s = f"{kw} {phi.var}. {_reference_fmt(phi.body, 0)}"
+        return f"({s})" if prec > 0 else s
+    two = as_iff(phi)
+    if two is not None:
+        s = (f"{_reference_fmt(two[0], _PREC_IMP)} <-> "
+             f"{_reference_fmt(two[1], _PREC_IMP)}")
+        return f"({s})" if prec > _PREC_IFF else s
+    if is_neg(phi):
+        return f"~{_reference_fmt(phi.left, _PREC_NEG)}"
+    if isinstance(phi, Implies):
+        s = (f"{_reference_fmt(phi.left, _PREC_IMP + 1)} -> "
+             f"{_reference_fmt(phi.right, _PREC_IMP)}")
+        return f"({s})" if prec > _PREC_IMP else s
+    if isinstance(phi, Or):
+        s = (f"{_reference_fmt(phi.left, _PREC_OR)} | "
+             f"{_reference_fmt(phi.right, _PREC_OR + 1)}")
+        return f"({s})" if prec > _PREC_OR else s
+    if isinstance(phi, And):
+        s = (f"{_reference_fmt(phi.left, _PREC_AND)} & "
+             f"{_reference_fmt(phi.right, _PREC_AND + 1)}")
+        return f"({s})" if prec > _PREC_AND else s
+    raise TypeError(f"not a formula: {phi!r}")
+
+
+# each builds a node over nodes already in the pool, so one object comes to
+# sit at several precedences: left and right of ->, under ~, as an & or |
+# operand, on both sides of <->, under a quantifier
+_SHAPES = {
+    "->": lambda a, b: Implies(a, b),
+    "~": lambda a, b: neg(a),
+    "&": lambda a, b: And(a, b),
+    "|": lambda a, b: Or(a, b),
+    "<->": lambda a, b: iff(a, b),
+    "forall": lambda a, b: Forall("x", a),
+    "exists": lambda a, b: Exists("y", a),
+}
+
+
+@st.composite
+def shared_pools(draw):
+    """Formulas, each after the nodes it is built from."""
+    pool = draw(st.lists(LEAVES, min_size=1, max_size=3))
+    for _ in range(draw(st.integers(1, 14))):
+        shape = draw(st.sampled_from(sorted(_SHAPES)))
+        a, b = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+        pool.append(_SHAPES[shape](a, b))
+    return pool
+
+
+def _every_context(a, b):
+    """``a`` and the formulas that hold it at each precedence, the last
+    one holding all of them."""
+    around = [Implies(a, b), Implies(b, a), neg(a), And(a, b), And(b, a),
+              Or(a, b), Or(b, a), iff(a, a), iff(a, b), Forall("x", a)]
+    return [a, b, *around, reduce(Implies, around)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_pools())
+@example(_every_context(Implies(Atom("p"), Atom("q")), Atom("r")))
+@example(_every_context(Or(BOT, Atom("p")), And(Atom("q"), Atom("r"))))
+@example(_every_context(Forall("x", Atom("p")), neg(Atom("q"))))
+@example(_every_context(iff(Atom("p"), Atom("q")), BOT))
+@example(_every_context(MApp(Quote("s")), neg(neg(Atom("p")))))
+def test_renderer_matches_the_reference_printer(pool):
+    for phi in pool:
+        assert pformat(phi) == reference_pformat(phi)
+    # one memo across formulas: parts first, then the whole first
+    for order in (pool, pool[::-1]):
+        render = renderer()
+        for phi in order:
+            assert render(phi) == reference_pformat(phi)
+
+
+def test_renderer_rejects_what_is_no_formula():
+    with pytest.raises(TypeError):
+        renderer()(Implies(Atom("p"), "q"))
+
+
+# -- one object per quotation leaf
+
+
+def test_equal_quotation_leaves_are_one_object():
+    assert quoted("M", "s") is quoted("M", "s")
+    assert quoted("M", "s") == MApp(Quote("s"))
+    leaves = [quoted(a, "s") for a in "MAT"]
+    assert [type(leaf) for leaf in leaves] == [MApp, AApp, TApp]
+    assert len({id(leaf) for leaf in leaves}) == 3
+    assert quoted("A", "s") == AApp(Quote("s"))
+    assert quoted("T", "s") == TApp(Quote("s"))
+    assert quoted("M", "t") is not quoted("M", "s")
+
+
+def test_the_leaf_cache_stays_bounded():
+    for i in range(QUOTED_CACHE_SIZE + 100):
+        quoted("A", f"n{i}")
+    assert quoted.cache_info().currsize == QUOTED_CACHE_SIZE
+    assert quoted("A", "n0") == AApp(Quote("n0"))  # evicted, built again
+
+
+# -- the order of declarations
+
+
+def test_an_environment_records_each_declaration_once_in_order():
+    env = Environment()
+    env.declare_constant("c")
+    env.declare_domain("Sent", ("s1", "c"), definite=True)
+    env.declare_domain("Sent", ("s1", "c"), definite=True)  # the same again
+    env.declare_constant("s1")  # listed by Sent already
+    env.declare_constant("c")
+    body = env.define("s", (), BOT)
+    env.define("s", (), BOT)
+    with pytest.raises(DefinitionError):
+        env.define("u", (), MApp(Quote("missing")))
+    env.declare_constant("d")
+    assert env.declarations == ["c", env.domains["Sent"], body, "d"]
