@@ -9,10 +9,10 @@ schemes that are unsound in general and must be enabled explicitly.
 Every scheme is one entry of the registry ``SCHEMES``: its kind (logical,
 theory or extension), the kinds of its parameters, and one function that
 builds its instance.  A generic check runs before every instance function:
-it checks the number of parameters and the Python type of each one for
-its kind, that a quotation name is bound, a domain declared and a total
-extension registered, and, for theory and extension schemes, that a term
-is well formed.  The instance functions check only the side conditions of
+it checks the number of parameters, then, in order, each one's Python type
+for its kind, that a quotation name is bound, a domain declared and a total
+extension registered, and, given an environment, that a formula or term is
+well formed.  The instance functions check only the side conditions of
 their scheme.  ``LOGICAL_PARAMS``, ``THEORY_PARAMS``, ``EXTENSION_PARAMS``
 and ``EXTENSION_SCHEMES`` are views of the registry.
 
@@ -21,9 +21,9 @@ c, and one matcher serves both uses of a pattern: with its slots free it
 recognizes an instance (``is_log_instance``), and with a step's parameters
 in its slots it checks the stated formula of an L1..L9 step.  A modus
 ponens step is checked by comparing the fields of its major premise.  So
-an L1..L9 or modus ponens step that checks builds no formula: ``_fill``
-builds an L1..L9 instance only for the tactics (``logical_instance``) and
-for the message of a rejected step.
+an L1..L9 or modus ponens step that checks builds no formula.  Every other
+step that cites a scheme takes one path, ``_instantiate``: its parameters
+are checked in the environment, then its instance is built.
 
 ``check_proof`` checks the Python type of each field of a justification
 before using it, lets no step cite an ill-formed hypothesis or step,
@@ -538,7 +538,9 @@ def _total_ext_neg(env: Environment, base: str, c: Term) -> Formula:
 
 def _total_ext_m(env: Environment, base: str, c: Term) -> Formula:
     _object(env, c)
-    return _m(total_extension_name(base, c.name))
+    name = total_extension_name(base, c.name)
+    env.definition(name)  # raises for a constant declared after the extension
+    return _m(name)
 
 
 # ---------------------------------------------------------------------------
@@ -630,12 +632,13 @@ def total_extension_name(base: str, constant: str) -> str:
     return f"{base}_ext_{constant}"
 
 
-def define_total_extension(env: Environment, base: str, domain: str) -> list[Formula]:
+def define_total_extension(env: Environment, base: str, domain: str) -> None:
     """Extend predicate ``base``, defined on a definite domain, to the whole
     object universe, defaulting to bot outside the domain.
 
-    Registers the extended predicate and a quotation name for each of its
-    instances, and returns every axiom instance this makes available.
+    Registers the extended predicate ``base_ext`` and the quotation name
+    ``base_ext_c`` of its instance at each constant c declared so far, which
+    ``TotalExtPos``, ``TotalExtNeg`` and ``TotalExtM`` steps then cite.
     """
     if domain not in env.domains:
         raise SchemeError(f"{domain} is not a declared domain")
@@ -649,16 +652,8 @@ def define_total_extension(env: Environment, base: str, domain: str) -> list[For
     extended = f"{base}_ext"
     env.register_predicate(extended, 1)
     env.declare_extension(TotalExtension(base, domain, extended))
-    out: list[Formula] = []
     for c in env.universe:
         env.define(total_extension_name(base, c), (), Atom(extended, (Const(c),)))
-    for c in env.universe:
-        ct = Const(c)
-        out.append(theory_instance(env, "TotalExtPos", (base, ct)))
-        out.append(theory_instance(env, "TotalExtNeg", (base, ct)))
-        out.append(theory_instance(env, "DefiniteEM", (domain, ct)))
-        out.append(theory_instance(env, "TotalExtM", (base, ct)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -862,17 +857,7 @@ def check_proof(
             elif isinstance(just, ByLogical):
                 if _states_pattern_instance(just.scheme, just.params, stated):
                     continue
-                # L10, L11 or a mismatch: build the instance and compare, so
-                # that a rejection names the justified formula
-                try:
-                    expected = logical_instance(just.scheme, just.params)
-                except TypeError:  # an ill-typed node inside a parameter
-                    expected = None
-                if expected == stated:
-                    continue
-                # the stated formula is checked above; the parameters are
-                # checked in env only when they do not give it
-                _check_params(env, SCHEMES[just.scheme].params, just.params)
+                expected = _instantiate("logical", env, just.scheme, just.params)
             elif isinstance(just, ByTheory):
                 expected = theory_instance(env, just.scheme, just.params)
             elif isinstance(just, ByMP):

@@ -42,13 +42,13 @@ bare identifier, which a later `const` line may turn into a constant) are
 built afresh each time, and so are the formulas above them.
 
 A quotation leaf written without spaces, such as M(`q`) (a glued leaf), is
-one token, and the parser holds each leaf it has checked under that text;
-a spaced leaf, such as M( `q` ), has the same key.  An operand, also of
-`~`, that is a held glued leaf is taken from that table with no call.  A
-glued leaf read for the first time, or found where it is no operand (a
-term, a quantifier's variable, trailing input), is split back into its four
-tokens, and so is the text when an error position is found, so every
-message and position is what the four tokens give.
+one token, and the parser holds each leaf it has checked under that text.
+An operand, also of `~`, that is a held glued leaf is taken from that
+table with no call.  A glued leaf read for the first time, or found where
+it is no operand (a term, a quantifier's variable, trailing input), is
+split back into its four tokens, and so is the text when an error position
+is found, so every message and position is what the four tokens give.  A
+spaced leaf, such as M( `q` ), is read from its four tokens each time.
 
 A formula is at most ``MAX_DEPTH`` deep: no atom lies inside more than
 ``MAX_DEPTH`` levels, a level being a connective (two for `<->`, which
@@ -132,8 +132,8 @@ class FormulaParser:
     One parser may parse every formula of a script, the environment growing
     in between.  It keeps each `M`, `A` or `T` leaf over a quotation once
     ``Environment.check_formula`` has accepted it, keyed by the leaf's text
-    written without spaces, and returns that object for every later
-    occurrence, a glued one read as a single token: a bound name stays
+    written without spaces, and returns that object for every later glued
+    occurrence, read as a single token: a bound name stays
     bound with the same definition, so the leaf stays well formed.  It
     returns one object for each nullary atom and for each compound formula
     over the same children.
@@ -264,16 +264,6 @@ class FormulaParser:
         if tok[:1] not in _IDENT_START:
             self.i -= 1
             raise self._fail(f"expected a formula, found {tok!r}")
-        shared = None
-        if tok in _SHARED and self.toks[self.i] == "(":
-            # a spaced leaf has the key of the glued one; neither "(" nor
-            # a quotation is the last token: the end-of-input sentinel is,
-            # so a hit leaves i + 2 in range
-            shared = f"{tok}({self.toks[self.i + 1]})"
-            leaf = self._leaves.get(shared)
-            if leaf is not None and self.toks[self.i + 2] == ")":
-                self.i += 3
-                return leaf, 0
         ascription = _ASCRIPTIONS.get(tok)
         args: list[Term] = []
         if ascription or self.toks[self.i] == "(":
@@ -297,11 +287,11 @@ class FormulaParser:
             raise self._fail(f"{tok} takes {arity} term(s)")
         if self.self_name is not None and Quote(self.self_name) in args:
             return build(*args), 0  # Environment.define checks it
-        held = shared is not None and type(args[0]) is Quote
+        held = tok in _SHARED and type(args[0]) is Quote
         leaf = quoted(tok, args[0].name) if held else build(*args)
         self.env.check_formula(leaf)
-        if held:
-            self._leaves[shared] = leaf
+        if held:  # under the key of its glued token
+            self._leaves[f"{tok}(`{args[0].name}`)"] = leaf
         return leaf, 0
 
     def _node(self, build: type, first: Formula | str,

@@ -448,14 +448,14 @@ def _quote_of(phi: Formula, what: str) -> str:
 
 def internalize_into(b: ProofBuilder, ns: NameStore, sub: Proof,
                      a_hyps: Sequence[int],
-                     m_facts: Mapping[Formula, int]) -> tuple[int, str]:
+                     m_facts: Mapping[Formula, int]) -> int:
     """Simulate a purely logical proof inside the assertibility operator:
     the steps its last step depends on, which must all be logical.
 
     ``a_hyps[i]`` must prove A(`h_i`) for the i-th hypothesis of ``sub``;
     ``m_facts`` maps each logical-axiom instance used by ``sub`` to a step
-    proving M of a quotation of it.  Returns the step index and quotation
-    name of the conclusion, A(`conclusion`).
+    proving M of a quotation of it.  Returns the index of the step proving
+    A(`conclusion`).
     """
     env = b.env
     if len(a_hyps) != len(sub.hypotheses):
@@ -505,8 +505,7 @@ def internalize_into(b: ProofBuilder, ns: NameStore, sub: Proof,
         else:
             raise TacticError(f"step {i + 1}: only logical steps can be "
                               f"internalized, found {emit_just(j)}")
-    last = len(sub.steps) - 1
-    return loc[last], names[last]
+    return loc[len(sub.steps) - 1]
 
 
 def internalize(env: Environment, proof: Proof,
@@ -527,8 +526,7 @@ def internalize(env: Environment, proof: Proof,
                      frozenset(proof.enabled))
     a_hyps = [b.hyp(i) for i in range(len(hyp_names))]
     m_facts = {phi: b.embed(p) for phi, p in m_proofs.items() if phi in axioms}
-    index, _ = internalize_into(b, ns, proof, a_hyps, m_facts)
-    return b.build(index)
+    return b.build(internalize_into(b, ns, proof, a_hyps, m_facts))
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from mathkernel.syntax import (
 from mathkernel.tactics import (
     deduction_theorem,
     internalize,
+    live_axioms,
     meaningfulness_closure,
 )
 
@@ -150,8 +151,8 @@ def test_criterion_07_transformer_soundness():
         check_proof(env, proof)
         if proof.hypotheses:
             check_proof(env, deduction_theorem(env, proof))
-        m_proofs = {s.formula: meaningfulness_closure(env, s.formula)
-                    for s in proof.steps if isinstance(s.just, ByLogical)}
+        m_proofs = {phi: meaningfulness_closure(env, phi)
+                    for phi in live_axioms(proof)}
         out = internalize(env, proof, m_proofs)
         check_proof(env, out)
         bound = 10 * len(proof.steps) + sum(len(q.steps)

@@ -86,11 +86,18 @@ def test_check_failure_json_is_schema_valid(capsys):
 
 
 def test_check_rejects_undeclared_grant(capsys):
-    code, _, err = run(capsys, "check",
-                       corpus_path("anomaly_assertible_liar.pf"),
-                       "--allow", "ReleaseAxiom")
+    path = corpus_path("anomaly_assertible_liar.pf")
+    code, _, err = run(capsys, "check", path, "--allow", "ReleaseAxiom")
     assert code == 1
     assert "not declared" in err
+    code, out, _ = run(capsys, "check", path, "--allow", "ReleaseAxiom",
+                       "--json")
+    assert code == 1
+    payload = json.loads(out)
+    jsonschema.validate(payload, schema("check_report.schema.json"))
+    assert payload == {"script": path, "ok": False, "errors": [{
+        "step": None, "message": "granted extension(s) not declared by the "
+                                 "script header: ReleaseAxiom"}]}
 
 
 def test_check_unknown_scheme_is_usage_error(capsys):
@@ -332,6 +339,14 @@ def test_cli_import_does_not_load_numpy():
 
 
 # -- tactic
+
+
+@pytest.mark.parametrize("argv", [["deduction"], ["internalize"],
+                                  ["mclosure", "p"]])
+def test_tactic_missing_file_is_usage_error(tmp_path, capsys, argv):
+    path = str(tmp_path / "absent.pf")
+    code, out, err = run(capsys, "tactic", argv[0], path, *argv[1:])
+    assert (code, out, err) == (2, "", f"error: no such file: {path}\n")
 
 
 def test_tactic_deduction_emits_checkable_script(tmp_path, capsys):

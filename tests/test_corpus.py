@@ -84,6 +84,17 @@ def test_missing_script_reported():
     assert "absent.pf" in result.detail
 
 
+@pytest.mark.parametrize("field,value,detail", [
+    ("conclusion", "bot", "concluded ~~A(`la`), expected bot"),
+    ("hypotheses", ("bot",), "hypotheses [], expected ['bot']")])
+def test_judgment_mismatch_is_reported(field, value, detail):
+    from dataclasses import replace
+    entry = ENTRIES[0]
+    assert entry.script == "anomaly_assertible_liar.pf"
+    result = check_entry(replace(entry, **{field: value}))
+    assert (result.passed, result.detail) == (False, detail)
+
+
 @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.script)
 def test_twenty_mutations_rejected(entry):
     script, env = load(entry.script)

@@ -43,7 +43,7 @@ from mathkernel.kernel import (
     theory_instance,
 )
 from mathkernel.parser import parse_formula
-from mathkernel.script import parse_script
+from mathkernel.script import ScriptError, emit_script, parse_script, script_of
 from mathkernel.syntax import (
     AApp,
     And,
@@ -609,8 +609,11 @@ def test_forall_capture_finite_domain():
 def test_definite_em_and_total_extension():
     env = Environment()
     env.declare_domain("Sent", ("s1",), definite=True)
-    instances = define_total_extension(env, "Tr", "Sent")
-    rendered = {pformat(f) for f in instances}
+    define_total_extension(env, "Tr", "Sent")
+    s1 = Const("s1")
+    rendered = {pformat(theory_instance(env, scheme, params)) for scheme, params
+                in [("TotalExtPos", ("Tr", s1)), ("TotalExtNeg", ("Tr", s1)),
+                    ("DefiniteEM", ("Sent", s1)), ("TotalExtM", ("Tr", s1))]}
     assert "Sent(s1) -> (Tr_ext(s1) <-> Tr(s1))" in rendered
     assert "~Sent(s1) -> (Tr_ext(s1) <-> bot)" in rendered
     assert "Sent(s1) | ~Sent(s1)" in rendered
@@ -697,6 +700,97 @@ def test_mquant3_takes_an_existential_to_its_body():
         "step 1: MQuant3: body of e is not (exists y) applied to d"]
 
 
+def _scheme_env():
+    env = Environment()
+    env.declare_domain("Sent", ("s1",), definite=True)
+    env.declare_domain("Open", ("o1",), definite=False)
+    define_total_extension(env, "Tr", "Sent")
+    for name, params, body in [
+            ("a", (), "p"), ("b", (), "q"), ("imp", (), "p -> q"),
+            ("w", ("x",), "A(x)"), ("ws1", (), "A(s1)")]:
+        env.define(name, params, parse_formula(body, env))
+    return env
+
+
+# one rejected step per theory and extension scheme, each by a side
+# condition of its own where the scheme has one (AtoM has none)
+_REJECTIONS = [
+    ("MComp1", ("a", "b", "a"), "body of a is not the conjunction of a and b"),
+    ("MComp2", ("a", "b"), "a and b are not a matching conjunction/disjunction"),
+    ("MComp3", ("a", "b"), "a and b are not a matching disjunction/implication"),
+    ("MComp4", ("a", "a", "b"), "body of a is not the implication from a to b"),
+    ("MQuant1", ("a", "b", "x"), "body of b is not (forall x) applied to a"),
+    ("MQuant2", ("a", "b", "x"), "a and b are not matching forall/exists bodies"),
+    ("MQuant3", ("a", "b", "x"), "body of a is not (exists x) applied to b"),
+    ("MBot", ("a",), "body of a is not bot"),
+    ("MofM", ("a",), "body of a is not a meaningfulness ascription"),
+    ("MofA", ("a",), "body of a is not an assertibility ascription"),
+    ("ALog", ("a",), "body of a is not a logical axiom instance"),
+    ("AMP", ("a", "b", "a"), "body of a is not the implication from a to b"),
+    ("AGenF", ("imp", "a", "x", "x"),
+     "body of a is not the generalization of imp"),
+    ("AGenE", ("imp", "a", "x", "x"),
+     "body of a is not the generalization of imp"),
+    ("AtoM", ("a",), None),
+    ("ForallCapture", ("Sent", "w", "a", "a", "b"),
+     "2 instances given for the 1 constants of Sent"),
+    ("Capture", ("w",), "w has arity 1; a sentence is required"),
+    ("TDef", ("a", "b"), "body of b is not the truth biconditional for a"),
+    ("TNeg", ("a", "b"),
+     "body of b is not the negated truth ascription for a"),
+    ("HDef", ("w", Const("s1"), "ws1", "a"),
+     "body of a is not the holding biconditional"),
+    ("HNeg", ("w", Const("s1"), "ws1", "a"),
+     "body of a is not the negated holding ascription"),
+    ("SimDef", ("w", "w", "a", "b"),
+     "the extensional-equivalence body is not quantified"),
+    ("DefiniteEM", ("Open", Const("o1")), "domain Open is not definite"),
+    ("TotalExtPos", ("Tr", Var("x")),
+     "the witness must be a declared object constant"),
+    ("TotalExtNeg", ("Tr", Var("x")),
+     "the witness must be a declared object constant"),
+    ("TotalExtM", ("Tr", Var("x")),
+     "the witness must be a declared object constant"),
+    ("ReleaseAxiom", ("w",), "w has arity 1; a sentence is required"),
+    ("UnrestrictedT", ("w",), "w has arity 1; a sentence is required"),
+]
+
+
+@pytest.mark.parametrize("scheme,params,message", _REJECTIONS,
+                         ids=[scheme for scheme, _, _ in _REJECTIONS])
+def test_each_theory_and_extension_scheme_names_its_rejection(scheme, params,
+                                                              message):
+    env = _scheme_env()
+    if SCHEMES[scheme].kind == "theory":
+        proof = Proof((), (Step(BOT, ByTheory(scheme, params)),))
+    else:
+        proof = Proof((), (Step(BOT, ByExtension(scheme, params)),),
+                      frozenset({ExtensionGrant(scheme)}))
+    if message is None:  # the stated formula is not the instance
+        message = ("stated formula (bot) differs from the justified formula "
+                   "(A(`a`) -> M(`a`))")
+    else:
+        message = f"{scheme}: {message}"
+    assert _errors(env, proof) == [f"step 1: {message}"]
+
+
+def test_the_rejections_pin_every_theory_and_extension_scheme():
+    assert [scheme for scheme, _, _ in _REJECTIONS] == [
+        name for name, s in SCHEMES.items() if s.kind != "logical"]
+
+
+def test_total_ext_m_needs_the_name_of_its_instance():
+    env = Environment()
+    env.declare_domain("Sent", ("s1",), definite=True)
+    define_total_extension(env, "Tr", "Sent")
+    env.declare_constant("c")  # after the extension: Tr_ext_c is unbound
+    with pytest.raises(DefinitionError) as exc:
+        theory_instance(env, "TotalExtM", ("Tr", Const("c")))
+    assert str(exc.value) == "unbound quotation name: Tr_ext_c"
+    assert pformat(theory_instance(env, "TotalExtM", ("Tr", Const("s1")))) \
+        == "M(`Tr_ext_s1`)"
+
+
 # -- extension schemes
 
 
@@ -733,6 +827,24 @@ def test_check_rejects_formula_mismatch():
     proof = Proof((), (Step(BOT, ByLogical("L1", (P, Q))),), frozenset())
     with pytest.raises(ProofCheckError):
         check_proof(env, proof)
+
+
+@pytest.mark.parametrize("scheme,stated", [
+    ("L10", Implies(Forall("x", P), P)), ("L11", Implies(P, Exists("x", P)))],
+    ids=["L10", "L11"])
+def test_a_quantifier_axiom_term_is_checked_where_its_instance_lacks_it(
+        scheme, stated):
+    # x is not free in p, so the term is in no part of the stated formula
+    env = _prop_env()
+    step = Step(stated, ByLogical(scheme, ("x", P, Quote("nope"))))
+    assert _errors(env, Proof((), (step,))) == [
+        "step 1: unbound quotation name: nope"]
+    # the reader rejects the text the writer gives for the step alike
+    text = emit_script(script_of(env, Proof((), (step,))))
+    with pytest.raises(ScriptError) as exc:
+        parse_script(text)
+    assert str(exc.value) == (f"line 1: {scheme}: unbound quotation name "
+                              "`nope` (at position 0)")
 
 
 def test_a_proof_needs_steps():
@@ -901,7 +1013,8 @@ def _ill_formed(env, phi):
 def reference_check_errors(env, proof):
     """The errors of ``check_proof`` on a proof of hypothesis, logical and
     modus ponens steps, found by building each justified formula and
-    comparing it with the stated one.  A step may not cite an ill-formed
+    comparing it with the stated one, a logical step's parameters checked
+    in the environment first.  A step may not cite an ill-formed
     hypothesis or step."""
     errors = []
     for i, h in enumerate(proof.hypotheses):
@@ -919,13 +1032,14 @@ def reference_check_errors(env, proof):
                     raise SchemeError(
                         f"hypothesis {just.index + 1} is ill formed")
             elif isinstance(just, ByLogical):
+                # count, then each parameter's type and well-formedness in
+                # order, and only then the instance
                 try:
-                    expected = logical_instance(just.scheme, just.params)
-                except TypeError:  # an ill-typed node inside a parameter
-                    expected = None
-                if expected != stated:
                     kernel._check_params(env, LOGICAL_PARAMS[just.scheme],
                                          just.params)
+                except SchemeError as exc:
+                    raise SchemeError(f"{just.scheme}: {exc}") from None
+                expected = logical_instance(just.scheme, just.params)
             else:
                 for k in (just.minor, just.major):
                     if _ill_formed(env, proof.steps[k].formula):
@@ -1082,6 +1196,8 @@ def _l1(a, b):
 @example(Proof((), (Step(_l1(Q, P), ByLogical("L1", (P, Q))),)))
 # an ill-typed node inside a parameter
 @example(Proof((), (Step(_l1(P, Q), ByLogical("L1", (P, And(Q, 3)))),)))
+# faults in two parameters: the first one's is reported
+@example(Proof((), (Step(_l1(P, Q), ByLogical("L1", (Atom("R", ()), 3))),)))
 # a wrong parameter count, and a term for a formula
 @example(Proof((), (Step(_l1(P, Q), ByLogical("L1", (P,))),)))
 @example(Proof((), (Step(_l1(P, Q), ByLogical("L1", (P, Var("x")))),)))

@@ -5,7 +5,8 @@ import pytest
 from mathkernel.kernel import (ByGenE, ByGenF, ByMP, ByTheory, ExtensionGrant,
                                Proof, ProofCheckError, Step, check_proof,
                                define_total_extension)
-from mathkernel.script import ScriptError, emit_script, parse_script, script_of
+from mathkernel.script import (ScriptError, emit_just, emit_script,
+                               parse_script, script_of)
 from mathkernel.syntax import (BOT, Const, Environment, MApp, Var, neg,
                                pformat, quoted)
 from mathkernel.tactics import ProofBuilder
@@ -395,10 +396,17 @@ ONE_STEP = "1: ~bot by L9[bot]\n"
      "line 1: usage: domain Name = {c1, c2, ...} [definite]"),
     ("enable ReleaseAxiom(bot ->)\n" + ONE_STEP,
      "line 1: expected a formula, found '' (at position 6)"),
+    ("1: ~bot by L9[]\n", "line 1: L9: expected 1 parameters, got 0"),
 ], ids=["genf-usage", "release-usage", "bad-constant", "arity-mismatch",
         "hypothesis-after-step", "no-steps", "unknown-extension",
-        "malformed-domain", "unparsable-grant"])
+        "malformed-domain", "unparsable-grant", "no-parameters"])
 def test_reader_errors_are_pinned(text, message):
     with pytest.raises(ScriptError) as exc:
         parse_script(text)
     assert str(exc.value) == message
+
+
+def test_the_writer_rejects_what_is_no_justification():
+    with pytest.raises(TypeError) as exc:
+        emit_just("hyp 1")
+    assert str(exc.value) == "not a justification: 'hyp 1'"

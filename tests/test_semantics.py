@@ -96,6 +96,7 @@ def test_chain_frame():
 def test_enumerate_frames_matches_poset_counts():
     # numbers of partial orders on 1..4 unlabeled points
     assert [len(enumerate_frames(n)) for n in (1, 2, 3, 4)] == [1, 2, 5, 16]
+    assert enumerate_frames(0) == ()
 
 
 def test_upsets_are_upward_closed():
@@ -321,6 +322,25 @@ def test_deep_formulas_decide_without_recursion():
 
 
 # -- abstraction
+
+
+class _TooDeep(Atom):
+    """An atom whose hash raises RecursionError, as hashing a formula built
+    through the API deeper than Python's recursion limit does.  A real one
+    would also unset a running trace function (such as the one
+    ``tools/line_trace.py`` installs), which then records nothing."""
+
+    def __hash__(self):
+        raise RecursionError
+
+
+def test_a_subformula_too_deep_to_hash_is_a_semantics_error():
+    # a non-propositional subformula is abstracted as a whole, which hashes it
+    for phi in (_TooDeep("P", (Var("x"),)),
+                Implies(f("p"), Forall("x", _TooDeep("P", (Var("x"),))))):
+        with pytest.raises(SemanticsError) as exc:
+            abstract_propositional(phi)
+        assert str(exc.value) == "formula nested too deeply to abstract"
 
 
 def test_abstract_propositional_is_uniform():

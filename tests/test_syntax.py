@@ -83,6 +83,19 @@ def test_substitute_renames_to_avoid_capture():
     assert out.body == Atom("R", (Var("y"), Var(out.var)))
 
 
+def test_substitute_renames_past_a_name_in_use():
+    # y_1 occurs free in the body, so the binder becomes y_2
+    phi = Forall("y", Atom("R", (Var("x"), Var("y_1"))))
+    out = substitute(phi, "x", Var("y"))
+    assert out == Forall("y_2", Atom("R", (Var("y"), Var("y_1"))))
+
+
+def test_substitute_rejects_what_is_no_formula():
+    with pytest.raises(TypeError) as exc:
+        substitute(And(Atom("p"), 3), "x", Const("c"))
+    assert str(exc.value) == "not a formula: 3"
+
+
 def test_captures_detects_bound_collision():
     phi = Forall("y", Atom("R", (Var("x"), Var("y"))))
     assert captures(phi, "x", Var("y"))
@@ -111,6 +124,10 @@ def test_environment_rejects_reserved_names():
         env.define("forall", (), BOT)
     with pytest.raises(IllFormedError):
         env.register_predicate("sim", 0)
+    with pytest.raises(IllFormedError) as exc:
+        env.declare_constant("forall")
+    assert str(exc.value) == "reserved word used as constant: forall"
+    assert env.constants == set() and env.declarations == []
 
 
 def test_environment_rejects_unbound_quote():
@@ -148,6 +165,9 @@ def test_instantiate_parameterized_definition():
     env = Environment()
     env.define("w", ("x",), MApp(Var("x")))
     assert env.instantiate("w", (Const("c"),)) == MApp(Const("c"))
+    with pytest.raises(DefinitionError) as exc:
+        env.instantiate("w", (Const("c"), Const("d")))
+    assert str(exc.value) == "w has arity 1, got 2 arguments"
 
 
 # -- cached facts on compound nodes, against uncached reference walks

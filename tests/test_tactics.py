@@ -48,6 +48,7 @@ from mathkernel.tactics import (
     deduction_theorem,
     identity_imp,
     internalize,
+    internalize_into,
     live_axioms,
     m_closure_into,
     m_decompose_into,
@@ -82,6 +83,24 @@ def test_builder_release_rejects_a_premise_that_is_not_a_quoted_assertion():
     with pytest.raises(TacticError, match="release premise"):
         b.release(b.hyp(0))
     assert len(b) == 1 and not b.enabled
+
+
+def test_builder_mp_rejects_a_major_premise_that_does_not_fit():
+    env = prop_env()
+    b = ProofBuilder(env, (parse_formula("p", env), parse_formula("q", env)))
+    with pytest.raises(TacticError) as exc:
+        b.mp(b.hyp(0), b.hyp(1))
+    assert str(exc.value) == "modus ponens mismatch: (p) against (q)"
+
+
+def test_builder_embed_needs_the_hypotheses_of_the_embedded_proof():
+    env = prop_env()
+    sub = ProofBuilder(env, (parse_formula("p", env),))
+    sub.hyp(0)
+    b = ProofBuilder(env)
+    with pytest.raises(TacticError) as exc:
+        b.embed(sub.build())
+    assert str(exc.value) == "embedded proof needs unavailable hypothesis (p)"
 
 
 def builder_with_dead_steps():
@@ -399,6 +418,43 @@ def test_internalize_needs_no_meaningfulness_for_a_dead_axiom():
     assert env.resolve(conclusion.arg.name) == b.formula_at(k)
 
 
+def _internalize_fault(fault):
+    """The error of ``internalize_into`` on a one-step proof from p, or of
+    bot -> p by L9, with one of its inputs wrong."""
+    env = prop_env()
+    p = parse_formula("p", env)
+    env.define("s", (), p)
+    env.define("t", (), parse_formula("q", env))
+    hyps = {"hyp-count": (), "not-quoted": (p,),
+            "other-hypothesis": (AApp(Quote("t")),)}.get(fault, ())
+    b = ProofBuilder(env, hyps + (MApp(Quote("t")),))
+    a_hyps = [b.hyp(i) for i in range(len(hyps))]
+    if fault == "other-meaning":
+        sub = ProofBuilder(env)
+        sub.logical("L9", p)
+        m_facts = {sub.formula_at(0): b.hyp(len(hyps))}
+    else:
+        sub = ProofBuilder(env, (p,))
+        sub.hyp(0)
+        m_facts = {}
+    with pytest.raises(TacticError) as exc:
+        internalize_into(b, NameStore(env), sub.build(), a_hyps, m_facts)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("hyp-count", "one assertibility fact per hypothesis is required"),
+    ("not-quoted", "an assertibility fact must conclude M or A of a "
+                   "quotation, got (p)"),
+    ("other-hypothesis", "assertibility fact 1 quotes (q), not the "
+                         "hypothesis (p)"),
+    ("other-meaning", "the meaningfulness fact for (bot -> p) quotes a "
+                      "different formula"),
+], ids=["hyp-count", "not-quoted", "other-hypothesis", "other-meaning"])
+def test_internalize_into_rejects_facts_that_do_not_fit(fault, message):
+    assert _internalize_fault(fault) == message
+
+
 @pytest.mark.parametrize("rule", [ByGenF, ByGenE], ids=["GenF", "GenE"])
 @pytest.mark.parametrize("to_var", ["x", "y"], ids=["kept", "renamed"])
 def test_internalize_through_a_generalization(rule, to_var):
@@ -480,6 +536,15 @@ def test_m_decompose_a_quantifier_into_its_body(text, schemes):
     assert check_proof(env, proof).conclusion == MApp(Quote(qb))
     assert [st.just.scheme for st in proof.steps
             if isinstance(st.just, ByTheory)] == schemes
+
+
+def test_m_decompose_rejects_an_atom():
+    env = prop_env()
+    env.define("s", (), parse_formula("p", env))
+    b = ProofBuilder(env, (MApp(Quote("s")),))
+    with pytest.raises(TacticError) as exc:
+        m_decompose_into(b, NameStore(env), b.hyp(0), "s")
+    assert str(exc.value) == "(p) has no components to extract"
 
 
 # -- transformer soundness on random proofs (the full-size run is in the

@@ -80,7 +80,7 @@ def internalize_over(b: ProofBuilder, ns: NameStore, obj: Proof,
     for st in obj.steps:
         if isinstance(st.just, ByLogical) and st.formula not in m_facts:
             m_facts[st.formula] = m_closure_into(b, ns, st.formula, leaves)[0]
-    return internalize_into(b, ns, obj, premises, m_facts)[0]
+    return internalize_into(b, ns, obj, premises, m_facts)
 
 
 # ---------------------------------------------------------------------------
