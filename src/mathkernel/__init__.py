@@ -28,16 +28,6 @@ from .kernel import (
 )
 from .parser import ParseError, parse_formula, parse_term
 from .script import ScriptError, emit_script, parse_script, script_of
-from .semantics import (
-    Countermodel,
-    KripkeFrame,
-    KripkeModel,
-    SemanticsError,
-    eval_at,
-    find_countermodel,
-    holds_in_all_models,
-    provable,
-)
 from .syntax import (
     BOT,
     DefinitionError,
@@ -50,14 +40,6 @@ from .syntax import (
     neg,
     pformat,
     substitute,
-)
-from .tactics import (
-    NameStore,
-    ProofBuilder,
-    TacticError,
-    deduction_theorem,
-    internalize,
-    meaningfulness_closure,
 )
 
 __version__ = "0.1.0"
@@ -116,3 +98,27 @@ __all__ = [
     "substitute",
     "theory_instance",
 ]
+
+# the names of countermodel search and of the tactics layer, by module;
+# each loads with its module on first use, so a command that runs neither,
+# such as `mathkernel check`, imports neither
+_LAZY = dict.fromkeys(("Countermodel", "KripkeFrame", "KripkeModel",
+                       "SemanticsError", "eval_at", "find_countermodel",
+                       "holds_in_all_models", "provable"), "semantics")
+_LAZY.update(dict.fromkeys(("NameStore", "ProofBuilder", "TacticError",
+                            "deduction_theorem", "internalize",
+                            "meaningfulness_closure"), "tactics"))
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _LAZY.keys())

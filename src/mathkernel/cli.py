@@ -7,6 +7,10 @@ intuitionistically valid, 2 on usage errors (bad input files, unparsable
 formulas, a world bound outside 1..5, an output path that cannot be
 written).  ``main`` maps each library error to its exit code; only
 ``check`` reports its own errors, prefixed with the script's path.
+
+``tactics`` and ``semantics`` are imported by the commands that run them,
+and by ``main`` only once an exception reaches it, so a ``check``,
+``corpus`` or ``demo`` run that raises nothing loads neither.
 """
 
 from __future__ import annotations
@@ -24,10 +28,7 @@ from .kernel import (EXTENSION_SCHEMES, ByExtension, Judgment, Proof,
 from .parser import ParseError, parse_formula
 from .script import (ScriptError, emit_just, emit_script, parse_script,
                      read_text, script_of)
-from .semantics import SemanticsError, find_countermodel, provable
 from .syntax import Environment, IllFormedError, pformat
-from .tactics import (NoHypothesisError, TacticError, deduction_theorem,
-                      internalize, live_axioms, meaningfulness_closure)
 
 
 _USAGE_ERROR = 2
@@ -151,6 +152,7 @@ def _countermodel_json(formula: str, valid: bool, cm) -> dict:
 
 
 def _cmd_countermodel(args: argparse.Namespace) -> int:
+    from .semantics import find_countermodel, provable
     if not 1 <= args.max_worlds <= _MAX_WORLDS:
         return _fail_usage(f"--max-worlds must be between 1 and {_MAX_WORLDS}")
     phi = parse_formula(args.formula, Environment())
@@ -192,6 +194,8 @@ def _emit_result(env: Environment, proof: Proof, out: Optional[str]) -> None:
 
 
 def _cmd_tactic(args: argparse.Namespace) -> int:
+    from .tactics import (deduction_theorem, internalize, live_axioms,
+                          meaningfulness_closure)
     script, env = _load_script(args.file)
     proof = script.proof()
     if args.transform != "mclosure":  # it reads only the declarations
@@ -307,22 +311,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# library errors by the exit code they end a command with; NoHypothesisError
-# is a TacticError, so the usage errors are tried first
-_USAGE_ERRORS = (ScriptError, ParseError, IllFormedError, NoHypothesisError,
-                 CorpusError, SemanticsError, OSError)
-_CHECK_ERRORS = (TacticError, ProofCheckError)
+def _exit_code(exc: Exception) -> Optional[int]:
+    """The exit code a library error ends a command with; None for any
+    other exception."""
+    from .semantics import SemanticsError
+    from .tactics import NoHypothesisError, TacticError
+    # NoHypothesisError is a TacticError, so the usage errors are tried first
+    if isinstance(exc, (ScriptError, ParseError, IllFormedError,
+                        NoHypothesisError, CorpusError, SemanticsError,
+                        OSError)):
+        return _USAGE_ERROR
+    if isinstance(exc, (TacticError, ProofCheckError)):
+        return 1
+    return None
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _USAGE_ERRORS as exc:
-        return _fail_usage(str(exc))
-    except _CHECK_ERRORS as exc:
+    except Exception as exc:
+        code = _exit_code(exc)
+        if code is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return code
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ class CorpusError(Exception):
 
 @dataclass(frozen=True)
 class CorpusEntry:
+    """One manifest entry: a script and the judgment it must prove."""
     script: str
     description: str
     hypotheses: tuple[str, ...]
@@ -36,6 +37,7 @@ class CorpusEntry:
 
 @dataclass(frozen=True)
 class EntryResult:
+    """The outcome of checking one corpus entry."""
     entry: CorpusEntry
     passed: bool
     detail: str
@@ -44,6 +46,7 @@ class EntryResult:
 
 @dataclass(frozen=True)
 class CorpusReport:
+    """The outcomes of a corpus run and its wall time."""
     results: tuple[EntryResult, ...]
     seconds: float
 

@@ -83,6 +83,7 @@ class SchemeError(Exception):
 
 @dataclass(frozen=True)
 class Scheme:
+    """An axiom scheme: its kind, parameter kinds and instance function."""
     kind: str  # "logical", "theory" or "extension"
     # parameter kinds: f formula, t term, v variable, n quotation name,
     # d domain, p predicate with a total extension; a trailing "k*" stands
@@ -662,29 +663,34 @@ def define_total_extension(env: Environment, base: str, domain: str) -> None:
 
 @dataclass(frozen=True)
 class ByHyp:
+    """Justification: a hypothesis of the proof."""
     index: int  # 0-based into Proof.hypotheses
 
 
 @dataclass(frozen=True)
 class ByLogical:
+    """Justification: an instance of a logical axiom scheme."""
     scheme: str
     params: tuple
 
 
 @dataclass(frozen=True)
 class ByTheory:
+    """Justification: an instance of an axiom scheme of the theory."""
     scheme: str
     params: tuple
 
 
 @dataclass(frozen=True)
 class ByMP:
+    """Justification: modus ponens from two earlier steps."""
     minor: int  # step proving phi
     major: int  # step proving phi -> psi
 
 
 @dataclass(frozen=True)
 class ByGenF:
+    """Justification: the forall generalization rule on an earlier step."""
     premise: int
     var: str
     to_var: str
@@ -692,6 +698,7 @@ class ByGenF:
 
 @dataclass(frozen=True)
 class ByGenE:
+    """Justification: the exists generalization rule on an earlier step."""
     premise: int
     var: str
     to_var: str
@@ -699,12 +706,14 @@ class ByGenE:
 
 @dataclass(frozen=True)
 class ByExtension:
+    """Justification: an instance of a gated extension scheme."""
     scheme: str
     params: tuple
 
 
 @dataclass(frozen=True)
 class ByRelease:
+    """Justification: the release rule applied to an earlier step."""
     premise: int
 
 
@@ -737,12 +746,14 @@ def _check_fields(just: Justification) -> None:
 
 @dataclass(frozen=True)
 class Step:
+    """One line of a proof: a formula and its justification."""
     formula: Formula
     just: Justification
 
 
 @dataclass(frozen=True)
 class ExtensionGrant:
+    """Leave to use an extension scheme, for one formula or all."""
     scheme: str
     formula: Optional[Formula] = None  # None grants every instance
 
@@ -754,6 +765,7 @@ class ExtensionGrant:
 
 @dataclass(frozen=True)
 class Proof:
+    """Hypotheses, steps and the extension grants the steps may use."""
     hypotheses: tuple[Formula, ...]
     steps: tuple[Step, ...]
     enabled: frozenset[ExtensionGrant] = frozenset()
@@ -761,6 +773,7 @@ class Proof:
 
 @dataclass(frozen=True)
 class Judgment:
+    """What a checked proof establishes, with the grants it used."""
     hypotheses: tuple[Formula, ...]
     conclusion: Formula
     extensions_used: tuple[ExtensionGrant, ...]
@@ -768,6 +781,7 @@ class Judgment:
 
 @dataclass(frozen=True)
 class StepError:
+    """A fault ``check_proof`` found, at a step or in the proof."""
     index: Optional[int]  # 0-based step index; None for proof-level errors
     message: str
 

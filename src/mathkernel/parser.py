@@ -44,11 +44,13 @@ built afresh each time, and so are the formulas above them.
 A quotation leaf written without spaces, such as M(`q`) (a glued leaf), is
 one token, and the parser holds each leaf it has checked under that text.
 An operand, also of `~`, that is a held glued leaf is taken from that
-table with no call.  A glued leaf read for the first time, or found where
-it is no operand (a term, a quantifier's variable, trailing input), is
-split back into its four tokens, and so is the text when an error position
-is found, so every message and position is what the four tokens give.  A
-spaced leaf, such as M( `q` ), is read from its four tokens each time.
+table with no call to read it, and a right operand of a connective that
+is one such leaf, no tighter connective following it, with no call at
+all.  A glued leaf read for the first time, or found where it is no
+operand (a term, a quantifier's variable, trailing input), is split back
+into its four tokens, and so is the text when an error position is found,
+so every message and position is what the four tokens give.  A spaced
+leaf, such as M( `q` ), is read from its four tokens each time.
 
 A formula is at most ``MAX_DEPTH`` deep: no atom lies inside more than
 ``MAX_DEPTH`` levels, a level being a connective (two for `<->`, which
@@ -222,7 +224,18 @@ class FormulaParser:
                 return left, height
             _, right_prec, levels, build = entry
             self.i += 1
-            right, right_height = self._expr(right_prec, depth + levels)
+            right = self._leaves.get(toks[self.i])
+            if right is not None:
+                after = _BINARY.get(toks[self.i + 1])
+                if after is not None and after[0] >= right_prec:
+                    right = None  # the leaf is a tighter operator's operand
+            if right is None:
+                right, right_height = self._expr(right_prec, depth + levels)
+            else:  # a held glued leaf that is the whole operand, no call
+                if depth + levels > MAX_DEPTH:
+                    raise self._fail(_TOO_DEEP)
+                self.i += 1
+                right_height = 0
             if build is None:  # a <-> b is (a -> b) & (b -> a)
                 left = self._node(And, self._node(Implies, left, right),
                                   self._node(Implies, right, left))

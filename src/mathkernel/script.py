@@ -135,7 +135,17 @@ def _parse_scheme_params(fp: FormulaParser, kinds: Sequence[str],
     return tuple(out)
 
 
-_STEP_RE = re.compile(r"(\d+)\s*:\s*(.*)$")
+def _numbered(text: str) -> Optional[tuple[str, str]]:
+    """The number, as written, and the text after the colon of a step or
+    hypothesis line ``N: text``; None if the text before the first colon
+    is not decimal digits, which may be followed by whitespace."""
+    number, colon, rest = text.partition(":")
+    number = number.rstrip()
+    if not colon or not number.isdecimal():
+        return None
+    return number, rest.lstrip()
+
+
 _SCHEME_RE = re.compile(rf"({_IDENT})\s*\[(.*)\]\s*$")
 _JUSTIFICATIONS = {"logical": ByLogical, "theory": ByTheory,
                    "extension": ByExtension}
@@ -206,7 +216,24 @@ def parse_script(text: str) -> tuple[Script, Environment]:
         if not line:
             continue
         try:
-            if line.startswith("enable "):
+            if line[0].isdecimal():  # most lines are steps: read them first
+                numbered = _numbered(line)
+                if numbered is None:
+                    raise ScriptError(f"unrecognized line: {line!r}", line_no)
+                number, rest = numbered
+                if int(number) != next_step:
+                    raise ScriptError(
+                        f"expected step {next_step}, found {number}", line_no)
+                in_steps = True
+                fml_text, by, just_text = f" {rest} ".rpartition(" by ")
+                if not by:
+                    raise ScriptError("a step needs 'formula by justification'",
+                                      line_no)
+                phi = fp.formula(fml_text.strip())
+                script.steps.append(
+                    Step(phi, _parse_just(fp, just_text.strip(), line_no)))
+                next_step += 1
+            elif line.startswith("enable "):
                 rest = line[len("enable "):].strip()
                 m = re.fullmatch(rf"({_IDENT})\s*(?:\((.*)\))?", rest)
                 if not m or m.group(1) not in kernel.EXTENSION_SCHEMES:
@@ -257,31 +284,16 @@ def parse_script(text: str) -> tuple[Script, Environment]:
                             f"has {len(params)} free variables", line_no)
                 env.define(name, params, body)
             elif line.startswith("hyp "):
-                m = _STEP_RE.fullmatch(line[len("hyp "):].strip())
-                if not m or int(m.group(1)) != next_hyp:
+                numbered = _numbered(line[len("hyp "):].strip())
+                if numbered is None or int(numbered[0]) != next_hyp:
                     raise ScriptError(
                         f"expected 'hyp {next_hyp}: formula'", line_no)
                 if in_steps:
                     raise ScriptError("hypotheses must precede steps", line_no)
-                script.hypotheses.append(fp.formula(m.group(2)))
+                script.hypotheses.append(fp.formula(numbered[1]))
                 next_hyp += 1
             else:
-                m = _STEP_RE.fullmatch(line)
-                if not m:
-                    raise ScriptError(f"unrecognized line: {line!r}", line_no)
-                if int(m.group(1)) != next_step:
-                    raise ScriptError(
-                        f"expected step {next_step}, found {m.group(1)}",
-                        line_no)
-                in_steps = True
-                fml_text, by, just_text = f" {m.group(2)} ".rpartition(" by ")
-                if not by:
-                    raise ScriptError("a step needs 'formula by justification'",
-                                      line_no)
-                phi = fp.formula(fml_text.strip())
-                script.steps.append(
-                    Step(phi, _parse_just(fp, just_text.strip(), line_no)))
-                next_step += 1
+                raise ScriptError(f"unrecognized line: {line!r}", line_no)
         except ScriptError:
             raise
         except (ParseError, DefinitionError, IllFormedError,

@@ -94,6 +94,7 @@ def chain_frame(n: int) -> KripkeFrame:
 
 @dataclass(frozen=True)
 class KripkeModel:
+    """A finite frame with a monotone valuation of atoms."""
     frame: KripkeFrame
     valuation: Mapping[str, frozenset[int]]
 
@@ -425,6 +426,7 @@ def _algebra(frame: KripkeFrame) -> _Algebra:
 
 @dataclass(frozen=True)
 class Countermodel:
+    """A model, a world refuting a formula, and its abstractions."""
     model: KripkeModel
     world: int
     subformulas: Mapping[str, Formula]  # atom -> abstracted subformula

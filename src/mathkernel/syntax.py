@@ -28,6 +28,7 @@ class DefinitionError(Exception):
 
 @dataclass(frozen=True)
 class Var:
+    """A variable term."""
     name: str
 
     def __str__(self) -> str:
@@ -36,6 +37,7 @@ class Var:
 
 @dataclass(frozen=True)
 class Const:
+    """An object constant, declared with ``const`` or by a domain."""
     name: str
 
     def __str__(self) -> str:
@@ -44,6 +46,7 @@ class Const:
 
 @dataclass(frozen=True)
 class Quote:
+    """The quotation of a defined name, written `` `name` ``."""
     name: str
 
     def __str__(self) -> str:
@@ -59,12 +62,14 @@ Term = Union[Var, Const, Quote]
 
 @dataclass(frozen=True)
 class Bot:
+    """Falsum, ``bot``; ``BOT`` is its one instance."""
     def __str__(self) -> str:
         return "bot"
 
 
 @dataclass(frozen=True)
 class Atom:
+    """A predicate applied to terms; nullary when ``args`` is empty."""
     pred: str
     args: tuple[Term, ...] = ()
 
@@ -76,6 +81,7 @@ class Atom:
 
 @dataclass(frozen=True)
 class MApp:
+    """``M(t)``: the sentence ``t`` names is meaningful."""
     arg: Term
 
     def __str__(self) -> str:
@@ -84,6 +90,7 @@ class MApp:
 
 @dataclass(frozen=True)
 class AApp:
+    """``A(t)``: the sentence ``t`` names is assertible."""
     arg: Term
 
     def __str__(self) -> str:
@@ -92,6 +99,7 @@ class AApp:
 
 @dataclass(frozen=True)
 class TApp:
+    """``T(t)``: the sentence ``t`` names is true."""
     arg: Term
 
     def __str__(self) -> str:
@@ -100,6 +108,7 @@ class TApp:
 
 @dataclass(frozen=True)
 class HApp:
+    """``H(p, a)``: the concept ``p`` names holds of ``a``."""
     pred: Term
     arg: Term
 
@@ -109,6 +118,7 @@ class HApp:
 
 @dataclass(frozen=True)
 class SimApp:
+    """``sim(p, q)``: the concepts ``p`` and ``q`` name are equivalent."""
     left: Term
     right: Term
 
@@ -145,6 +155,7 @@ class _Compound:
 
 @dataclass(frozen=True, slots=True)
 class And(_Compound):
+    """A conjunction, ``left & right``."""
     left: "Formula"
     right: "Formula"
     __hash__ = _Compound.__hash__
@@ -152,6 +163,7 @@ class And(_Compound):
 
 @dataclass(frozen=True, slots=True)
 class Or(_Compound):
+    """A disjunction, ``left | right``."""
     left: "Formula"
     right: "Formula"
     __hash__ = _Compound.__hash__
@@ -159,6 +171,7 @@ class Or(_Compound):
 
 @dataclass(frozen=True, slots=True)
 class Implies(_Compound):
+    """An implication, ``left -> right``."""
     left: "Formula"
     right: "Formula"
     __hash__ = _Compound.__hash__
@@ -166,6 +179,7 @@ class Implies(_Compound):
 
 @dataclass(frozen=True, slots=True)
 class Forall(_Compound):
+    """A universal quantification, ``forall var. body``."""
     var: str
     body: "Formula"
     __hash__ = _Compound.__hash__
@@ -173,6 +187,7 @@ class Forall(_Compound):
 
 @dataclass(frozen=True, slots=True)
 class Exists(_Compound):
+    """An existential quantification, ``exists var. body``."""
     var: str
     body: "Formula"
     __hash__ = _Compound.__hash__
@@ -472,6 +487,7 @@ def first_occurrence_vars(phi: Formula) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class Definition:
+    """A defined name with its parameters and its body."""
     name: str
     params: tuple[str, ...]
     body: Formula
@@ -483,6 +499,7 @@ class Definition:
 
 @dataclass(frozen=True)
 class Domain:
+    """A domain predicate with its constants, possibly definite."""
     predicate: str
     constants: tuple[str, ...]
     definite: bool
@@ -490,6 +507,7 @@ class Domain:
 
 @dataclass(frozen=True)
 class TotalExtension:
+    """The total extension of ``base`` over ``domain``, named ``extended``."""
     base: str
     domain: str
     extended: str

@@ -1,7 +1,11 @@
 """The command-line interface: subcommands, exit codes, JSON output."""
 
+import dataclasses
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +13,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import mathkernel
+from mathkernel import cli
 from mathkernel.cli import main
 from mathkernel.corpus import corpus_dir
 from mathkernel.kernel import check_proof
@@ -336,6 +342,54 @@ def test_cli_import_does_not_load_numpy():
                             "p = Atom('p'); print(h(Implies(p, p), 4))")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "True"
+
+
+def test_an_exception_that_is_no_library_error_propagates(monkeypatch):
+    def fail(args):
+        raise ValueError("no library error")
+    monkeypatch.setattr(cli, "_cmd_demo", fail)
+    with pytest.raises(ValueError, match="no library error"):
+        main(["demo", "paradox"])
+
+
+def test_check_loads_neither_tactics_nor_semantics():
+    largest = max(corpus_dir().glob("*.pf"), key=lambda p: p.stat().st_size)
+    done = run_python("-c", "import sys; from mathkernel.cli import main; "
+                            f"code = main(['check', {str(largest)!r}]); "
+                            "print(code, sorted(m for m in sys.modules if "
+                            "m in ('mathkernel.tactics', "
+                            "'mathkernel.semantics')))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"
+
+
+def test_every_public_name_resolves_to_its_home_module():
+    homes = [importlib.import_module(f"mathkernel.{name}") for name in
+             ("kernel", "parser", "script", "semantics", "syntax", "tactics")]
+    listed = dir(mathkernel)
+    for name in mathkernel.__all__:
+        value = getattr(mathkernel, name)
+        defining = [m for m in homes if name in vars(m)]
+        assert defining, name
+        assert all(vars(m)[name] is value for m in defining), name
+        assert name in listed, name
+    with pytest.raises(AttributeError):
+        mathkernel.no_such_name
+
+
+def test_every_dataclass_has_a_written_docstring():
+    """``@dataclass`` builds a docstring from the signature of a class
+    without one, which costs an ``inspect.signature`` call at import."""
+    checked = 0
+    for info in pkgutil.iter_modules(mathkernel.__path__):
+        module = importlib.import_module(f"mathkernel.{info.name}")
+        for cls in vars(module).values():
+            if (inspect.isclass(cls) and dataclasses.is_dataclass(cls)
+                    and cls.__module__ == module.__name__):
+                checked += 1
+                assert not (cls.__doc__ or "").startswith(
+                    f"{cls.__name__}("), cls.__qualname__
+    assert checked >= 40
 
 
 # -- tactic

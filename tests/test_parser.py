@@ -348,6 +348,19 @@ def test_depth_cap_counts_a_deep_first_term_of_a_chain():
         parse_formula(f"~{deep} <-> p", env_with_vocab())
 
 
+def test_depth_cap_counts_a_held_leaf_taken_as_a_right_operand():
+    # each M(`s`) after the first is a held glued leaf, and the last one,
+    # with nothing after it, is taken with no call at the deepest level
+    def chain(n):
+        return " -> ".join(["M(`s`)"] * (n + 1))
+    parse_formula(chain(MAX_DEPTH), env_with_vocab())
+    text = chain(MAX_DEPTH + 1)
+    with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH}"
+                       ) as exc:
+        parse_formula(text, env_with_vocab())
+    assert exc.value.position == text.rindex("M")
+
+
 # -- the one-pass parser against the five-level parser it replaced
 
 

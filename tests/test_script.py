@@ -397,13 +397,37 @@ ONE_STEP = "1: ~bot by L9[bot]\n"
     ("enable ReleaseAxiom(bot ->)\n" + ONE_STEP,
      "line 1: expected a formula, found '' (at position 6)"),
     ("1: ~bot by L9[]\n", "line 1: L9: expected 1 parameters, got 0"),
+    ("12abc: p by hyp 1\n", "line 1: unrecognized line: '12abc: p by hyp 1'"),
+    ("1 ~bot by L9[bot]\n", "line 1: unrecognized line: '1 ~bot by L9[bot]'"),
+    ("²: ~bot by L9[bot]\n", "line 1: unrecognized line: '²: ~bot by L9[bot]'"),
+    ("2: ~bot by L9[bot]\n", "line 1: expected step 1, found 2"),
+    ("1: ~bot L9[bot]\n", "line 1: a step needs 'formula by justification'"),
+    ("1:\tby L9[bot]\n", "line 1: expected a formula, found '' (at position 0)"),
+    (ONE_STEP + "2: bot by MP 1 1 x\n", "line 2: usage: MP minor major"),
+    (ONE_STEP + "2: bot by MP 1 x\n", "line 2: usage: MP minor major"),
+    (ONE_STEP + "hyp 1:\n", "line 2: hypotheses must precede steps"),
 ], ids=["genf-usage", "release-usage", "bad-constant", "arity-mismatch",
         "hypothesis-after-step", "no-steps", "unknown-extension",
-        "malformed-domain", "unparsable-grant", "no-parameters"])
+        "malformed-domain", "unparsable-grant", "no-parameters",
+        "digits-then-letters", "step-without-colon", "superscript-number",
+        "first-step-not-1", "step-without-by", "formula-empty-after-tab",
+        "mp-three-words", "mp-word-premise", "empty-hypothesis-after-step"])
 def test_reader_errors_are_pinned(text, message):
     with pytest.raises(ScriptError) as exc:
         parse_script(text)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text", [
+    "01: ~bot by L9[bot]\n", "1 : ~bot by L9[bot]\n", "1:~bot by L9[bot]\n",
+    "１: ~bot by L9[bot]\n", "hyp 01 : bot\n1: ~bot by L9[bot]\n",
+    "hyp １:bot\n1: ~bot by L9[bot]\n",
+], ids=["leading-zero", "space-before-colon", "no-space-after-colon",
+        "fullwidth-digit", "hyp-leading-zero", "hyp-fullwidth-digit"])
+def test_a_step_or_hypothesis_number_is_any_decimal_digits(text):
+    script, _ = parse_script(text)
+    assert [pformat(s.formula) for s in script.steps] == ["~bot"]
+    assert [pformat(h) for h in script.hypotheses] == ["bot"] * text.count("hyp")
 
 
 def test_the_writer_rejects_what_is_no_justification():

@@ -328,7 +328,8 @@ class _TooDeep(Atom):
     """An atom whose hash raises RecursionError, as hashing a formula built
     through the API deeper than Python's recursion limit does.  A real one
     would also unset a running trace function (such as the one
-    ``tools/line_trace.py`` installs), which then records nothing."""
+    ``tools/line_trace.py`` installs), which then records nothing until
+    the plugin restarts it after the test."""
 
     def __hash__(self):
         raise RecursionError

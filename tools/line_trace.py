@@ -13,6 +13,9 @@ plugin.  The report lists, per module, its count of executable lines and
 the ranges of those that did not run.  Code run in a child process, such
 as a test that starts ``python -m mathkernel``, is not traced, and a
 module edited during the run is reported against its new line numbers.
+If tracing stops during a test, as when traced code raises
+``RecursionError`` inside the plugin's own trace function, it is restarted
+after that test, and the report names the test.
 
 The plugin loads a Hypothesis profile with ``derandomize=True``, so the
 property tests draw the same inputs on every run, and two runs on the same
@@ -34,6 +37,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mathkernel"
 _inside: dict[str, bool] = {}  # file name -> whether it is in PACKAGE
 _todo: dict[CodeType, set[int]] = {}  # code object -> its lines not yet run
 _ran: dict[str, set[int]] = {}  # file name -> the lines that ran
+_retraced: list[str] = []  # tests after which tracing had to be restarted
 
 
 def _own_lines(code: CodeType) -> set[int]:
@@ -98,6 +102,15 @@ def _ranges(lines: set[int]) -> str:
     return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in spans)
 
 
+def pytest_runtest_logfinish(nodeid: str, location) -> None:
+    # CPython unsets a trace function that raises, as _global and _local do
+    # when they are the frames that cross the recursion limit; every later
+    # test would run untraced
+    if sys.gettrace() is not _global:
+        _retraced.append(nodeid)
+        sys.settrace(_global)
+
+
 def pytest_sessionfinish(session, exitstatus) -> None:
     sys.settrace(None)
     threading.settrace(None)
@@ -113,6 +126,8 @@ def pytest_terminal_summary(terminalreporter) -> None:
         write(f"{name}: {len(unrun)} of {count} not run"
               + (f": {_ranges(unrun)}" if unrun else ""))
     write(f"total: {missed} of {total} executable lines not run")
+    for nodeid in _retraced:
+        write(f"tracing stopped in {nodeid} and was restarted after it")
 
 
 settings.register_profile("line_trace", derandomize=True)
