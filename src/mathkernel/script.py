@@ -135,15 +135,30 @@ def _parse_scheme_params(fp: FormulaParser, kinds: Sequence[str],
     return tuple(out)
 
 
-def _numbered(text: str) -> Optional[tuple[str, str]]:
-    """The number, as written, and the text after the colon of a step or
-    hypothesis line ``N: text``; None if the text before the first colon
-    is not decimal digits, which may be followed by whitespace."""
+def _number(word: str, usage: str, line_no: int) -> int:
+    """The value of a number in a script line: ScriptError with ``usage``
+    unless ``word`` is decimal digits, and one that gives its length if it
+    is longer than ``int`` reads."""
+    if not word.isdecimal():
+        raise ScriptError(usage, line_no)
+    try:
+        return int(word)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise ScriptError(f"number too long: {len(word)} digits",
+                          line_no) from None
+
+
+def _numbered(text: str, usage: str,
+              line_no: int) -> tuple[str, int, str]:
+    """The number as written, its value and the text after the colon of a
+    step or hypothesis line ``N: text``; ScriptError with ``usage`` unless
+    the text before the first colon is decimal digits, which may be
+    followed by whitespace."""
     number, colon, rest = text.partition(":")
     number = number.rstrip()
-    if not colon or not number.isdecimal():
-        return None
-    return number, rest.lstrip()
+    if not colon:
+        raise ScriptError(usage, line_no)
+    return number, _number(number, usage, line_no), rest.lstrip()
 
 
 _SCHEME_RE = re.compile(rf"({_IDENT})\s*\[(.*)\]\s*$")
@@ -156,25 +171,26 @@ def _parse_just(fp: FormulaParser, text: str, line_no: int) -> Justification:
     if not words:
         raise ScriptError("missing justification", line_no)
     head = words[0]
-    if head == "hyp":
-        if len(words) != 2 or not words[1].isdecimal():
-            raise ScriptError("usage: hyp N", line_no)
-        return ByHyp(int(words[1]) - 1)
+    if head in ("hyp", "Release"):
+        usage = f"usage: {head} N"
+        if len(words) != 2:
+            raise ScriptError(usage, line_no)
+        n = _number(words[1], usage, line_no)
+        return (ByHyp if head == "hyp" else ByRelease)(n - 1)
     if head == "MP":
-        if len(words) != 3 or not all(w.isdecimal() for w in words[1:]):
-            raise ScriptError("usage: MP minor major", line_no)
-        return ByMP(int(words[1]) - 1, int(words[2]) - 1)
+        usage = "usage: MP minor major"
+        if len(words) != 3:
+            raise ScriptError(usage, line_no)
+        return ByMP(_number(words[1], usage, line_no) - 1,
+                    _number(words[2], usage, line_no) - 1)
     if head in ("GenF", "GenE"):
-        if len(words) not in (3, 4) or not words[1].isdecimal():
-            raise ScriptError(f"usage: {head} N x [y]", line_no)
+        usage = f"usage: {head} N x [y]"
+        if len(words) not in (3, 4):
+            raise ScriptError(usage, line_no)
+        n = _number(words[1], usage, line_no)
         x = words[2]
         y = words[3] if len(words) == 4 else x
-        cls = ByGenF if head == "GenF" else ByGenE
-        return cls(int(words[1]) - 1, x, y)
-    if head == "Release":
-        if len(words) != 2 or not words[1].isdecimal():
-            raise ScriptError("usage: Release N", line_no)
-        return ByRelease(int(words[1]) - 1)
+        return (ByGenF if head == "GenF" else ByGenE)(n - 1, x, y)
     ext = head == "Ext"
     m = _SCHEME_RE.fullmatch(text.strip()[len("Ext"):].strip() if ext
                              else text.strip())
@@ -217,11 +233,9 @@ def parse_script(text: str) -> tuple[Script, Environment]:
             continue
         try:
             if line[0].isdecimal():  # most lines are steps: read them first
-                numbered = _numbered(line)
-                if numbered is None:
-                    raise ScriptError(f"unrecognized line: {line!r}", line_no)
-                number, rest = numbered
-                if int(number) != next_step:
+                number, value, rest = _numbered(
+                    line, f"unrecognized line: {line!r}", line_no)
+                if value != next_step:
                     raise ScriptError(
                         f"expected step {next_step}, found {number}", line_no)
                 in_steps = True
@@ -263,13 +277,13 @@ def parse_script(text: str) -> tuple[Script, Environment]:
                     raise ScriptError("usage: extend P over Domain", line_no)
                 kernel.define_total_extension(env, m.group(1), m.group(2))
             elif line.startswith("def "):
+                usage = "usage: def name[/N | (x, y)] := formula"
                 m = re.fullmatch(
                     rf"def\s+({_IDENT})\s*"
                     rf"(?:/(\d+)|\(([^)]*)\))?\s*:=\s*(.*)",
                     line)
                 if not m:
-                    raise ScriptError("usage: def name[/N | (x, y)] := formula",
-                                      line_no)
+                    raise ScriptError(usage, line_no)
                 name = m.group(1)
                 body = fp.formula(m.group(4), self_name=name)
                 if m.group(3) is not None:
@@ -277,20 +291,22 @@ def parse_script(text: str) -> tuple[Script, Environment]:
                         p.strip() for p in m.group(3).split(",") if p.strip())
                 else:
                     params = first_occurrence_vars(body)
-                    want = int(m.group(2)) if m.group(2) else 0
+                    want = (_number(m.group(2), usage, line_no)
+                            if m.group(2) else 0)
                     if len(params) != want:
                         raise ScriptError(
                             f"{name} declared with arity {want} but its body "
                             f"has {len(params)} free variables", line_no)
                 env.define(name, params, body)
             elif line.startswith("hyp "):
-                numbered = _numbered(line[len("hyp "):].strip())
-                if numbered is None or int(numbered[0]) != next_hyp:
-                    raise ScriptError(
-                        f"expected 'hyp {next_hyp}: formula'", line_no)
+                usage = f"expected 'hyp {next_hyp}: formula'"
+                _, value, rest = _numbered(line[len("hyp "):].strip(), usage,
+                                           line_no)
+                if value != next_hyp:
+                    raise ScriptError(usage, line_no)
                 if in_steps:
                     raise ScriptError("hypotheses must precede steps", line_no)
-                script.hypotheses.append(fp.formula(numbered[1]))
+                script.hypotheses.append(fp.formula(rest))
                 next_hyp += 1
             else:
                 raise ScriptError(f"unrecognized line: {line!r}", line_no)

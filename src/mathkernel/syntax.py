@@ -127,13 +127,13 @@ class SimApp:
 
 
 class _Compound:
-    """Base of the compound formulas.  A node computes its hash, free
-    variables and quotation names on first use and keeps them in slots, so
-    none of them walks the subtree again; ``==`` still compares fields.
-    Pickling and copying rebuild a node from its fields: no cached value
-    leaves the process (string hashes are salted per process)."""
+    """Base of the compound formulas.  A node computes its hash and free
+    variables on first use and keeps them in slots, so neither walks the
+    subtree again; ``==`` still compares fields.  Pickling and copying
+    rebuild a node from its fields: no cached value leaves the process
+    (string hashes are salted per process)."""
 
-    __slots__ = ("_hash", "_fv", "_qn")
+    __slots__ = ("_hash", "_fv")
 
     # the tuple of a node's fields, set on each class below
     _fields: Callable[["_Compound"], tuple]
@@ -439,26 +439,6 @@ def _atomic_terms(phi: Formula) -> tuple[Term, ...]:
     return ()
 
 
-def quote_names(phi: Formula) -> frozenset[str]:
-    """All quotation names mentioned anywhere in phi (one level, opaque)."""
-    if isinstance(phi, _Compound):
-        try:
-            return phi._qn
-        except AttributeError:
-            pass
-        if isinstance(phi, (Forall, Exists)):
-            qn = quote_names(phi.body)
-        else:
-            qn = _union(quote_names(phi.left), quote_names(phi.right))
-        object.__setattr__(phi, "_qn", qn)
-        return qn
-    out = _EMPTY
-    for t in _atomic_terms(phi):
-        if isinstance(t, Quote):
-            out = _union(out, _singleton(t.name))
-    return out
-
-
 def first_occurrence_vars(phi: Formula) -> tuple[str, ...]:
     """Free variables of phi ordered by first occurrence in a left-to-right
     walk, matching their textual order."""
@@ -614,6 +594,8 @@ class Environment:
     # -- definitions
 
     def define(self, name: str, params: Sequence[str], body: Formula) -> Definition:
+        """Bind name to body, which may quote name; ``check_formula`` rejects
+        any other unbound quotation, and a rejected body binds nothing."""
         if name in _RESERVED:
             raise DefinitionError(f"reserved word used as name: {name}")
         d = Definition(name, tuple(params), body)
@@ -629,10 +611,7 @@ class Environment:
                 f"body of {name} must have free variables exactly "
                 f"{{{', '.join(d.params)}}}, found {{{', '.join(sorted(fv))}}}"
             )
-        for q in quote_names(body):
-            if q != name and q not in self.definitions:
-                raise DefinitionError(f"unbound quotation `{q}` in body of {name}")
-        # bind provisionally so self-mention passes the well-formedness check
+        # bind provisionally: the check below is the one quotation check
         self.definitions[name] = d
         try:
             self.check_formula(body)

@@ -199,6 +199,36 @@ def test_check_malformed_step_is_usage_error(tmp_path, capsys, line):
     assert "line 1:" in err and "Traceback" not in err
 
 
+LONG = "9" * 5000  # more digits than int() reads from a string
+
+
+@pytest.mark.parametrize("text,line_no", [
+    (f"{LONG}: bot by hyp 1\n", 1),
+    (f"1: bot by MP 1 {LONG}\n", 1),
+    (f"def w/{LONG} := p\n", 1),
+    (f"hyp {LONG}: p\n", 1),
+    (f"1: ~bot by L9[bot]\n2: p by GenF {LONG} x\n", 2),
+], ids=["step", "mp-premise", "def-arity", "hyp", "genf-premise"])
+def test_check_number_too_long_is_usage_error(tmp_path, capsys, text,
+                                              line_no):
+    path = tmp_path / "long.pf"
+    path.write_text(text)
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2 and out == ""
+    assert err == (f"error: {path}: line {line_no}: "
+                   "number too long: 5000 digits\n")
+
+
+def test_corpus_script_with_a_number_too_long_fails_the_entry(tmp_path,
+                                                             capsys):
+    entry = json.loads((corpus_dir() / "manifest.json").read_text())[0]
+    (tmp_path / entry["script"]).write_text(f"{LONG}: bot by hyp 1\n")
+    (tmp_path / "manifest.json").write_text(json.dumps([entry]))
+    code, out, err = run(capsys, "corpus", "--dir", str(tmp_path))
+    assert code == 1 and err == ""
+    assert "FAIL" in out and "line 1: number too long: 5000 digits" in out
+
+
 TOO_DEEP = f"nested deeper than {MAX_DEPTH}"
 
 

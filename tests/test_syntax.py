@@ -42,7 +42,6 @@ from mathkernel.syntax import (
     neg,
     as_iff,
     pformat,
-    quote_names,
     quoted,
     renderer,
     substitute,
@@ -132,8 +131,42 @@ def test_environment_rejects_reserved_names():
 
 def test_environment_rejects_unbound_quote():
     env = Environment()
-    with pytest.raises(DefinitionError):
+    with pytest.raises(IllFormedError) as exc:
         env.define("a", (), MApp(Quote("missing")))
+    assert str(exc.value) == "unbound quotation name: missing"
+
+
+SELF_QUOTE = neg(AApp(Quote("n")))  # well formed once n is bound
+UNBOUND_QUOTE_BODIES = {
+    "atom-argument": Atom("P", (Const("c"), Quote("q"))),
+    "M": MApp(Quote("q")),
+    "A": AApp(Quote("q")),
+    "T": TApp(Quote("q")),
+    "H-predicate": HApp(Quote("q"), Const("c")),
+    "H-argument": HApp(Quote("w"), Quote("q")),
+    "sim-left": SimApp(Quote("q"), Quote("w")),
+    "sim-right": SimApp(Quote("w"), Quote("q")),
+    "under-forall": Forall("x", Implies(MApp(Var("x")), TApp(Quote("q")))),
+    # SELF_QUOTE is checked, and remembered, before q is met
+    "under-implies": Implies(SELF_QUOTE, AApp(Quote("q"))),
+}
+
+
+@pytest.mark.parametrize("body", UNBOUND_QUOTE_BODIES.values(),
+                         ids=UNBOUND_QUOTE_BODIES.keys())
+def test_define_rejects_an_unbound_quotation_and_binds_nothing(body):
+    env = Environment()
+    env.define("w", ("x",), MApp(Var("x")))
+    before = list(env.declarations)
+    with pytest.raises(IllFormedError) as exc:
+        env.define("n", (), body)
+    assert str(exc.value) == "unbound quotation name: q"
+    assert not env.is_bound("n") and env.declarations == before
+    with pytest.raises(IllFormedError) as exc:
+        env.check_formula(SELF_QUOTE)
+    assert str(exc.value) == "unbound quotation name: n"
+    d = env.define("n", (), SELF_QUOTE)
+    assert env.definition("n") == d and env.declarations == [*before, d]
 
 
 def test_environment_rollback_on_bad_self_reference():
@@ -225,15 +258,6 @@ def reference_free_vars(phi):
     return free_vars(phi)
 
 
-def reference_quote_names(phi):
-    if isinstance(phi, (And, Or, Implies)):
-        return (reference_quote_names(phi.left)
-                | reference_quote_names(phi.right))
-    if isinstance(phi, (Forall, Exists)):
-        return reference_quote_names(phi.body)
-    return quote_names(phi)
-
-
 def reference_eq(a, b):
     if type(a) is not type(b):
         return False
@@ -251,7 +275,6 @@ def test_cached_facts_match_reference_walks(phi, other):
         for _ in range(2):  # the first call fills the caches
             assert hash(f) == reference_hash(f)
             assert free_vars(f) == reference_free_vars(f)
-            assert quote_names(f) == reference_quote_names(f)
     assert (phi == other) == reference_eq(phi, other)
     twin = copy.deepcopy(phi)
     assert twin == phi and hash(twin) == hash(phi)
@@ -261,10 +284,10 @@ def test_cached_facts_match_reference_walks(phi, other):
 @given(FORMULAS)
 def test_pickle_and_deepcopy_rebuild_nodes_without_caches(phi):
     fresh = copy.deepcopy(phi)  # built from fields: nothing cached yet
-    hash(phi), free_vars(phi), quote_names(phi)
+    hash(phi), free_vars(phi)
     data = pickle.dumps(phi)
     assert data == pickle.dumps(fresh)
-    for slot in (b"_hash", b"_fv", b"_qn"):
+    for slot in (b"_hash", b"_fv"):
         assert slot not in data
     assert pickle.loads(data) == phi
     assert copy.deepcopy(phi) == phi
@@ -274,7 +297,6 @@ def test_pickle_and_deepcopy_rebuild_nodes_without_caches(phi):
 def test_nodes_without_free_variables_share_one_empty_set():
     phi = Forall("x", And(MApp(Var("x")), BOT))
     assert free_vars(phi) is free_vars(BOT) is free_vars(Implies(BOT, BOT))
-    assert quote_names(phi) is quote_names(BOT)
 
 
 # -- the name index of Environment.define, against the linear scan
@@ -587,7 +609,8 @@ def test_an_environment_records_each_declaration_once_in_order():
     env.declare_constant("c")
     body = env.define("s", (), BOT)
     env.define("s", (), BOT)
-    with pytest.raises(DefinitionError):
+    with pytest.raises(IllFormedError) as exc:
         env.define("u", (), MApp(Quote("missing")))
+    assert str(exc.value) == "unbound quotation name: missing"
     env.declare_constant("d")
     assert env.declarations == ["c", env.domains["Sent"], body, "d"]
