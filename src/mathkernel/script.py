@@ -224,7 +224,6 @@ def parse_script(text: str) -> tuple[Script, Environment]:
     script = Script(env)
     next_hyp = 1
     next_step = 1
-    in_steps = False
     # grant formulas may quote names defined later; parse them at the end
     pending_enables: list[tuple[str, Optional[str], int]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -238,7 +237,6 @@ def parse_script(text: str) -> tuple[Script, Environment]:
                 if value != next_step:
                     raise ScriptError(
                         f"expected step {next_step}, found {number}", line_no)
-                in_steps = True
                 fml_text, by, just_text = f" {rest} ".rpartition(" by ")
                 if not by:
                     raise ScriptError("a step needs 'formula by justification'",
@@ -304,7 +302,7 @@ def parse_script(text: str) -> tuple[Script, Environment]:
                                            line_no)
                 if value != next_hyp:
                     raise ScriptError(usage, line_no)
-                if in_steps:
+                if next_step > 1:
                     raise ScriptError("hypotheses must precede steps", line_no)
                 script.hypotheses.append(fp.formula(rest))
                 next_hyp += 1

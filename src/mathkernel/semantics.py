@@ -350,43 +350,32 @@ def provable(phi: Formula) -> bool:
 # frame enumeration up to isomorphism
 
 
-def _canonical(size: int, strict: frozenset[tuple[int, int]]) -> frozenset:
-    best = None
-    for perm in itertools.permutations(range(size)):
-        img = frozenset((perm[u], perm[v]) for u, v in strict)
-        key = tuple(sorted(img))
-        if best is None or key < best[0]:
-            best = (key, img)
-    assert best is not None
-    return best[1]
-
-
 @lru_cache(maxsize=None)
 def enumerate_frames(size: int) -> tuple[KripkeFrame, ...]:
-    """All posets on ``size`` worlds, one per isomorphism class."""
+    """All posets on ``size`` worlds, one per isomorphism class.
+
+    Every finite poset has a linear extension (Szpilrajn 1930), so every
+    class has a naturally labelled member, whose strict pairs (u, v) all
+    have u < v; only those orders are tried.  Each is named by its least
+    sorted strict-pair list over all relabellings, and the first order of
+    a class gives its frame, with that list as its strict order."""
     if size < 1:
         return ()
     pairs = list(itertools.combinations(range(size), 2))
-    seen: set[frozenset] = set()
+    perms = list(itertools.permutations(range(size)))
+    seen: set[tuple[tuple[int, int], ...]] = set()
     frames: list[KripkeFrame] = []
-    for choice in itertools.product((0, 1, 2), repeat=len(pairs)):
-        strict = set()
-        for (u, v), c in zip(pairs, choice):
-            if c == 1:
-                strict.add((u, v))
-            elif c == 2:
-                strict.add((v, u))
-        ok = all(
-            (u, t) in strict
-            for u, v in strict for v2, t in strict if v2 == v and u != t)
-        if not ok:
+    for bits in itertools.product((False, True), repeat=len(pairs)):
+        strict = {pair for pair, bit in zip(pairs, bits) if bit}
+        if not all((u, t) in strict
+                   for u, v in strict for v2, t in strict if v2 == v):
             continue
-        canon = _canonical(size, frozenset(strict))
-        if canon in seen:
-            continue
-        seen.add(canon)
-        order = frozenset(canon) | frozenset((w, w) for w in range(size))
-        frames.append(KripkeFrame(size, order))
+        name = min(tuple(sorted((p[u], p[v]) for u, v in strict))
+                   for p in perms)
+        if name not in seen:
+            seen.add(name)
+            frames.append(KripkeFrame(size, frozenset(name) | frozenset(
+                (w, w) for w in range(size))))
     return tuple(frames)
 
 

@@ -94,9 +94,44 @@ def test_chain_frame():
 
 
 def test_enumerate_frames_matches_poset_counts():
-    # numbers of partial orders on 1..4 unlabeled points
-    assert [len(enumerate_frames(n)) for n in (1, 2, 3, 4)] == [1, 2, 5, 16]
+    # numbers of partial orders on 1..5 unlabeled points (OEIS A000112)
+    assert [len(enumerate_frames(n)) for n in (1, 2, 3, 4, 5)] \
+        == [1, 2, 5, 16, 63]
     assert enumerate_frames(0) == ()
+
+
+def reference_frames(size):
+    """Every labelled strict order on ``size`` worlds, each pair of worlds
+    unordered or ordered either way, kept when its least sorted strict-pair
+    list over all relabellings is new; that list is the frame's order."""
+    pairs = list(itertools.combinations(range(size), 2))
+    perms = list(itertools.permutations(range(size)))
+    seen, frames = set(), []
+    for choice in itertools.product((None, 0, 1), repeat=len(pairs)):
+        strict = {pair[::-1] if c else pair
+                  for pair, c in zip(pairs, choice) if c is not None}
+        if not all((u, t) in strict for u, v in strict
+                   for v2, t in strict if v2 == v and u != t):
+            continue
+        name = min(tuple(sorted((p[u], p[v]) for u, v in strict))
+                   for p in perms)
+        if name not in seen:
+            seen.add(name)
+            frames.append(KripkeFrame(size, frozenset(name) | frozenset(
+                (w, w) for w in range(size))))
+    return frames
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+def test_enumerate_frames_matches_every_labelled_order(size):
+    # the naturally labelled orders meet every class the labelled ones do,
+    # and up to 3 worlds in the same order
+    frames = enumerate_frames(size)
+    reference = reference_frames(size)
+    assert set(frames) == set(reference)
+    assert len(frames) == len(reference)
+    if size <= 3:
+        assert list(frames) == reference
 
 
 def test_upsets_are_upward_closed():
