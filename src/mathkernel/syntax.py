@@ -3,7 +3,9 @@
 Negation is not a constructor: ~phi is stored as Implies(phi, Bot), and
 phi <-> psi as And(Implies(phi, psi), Implies(psi, phi)).  Quotation is
 opaque: a Quote term stands for a named formula bound in an Environment,
-and resolving a name never unfolds quotations inside the body.
+and resolving a name never unfolds quotations inside the body.  Every
+formula node, leaf or compound, has one hashing rule (``_Node``): it
+hashes the tuple of its fields once and keeps the value in a slot.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union, get_args
 
 
 class IllFormedError(Exception):
@@ -60,18 +62,49 @@ Term = Union[Var, Const, Quote]
 # formulas
 
 
-@dataclass(frozen=True)
-class Bot:
+class _Node:
+    """Base of every formula node.  A node computes its hash, the hash of
+    the tuple of its fields, on first use and keeps it in a slot, so it
+    neither builds that tuple nor walks the subtree again; ``==`` still
+    compares fields.  Pickling and copying rebuild a node from its fields:
+    no cached value leaves the process (string hashes are salted per
+    process).  No node has a ``__dict__``."""
+
+    __slots__ = ("_hash",)
+
+    # the tuple of a node's fields, set on each class below
+    _fields: Callable[["_Node"], tuple]
+
+    def __hash__(self) -> int:
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = hash(self._fields(self))
+            _set_hash(self, h)
+        return h
+
+    def __reduce__(self):
+        return type(self), self._fields(self)
+
+
+# stores a node's hash past the frozen dataclass's ``__setattr__``
+_set_hash = _Node._hash.__set__
+
+
+@dataclass(frozen=True, slots=True)
+class Bot(_Node):
     """Falsum, ``bot``; ``BOT`` is its one instance."""
+    __hash__ = _Node.__hash__
+
     def __str__(self) -> str:
         return "bot"
 
 
-@dataclass(frozen=True)
-class Atom:
+@dataclass(frozen=True, slots=True)
+class Atom(_Node):
     """A predicate applied to terms; nullary when ``args`` is empty."""
     pred: str
     args: tuple[Term, ...] = ()
+    __hash__ = _Node.__hash__
 
     def __str__(self) -> str:
         if not self.args:
@@ -79,75 +112,63 @@ class Atom:
         return f"{self.pred}({', '.join(map(str, self.args))})"
 
 
-@dataclass(frozen=True)
-class MApp:
+@dataclass(frozen=True, slots=True)
+class MApp(_Node):
     """``M(t)``: the sentence ``t`` names is meaningful."""
     arg: Term
+    __hash__ = _Node.__hash__
 
     def __str__(self) -> str:
         return f"M({self.arg})"
 
 
-@dataclass(frozen=True)
-class AApp:
+@dataclass(frozen=True, slots=True)
+class AApp(_Node):
     """``A(t)``: the sentence ``t`` names is assertible."""
     arg: Term
+    __hash__ = _Node.__hash__
 
     def __str__(self) -> str:
         return f"A({self.arg})"
 
 
-@dataclass(frozen=True)
-class TApp:
+@dataclass(frozen=True, slots=True)
+class TApp(_Node):
     """``T(t)``: the sentence ``t`` names is true."""
     arg: Term
+    __hash__ = _Node.__hash__
 
     def __str__(self) -> str:
         return f"T({self.arg})"
 
 
-@dataclass(frozen=True)
-class HApp:
+@dataclass(frozen=True, slots=True)
+class HApp(_Node):
     """``H(p, a)``: the concept ``p`` names holds of ``a``."""
     pred: Term
     arg: Term
+    __hash__ = _Node.__hash__
 
     def __str__(self) -> str:
         return f"H({self.pred}, {self.arg})"
 
 
-@dataclass(frozen=True)
-class SimApp:
+@dataclass(frozen=True, slots=True)
+class SimApp(_Node):
     """``sim(p, q)``: the concepts ``p`` and ``q`` name are equivalent."""
     left: Term
     right: Term
+    __hash__ = _Node.__hash__
 
     def __str__(self) -> str:
         return f"sim({self.left}, {self.right})"
 
 
-class _Compound:
-    """Base of the compound formulas.  A node computes its hash and free
-    variables on first use and keeps them in slots, so neither walks the
-    subtree again; ``==`` still compares fields.  Pickling and copying
-    rebuild a node from its fields: no cached value leaves the process
-    (string hashes are salted per process)."""
+class _Compound(_Node):
+    """Base of the compound formulas.  A node also computes its free
+    variables on first use and keeps them in a slot."""
 
-    __slots__ = ("_hash", "_fv")
-
-    # the tuple of a node's fields, set on each class below
-    _fields: Callable[["_Compound"], tuple]
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(self._fields(self))
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    def __reduce__(self):
-        return type(self), self._fields(self)
+    __slots__ = ("_fv",)
 
     def __str__(self) -> str:
         return pformat(self)
@@ -158,7 +179,7 @@ class And(_Compound):
     """A conjunction, ``left & right``."""
     left: "Formula"
     right: "Formula"
-    __hash__ = _Compound.__hash__
+    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,7 +187,7 @@ class Or(_Compound):
     """A disjunction, ``left | right``."""
     left: "Formula"
     right: "Formula"
-    __hash__ = _Compound.__hash__
+    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,7 +195,7 @@ class Implies(_Compound):
     """An implication, ``left -> right``."""
     left: "Formula"
     right: "Formula"
-    __hash__ = _Compound.__hash__
+    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,7 +203,7 @@ class Forall(_Compound):
     """A universal quantification, ``forall var. body``."""
     var: str
     body: "Formula"
-    __hash__ = _Compound.__hash__
+    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,15 +211,26 @@ class Exists(_Compound):
     """An existential quantification, ``exists var. body``."""
     var: str
     body: "Formula"
-    __hash__ = _Compound.__hash__
+    __hash__ = _Node.__hash__
 
 
-for _cls in (And, Or, Implies, Forall, Exists):
-    _cls._fields = attrgetter(*_cls.__match_args__)
+def _field_tuple(names: tuple[str, ...]) -> Callable[[_Node], tuple]:
+    """The function from a node whose fields are ``names`` to the tuple of
+    those fields, also for none or one."""
+    if len(names) > 1:
+        return attrgetter(*names)
+    if names:
+        get = attrgetter(*names)
+        return lambda node: (get(node),)
+    return lambda node: ()
+
 
 Formula = Union[
     Bot, Atom, MApp, AApp, TApp, HApp, SimApp, And, Or, Implies, Forall, Exists
 ]
+
+for _cls in get_args(Formula):
+    _cls._fields = staticmethod(_field_tuple(_cls.__match_args__))
 
 BOT = Bot()
 _ATOMIC = (Bot, Atom, MApp, AApp, TApp, HApp, SimApp)

@@ -117,12 +117,10 @@ class ProofBuilder:
         return self.steps[index].formula
 
     def add(self, formula: Formula, just: Justification) -> int:
-        cached = self._cache.get(formula)
-        if cached is not None:
-            return cached
-        self.steps.append(Step(formula, just))
-        index = len(self.steps) - 1
-        self._cache[formula] = index
+        n = len(self.steps)
+        index = self._cache.setdefault(formula, n)
+        if index == n:
+            self.steps.append(Step(formula, just))
         return index
 
     # -- convenience constructors; the checker re-validates everything
@@ -534,12 +532,13 @@ def internalize(env: Environment, proof: Proof,
 
 
 def m_closure_into(b: ProofBuilder, ns: NameStore, phi: Formula,
-                   leaves: Mapping[Formula, int] = {},
+                   leaves: Optional[Mapping[Formula, int]] = None,
                    memo: Optional[dict[Formula, tuple[int, str]]] = None
                    ) -> tuple[int, str]:
     """Derive M(`phi`) by recursion on phi's shape.  ``leaves`` maps leaf
     formulas with no compositional scheme (atoms, T, H, sim ascriptions) to
-    steps already proving M of them.  Returns (step index, quotation name).
+    steps already proving M of them; None means there are none.  Returns
+    (step index, quotation name).
 
     ``memo`` holds the result for each subformula already derived in this
     call, so a subformula met again is not walked again; deriving it again
@@ -547,10 +546,12 @@ def m_closure_into(b: ProofBuilder, ns: NameStore, phi: Formula,
     """
     if memo is None:
         memo = {}
-    elif phi in memo:
-        return memo[phi]
-    if phi in leaves:
-        index = leaves[phi]
+    else:
+        out = memo.get(phi)
+        if out is not None:
+            return out
+    index = None if leaves is None else leaves.get(phi)
+    if index is not None:
         out = index, _quote_of(b.formula_at(index), "a leaf fact")
     elif isinstance(phi, Bot):
         q = ns.name_for(phi)

@@ -203,7 +203,7 @@ def test_instantiate_parameterized_definition():
     assert str(exc.value) == "w has arity 1, got 2 arguments"
 
 
-# -- cached facts on compound nodes, against uncached reference walks
+# -- cached facts on formula nodes, against uncached reference walks
 
 TERMS = st.one_of(st.builds(Var, st.sampled_from("xyz")),
                   st.builds(Const, st.sampled_from("cd")),
@@ -241,13 +241,23 @@ class _Hashed:
 
 def reference_hash(phi):
     """The frozen-dataclass hash, the hash of the tuple of fields, recomputed
-    through the whole tree."""
+    through the whole tree, leaves included."""
     if isinstance(phi, (And, Or, Implies)):
         return hash((_Hashed(reference_hash(phi.left)),
                      _Hashed(reference_hash(phi.right))))
     if isinstance(phi, (Forall, Exists)):
         return hash((phi.var, _Hashed(reference_hash(phi.body))))
-    return hash(phi)
+    if isinstance(phi, Bot):
+        return hash(())
+    if isinstance(phi, Atom):
+        return hash((phi.pred, phi.args))
+    if isinstance(phi, (MApp, AApp, TApp)):
+        return hash((phi.arg,))
+    if isinstance(phi, HApp):
+        return hash((phi.pred, phi.arg))
+    if isinstance(phi, SimApp):
+        return hash((phi.left, phi.right))
+    raise TypeError(f"not a formula: {phi!r}")
 
 
 def reference_free_vars(phi):
@@ -292,6 +302,15 @@ def test_pickle_and_deepcopy_rebuild_nodes_without_caches(phi):
     assert pickle.loads(data) == phi
     assert copy.deepcopy(phi) == phi
     assert pickle.loads(pickle.dumps(And(BOT, BOT))) == And(BOT, BOT)
+
+
+def test_no_formula_node_has_a_dict():
+    x, s = Var("x"), Quote("s")
+    for node in (BOT, Atom("P", (x,)), MApp(s), AApp(s), TApp(s),
+                 HApp(s, x), SimApp(s, x), And(BOT, BOT), Or(BOT, BOT),
+                 Implies(BOT, BOT), Forall("x", BOT), Exists("x", BOT)):
+        hash(node), free_vars(node)  # fill every cache first
+        assert not hasattr(node, "__dict__"), type(node).__name__
 
 
 def test_nodes_without_free_variables_share_one_empty_set():

@@ -103,6 +103,32 @@ def test_builder_embed_needs_the_hypotheses_of_the_embedded_proof():
     assert str(exc.value) == "embedded proof needs unavailable hypothesis (p)"
 
 
+def test_builder_add_returns_the_first_index_for_an_equal_formula():
+    env = prop_env()
+    p, q = parse_formula("p", env), parse_formula("q", env)
+    b = ProofBuilder(env)
+    b.logical("L3", p, q)
+    first, twin = Implies(p, Implies(q, p)), Implies(p, Implies(q, p))
+    assert twin == first and twin is not first
+    i = b.add(first, ByLogical("L1", (p, q)))
+    assert b.add(twin, ByMP(0, 0)) == i == 1
+    assert len(b) == 2
+    assert b.formula_at(i) is first and b.steps[i].just == ByLogical("L1", (p, q))
+
+
+def test_closure_of_an_equal_formula_in_the_same_builder_adds_no_step():
+    env = prop_env()
+    env.define("s", (), parse_formula("p", env))
+    text = "(M(`s`) -> bot) & ~(A(`s`) | forall x. M(`s`))"
+    first, twin = parse_formula(text, env), parse_formula(text, env)
+    assert twin == first and twin is not first
+    ns, b = NameStore(env), ProofBuilder(env)
+    got = m_closure_into(b, ns, first)
+    steps, names = list(b.steps), dict(env.definitions)
+    assert m_closure_into(b, ns, twin) == got
+    assert b.steps == steps and env.definitions == names
+
+
 def builder_with_dead_steps():
     """A builder whose step 7, forall x. D(x) -> q, is reached through a
     release, a universal generalization and modus ponens; steps 0, 2 and 5
