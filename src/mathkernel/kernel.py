@@ -67,7 +67,6 @@ from .syntax import (
     Term,
     TotalExtension,
     Var,
-    _atomic_terms,
     captures,
     free_vars,
     iff,
@@ -248,7 +247,7 @@ def _match_subst(body: Formula, x: str, g: Formula) -> Optional[Term]:
             if f.var != x:
                 pairs.append((f.body, h.body))
         else:
-            t = next((u for s, u in zip(_atomic_terms(f), _atomic_terms(h))
+            t = next((u for s, u in zip(f._terms(f), h._terms(h))
                       if s == x_var), None)
     if t is None:
         t = x_var

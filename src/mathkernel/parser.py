@@ -71,22 +71,19 @@ from .syntax import (
     _PREC_IMP,
     _PREC_NEG,
     _PREC_OR,
-    AApp,
+    _leaf_text,
+    ASCRIPTIONS,
     And,
     Atom,
     BOT,
     Const,
     Environment,
     Formula,
-    HApp,
-    MApp,
     Or,
     Implies,
     Exists,
     Forall,
     Quote,
-    SimApp,
-    TApp,
     Term,
     Var,
     quoted,
@@ -118,12 +115,6 @@ _BINARY = {
     "|": (_PREC_OR, _PREC_OR + 1, 1, Or),
     "&": (_PREC_AND, _PREC_AND + 1, 1, And),
 }
-
-# ascription -> (constructor, number of terms)
-_ASCRIPTIONS = {"M": (MApp, 1), "A": (AApp, 1), "T": (TApp, 1),
-                "H": (HApp, 2), "sim": (SimApp, 2)}
-# the ascriptions whose leaves over a quotation a parser shares
-_SHARED = frozenset({"M", "A", "T"})
 
 _TOO_DEEP = f"formula nested deeper than {MAX_DEPTH}"
 
@@ -277,7 +268,7 @@ class FormulaParser:
         if tok[:1] not in _IDENT_START:
             self.i -= 1
             raise self._fail(f"expected a formula, found {tok!r}")
-        ascription = _ASCRIPTIONS.get(tok)
+        ascription = ASCRIPTIONS.get(tok)
         args: list[Term] = []
         if ascription or self.toks[self.i] == "(":
             self._expect("(")
@@ -294,17 +285,18 @@ class FormulaParser:
             if atom is None:
                 atom = self._atoms[tok] = Atom(tok)
             return atom, 0
-        build, arity = ascription
+        arity = len(ascription.__match_args__)
         if len(args) != arity:
             self.i -= 1
             raise self._fail(f"{tok} takes {arity} term(s)")
         if self.self_name is not None and Quote(self.self_name) in args:
-            return build(*args), 0  # Environment.define checks it
-        held = tok in _SHARED and type(args[0]) is Quote
-        leaf = quoted(tok, args[0].name) if held else build(*args)
+            return ascription(*args), 0  # Environment.define checks it
+        # a one-term leaf over a quotation is shared
+        held = arity == 1 and type(args[0]) is Quote
+        leaf = quoted(tok, args[0].name) if held else ascription(*args)
         self.env.check_formula(leaf)
         if held:  # under the key of its glued token
-            self._leaves[f"{tok}(`{args[0].name}`)"] = leaf
+            self._leaves[_leaf_text(leaf)] = leaf
         return leaf, 0
 
     def _node(self, build: type, first: Formula | str,

@@ -148,6 +148,14 @@ def _number(word: str, usage: str, line_no: int) -> int:
                           line_no) from None
 
 
+def _constant(name: str, line_no: int) -> str:
+    """A constant named in a ``const`` or ``domain`` line, which must be an
+    identifier."""
+    if not re.fullmatch(_IDENT, name):
+        raise ScriptError(f"bad constant name: {name!r}", line_no)
+    return name
+
+
 def _numbered(text: str, usage: str,
               line_no: int) -> tuple[str, int, str]:
     """The number as written, its value and the text after the colon of a
@@ -260,14 +268,12 @@ def parse_script(text: str) -> tuple[Script, Environment]:
                     raise ScriptError(
                         "usage: domain Name = {c1, c2, ...} [definite]",
                         line_no)
-                consts = tuple(
-                    c.strip() for c in m.group(2).split(",") if c.strip())
+                consts = tuple(_constant(c.strip(), line_no)
+                               for c in m.group(2).split(",") if c.strip())
                 env.declare_domain(m.group(1), consts, m.group(3) is not None)
             elif line.startswith("const "):
-                name = line[len("const "):].strip()
-                if not re.fullmatch(_IDENT, name):
-                    raise ScriptError(f"bad constant name: {name!r}", line_no)
-                env.declare_constant(name)
+                env.declare_constant(
+                    _constant(line[len("const "):].strip(), line_no))
             elif line.startswith("extend "):
                 m = re.fullmatch(rf"extend\s+({_IDENT})\s+over\s+({_IDENT})",
                                  line)

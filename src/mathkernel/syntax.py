@@ -3,9 +3,9 @@
 Negation is not a constructor: ~phi is stored as Implies(phi, Bot), and
 phi <-> psi as And(Implies(phi, psi), Implies(psi, phi)).  Quotation is
 opaque: a Quote term stands for a named formula bound in an Environment,
-and resolving a name never unfolds quotations inside the body.  Every
-formula node, leaf or compound, has one hashing rule (``_Node``): it
-hashes the tuple of its fields once and keeps the value in a slot.
+and resolving a name never unfolds quotations inside the body.  One loop
+gives each formula node class its fields, terms and hash (``_Node``), and
+``ASCRIPTIONS`` holds each written ascription name, ``M`` to ``sim``.
 """
 
 from __future__ import annotations
@@ -64,16 +64,17 @@ Term = Union[Var, Const, Quote]
 
 class _Node:
     """Base of every formula node.  A node computes its hash, the hash of
-    the tuple of its fields, on first use and keeps it in a slot, so it
-    neither builds that tuple nor walks the subtree again; ``==`` still
-    compares fields.  Pickling and copying rebuild a node from its fields:
-    no cached value leaves the process (string hashes are salted per
-    process).  No node has a ``__dict__``."""
+    the tuple of its fields, and its free variables on first use and keeps
+    each in a slot, so it neither builds that tuple nor walks the subtree
+    again; ``==`` still compares fields.  Pickling and copying rebuild a
+    node from its fields: no cached value leaves the process (string hashes
+    are salted per process).  No node has a ``__dict__``."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_fv")
 
-    # the tuple of a node's fields, set on each class below
+    # a node's fields, and its terms, as tuples; set on each class below
     _fields: Callable[["_Node"], tuple]
+    _terms: Callable[["_Node"], tuple]
 
     def __hash__(self) -> int:
         h = getattr(self, "_hash", None)
@@ -85,18 +86,18 @@ class _Node:
     def __reduce__(self):
         return type(self), self._fields(self)
 
+    def __str__(self) -> str:
+        return pformat(self)
 
-# stores a node's hash past the frozen dataclass's ``__setattr__``
+
+# store a cached value past the frozen dataclass's ``__setattr__``
 _set_hash = _Node._hash.__set__
+_set_fv = _Node._fv.__set__
 
 
 @dataclass(frozen=True, slots=True)
 class Bot(_Node):
     """Falsum, ``bot``; ``BOT`` is its one instance."""
-    __hash__ = _Node.__hash__
-
-    def __str__(self) -> str:
-        return "bot"
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,42 +105,24 @@ class Atom(_Node):
     """A predicate applied to terms; nullary when ``args`` is empty."""
     pred: str
     args: tuple[Term, ...] = ()
-    __hash__ = _Node.__hash__
-
-    def __str__(self) -> str:
-        if not self.args:
-            return self.pred
-        return f"{self.pred}({', '.join(map(str, self.args))})"
 
 
 @dataclass(frozen=True, slots=True)
 class MApp(_Node):
     """``M(t)``: the sentence ``t`` names is meaningful."""
     arg: Term
-    __hash__ = _Node.__hash__
-
-    def __str__(self) -> str:
-        return f"M({self.arg})"
 
 
 @dataclass(frozen=True, slots=True)
 class AApp(_Node):
     """``A(t)``: the sentence ``t`` names is assertible."""
     arg: Term
-    __hash__ = _Node.__hash__
-
-    def __str__(self) -> str:
-        return f"A({self.arg})"
 
 
 @dataclass(frozen=True, slots=True)
 class TApp(_Node):
     """``T(t)``: the sentence ``t`` names is true."""
     arg: Term
-    __hash__ = _Node.__hash__
-
-    def __str__(self) -> str:
-        return f"T({self.arg})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,10 +130,6 @@ class HApp(_Node):
     """``H(p, a)``: the concept ``p`` names holds of ``a``."""
     pred: Term
     arg: Term
-    __hash__ = _Node.__hash__
-
-    def __str__(self) -> str:
-        return f"H({self.pred}, {self.arg})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,20 +137,12 @@ class SimApp(_Node):
     """``sim(p, q)``: the concepts ``p`` and ``q`` name are equivalent."""
     left: Term
     right: Term
-    __hash__ = _Node.__hash__
-
-    def __str__(self) -> str:
-        return f"sim({self.left}, {self.right})"
 
 
 class _Compound(_Node):
-    """Base of the compound formulas.  A node also computes its free
-    variables on first use and keeps them in a slot."""
+    """Base of the compound formulas."""
 
-    __slots__ = ("_fv",)
-
-    def __str__(self) -> str:
-        return pformat(self)
+    __slots__ = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -179,7 +150,6 @@ class And(_Compound):
     """A conjunction, ``left & right``."""
     left: "Formula"
     right: "Formula"
-    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True, slots=True)
@@ -187,7 +157,6 @@ class Or(_Compound):
     """A disjunction, ``left | right``."""
     left: "Formula"
     right: "Formula"
-    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,7 +164,6 @@ class Implies(_Compound):
     """An implication, ``left -> right``."""
     left: "Formula"
     right: "Formula"
-    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,7 +171,6 @@ class Forall(_Compound):
     """A universal quantification, ``forall var. body``."""
     var: str
     body: "Formula"
-    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True, slots=True)
@@ -211,7 +178,6 @@ class Exists(_Compound):
     """An existential quantification, ``exists var. body``."""
     var: str
     body: "Formula"
-    __hash__ = _Node.__hash__
 
 
 def _field_tuple(names: tuple[str, ...]) -> Callable[[_Node], tuple]:
@@ -229,15 +195,21 @@ Formula = Union[
     Bot, Atom, MApp, AApp, TApp, HApp, SimApp, And, Or, Implies, Forall, Exists
 ]
 
+# written name -> the class of the leaves it ascribes to terms
+ASCRIPTIONS = {"M": MApp, "A": AApp, "T": TApp, "H": HApp, "sim": SimApp}
+
 for _cls in get_args(Formula):
     _cls._fields = staticmethod(_field_tuple(_cls.__match_args__))
+    _cls._terms = staticmethod(attrgetter("args") if _cls is Atom else
+                               _cls._fields if _cls in ASCRIPTIONS.values()
+                               else _field_tuple(()))  # none in a compound
+    _cls.__hash__ = _Node.__hash__  # in place of the dataclass's own
 
 BOT = Bot()
 _ATOMIC = (Bot, Atom, MApp, AApp, TApp, HApp, SimApp)
 
 # how many quotation leaves ``quoted`` keeps, the most recently used
 QUOTED_CACHE_SIZE = 2048
-_ASCRIBED = {"M": MApp, "A": AApp, "T": TApp}
 
 
 @lru_cache(maxsize=QUOTED_CACHE_SIZE)
@@ -247,7 +219,7 @@ def quoted(ascription: str, name: str) -> Formula:
     is among the ``QUOTED_CACHE_SIZE`` leaves last asked for, so that the
     kernel, the parser and the tactics build one leaf and compare it by
     identity."""
-    return _ASCRIBED[ascription](Quote(name))
+    return ASCRIPTIONS[ascription](Quote(name))
 
 
 def neg(phi: Formula) -> Formula:
@@ -292,6 +264,17 @@ def pformat(phi: Formula) -> str:
     return renderer()(phi)
 
 
+# each leaf class but Atom -> its written name
+_WRITTEN = {Bot: "bot", **{cls: name for name, cls in ASCRIPTIONS.items()}}
+
+
+def _leaf_text(phi: Formula) -> str:
+    """A leaf's predicate or written name, then its terms if it has any."""
+    terms = phi._terms(phi)
+    name = phi.pred if type(phi) is Atom else _WRITTEN[type(phi)]
+    return f"{name}({', '.join(map(str, terms))})" if terms else name
+
+
 def renderer() -> Callable[[Formula], str]:
     """A function that renders formulas as ``pformat`` does, with one memo
     for all of them: a node it meets again, in the same formula or a later
@@ -310,7 +293,7 @@ def renderer() -> Callable[[Formula], str]:
 
     def layout(phi: Formula) -> tuple[str, int]:
         if isinstance(phi, _ATOMIC):
-            return str(phi), _PREC_ATOM
+            return _leaf_text(phi), _PREC_ATOM
         if isinstance(phi, (Forall, Exists)):
             kw = "forall" if isinstance(phi, Forall) else "exists"
             return f"{kw} {phi.var}. {at(phi.body, 0)}", 0
@@ -363,25 +346,23 @@ def term_vars(t: Term) -> frozenset[str]:
 
 
 def free_vars(phi: Formula) -> frozenset[str]:
-    if isinstance(phi, _Compound):
-        try:
-            return phi._fv
-        except AttributeError:
-            pass
-        if isinstance(phi, (Forall, Exists)):
-            fv = free_vars(phi.body)
-            if phi.var in fv:
-                fv = (fv - {phi.var}) or _EMPTY
-        else:
-            fv = _union(free_vars(phi.left), free_vars(phi.right))
-        object.__setattr__(phi, "_fv", fv)
+    fv = getattr(phi, "_fv", None)
+    if fv is not None:
         return fv
-    if not isinstance(phi, _ATOMIC):
+    if isinstance(phi, (Forall, Exists)):
+        fv = free_vars(phi.body)
+        if phi.var in fv:
+            fv = (fv - {phi.var}) or _EMPTY
+    elif isinstance(phi, _Compound):
+        fv = _union(free_vars(phi.left), free_vars(phi.right))
+    elif isinstance(phi, _Node):
+        fv = _EMPTY
+        for t in phi._terms(phi):
+            fv = _union(fv, term_vars(t))
+    else:
         raise TypeError(f"not a formula: {phi!r}")
-    out = _EMPTY
-    for t in _atomic_terms(phi):
-        out = _union(out, term_vars(t))
-    return out
+    _set_fv(phi, fv)
+    return fv
 
 
 def _fresh(base: str, avoid: frozenset[str]) -> str:
@@ -416,7 +397,7 @@ def _subst(phi: Formula, sub: Mapping[str, Term]) -> Formula:
     if isinstance(phi, Atom):
         return Atom(phi.pred, tuple(_subst_term(a, sub) for a in phi.args))
     if isinstance(phi, _ATOMIC):  # its fields are its terms, in order
-        return type(phi)(*(_subst_term(t, sub) for t in _atomic_terms(phi)))
+        return type(phi)(*(_subst_term(t, sub) for t in phi._terms(phi)))
     if isinstance(phi, (And, Or, Implies)):
         return type(phi)(_subst(phi.left, sub), _subst(phi.right, sub))
     if isinstance(phi, (Forall, Exists)):
@@ -458,19 +439,6 @@ def captures(phi: Formula, x: str, t: Term) -> bool:
     return walk(phi)
 
 
-def _atomic_terms(phi: Formula) -> tuple[Term, ...]:
-    """The argument terms of an atomic formula; () for a compound one."""
-    if isinstance(phi, Atom):
-        return phi.args
-    if isinstance(phi, (MApp, AApp, TApp)):
-        return (phi.arg,)
-    if isinstance(phi, HApp):
-        return (phi.pred, phi.arg)
-    if isinstance(phi, SimApp):
-        return (phi.left, phi.right)
-    return ()
-
-
 def first_occurrence_vars(phi: Formula) -> tuple[str, ...]:
     """Free variables of phi ordered by first occurrence in a left-to-right
     walk, matching their textual order."""
@@ -485,7 +453,7 @@ def first_occurrence_vars(phi: Formula) -> tuple[str, ...]:
         elif isinstance(f, (Forall, Exists)):
             walk(f.body, bound | {f.var})
         else:
-            for t in _atomic_terms(f):
+            for t in f._terms(f):
                 if isinstance(t, Var) and t.name not in bound:
                     seen.setdefault(t.name)
 

@@ -387,6 +387,9 @@ ONE_STEP = "1: ~bot by L9[bot]\n"
     ("1: bot -> bot by GenF 1\n", "line 1: usage: GenF N x [y]"),
     ("1: bot -> bot by Release 1 2\n", "line 1: usage: Release N"),
     ("const 9c\n" + ONE_STEP, "line 1: bad constant name: '9c'"),
+    ("domain D = {a, b c} definite\nextend P over D\n" + ONE_STEP,
+     "line 1: bad constant name: 'b c'"),
+    ("domain D = {1x}\n" + ONE_STEP, "line 1: bad constant name: '1x'"),
     ("def w/2 := A(v0)\n" + ONE_STEP,
      "line 1: w declared with arity 2 but its body has 1 free variables"),
     (ONE_STEP + "hyp 1: bot\n", "line 2: hypotheses must precede steps"),
@@ -406,7 +409,8 @@ ONE_STEP = "1: ~bot by L9[bot]\n"
     (ONE_STEP + "2: bot by MP 1 1 x\n", "line 2: usage: MP minor major"),
     (ONE_STEP + "2: bot by MP 1 x\n", "line 2: usage: MP minor major"),
     (ONE_STEP + "hyp 1:\n", "line 2: hypotheses must precede steps"),
-], ids=["genf-usage", "release-usage", "bad-constant", "arity-mismatch",
+], ids=["genf-usage", "release-usage", "bad-constant",
+        "spaced-domain-constant", "digit-domain-constant", "arity-mismatch",
         "hypothesis-after-step", "no-steps", "unknown-extension",
         "malformed-domain", "unparsable-grant", "no-parameters",
         "digits-then-letters", "step-without-colon", "superscript-number",

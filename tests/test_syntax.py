@@ -14,6 +14,7 @@ from mathkernel.syntax import (
     _PREC_IMP,
     _PREC_NEG,
     _PREC_OR,
+    _Node,
     QUOTED_CACHE_SIZE,
     AApp,
     And,
@@ -311,6 +312,9 @@ def test_no_formula_node_has_a_dict():
                  Implies(BOT, BOT), Forall("x", BOT), Exists("x", BOT)):
         hash(node), free_vars(node)  # fill every cache first
         assert not hasattr(node, "__dict__"), type(node).__name__
+        # both facts are cached, by the one caching hash of every class
+        assert node._hash is not None and node._fv is not None
+        assert type(node).__hash__ is _Node.__hash__, type(node).__name__
 
 
 def test_nodes_without_free_variables_share_one_empty_set():
