@@ -4,8 +4,9 @@ Negation is not a constructor: ~phi is stored as Implies(phi, Bot), and
 phi <-> psi as And(Implies(phi, psi), Implies(psi, phi)).  Quotation is
 opaque: a Quote term stands for a named formula bound in an Environment,
 and resolving a name never unfolds quotations inside the body.  One loop
-gives each formula node class its fields, terms and hash (``_Node``), and
-``ASCRIPTIONS`` holds each written ascription name, ``M`` to ``sim``.
+gives each formula node class its fields, terms and hash (``_Node``),
+``ASCRIPTIONS`` holds each written ascription name, ``M`` to ``sim``, and
+one table the arity a quotation must have in a ``T``, ``H`` or ``sim`` leaf.
 """
 
 from __future__ import annotations
@@ -206,7 +207,7 @@ for _cls in get_args(Formula):
     _cls.__hash__ = _Node.__hash__  # in place of the dataclass's own
 
 BOT = Bot()
-_ATOMIC = (Bot, Atom, MApp, AApp, TApp, HApp, SimApp)
+_ATOMIC = (Bot, Atom, *ASCRIPTIONS.values())
 
 # how many quotation leaves ``quoted`` keeps, the most recently used
 QUOTED_CACHE_SIZE = 2048
@@ -261,6 +262,8 @@ _PREC_ATOM = 10
 
 def pformat(phi: Formula) -> str:
     """Render phi in the concrete grammar; parse(pformat(phi)) == phi."""
+    if isinstance(phi, _ATOMIC):  # as the renderer would, without building one
+        return _leaf_text(phi)
     return renderer()(phi)
 
 
@@ -498,9 +501,17 @@ class TotalExtension:
 Declaration = Union[Domain, str, TotalExtension, Definition]
 
 
-_RESERVED = {"bot", "forall", "exists", "M", "A", "T", "H", "sim", "def",
-             "domain", "const", "enable", "hyp", "by", "definite", "extend",
-             "over"}
+_RESERVED = {"bot", "forall", "exists", *ASCRIPTIONS, "def", "domain", "const",
+             "enable", "hyp", "by", "definite", "extend", "over"}
+
+# each leaf class whose quotations have a required arity -> one row per
+# term, in field order: that arity (None: any) and the message for another
+_QUOTE_ARITIES = {
+    TApp: ((0, "T applied to quotation of arity {}; a sentence is required"),),
+    HApp: ((1, "H requires a unary predicate quotation, got arity {}"),
+           (None, "")),
+    SimApp: ((1, "sim requires unary predicate quotations, got arity {}"),) * 2,
+}
 
 
 class Environment:
@@ -664,11 +675,6 @@ class Environment:
         else:
             raise IllFormedError(f"not a term: {t!r}")
 
-    def _quote_arity(self, t: Term) -> Optional[int]:
-        if isinstance(t, Quote):
-            return self.definition(t.name).arity
-        return None
-
     def check_formula(self, phi: Formula) -> None:
         """Raise IllFormedError on arity or binding violations, and on a
         value that is not a formula."""
@@ -697,33 +703,15 @@ class Environment:
             for t in phi.args:
                 self.check_term(t)
             return
-        if isinstance(phi, (MApp, AApp)):
+        if isinstance(phi, (MApp, AApp)):  # the hot leaves: no arity to check
             self.check_term(phi.arg)
             return
-        if isinstance(phi, TApp):
-            self.check_term(phi.arg)
-            a = self._quote_arity(phi.arg)
-            if a is not None and a != 0:
-                raise IllFormedError(
-                    f"T applied to quotation of arity {a}; a sentence is required"
-                )
-            return
-        if isinstance(phi, HApp):
-            self.check_term(phi.pred)
-            self.check_term(phi.arg)
-            a = self._quote_arity(phi.pred)
-            if a is not None and a != 1:
-                raise IllFormedError(
-                    f"H requires a unary predicate quotation, got arity {a}"
-                )
-            return
-        if isinstance(phi, SimApp):
-            for t in (phi.left, phi.right):
-                self.check_term(t)
-                a = self._quote_arity(t)
-                if a is not None and a != 1:
-                    raise IllFormedError(
-                        f"sim requires unary predicate quotations, got arity {a}"
-                    )
-            return
-        raise IllFormedError(f"not a formula: {phi!r}")
+        rows = _QUOTE_ARITIES.get(type(phi))
+        if rows is None:
+            raise IllFormedError(f"not a formula: {phi!r}")
+        for t, (arity, message) in zip(phi._terms(phi), rows):
+            self.check_term(t)
+            if arity is not None and type(t) is Quote:
+                a = self.definitions[t.name].arity
+                if a != arity:
+                    raise IllFormedError(message.format(a))

@@ -779,6 +779,114 @@ def test_the_rejections_pin_every_theory_and_extension_scheme():
         name for name, s in SCHEMES.items() if s.kind != "logical"]
 
 
+def _guard_env():
+    env = Environment()
+    env.declare_domain("Sent", ("s1", "s2"), definite=True)
+    env.declare_domain("Open", ("o1",), definite=False)
+    for name, params, body in [
+            ("wA", ("x",), "A(x)"), ("bin", ("x", "y"), "A(x) & A(y)"),
+            ("i1", (), "A(s1)"), ("i2", (), "A(s2)"), ("bad_i2", (), "bot"),
+            ("u", (), "forall x. Sent(x) -> A(x)"),
+            ("ex", (), "exists x. Sent(x) -> A(x)"),
+            ("nq", (), "Sent(s1) -> A(s1)"),
+            ("unrel", (), "forall x. Open(x) -> A(x)"),
+            ("bare", (), "forall x. A(x)"),
+            ("hd", (), "H(`wA`, s1) <-> A(s1)"), ("hn", (), "~H(`wA`, s1)"),
+            ("hdx", ("x",), "H(`wA`, x) <-> A(x)"),
+            ("hnx", ("x",), "~H(`wA`, x)"),
+            ("tb", (), "T(`i1`) <-> A(s1)"), ("tn", (), "~T(`i1`)"),
+            ("conj", (), "A(s1) & A(s2)"),
+            ("dis", (), "A(s1) | A(s2)"), ("dis2", (), "A(s1) | A(s2)"),
+            ("imp", (), "A(s1) -> A(s2)"), ("imp2", (), "A(s1) -> A(s2)"),
+            ("some", (), "exists x. A(x)"),
+            ("all_y", (), "forall y. A(s1)"), ("ex_x", (), "exists x. A(s1)")]:
+        env.define(name, params, parse_formula(body, env))
+    return env
+
+
+_UNARY = "bin has arity 2; a unary predicate is required"
+_SENTENCE = "wA has arity 1; a sentence is required"
+_WITNESS = "the witness must be a declared object constant"
+
+
+# side conditions that the one row per scheme above leaves open: each row
+# is rejected by one guard, and without that guard it is accepted or
+# rejected with another message
+@pytest.mark.parametrize("scheme,params,message", [
+    pytest.param("ForallCapture", ("Sent", "bin", "u", "i1", "i2"), _UNARY,
+                 id="ForallCapture-binary-predicate"),
+    pytest.param("ForallCapture", ("Sent", "wA", "u", "wA", "i2"), _SENTENCE,
+                 id="ForallCapture-unary-instance"),
+    pytest.param("ForallCapture", ("Sent", "wA", "u", "i1", "bad_i2"),
+                 "body of bad_i2 is not wA applied to s2",
+                 id="ForallCapture-wrong-instance"),
+    pytest.param("ForallCapture", ("Sent", "wA", "ex", "i1", "i2"),
+                 "body of ex is not universally quantified",
+                 id="ForallCapture-existential"),
+    pytest.param("ForallCapture", ("Sent", "wA", "nq", "i1", "i2"),
+                 "body of nq is not universally quantified",
+                 id="ForallCapture-not-quantified"),
+    pytest.param("ForallCapture", ("Sent", "wA", "unrel", "i1", "i2"),
+                 "body of unrel does not relativize wA to Sent",
+                 id="ForallCapture-other-relativization"),
+    pytest.param("ForallCapture", ("Sent", "wA", "bare", "i1", "i2"),
+                 "body of bare does not relativize wA to Sent",
+                 id="ForallCapture-no-relativization"),
+    pytest.param("HDef", ("bin", Const("s1"), "i1", "hd"), _UNARY,
+                 id="HDef-binary-predicate"),
+    pytest.param("HNeg", ("bin", Const("s1"), "i1", "hn"), _UNARY,
+                 id="HNeg-binary-predicate"),
+    pytest.param("HDef", ("wA", Var("x"), "wA", "hdx"), _SENTENCE,
+                 id="HDef-variable-witness"),
+    pytest.param("HNeg", ("wA", Var("x"), "wA", "hnx"), _SENTENCE,
+                 id="HNeg-variable-witness"),
+    pytest.param("HDef", ("wA", Const("s1"), "bad_i2", "hd"),
+                 "body of bad_i2 is not wA applied to s1",
+                 id="HDef-wrong-instance"),
+    pytest.param("HNeg", ("wA", Const("s1"), "bad_i2", "hn"),
+                 "body of bad_i2 is not wA applied to s1",
+                 id="HNeg-wrong-instance"),
+    pytest.param("TDef", ("wA", "tb"), _SENTENCE, id="TDef-unary"),
+    pytest.param("TNeg", ("wA", "tn"), _SENTENCE, id="TNeg-unary"),
+    pytest.param("DefiniteEM", ("Sent", Var("s1")), _WITNESS,
+                 id="DefiniteEM-variable"),
+    pytest.param("DefiniteEM", ("Sent", Const("c9")), _WITNESS,
+                 id="DefiniteEM-undeclared-constant"),
+    pytest.param("MComp2", ("dis", "dis2"),
+                 "dis and dis2 are not a matching conjunction/disjunction",
+                 id="MComp2-two-disjunctions"),
+    pytest.param("MComp2", ("conj", "imp"),
+                 "conj and imp are not a matching conjunction/disjunction",
+                 id="MComp2-conjunction-to-implication"),
+    pytest.param("MComp3", ("imp", "imp2"),
+                 "imp and imp2 are not a matching disjunction/implication",
+                 id="MComp3-two-implications"),
+    pytest.param("MComp3", ("dis", "conj"),
+                 "dis and conj are not a matching disjunction/implication",
+                 id="MComp3-disjunction-to-conjunction"),
+    pytest.param("MQuant2", ("some", "some", "x"),
+                 "some and some are not matching forall/exists bodies",
+                 id="MQuant2-from-existential"),
+    pytest.param("MQuant2", ("all_y", "ex_x", "x"),
+                 "all_y and ex_x are not matching forall/exists bodies",
+                 id="MQuant2-other-variable"),
+    pytest.param("MQuant2", ("bare", "ex_x", "x"),
+                 "bare and ex_x are not matching forall/exists bodies",
+                 id="MQuant2-other-body"),
+    pytest.param("L1", ("x", BOT), "expected a formula, got 'x'",
+                 id="L1-not-a-formula"),
+    pytest.param("L10", ("x", Atom("P", (Var("x"),)), "c"),
+                 "expected a term, got 'c'", id="L10-not-a-term"),
+])
+def test_each_side_condition_names_its_rejection(scheme, params, message):
+    with pytest.raises(SchemeError) as exc:
+        if SCHEMES[scheme].kind == "logical":
+            logical_instance(scheme, params)
+        else:
+            theory_instance(_guard_env(), scheme, params)
+    assert str(exc.value) == f"{scheme}: {message}"
+
+
 def test_total_ext_m_needs_the_name_of_its_instance():
     env = Environment()
     env.declare_domain("Sent", ("s1",), definite=True)

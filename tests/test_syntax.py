@@ -369,6 +369,10 @@ def test_name_index_matches_the_linear_scan(defines, wanted):
 # -- the memo of Environment.check_formula, against the memo-free walk
 
 
+def _quote_arity(env, t):
+    return env.definitions[t.name].arity if isinstance(t, Quote) else None
+
+
 def reference_check_formula(env, phi):
     """Environment.check_formula as it was before the memo: every node of
     phi walked against env's current names and predicates."""
@@ -398,7 +402,7 @@ def reference_check_formula(env, phi):
         return
     if isinstance(phi, TApp):
         env.check_term(phi.arg)
-        a = env._quote_arity(phi.arg)
+        a = _quote_arity(env, phi.arg)
         if a is not None and a != 0:
             raise IllFormedError(
                 f"T applied to quotation of arity {a}; a sentence is required")
@@ -406,7 +410,7 @@ def reference_check_formula(env, phi):
     if isinstance(phi, HApp):
         env.check_term(phi.pred)
         env.check_term(phi.arg)
-        a = env._quote_arity(phi.pred)
+        a = _quote_arity(env, phi.pred)
         if a is not None and a != 1:
             raise IllFormedError(
                 f"H requires a unary predicate quotation, got arity {a}")
@@ -414,7 +418,7 @@ def reference_check_formula(env, phi):
     if isinstance(phi, SimApp):
         for t in (phi.left, phi.right):
             env.check_term(t)
-            a = env._quote_arity(t)
+            a = _quote_arity(env, t)
             if a is not None and a != 1:
                 raise IllFormedError(
                     f"sim requires unary predicate quotations, got arity {a}")
