@@ -97,6 +97,7 @@ __all__ = [
     "script_of",
     "substitute",
     "theory_instance",
+    "validity",
 ]
 
 # the names of countermodel search and of the tactics layer, by module;
@@ -104,7 +105,8 @@ __all__ = [
 # such as `mathkernel check`, imports neither
 _LAZY = dict.fromkeys(("Countermodel", "KripkeFrame", "KripkeModel",
                        "SemanticsError", "eval_at", "find_countermodel",
-                       "holds_in_all_models", "provable"), "semantics")
+                       "holds_in_all_models", "provable", "validity"),
+                      "semantics")
 _LAZY.update(dict.fromkeys(("NameStore", "ProofBuilder", "TacticError",
                             "deduction_theorem", "internalize",
                             "meaningfulness_closure"), "tactics"))

@@ -2,7 +2,7 @@
 countermodels, apply proof transformations, and walk through the gated
 paradox derivation.
 
-Exit codes: 0 on success, 1 on a failed check or a formula that is not
+Exit codes: 0 on success, 1 on a failed check or a formula not shown
 intuitionistically valid, 2 on usage errors (bad input files, unparsable
 formulas, a world bound outside 1..5, an output path that cannot be
 written).  ``main`` maps each library error to its exit code; only
@@ -138,7 +138,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 _MAX_WORLDS = 5
 
 
-def _countermodel_json(formula: str, valid: bool, cm) -> dict:
+def _countermodel_json(formula: str, valid: Optional[bool], cm) -> dict:
     payload: dict = {"formula": formula, "valid": valid}
     if cm is not None:
         frame = cm.model.frame
@@ -155,24 +155,30 @@ def _countermodel_json(formula: str, valid: bool, cm) -> dict:
 
 
 def _cmd_countermodel(args: argparse.Namespace) -> int:
-    from .semantics import find_countermodel, provable
+    from .semantics import validity
     if not 1 <= args.max_worlds <= _MAX_WORLDS:
         return _fail_usage(f"--max-worlds must be between 1 and {_MAX_WORLDS}")
     phi = parse_formula(args.formula, Environment())
-    cm = find_countermodel(phi, max_worlds=args.max_worlds)
-    valid = cm is None and provable(phi)
+    valid, cm = validity(phi, max_worlds=args.max_worlds)
+    shown = f"({pformat(phi)})"
+    # undecided: what is said holds of the propositional skeleton only
+    of = (shown if valid is not None
+          else f"the propositional skeleton of {shown}")
     if args.json:
         print(json.dumps(_countermodel_json(args.formula, valid, cm), indent=2))
     elif valid:
         print(f"no countermodel with up to {args.max_worlds} worlds: "
-              f"({pformat(phi)}) holds everywhere")
+              f"{shown} holds everywhere")
     elif cm is None:
         print(f"no countermodel with up to {args.max_worlds} worlds, but "
-              f"({pformat(phi)}) is not intuitionistically valid: it has no "
-              "G4ip proof, so every countermodel has more worlds")
+              f"{of} is not intuitionistically valid: it has no G4ip proof, "
+              "so every countermodel has more worlds")
     else:
-        print(f"countermodel for ({pformat(phi)}):")
+        print(f"countermodel for {of}:")
         print(cm.describe())
+    if valid is None and not args.json:
+        print(f"whether {shown} is valid is undecided: a quantified "
+              "subformula stands for an atom")
     return 0 if valid else 1
 
 

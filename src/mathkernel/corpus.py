@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -18,15 +17,14 @@ from typing import Optional
 from .kernel import Judgment, ProofCheckError, check_proof
 from .parser import ParseError, parse_formula
 from .script import ScriptError, parse_script, read_text
-from .syntax import DefinitionError, IllFormedError, pformat
+from .syntax import DefinitionError, IllFormedError, pformat, record
 
 
 class CorpusError(Exception):
     """Missing script, malformed manifest, or an unexpected judgment."""
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(metaclass=record):
     """One manifest entry: a script and the judgment it must prove."""
     script: str
     description: str
@@ -35,8 +33,7 @@ class CorpusEntry:
     extensions: tuple[tuple[str, Optional[str]], ...]
 
 
-@dataclass(frozen=True)
-class EntryResult:
+class EntryResult(metaclass=record):
     """The outcome of checking one corpus entry."""
     entry: CorpusEntry
     passed: bool
@@ -44,8 +41,7 @@ class EntryResult:
     seconds: float
 
 
-@dataclass(frozen=True)
-class CorpusReport:
+class CorpusReport(metaclass=record):
     """The outcomes of a corpus run and its wall time."""
     results: tuple[EntryResult, ...]
     seconds: float

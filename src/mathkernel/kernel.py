@@ -41,7 +41,6 @@ or the proof builder holds, and comparing the two stops at it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from functools import partial, reduce
 from typing import Callable, Iterable, Optional, Sequence, Union, get_args
 
@@ -72,6 +71,7 @@ from .syntax import (
     iff,
     neg,
     quoted,
+    record,
     substitute,
 )
 
@@ -80,8 +80,7 @@ class SchemeError(Exception):
     """Malformed scheme parameters or a violated side condition."""
 
 
-@dataclass(frozen=True)
-class Scheme:
+class Scheme(metaclass=record):
     """An axiom scheme: its kind, parameter kinds and instance function."""
     kind: str  # "logical", "theory" or "extension"
     # parameter kinds: f formula, t term, v variable, n quotation name,
@@ -217,8 +216,7 @@ def _states_pattern_instance(scheme: str, params: tuple, phi: Formula) -> bool:
             and _match(pattern, phi, list(params)))
 
 
-@dataclass(frozen=True)
-class _Pattern:
+class _Pattern(metaclass=record):
     """The instance function of a scheme given by a pattern."""
     pattern: Formula
 
@@ -660,58 +658,50 @@ def define_total_extension(env: Environment, base: str, domain: str) -> None:
 # proofs
 
 
-@dataclass(frozen=True)
-class ByHyp:
+class ByHyp(metaclass=record):
     """Justification: a hypothesis of the proof."""
     index: int  # 0-based into Proof.hypotheses
 
 
-@dataclass(frozen=True)
-class ByLogical:
+class ByLogical(metaclass=record):
     """Justification: an instance of a logical axiom scheme."""
     scheme: str
     params: tuple
 
 
-@dataclass(frozen=True)
-class ByTheory:
+class ByTheory(metaclass=record):
     """Justification: an instance of an axiom scheme of the theory."""
     scheme: str
     params: tuple
 
 
-@dataclass(frozen=True)
-class ByMP:
+class ByMP(metaclass=record):
     """Justification: modus ponens from two earlier steps."""
     minor: int  # step proving phi
     major: int  # step proving phi -> psi
 
 
-@dataclass(frozen=True)
-class ByGenF:
+class ByGenF(metaclass=record):
     """Justification: the forall generalization rule on an earlier step."""
     premise: int
     var: str
     to_var: str
 
 
-@dataclass(frozen=True)
-class ByGenE:
+class ByGenE(metaclass=record):
     """Justification: the exists generalization rule on an earlier step."""
     premise: int
     var: str
     to_var: str
 
 
-@dataclass(frozen=True)
-class ByExtension:
+class ByExtension(metaclass=record):
     """Justification: an instance of a gated extension scheme."""
     scheme: str
     params: tuple
 
 
-@dataclass(frozen=True)
-class ByRelease:
+class ByRelease(metaclass=record):
     """Justification: the release rule applied to an earlier step."""
     premise: int
 
@@ -736,22 +726,20 @@ def _check_fields(just: Justification) -> None:
     if well_typed is None:
         raise SchemeError(f"unknown justification {just!r}")
     if not well_typed(just):
-        for f in fields(just):
-            value = getattr(just, f.name)
-            if type(value) is not {"int": int, "str": str, "tuple": tuple}[f.type]:
-                raise SchemeError(f"{type(just).__name__}.{f.name} must be "
-                                  f"{f.type}, got {value!r}")
+        for name, kind in type(just).__annotations__.items():
+            value = getattr(just, name)
+            if type(value) is not {"int": int, "str": str, "tuple": tuple}[kind]:
+                raise SchemeError(f"{type(just).__name__}.{name} must be "
+                                  f"{kind}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(metaclass=record):
     """One line of a proof: a formula and its justification."""
     formula: Formula
     just: Justification
 
 
-@dataclass(frozen=True)
-class ExtensionGrant:
+class ExtensionGrant(metaclass=record):
     """Leave to use an extension scheme, for one formula or all."""
     scheme: str
     formula: Optional[Formula] = None  # None grants every instance
@@ -762,24 +750,21 @@ class ExtensionGrant:
         return f"{self.scheme}({self.formula})"
 
 
-@dataclass(frozen=True)
-class Proof:
+class Proof(metaclass=record):
     """Hypotheses, steps and the extension grants the steps may use."""
     hypotheses: tuple[Formula, ...]
     steps: tuple[Step, ...]
     enabled: frozenset[ExtensionGrant] = frozenset()
 
 
-@dataclass(frozen=True)
-class Judgment:
+class Judgment(metaclass=record):
     """What a checked proof establishes, with the grants it used."""
     hypotheses: tuple[Formula, ...]
     conclusion: Formula
     extensions_used: tuple[ExtensionGrant, ...]
 
 
-@dataclass(frozen=True)
-class StepError:
+class StepError(metaclass=record):
     """A fault ``check_proof`` found, at a step or in the proof."""
     index: Optional[int]  # 0-based step index; None for proof-level errors
     message: str

@@ -35,7 +35,6 @@ renders each formula node once per script, however many lines share it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -68,6 +67,7 @@ from .syntax import (
     TotalExtension,
     first_occurrence_vars,
     pformat,
+    record,
     renderer,
 )
 
@@ -84,14 +84,13 @@ class ScriptError(Exception):
         self.line_no = line_no
 
 
-@dataclass
-class Script:
+class Script(metaclass=record):
     """A proof with the environment that declares its names."""
 
     env: Environment
-    enables: list[ExtensionGrant] = field(default_factory=list)
-    hypotheses: list[Formula] = field(default_factory=list)
-    steps: list[Step] = field(default_factory=list)
+    enables: list[ExtensionGrant]
+    hypotheses: list[Formula]
+    steps: list[Step]
 
     def proof(self) -> Proof:
         return Proof(
@@ -229,7 +228,7 @@ def parse_script(text: str) -> tuple[Script, Environment]:
     quotation leaf is built and checked once."""
     env = Environment()
     fp = FormulaParser(env)
-    script = Script(env)
+    script = Script(env, [], [], [])
     next_hyp = 1
     next_step = 1
     # grant formulas may quote names defined later; parse them at the end

@@ -8,13 +8,14 @@ world iff every later world forcing the antecedent forces the consequent.
 
 Validity is decided by Dyckhoff's contraction-free sequent calculus G4ip
 (LJT, JSL 57(3), 1992), whose proof search terminates without loop checks.
-``find_countermodel`` runs it first: a provable formula is forced in every
-Kripke model, so it has no countermodel.  Only unprovable formulas reach the
-model search, which is exhaustive over posets up to isomorphism and
-monotone valuations; that is what refutes classical principles like
-excluded middle and certifies that the checker's logical base is genuinely
-intuitionistic.  The search tabulates the Heyting algebra of each frame's
-upsets once and evaluates each valuation as a chain of table lookups.
+``validity`` and ``find_countermodel`` run it first: a provable formula is
+forced in every Kripke model, so it has no countermodel.  Only unprovable
+formulas reach the model search, which is exhaustive over posets up to
+isomorphism and monotone valuations; that is what refutes classical
+principles like excluded middle and certifies that the checker's logical
+base is genuinely intuitionistic.  The search tabulates the Heyting
+algebra of each frame's upsets once and evaluates each valuation as a
+chain of table lookups.
 
 Both run on a node table that ``_compile`` builds in one walk, abstracting
 each maximal non-propositional subformula to an atom as it interns;
@@ -28,11 +29,11 @@ tests compare G4ip against, gives it only the rooted frames.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .syntax import BOT, And, Atom, Bot, Formula, Implies, Or, pformat
+from .syntax import (BOT, And, Atom, Bot, Exists, Forall, Formula, Implies, Or,
+                     pformat, record)
 
 
 class SemanticsError(Exception):
@@ -43,8 +44,7 @@ class SemanticsError(Exception):
 # frames and models
 
 
-@dataclass(frozen=True)
-class KripkeFrame:
+class KripkeFrame(metaclass=record):
     """A finite poset.  Worlds are 0..n-1; ``order`` holds the pairs
     (u, v) with u <= v, reflexive pairs included."""
 
@@ -92,8 +92,7 @@ def chain_frame(n: int) -> KripkeFrame:
         (u, v) for u in range(n) for v in range(n) if u <= v))
 
 
-@dataclass(frozen=True)
-class KripkeModel:
+class KripkeModel(metaclass=record):
     """A finite frame with a monotone valuation of atoms."""
     frame: KripkeFrame
     valuation: Mapping[str, frozenset[int]]
@@ -413,8 +412,7 @@ def _algebra(frame: KripkeFrame) -> _Algebra:
 # countermodel search
 
 
-@dataclass(frozen=True)
-class Countermodel:
+class Countermodel(metaclass=record):
     """A model, a world refuting a formula, and its abstractions."""
     model: KripkeModel
     world: int
@@ -452,6 +450,26 @@ def _first_refutation(compiled: _Compiled, frames: Iterable[KripkeFrame]
     return None
 
 
+def validity(phi: Formula, max_worlds: int = 4
+             ) -> tuple[Optional[bool], Optional[Countermodel]]:
+    """Whether phi is intuitionistically valid, by one G4ip search of its
+    propositional skeleton, and the first countermodel to the skeleton, as
+    ``find_countermodel`` finds it.  True when G4ip proves the skeleton,
+    since phi is an instance of it.  Otherwise False, or None when a
+    quantified subformula was abstracted: a model of the skeleton need not
+    refute phi then, and whether phi is valid is left undecided."""
+    compiled = _compile(phi)
+    if _decide(compiled):
+        return True, None
+    found = _first_refutation(compiled, (
+        frame for size in range(1, max_worlds + 1)
+        for frame in enumerate_frames(size)))
+    quantified = any(isinstance(f, (Forall, Exists))
+                     for f in compiled.names.values())
+    return (None if quantified else False), (
+        None if found is None else Countermodel(*found, compiled.names))
+
+
 def find_countermodel(phi: Formula, max_worlds: int = 4
                       ) -> Optional[Countermodel]:
     """The first countermodel to phi's propositional skeleton, searching
@@ -460,13 +478,7 @@ def find_countermodel(phi: Formula, max_worlds: int = 4
     ``itertools.product`` order over ``frame.upsets()``, and the lowest
     refuting world.  None when G4ip proves the skeleton, or when no model
     within the bound refutes it."""
-    compiled = _compile(phi)
-    if _decide(compiled):
-        return None
-    found = _first_refutation(compiled, (
-        frame for size in range(1, max_worlds + 1)
-        for frame in enumerate_frames(size)))
-    return None if found is None else Countermodel(*found, compiled.names)
+    return validity(phi, max_worlds)[1]
 
 
 def holds_in_all_models(phi: Formula, max_worlds: int = 4) -> bool:

@@ -3,15 +3,16 @@
 Negation is not a constructor: ~phi is stored as Implies(phi, Bot), and
 phi <-> psi as And(Implies(phi, psi), Implies(psi, phi)).  Quotation is
 opaque: a Quote term stands for a named formula bound in an Environment,
-and resolving a name never unfolds quotations inside the body.  One loop
-gives each formula node class its fields, terms and hash (``_Node``),
-``ASCRIPTIONS`` holds each written ascription name, ``M`` to ``sim``, and
-one table the arity a quotation must have in a ``T``, ``H`` or ``sim`` leaf.
+and resolving a name never unfolds quotations inside the body.  Every
+value class of the package is a frozen record of its fields, made by one
+rule (``record``, on the base ``Record``).  One loop gives each formula
+node class its terms, and ``_Node`` its cached hash, ``ASCRIPTIONS`` holds
+each written ascription name, ``M`` to ``sim``, and one table the arity a
+quotation must have in a ``T``, ``H`` or ``sim`` leaf.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter
 from typing import Callable, Mapping, Optional, Sequence, Union, get_args
@@ -26,11 +27,89 @@ class DefinitionError(Exception):
 
 
 # ---------------------------------------------------------------------------
+# records
+
+
+def _field_tuple(names: tuple[str, ...]) -> Callable[["Record"], tuple]:
+    """The function from a record whose fields are ``names`` to the tuple of
+    those fields, also for none or one."""
+    if len(names) > 1:
+        return attrgetter(*names)
+    if names:
+        get = attrgetter(*names)
+        return lambda record: (get(record),)
+    return lambda record: ()
+
+
+class Record:
+    """Base of every value class: a frozen record of its fields, made by
+    ``record``.  A record hashes, prints and pickles as its fields: the
+    hash of their tuple, the text ``Class(field=value, ...)``, and a
+    rebuild from them.  Assigning or deleting an attribute raises
+    AttributeError, and no record has a ``__dict__``."""
+
+    __slots__ = ()
+
+    _fields: Callable[["Record"], tuple]  # set on each class by ``record``
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        fields = map("{}={!r}".format, self.__match_args__, self._fields(self))
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields(self)
+
+
+def record(name: str, bases: tuple, ns: dict) -> type:
+    """The metaclass of every value class, written ``class
+    C(metaclass=record)``: a class of ``bases``, or of ``Record`` if none
+    is written, whose fields are the names annotated in its body, in order;
+    a value written after an annotation is that field's default.  The class
+    gets one slot per field, ``__match_args__``, ``_fields`` and, generated
+    once, an ``__init__`` and an ``__eq__``.  The ``__init__`` takes each
+    field by position or keyword, stores it through its slot descriptor,
+    past the frozen ``__setattr__``, then calls ``__post_init__`` if the
+    class defines one.  The ``__eq__`` holds between records of one class
+    with equal fields.  A function, not a subclass of ``type``: a class
+    whose type is ``type`` itself keeps the fast path of ``isinstance``."""
+    names = tuple(ns.get("__annotations__", ()))
+    defaults = {f"_d_{f}": ns.pop(f) for f in names if f in ns}
+    ns["__slots__"] = ns["__match_args__"] = names
+    cls = type(name, bases or (Record,), ns)
+    scope = {f"_s_{f}": getattr(cls, f).__set__ for f in names}
+    scope.update(defaults)
+    params = "".join(f", {f}=_d_{f}" if f"_d_{f}" in defaults else f", {f}"
+                     for f in names)
+    stores = [f"_s_{f}(self, {f})" for f in names]
+    if "__post_init__" in ns:
+        stores.append("self.__post_init__()")
+    mine = "".join(f"self.{f}, " for f in names)
+    theirs = "".join(f"other.{f}, " for f in names)
+    exec(f"def __init__(self{params}):\n"
+         f"    {'; '.join(stores) or 'pass'}\n"
+         "def __eq__(self, other):\n"
+         "    if other.__class__ is self.__class__:\n"
+         f"        return ({mine}) == ({theirs})\n"
+         "    return NotImplemented\n", scope)
+    cls.__init__, cls.__eq__ = scope["__init__"], scope["__eq__"]
+    cls._fields = staticmethod(_field_tuple(names))
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # terms
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(metaclass=record):
     """A variable term."""
     name: str
 
@@ -38,8 +117,7 @@ class Var:
         return self.name
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(metaclass=record):
     """An object constant, declared with ``const`` or by a domain."""
     name: str
 
@@ -47,8 +125,7 @@ class Const:
         return self.name
 
 
-@dataclass(frozen=True)
-class Quote:
+class Quote(metaclass=record):
     """The quotation of a defined name, written `` `name` ``."""
     name: str
 
@@ -63,19 +140,17 @@ Term = Union[Var, Const, Quote]
 # formulas
 
 
-class _Node:
+class _Node(Record):
     """Base of every formula node.  A node computes its hash, the hash of
     the tuple of its fields, and its free variables on first use and keeps
     each in a slot, so it neither builds that tuple nor walks the subtree
     again; ``==`` still compares fields.  Pickling and copying rebuild a
     node from its fields: no cached value leaves the process (string hashes
-    are salted per process).  No node has a ``__dict__``."""
+    are salted per process)."""
 
     __slots__ = ("_hash", "_fv")
 
-    # a node's fields, and its terms, as tuples; set on each class below
-    _fields: Callable[["_Node"], tuple]
-    _terms: Callable[["_Node"], tuple]
+    _terms: Callable[["_Node"], tuple]  # a node's terms; set on each class
 
     def __hash__(self) -> int:
         h = getattr(self, "_hash", None)
@@ -84,57 +159,47 @@ class _Node:
             _set_hash(self, h)
         return h
 
-    def __reduce__(self):
-        return type(self), self._fields(self)
-
     def __str__(self) -> str:
         return pformat(self)
 
 
-# store a cached value past the frozen dataclass's ``__setattr__``
+# store a cached value past the frozen ``__setattr__``
 _set_hash = _Node._hash.__set__
 _set_fv = _Node._fv.__set__
 
 
-@dataclass(frozen=True, slots=True)
-class Bot(_Node):
+class Bot(_Node, metaclass=record):
     """Falsum, ``bot``; ``BOT`` is its one instance."""
 
 
-@dataclass(frozen=True, slots=True)
-class Atom(_Node):
+class Atom(_Node, metaclass=record):
     """A predicate applied to terms; nullary when ``args`` is empty."""
     pred: str
     args: tuple[Term, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class MApp(_Node):
+class MApp(_Node, metaclass=record):
     """``M(t)``: the sentence ``t`` names is meaningful."""
     arg: Term
 
 
-@dataclass(frozen=True, slots=True)
-class AApp(_Node):
+class AApp(_Node, metaclass=record):
     """``A(t)``: the sentence ``t`` names is assertible."""
     arg: Term
 
 
-@dataclass(frozen=True, slots=True)
-class TApp(_Node):
+class TApp(_Node, metaclass=record):
     """``T(t)``: the sentence ``t`` names is true."""
     arg: Term
 
 
-@dataclass(frozen=True, slots=True)
-class HApp(_Node):
+class HApp(_Node, metaclass=record):
     """``H(p, a)``: the concept ``p`` names holds of ``a``."""
     pred: Term
     arg: Term
 
 
-@dataclass(frozen=True, slots=True)
-class SimApp(_Node):
+class SimApp(_Node, metaclass=record):
     """``sim(p, q)``: the concepts ``p`` and ``q`` name are equivalent."""
     left: Term
     right: Term
@@ -146,50 +211,34 @@ class _Compound(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class And(_Compound):
+class And(_Compound, metaclass=record):
     """A conjunction, ``left & right``."""
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True, slots=True)
-class Or(_Compound):
+class Or(_Compound, metaclass=record):
     """A disjunction, ``left | right``."""
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True, slots=True)
-class Implies(_Compound):
+class Implies(_Compound, metaclass=record):
     """An implication, ``left -> right``."""
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True, slots=True)
-class Forall(_Compound):
+class Forall(_Compound, metaclass=record):
     """A universal quantification, ``forall var. body``."""
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True, slots=True)
-class Exists(_Compound):
+class Exists(_Compound, metaclass=record):
     """An existential quantification, ``exists var. body``."""
     var: str
     body: "Formula"
-
-
-def _field_tuple(names: tuple[str, ...]) -> Callable[[_Node], tuple]:
-    """The function from a node whose fields are ``names`` to the tuple of
-    those fields, also for none or one."""
-    if len(names) > 1:
-        return attrgetter(*names)
-    if names:
-        get = attrgetter(*names)
-        return lambda node: (get(node),)
-    return lambda node: ()
 
 
 Formula = Union[
@@ -200,11 +249,9 @@ Formula = Union[
 ASCRIPTIONS = {"M": MApp, "A": AApp, "T": TApp, "H": HApp, "sim": SimApp}
 
 for _cls in get_args(Formula):
-    _cls._fields = staticmethod(_field_tuple(_cls.__match_args__))
     _cls._terms = staticmethod(attrgetter("args") if _cls is Atom else
                                _cls._fields if _cls in ASCRIPTIONS.values()
                                else _field_tuple(()))  # none in a compound
-    _cls.__hash__ = _Node.__hash__  # in place of the dataclass's own
 
 BOT = Bot()
 _ATOMIC = (Bot, Atom, *ASCRIPTIONS.values())
@@ -468,8 +515,7 @@ def first_occurrence_vars(phi: Formula) -> tuple[str, ...]:
 # definitional environment
 
 
-@dataclass(frozen=True)
-class Definition:
+class Definition(metaclass=record):
     """A defined name with its parameters and its body."""
     name: str
     params: tuple[str, ...]
@@ -480,16 +526,14 @@ class Definition:
         return len(self.params)
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(metaclass=record):
     """A domain predicate with its constants, possibly definite."""
     predicate: str
     constants: tuple[str, ...]
     definite: bool
 
 
-@dataclass(frozen=True)
-class TotalExtension:
+class TotalExtension(metaclass=record):
     """The total extension of ``base`` over ``domain``, named ``extended``."""
     base: str
     domain: str

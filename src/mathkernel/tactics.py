@@ -16,7 +16,6 @@ points are:
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, Mapping, Optional, Sequence
 
 from .kernel import (
@@ -296,8 +295,10 @@ def _renumber(just: Justification, loc: Mapping[int, int]) -> Justification:
     """``just`` citing step ``loc[k]`` wherever it cites step ``k``."""
     if isinstance(just, ByMP):
         return ByMP(loc[just.minor], loc[just.major])
-    if isinstance(just, (ByGenF, ByGenE, ByRelease)):
-        return replace(just, premise=loc[just.premise])
+    if isinstance(just, (ByGenF, ByGenE)):
+        return type(just)(loc[just.premise], just.var, just.to_var)
+    if isinstance(just, ByRelease):
+        return ByRelease(loc[just.premise])
     return just
 
 

@@ -1,11 +1,8 @@
 """The command-line interface: subcommands, exit codes, JSON output."""
 
-import dataclasses
 import importlib
-import inspect
 import json
 import os
-import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -18,10 +15,11 @@ from mathkernel import cli
 from mathkernel.cli import main
 from mathkernel.corpus import corpus_dir
 from mathkernel.kernel import check_proof
-from mathkernel.parser import MAX_DEPTH
+from mathkernel.parser import MAX_DEPTH, parse_formula
 from mathkernel.script import parse_script
-from mathkernel.syntax import pformat
+from mathkernel.syntax import Environment, pformat
 from test_parser import deep_texts
+from test_syntax import record_classes
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -342,6 +340,46 @@ def test_countermodel_bounded_search_does_not_claim_validity(capsys):
     assert payload == {"formula": "p | ~p", "valid": False}
 
 
+@pytest.mark.parametrize("formula", ["forall x. (P(x) -> P(x))",
+                                     "(forall x. P(x)) -> P(a)"])
+def test_countermodel_of_a_quantified_skeleton_leaves_validity_open(
+        capsys, formula):
+    # G4ip does not prove the skeleton p1 (p1 -> p2 for the second), yet
+    # the kernel proves the first formula: a model of the skeleton is no
+    # countermodel to it
+    shown = f"({pformat(parse_formula(formula, Environment()))})"
+    code, out, _ = run(capsys, "countermodel", formula)
+    assert code == 1
+    assert out.startswith(
+        f"countermodel for the propositional skeleton of {shown}:\n")
+    assert out.endswith(f"whether {shown} is valid is undecided: a "
+                        "quantified subformula stands for an atom\n")
+    code, out, _ = run(capsys, "countermodel", formula, "--json")
+    assert code == 1
+    payload = json.loads(out)
+    jsonschema.validate(payload, schema("countermodel.schema.json"))
+    assert payload["valid"] is None and "countermodel" in payload
+    code, out, _ = run(capsys, "countermodel", formula, "--max-worlds", "1",
+                       "--json")
+    assert code == 1 and json.loads(out)["valid"] is None
+
+
+def test_countermodel_without_a_model_of_a_quantified_skeleton(capsys):
+    formula = "(forall x. P(x)) | ~(forall x. P(x))"
+    code, out, _ = run(capsys, "countermodel", formula, "--max-worlds", "1")
+    assert code == 1
+    assert out.startswith("no countermodel with up to 1 worlds, but the "
+                          "propositional skeleton of")
+    assert "is valid is undecided" in out
+
+
+def test_countermodel_of_quantifier_free_atoms_decides(capsys):
+    # distinct atoms can be made false apart, so the skeleton decides
+    code, out, _ = run(capsys, "countermodel", "P(x) -> P(y)", "--json")
+    assert code == 1
+    assert json.loads(out)["valid"] is False
+
+
 @pytest.mark.parametrize("bound", ["0", "6", "-1"])
 def test_countermodel_world_bound_out_of_range_is_usage_error(capsys, bound):
     code, out, err = run(capsys, "countermodel", "p | ~p",
@@ -388,7 +426,7 @@ def test_check_loads_neither_tactics_nor_semantics():
                             f"code = main(['check', {str(largest)!r}]); "
                             "print(code, sorted(m for m in sys.modules if "
                             "m in ('mathkernel.tactics', "
-                            "'mathkernel.semantics')))")
+                            "'mathkernel.semantics', 'dataclasses')))")
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "0 []"
 
@@ -407,19 +445,11 @@ def test_every_public_name_resolves_to_its_home_module():
         mathkernel.no_such_name
 
 
-def test_every_dataclass_has_a_written_docstring():
-    """``@dataclass`` builds a docstring from the signature of a class
-    without one, which costs an ``inspect.signature`` call at import."""
-    checked = 0
-    for info in pkgutil.iter_modules(mathkernel.__path__):
-        module = importlib.import_module(f"mathkernel.{info.name}")
-        for cls in vars(module).values():
-            if (inspect.isclass(cls) and dataclasses.is_dataclass(cls)
-                    and cls.__module__ == module.__name__):
-                checked += 1
-                assert not (cls.__doc__ or "").startswith(
-                    f"{cls.__name__}("), cls.__qualname__
-    assert checked >= 40
+def test_every_record_class_has_a_written_docstring():
+    classes = record_classes()
+    for cls in classes:
+        assert (cls.__doc__ or "").strip(), cls.__qualname__
+    assert len(classes) >= 40
 
 
 # -- tactic

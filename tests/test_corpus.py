@@ -10,6 +10,7 @@ import pytest
 from mutation import dead_steps, drop_step, mutations
 
 from mathkernel.corpus import (
+    CorpusEntry,
     CorpusError,
     check_entry,
     corpus_dir,
@@ -21,6 +22,12 @@ from mathkernel.script import emit_script, parse_script, script_of
 
 
 ENTRIES = load_manifest()
+
+
+def _with(entry, **changes):
+    """``entry`` with the fields ``changes`` names replaced."""
+    fields = {name: getattr(entry, name) for name in CorpusEntry.__match_args__}
+    return CorpusEntry(**{**fields, **changes})
 
 
 def load(script_name):
@@ -77,9 +84,7 @@ def test_script_text_round_trips(entry):
 
 
 def test_missing_script_reported():
-    entry = ENTRIES[0]
-    from dataclasses import replace
-    result = check_entry(replace(entry, script="absent.pf"))
+    result = check_entry(_with(ENTRIES[0], script="absent.pf"))
     assert not result.passed
     assert "absent.pf" in result.detail
 
@@ -88,10 +93,9 @@ def test_missing_script_reported():
     ("conclusion", "bot", "concluded ~~A(`la`), expected bot"),
     ("hypotheses", ("bot",), "hypotheses [], expected ['bot']")])
 def test_judgment_mismatch_is_reported(field, value, detail):
-    from dataclasses import replace
     entry = ENTRIES[0]
     assert entry.script == "anomaly_assertible_liar.pf"
-    result = check_entry(replace(entry, **{field: value}))
+    result = check_entry(_with(entry, **{field: value}))
     assert (result.passed, result.detail) == (False, detail)
 
 

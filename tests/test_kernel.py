@@ -3,7 +3,6 @@
 import ast
 import copy
 import random
-from dataclasses import fields
 from pathlib import Path
 from typing import get_args
 
@@ -187,13 +186,14 @@ _WRONG_FIELD = {"int": ("0", True, 0.0, None), "str": (7, None, ["x"]),
 def test_ill_typed_justification_fields_raise_only_proof_check_errors(cls):
     env = _registry_env()
     every_grant = frozenset(ExtensionGrant(e) for e in EXTENSION_SCHEMES)
-    good = {f.name: _GOOD_FIELD[f.type] for f in fields(cls)}
-    for f in fields(cls):
-        for bad in _WRONG_FIELD[f.type]:
-            step = Step(BOT, cls(**{**good, f.name: bad}))
+    kinds = cls.__annotations__
+    good = {name: _GOOD_FIELD[kind] for name, kind in kinds.items()}
+    for name, kind in kinds.items():
+        for bad in _WRONG_FIELD[kind]:
+            step = Step(BOT, cls(**{**good, name: bad}))
             proof = Proof((BOT,), (Step(BOT, ByHyp(0)), step), every_grant)
             with pytest.raises(ProofCheckError,
-                               match=rf"{cls.__name__}\.{f.name} must be"):
+                               match=rf"{cls.__name__}\.{name} must be"):
                 check_proof(env, proof)
     with pytest.raises(ProofCheckError, match="unknown justification"):
         check_proof(env, Proof((), (Step(BOT, "hyp 1"),)))

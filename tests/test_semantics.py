@@ -33,6 +33,7 @@ from mathkernel.semantics import (
     find_countermodel,
     holds_in_all_models,
     provable,
+    validity,
 )
 from mathkernel.syntax import (
     AApp,
@@ -354,6 +355,21 @@ def test_deep_formulas_decide_without_recursion():
         implications = Implies(p, implications)
     assert provable(implications)
     assert find_countermodel(implications) is None
+
+
+@pytest.mark.parametrize("text,valid", [
+    ("p -> p", True), ("(forall x. P(x)) -> (forall x. P(x))", True),
+    ("p | ~p", False), ("P(x) -> P(y)", False), ("M(`s`) -> A(`s`)", False),
+    ("forall x. (P(x) -> P(x))", None), ("(forall x. P(x)) -> P(a)", None),
+    ("(exists x. P(x)) | ~(exists x. P(x))", None)])
+def test_validity_claims_only_what_the_skeleton_decides(text, valid):
+    env = Environment()
+    env.define("s", (), BOT)
+    phi = parse_formula(text, env)
+    got, cm = validity(phi)
+    assert got is valid
+    assert cm == find_countermodel(phi)
+    assert (cm is None) == (valid is True)
 
 
 # -- abstraction

@@ -1,12 +1,40 @@
 """Formula construction, substitution, definitions, and well-formedness."""
 
 import copy
+import importlib
+import inspect
 import pickle
+import pkgutil
 from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import mathkernel
+from mathkernel.corpus import CorpusEntry, CorpusReport, EntryResult
+from mathkernel.kernel import (
+    SCHEMES,
+    ByExtension,
+    ByGenE,
+    ByGenF,
+    ByHyp,
+    ByLogical,
+    ByMP,
+    ByRelease,
+    ByTheory,
+    ExtensionGrant,
+    Judgment,
+    Proof,
+    Step,
+    StepError,
+)
+from mathkernel.script import Script
+from mathkernel.semantics import (
+    Countermodel,
+    KripkeFrame,
+    KripkeModel,
+    SemanticsError,
+)
 from mathkernel.syntax import (
     _ATOMIC,
     _PREC_AND,
@@ -22,7 +50,9 @@ from mathkernel.syntax import (
     BOT,
     Bot,
     Const,
+    Definition,
     DefinitionError,
+    Domain,
     Environment,
     Exists,
     Forall,
@@ -32,8 +62,10 @@ from mathkernel.syntax import (
     MApp,
     Or,
     Quote,
+    Record,
     SimApp,
     TApp,
+    TotalExtension,
     Var,
     captures,
     first_occurrence_vars,
@@ -641,3 +673,147 @@ def test_an_environment_records_each_declaration_once_in_order():
     assert str(exc.value) == "unbound quotation name: missing"
     env.declare_constant("d")
     assert env.declarations == ["c", env.domains["Sent"], body, "d"]
+
+
+# -- the record rule: one row per value class, with its text
+
+
+def record_classes():
+    """Every record class the package defines."""
+    found = []
+    for info in pkgutil.iter_modules(mathkernel.__path__):
+        module = importlib.import_module(f"mathkernel.{info.name}")
+        found += [cls for cls in vars(module).values()
+                  if inspect.isclass(cls) and issubclass(cls, Record)
+                  and "__match_args__" in vars(cls)
+                  and cls.__module__ == module.__name__]
+    return found
+
+
+_P, _Q, _S, _PX = Atom("p"), Atom("q"), Quote("s"), Atom("P", (Var("x"),))
+_PX_TEXT = "Atom(pred='P', args=(Var(name='x'),))"
+_PQ_TEXT = "left=Atom(pred='p', args=()), right=Atom(pred='q', args=())"
+_L1 = SCHEMES["L1"]
+_L1_TEXT = ("_Pattern(pattern=Implies(left='a', right=Implies(left='b', "
+            "right='a')))")
+_ENTRY = CorpusEntry("a.pf", "one entry", ("p",), "bot",
+                     (("ReleaseAxiom", None),))
+_ENTRY_TEXT = ("CorpusEntry(script='a.pf', description='one entry', "
+               "hypotheses=('p',), conclusion='bot', "
+               "extensions=(('ReleaseAxiom', None),))")
+_RESULT = EntryResult(_ENTRY, True, "⊦ bot", 0.5)
+_RESULT_TEXT = (f"EntryResult(entry={_ENTRY_TEXT}, passed=True, "
+                "detail='⊦ bot', seconds=0.5)")
+_FRAME = KripkeFrame(2, frozenset({(0, 0), (0, 1), (1, 1)}))
+_FRAME_TEXT = "KripkeFrame(size=2, order=frozenset({(0, 1), (1, 1), (0, 0)}))"
+_MODEL = KripkeModel(_FRAME, {"p": frozenset({1})})
+_MODEL_TEXT = (f"KripkeModel(frame={_FRAME_TEXT}, "
+               "valuation={'p': frozenset({1})})")
+_STEP_TEXT = "Step(formula=Bot(), just=ByHyp(index=0))"
+
+# each record with the text it printed as a dataclass
+RECORDS = [
+    (Var("x"), "Var(name='x')"),
+    (Const("c"), "Const(name='c')"),
+    (_S, "Quote(name='s')"),
+    (BOT, "Bot()"),
+    (_PX, _PX_TEXT),
+    (MApp(_S), "MApp(arg=Quote(name='s'))"),
+    (AApp(_S), "AApp(arg=Quote(name='s'))"),
+    (TApp(_S), "TApp(arg=Quote(name='s'))"),
+    (HApp(_S, Var("x")), "HApp(pred=Quote(name='s'), arg=Var(name='x'))"),
+    (SimApp(_S, _S), "SimApp(left=Quote(name='s'), right=Quote(name='s'))"),
+    (And(_P, _Q), f"And({_PQ_TEXT})"),
+    (Or(_P, _Q), f"Or({_PQ_TEXT})"),
+    (Implies(_P, _Q), f"Implies({_PQ_TEXT})"),
+    (Forall("x", _PX), f"Forall(var='x', body={_PX_TEXT})"),
+    (Exists("x", _PX), f"Exists(var='x', body={_PX_TEXT})"),
+    (Definition("s", ("x",), _PX),
+     f"Definition(name='s', params=('x',), body={_PX_TEXT})"),
+    (Domain("D", ("a", "b"), True),
+     "Domain(predicate='D', constants=('a', 'b'), definite=True)"),
+    (TotalExtension("P", "D", "P_ext"),
+     "TotalExtension(base='P', domain='D', extended='P_ext')"),
+    (_L1, f"Scheme(kind='logical', params=('f', 'f'), instance={_L1_TEXT})"),
+    (_L1.instance, _L1_TEXT),
+    (ByHyp(0), "ByHyp(index=0)"),
+    (ByLogical("L1", (BOT, BOT)), "ByLogical(scheme='L1', params=(Bot(), Bot()))"),
+    (ByTheory("MBot", ()), "ByTheory(scheme='MBot', params=())"),
+    (ByMP(0, 1), "ByMP(minor=0, major=1)"),
+    (ByGenF(0, "x", "y"), "ByGenF(premise=0, var='x', to_var='y')"),
+    (ByGenE(0, "x", "y"), "ByGenE(premise=0, var='x', to_var='y')"),
+    (ByExtension("ReleaseAxiom", (BOT,)),
+     "ByExtension(scheme='ReleaseAxiom', params=(Bot(),))"),
+    (ByRelease(0), "ByRelease(premise=0)"),
+    (Step(BOT, ByHyp(0)), _STEP_TEXT),
+    (ExtensionGrant("ReleaseRule"),
+     "ExtensionGrant(scheme='ReleaseRule', formula=None)"),
+    (Proof((BOT,), (Step(BOT, ByHyp(0)),)),
+     f"Proof(hypotheses=(Bot(),), steps=({_STEP_TEXT},), enabled=frozenset())"),
+    (Judgment((), BOT, (ExtensionGrant("ReleaseAxiom", BOT),)),
+     "Judgment(hypotheses=(), conclusion=Bot(), extensions_used="
+     "(ExtensionGrant(scheme='ReleaseAxiom', formula=Bot()),))"),
+    (StepError(None, "no steps"), "StepError(index=None, message='no steps')"),
+    (_ENTRY, _ENTRY_TEXT),
+    (_RESULT, _RESULT_TEXT),
+    (CorpusReport((_RESULT,), 0.5),
+     f"CorpusReport(results=({_RESULT_TEXT},), seconds=0.5)"),
+    (_FRAME, _FRAME_TEXT),
+    (_MODEL, _MODEL_TEXT),
+    (Countermodel(_MODEL, 0, {"p1": _P}),
+     f"Countermodel(model={_MODEL_TEXT}, world=0, "
+     "subformulas={'p1': Atom(pred='p', args=())})"),
+    # an environment compares by identity, so that a rebuilt script would
+    # not equal this one; the record rule does not look at a field's type
+    (Script(None, [], [BOT], [Step(BOT, ByHyp(0))]),
+     f"Script(env=None, enables=[], hypotheses=[Bot()], "
+     f"steps=[{_STEP_TEXT}])"),
+]
+
+
+def test_the_record_table_has_one_row_per_record_class():
+    rows = [type(rec) for rec, _ in RECORDS]
+    assert len(rows) == len(set(rows))
+    assert set(rows) == set(record_classes())
+
+
+@pytest.mark.parametrize("rec,text", RECORDS,
+                         ids=[type(rec).__name__ for rec, _ in RECORDS])
+def test_a_record_is_a_frozen_value_of_its_fields(rec, text):
+    cls = type(rec)
+    fields = {name: getattr(rec, name) for name in cls.__match_args__}
+    assert repr(rec) == text
+    assert not hasattr(rec, "__dict__")
+    hashable = all(type(v).__hash__ is not None for v in fields.values())
+    for twin in (cls(*fields.values()), cls(**fields), copy.copy(rec),
+                 copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
+        assert type(twin) is cls and twin == rec and not twin != rec
+        assert repr(twin) == text
+        if hashable:
+            assert hash(twin) == hash(rec) == hash(tuple(fields.values()))
+    for name in (*fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(rec, name, None)
+        with pytest.raises(AttributeError):
+            delattr(rec, name)
+    assert {name: getattr(rec, name) for name in fields} == fields
+
+
+def test_records_of_two_classes_differ_on_the_same_fields():
+    assert ByHyp(0) != ByRelease(0)
+    assert ByGenF(0, "x", "y") != ByGenE(0, "x", "y")
+    assert And(_P, _Q) != Or(_P, _Q) != Implies(_P, _Q)
+    assert Var("x") != Const("x") != Quote("x")
+    assert MApp(_S) != AApp(_S) != TApp(_S)
+
+
+def test_a_record_takes_its_fields_by_position_or_keyword_with_defaults():
+    assert Atom("p").args == () and Atom(pred="p") == Atom("p", ())
+    assert ExtensionGrant("X").formula is None
+    assert Proof((BOT,), ()).enabled == frozenset()
+    assert ByMP(major=1, minor=0) == ByMP(0, 1)
+    for bad in (lambda: Atom(), lambda: Var("x", "y"), lambda: ByHyp(i=0)):
+        with pytest.raises(TypeError):
+            bad()
+    with pytest.raises(SemanticsError, match="not transitive"):
+        KripkeFrame(3, frozenset({(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)}))
