@@ -134,7 +134,8 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 # all is evaluated under every monotone valuation of every frame, the sum of
 # upsets**atoms.  With 4 atoms that is 3.3 million valuations up to 5 worlds
 # (the 4-atom width formula, refuted only on 5 worlds, takes about 4 s) and
-# 77 million up to 6
+# 77 million up to 6, past ``semantics._MAX_STEPS`` (2^26 evaluation
+# steps, valuations times connectives), which stops any sweep with exit 2
 _MAX_WORLDS = 5
 
 

@@ -43,14 +43,13 @@ built afresh each time, and so are the formulas above them.
 
 A quotation leaf written without spaces, such as M(`q`) (a glued leaf), is
 one token, and the parser holds each leaf it has checked under that text.
-An operand, also of `~`, that is a held glued leaf is taken from that
-table with no call to read it, and a right operand of a connective that
-is one such leaf, no tighter connective following it, with no call at
-all.  A glued leaf read for the first time, or found where it is no
-operand (a term, a quantifier's variable, trailing input), is split back
-into its four tokens, and so is the text when an error position is found,
-so every message and position is what the four tokens give.  A spaced
-leaf, such as M( `q` ), is read from its four tokens each time.
+Every operand, of a connective or of `~`, is read at one place, the entry
+of the expression rule, which takes a held glued leaf from that table with
+no call to read it.  A glued leaf read for the first time, or found where
+it is no operand (a term, a quantifier's variable, trailing input), is
+split back into its four tokens, and so is the text when an error position
+is found, so every message and position is what the four tokens give.  A
+spaced leaf, such as M( `q` ), is read from its four tokens each time.
 
 A formula is at most ``MAX_DEPTH`` deep: no atom lies inside more than
 ``MAX_DEPTH`` levels, a level being a connective (two for `<->`, which
@@ -98,11 +97,12 @@ class ParseError(Exception):
         self.position = position
 
 
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"  # every name, here and in a script line
+
 # an `M`, `A` or `T` leaf over a quotation written without spaces (a glued
 # leaf), a quotation, an identifier, an arrow, or any other single
 # character; a character the grammar has no use for fails where it stands
-_TOKEN_RE = re.compile(r"[MAT]\(`[A-Za-z_][A-Za-z0-9_]*`\)"
-                       r"|`[A-Za-z_][A-Za-z0-9_]*`|[A-Za-z_][A-Za-z0-9_]*|<?->|\S")
+_TOKEN_RE = re.compile(rf"[MAT]\(`{_IDENT}`\)|`{_IDENT}`|{_IDENT}|<?->|\S")
 _IDENT_START = frozenset(string.ascii_letters + "_")
 
 # connective -> (precedence, least precedence of its right operand, levels
@@ -136,10 +136,10 @@ class FormulaParser:
         self.env = env
         # glued leaf text, such as M(`q`) -> the checked leaf built for it
         self._leaves: dict[str, Formula] = {}
-        self._atoms: dict[str, Atom] = {}  # predicate -> its nullary atom
-        # (constructor, variable or id(first child), id(last child)) -> the
-        # node; keyed by identity, since hashing a node by value costs a
-        # Python call per node, and the node keeps its children alive
+        # (constructor, variable or predicate or id(first child), id(last
+        # child)) -> the node, a nullary atom's last child being (); keyed
+        # by identity, since hashing a node by value costs a Python call per
+        # node, and the node keeps its children alive
         self._nodes: dict[tuple[type, object, int], Formula] = {}
 
     # -- entry points
@@ -207,7 +207,6 @@ class FormulaParser:
                 raise self._fail(_TOO_DEEP)
             self.i += 1
             height = 0
-        nodes = self._nodes
         while True:
             op = toks[self.i]
             entry = _BINARY.get(op)
@@ -215,27 +214,12 @@ class FormulaParser:
                 return left, height
             _, right_prec, levels, build = entry
             self.i += 1
-            right = self._leaves.get(toks[self.i])
-            if right is not None:
-                after = _BINARY.get(toks[self.i + 1])
-                if after is not None and after[0] >= right_prec:
-                    right = None  # the leaf is a tighter operator's operand
-            if right is None:
-                right, right_height = self._expr(right_prec, depth + levels)
-            else:  # a held glued leaf that is the whole operand, no call
-                if depth + levels > MAX_DEPTH:
-                    raise self._fail(_TOO_DEEP)
-                self.i += 1
-                right_height = 0
+            right, right_height = self._expr(right_prec, depth + levels)
             if build is None:  # a <-> b is (a -> b) & (b -> a)
                 left = self._node(And, self._node(Implies, left, right),
                                   self._node(Implies, right, left))
-            else:  # self._node(build, left, right), inline
-                key = (build, id(left), id(right))
-                node = nodes.get(key)
-                if node is None:
-                    node = nodes[key] = build(left, right)
-                left = node
+            else:
+                left = self._node(build, left, right)
             height = levels + max(height, right_height)
             if depth + height > MAX_DEPTH:
                 raise self._fail(_TOO_DEEP)
@@ -281,10 +265,7 @@ class FormulaParser:
             self.env.register_predicate(tok, len(args))
             if args:
                 return Atom(tok, tuple(args)), 0
-            atom = self._atoms.get(tok)
-            if atom is None:
-                atom = self._atoms[tok] = Atom(tok)
-            return atom, 0
+            return self._node(Atom, tok, ()), 0
         arity = len(ascription.__match_args__)
         if len(args) != arity:
             self.i -= 1
@@ -300,7 +281,7 @@ class FormulaParser:
         return leaf, 0
 
     def _node(self, build: type, first: Formula | str,
-              last: Formula) -> Formula:
+              last: Formula | tuple[()]) -> Formula:
         """The one node ``build(first, last)`` of this parser."""
         key = (build, first if type(first) is str else id(first), id(last))
         node = self._nodes.get(key)

@@ -56,7 +56,7 @@ from .kernel import (
     Step,
     expand_params,
 )
-from .parser import FormulaParser, ParseError
+from .parser import _IDENT, FormulaParser, ParseError
 from .syntax import (
     Definition,
     DefinitionError,
@@ -70,8 +70,6 @@ from .syntax import (
     record,
     renderer,
 )
-
-_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 
 
 class ScriptError(Exception):

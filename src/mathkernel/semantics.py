@@ -23,7 +23,9 @@ each maximal non-propositional subformula to an atom as it interns;
 
 One loop, ``_first_refutation``, runs that search.  ``find_countermodel``
 gives it every frame; ``holds_in_all_models``, the model-based check that
-tests compare G4ip against, gives it only the rooted frames.
+tests compare G4ip against, gives it only the rooted frames.  The loop
+stops after ``_MAX_STEPS`` evaluation steps (valuations tried times compound
+nodes) and raises ``SemanticsError`` if it found no countermodel by then.
 """
 
 from __future__ import annotations
@@ -411,6 +413,12 @@ def _algebra(frame: KripkeFrame) -> _Algebra:
 # ---------------------------------------------------------------------------
 # countermodel search
 
+# the sweep's bound in evaluation steps, valuations tried times compound
+# nodes: a count, not a deadline, so every machine stops at the same
+# valuation.  Up to 4 worlds the 6-atom width formula (35 nodes, 24.7
+# million valuations) passes it; the 5-atom one (24, 1.9 million) does not
+_MAX_STEPS = 2**26
+
 
 class Countermodel(metaclass=record):
     """A model, a world refuting a formula, and its abstractions."""
@@ -430,14 +438,17 @@ def _first_refutation(compiled: _Compiled, frames: Iterable[KripkeFrame]
     """The first model and world refuting the compiled skeleton: frames in
     the order given, monotone valuations in ``itertools.product`` order over
     ``frame.upsets()``, and the lowest refuting world.  None when no model
-    on these frames refutes it."""
+    on these frames refutes it; ``SemanticsError`` when ``_MAX_STEPS``
+    evaluation steps find none."""
     slots = [node for _, node in compiled.atoms]
     values = [0] * len(compiled.nodes.table)
+    budget = _MAX_STEPS // max(len(compiled.steps), 1)  # valuations left
     for frame in frames:
         alg = _algebra(frame)
         program = [(i, alg.ops[kind], l, r) for i, kind, l, r in compiled.steps]
         values[compiled.nodes.bot] = alg.bot
-        for combo in itertools.product(range(len(alg.ups)), repeat=len(slots)):
+        sweep = itertools.product(range(len(alg.ups)), repeat=len(slots))
+        for combo in itertools.islice(sweep, budget):
             for slot, u in zip(slots, combo):
                 values[slot] = u
             for i, op, l, r in program:
@@ -447,6 +458,12 @@ def _first_refutation(compiled: _Compiled, frames: Iterable[KripkeFrame]
                 return KripkeModel(frame, {
                     name: alg.ups[u]
                     for (name, _), u in zip(compiled.atoms, combo)}), world
+        budget -= len(alg.ups) ** len(slots)
+        if budget < 0:
+            raise SemanticsError(
+                f"no countermodel found within {_MAX_STEPS} evaluation "
+                "steps (valuations tried times connectives); the search "
+                "stops there")
     return None
 
 
@@ -457,7 +474,9 @@ def validity(phi: Formula, max_worlds: int = 4
     ``find_countermodel`` finds it.  True when G4ip proves the skeleton,
     since phi is an instance of it.  Otherwise False, or None when a
     quantified subformula was abstracted: a model of the skeleton need not
-    refute phi then, and whether phi is valid is left undecided."""
+    refute phi then, and whether phi is valid is left undecided.  Raises
+    ``SemanticsError`` when the model search spends ``_MAX_STEPS`` evaluation
+    steps without a countermodel."""
     compiled = _compile(phi)
     if _decide(compiled):
         return True, None
@@ -477,7 +496,8 @@ def find_countermodel(phi: Formula, max_worlds: int = 4
     in ``enumerate_frames`` order), monotone valuations in
     ``itertools.product`` order over ``frame.upsets()``, and the lowest
     refuting world.  None when G4ip proves the skeleton, or when no model
-    within the bound refutes it."""
+    within the bound refutes it; ``SemanticsError`` when ``_MAX_STEPS``
+    evaluation steps find no countermodel."""
     return validity(phi, max_worlds)[1]
 
 

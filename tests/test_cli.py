@@ -389,6 +389,16 @@ def test_countermodel_world_bound_out_of_range_is_usage_error(capsys, bound):
     assert "--max-worlds must be between 1 and 5" in err
 
 
+def test_countermodel_past_the_step_bound_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr("mathkernel.semantics._MAX_STEPS", 100)
+    code, out, err = run(capsys, "countermodel",
+                         "(p -> q | r) | (q -> p | r) | (r -> p | q)")
+    assert code == 2
+    assert out == ""
+    assert "within 100 evaluation steps" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("depth", [400, 900])
 def test_countermodel_deep_formula_ends_without_traceback(depth):
     for formula in ("~" * depth + "p", "forall x. " + "~" * depth + "p"):

@@ -350,7 +350,8 @@ def test_depth_cap_counts_a_deep_first_term_of_a_chain():
 
 def test_depth_cap_counts_a_held_leaf_taken_as_a_right_operand():
     # each M(`s`) after the first is a held glued leaf, and the last one,
-    # with nothing after it, is taken with no call at the deepest level
+    # with nothing after it, is taken by the expression rule at the
+    # deepest level, where every operand is read
     def chain(n):
         return " -> ".join(["M(`s`)"] * (n + 1))
     parse_formula(chain(MAX_DEPTH), env_with_vocab())

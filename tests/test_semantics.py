@@ -231,6 +231,43 @@ def test_bound_four_search_is_fast():
     assert time.perf_counter() - start < 2.0
 
 
+# the width formula over three atoms: refuted on four worlds, none fewer
+WIDTH_3 = "(p -> q | r) | (q -> p | r) | (r -> p | q)"
+
+
+def test_search_past_the_step_bound_is_a_semantics_error(monkeypatch):
+    monkeypatch.setattr("mathkernel.semantics._MAX_STEPS", 100)
+    with pytest.raises(SemanticsError, match="within 100 evaluation steps"):
+        find_countermodel(f(WIDTH_3))
+
+
+def test_step_bound_stops_at_the_last_valuation_it_allows(monkeypatch):
+    # a bound of exactly the steps the sweep takes up to the refuting
+    # valuation finds the unbounded search's countermodel; one step less
+    # finds none
+    phi = f(WIDTH_3)
+    found = find_countermodel(phi)
+    assert found is not None and found.model.frame.size == 4
+    steps = len(_compile(phi).steps)
+    assert steps == 8  # n*n - 1 compound nodes
+    # valuations tried: every one of the earlier frames, then the refuting
+    # one's place in product order over the upsets, first atom first
+    frames = [fr for size in range(1, 5) for fr in enumerate_frames(size)]
+    k = frames.index(found.model.frame)
+    atoms = sorted(found.model.valuation)
+    ups = found.model.frame.upsets()
+    place = 0
+    for a in atoms:
+        place = place * len(ups) + ups.index(found.model.valuation[a])
+    tried = place + 1 + sum(len(fr.upsets()) ** len(atoms)
+                            for fr in frames[:k])
+    monkeypatch.setattr("mathkernel.semantics._MAX_STEPS", tried * steps)
+    assert find_countermodel(phi) == found
+    monkeypatch.setattr("mathkernel.semantics._MAX_STEPS", tried * steps - 1)
+    with pytest.raises(SemanticsError):
+        find_countermodel(phi)
+
+
 def test_countermodel_describe_mentions_abstracted_subformulas():
     env = Environment()
     env.define("s", (), BOT)
