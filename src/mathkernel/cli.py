@@ -135,7 +135,8 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 # upsets**atoms.  With 4 atoms that is 3.3 million valuations up to 5 worlds
 # (the 4-atom width formula, refuted only on 5 worlds, takes about 4 s) and
 # 77 million up to 6, past ``semantics._MAX_STEPS`` (2^26 evaluation
-# steps, valuations times connectives), which stops any sweep with exit 2
+# steps, valuations times connectives), which stops any sweep; G4ip has
+# found no proof by then, so the command says so and exits 1
 _MAX_WORLDS = 5
 
 
@@ -156,11 +157,15 @@ def _countermodel_json(formula: str, valid: Optional[bool], cm) -> dict:
 
 
 def _cmd_countermodel(args: argparse.Namespace) -> int:
-    from .semantics import validity
+    from .semantics import SearchBoundError, validity
     if not 1 <= args.max_worlds <= _MAX_WORLDS:
         return _fail_usage(f"--max-worlds must be between 1 and {_MAX_WORLDS}")
     phi = parse_formula(args.formula, Environment())
-    valid, cm = validity(phi, max_worlds=args.max_worlds)
+    stopped = None  # the search's step bound, if the search reached it
+    try:
+        valid, cm = validity(phi, max_worlds=args.max_worlds)
+    except SearchBoundError as exc:
+        valid, cm, stopped = exc.valid, None, exc.steps
     shown = f"({pformat(phi)})"
     # undecided: what is said holds of the propositional skeleton only
     of = (shown if valid is not None
@@ -170,6 +175,10 @@ def _cmd_countermodel(args: argparse.Namespace) -> int:
     elif valid:
         print(f"no countermodel with up to {args.max_worlds} worlds: "
               f"{shown} holds everywhere")
+    elif stopped is not None:
+        print(f"no countermodel within {stopped} evaluation steps, where "
+              f"the search stops, but {of} is not intuitionistically valid: "
+              "it has no G4ip proof")
     elif cm is None:
         print(f"no countermodel with up to {args.max_worlds} worlds, but "
               f"{of} is not intuitionistically valid: it has no G4ip proof, "

@@ -17,7 +17,9 @@ their scheme.  ``LOGICAL_PARAMS``, ``THEORY_PARAMS``, ``EXTENSION_PARAMS``
 and ``EXTENSION_SCHEMES`` are views of the registry.
 
 L1..L9 are written once each, as patterns over the metavariables a, b and
-c, and one matcher serves both uses of a pattern: with its slots free it
+c.  From each pattern one generator writes, once at import, two functions
+of straight-line code: a constructor, which builds the instance, and a
+matcher, which serves both uses of a pattern: with its slots free it
 recognizes an instance (``is_log_instance``), and with a step's parameters
 in its slots it checks the stated formula of an L1..L9 step.  A modus
 ponens step is checked by comparing the fields of its major premise.  So
@@ -169,51 +171,57 @@ def extension_instance(env: Environment, scheme: str, params: Sequence) -> Formu
 # logical schemes
 #
 # L1..L9 are patterns: formulas whose leaves may be the metavariables "a",
-# "b" and "c", which stand for the first, second and third parameter.  One
-# function fills a pattern; one matcher recognizes its instances and checks
-# a stated formula against given parameters.
+# "b" and "c", which stand for the first, second and third parameter, and
+# from which ``_source`` writes a matcher and a constructor.
 
 
-_SLOT = {"a": 0, "b": 1, "c": 2}  # the parameter each metavariable stands for
+_FREE = object()  # the default of a matcher's slot: free, to be bound
 
 
-def _fill(pattern: Formula, params: Sequence[Formula]) -> Formula:
-    node = type(pattern)
-    if node is str:
-        return params[_SLOT[pattern]]
-    if node is Bot:
-        return pattern
-    return node(_fill(pattern.left, params), _fill(pattern.right, params))
+def _source(pattern: Formula, slots: str) -> str:
+    """The text of ``match(phi, a=_FREE, ...)`` and ``build(a, ...)`` for
+    ``pattern`` over the metavariables ``slots``.  ``match`` returns the
+    values of the slots for which ``build`` gives ``phi``, or None: a free
+    slot is bound at its first occurrence, where a given value must be of a
+    formula type and be the subformula there or equal it; later occurrences
+    only compare.  A subformula is named by its path, l left and r right."""
+    lines, seen = [], set()
 
+    def walk(p: Formula, x: str) -> str:  # x names p's place in phi
+        if type(p) is str:
+            same = f"({p} is {x} or {p} == {x})"
+            lines.extend([f"    if not {same}: return None"] if p in seen else
+                         [f"    if {p} is _FREE: {p} = {x}",
+                          f"    elif not (type({p}) in _FORMULAS and {same}):"
+                          " return None"])
+            seen.add(p)
+            return p
+        lines.append(f"    if type({x}) is not {type(p).__name__}: return None")
+        if type(p) is Bot:
+            return "BOT"
+        kids = []
+        for side, field, kid in (("l", "left", p.left), ("r", "right", p.right)):
+            path = side if x == "phi" else x + side
+            lines.append(f"    {path} = {x}.{field}")
+            kids.append(walk(kid, path))
+        return f"{type(p).__name__}({', '.join(kids)})"
 
-def _match(pattern: Formula, phi: Formula, binding: list) -> bool:
-    """Bind the free slots of ``binding``, one per metavariable and None
-    while free, so that filling ``pattern`` with it gives ``phi``.  A bound
-    slot must be ``phi`` or equal it; nothing is built."""
-    if type(pattern) is str:
-        slot = _SLOT[pattern]
-        bound = binding[slot]
-        if bound is None:
-            binding[slot] = phi
-            return True
-        return bound is phi or bound == phi
-    if type(pattern) is not type(phi):
-        return False
-    return type(pattern) is Bot or (
-        _match(pattern.left, phi.left, binding)
-        and _match(pattern.right, phi.right, binding))
+    built = walk(pattern, "phi")
+    return "\n".join([
+        f"def match(phi, {', '.join(s + '=_FREE' for s in slots)}):", *lines,
+        f"    return {', '.join(slots)}{',' if len(slots) == 1 else ''}",
+        f"def build({', '.join(slots)}):", f"    return {built}", ""])
 
 
 def _states_pattern_instance(scheme: str, params: tuple, phi: Formula) -> bool:
     """Whether ``phi`` is the instance of the L1..L9 scheme ``scheme`` for
     ``params``, and the count and types of ``params`` are right: the
-    pattern is matched with every slot bound, so nothing is built."""
+    matcher runs with every slot given, so nothing is built."""
     # the count and type checks of _check_params(None, ...) for the all-'f'
-    # parameters of L1..L9, made inline: this runs for most steps checked
-    pattern = _PATTERNS.get(scheme)
-    return (pattern is not None and len(params) == len(LOGICAL_PARAMS[scheme])
-            and _FORMULAS.issuperset(map(type, params))
-            and _match(pattern, phi, list(params)))
+    # parameters of L1..L9: the count here, each type in the matcher
+    match = _MATCHERS.get(scheme)
+    return (match is not None and len(params) == len(LOGICAL_PARAMS[scheme])
+            and match(phi, *params) is not None)
 
 
 class _Pattern(metaclass=record):
@@ -221,7 +229,7 @@ class _Pattern(metaclass=record):
     pattern: Formula
 
     def __call__(self, _env: Optional[Environment], *params: Formula) -> Formula:
-        return _fill(self.pattern, params)
+        return _BUILDERS[self.pattern](*params)
 
 
 def _instance_at(body: Formula, x: str, t: Term) -> Formula:
@@ -256,10 +264,10 @@ def _match_subst(body: Formula, x: str, g: Formula) -> Optional[Term]:
 
 def is_log_instance(phi: Formula) -> Optional[tuple[str, tuple]]:
     """A witness (scheme, params) if phi is an L1..L11 axiom instance."""
-    for name, pattern in _PATTERNS.items():
-        binding: list = [None, None, None]
-        if _match(pattern, phi, binding):
-            return (name, tuple(binding[:len(LOGICAL_PARAMS[name])]))
+    for name, match in _MATCHERS.items():
+        found = match(phi)
+        if found is not None:
+            return (name, found)
     if not isinstance(phi, Implies):
         return None
     l, r = phi.left, phi.right
@@ -613,9 +621,16 @@ def _params_of(kind: str) -> dict[str, tuple[str, ...]]:
 
 
 LOGICAL_PARAMS = _params_of("logical")
-# the pattern of each of L1..L9
-_PATTERNS = {name: s.instance.pattern for name, s in SCHEMES.items()
-             if isinstance(s.instance, _Pattern)}
+# the matcher of each of L1..L9, by scheme, and its constructor, by
+# pattern, generated once; they read this module's names
+_MATCHERS, _BUILDERS = {}, {}
+for _name, _s in SCHEMES.items():
+    if isinstance(_s.instance, _Pattern):
+        _code: dict = {}
+        exec(_source(_s.instance.pattern, "abc"[:len(_s.params)]), globals(),
+             _code)
+        _MATCHERS[_name] = _code["match"]
+        _BUILDERS[_s.instance.pattern] = _code["build"]
 THEORY_PARAMS = _params_of("theory")
 EXTENSION_PARAMS = _params_of("extension")
 # ReleaseRule is a rule, not a scheme, but is gated like the extension schemes

@@ -25,7 +25,8 @@ One loop, ``_first_refutation``, runs that search.  ``find_countermodel``
 gives it every frame; ``holds_in_all_models``, the model-based check that
 tests compare G4ip against, gives it only the rooted frames.  The loop
 stops after ``_MAX_STEPS`` evaluation steps (valuations tried times compound
-nodes) and raises ``SemanticsError`` if it found no countermodel by then.
+nodes) and raises ``SearchBoundError``, a ``SemanticsError``, if it found no
+countermodel by then; from ``validity`` the error carries the G4ip verdict.
 """
 
 from __future__ import annotations
@@ -40,6 +41,19 @@ from .syntax import (BOT, And, Atom, Bot, Exists, Forall, Formula, Implies, Or,
 
 class SemanticsError(Exception):
     """Non-propositional input or an invalid frame or model."""
+
+
+class SearchBoundError(SemanticsError):
+    """The model search spent ``_MAX_STEPS`` evaluation steps without a
+    countermodel.  ``valid`` is what ``validity`` decided before the
+    search: False, or None when a quantified subformula was abstracted or
+    no verdict was sought."""
+
+    def __init__(self, steps: int) -> None:
+        super().__init__(
+            f"no countermodel found within {steps} evaluation steps "
+            "(valuations tried times connectives); the search stops there")
+        self.steps, self.valid = steps, None
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +452,7 @@ def _first_refutation(compiled: _Compiled, frames: Iterable[KripkeFrame]
     """The first model and world refuting the compiled skeleton: frames in
     the order given, monotone valuations in ``itertools.product`` order over
     ``frame.upsets()``, and the lowest refuting world.  None when no model
-    on these frames refutes it; ``SemanticsError`` when ``_MAX_STEPS``
+    on these frames refutes it; ``SearchBoundError`` when ``_MAX_STEPS``
     evaluation steps find none."""
     slots = [node for _, node in compiled.atoms]
     values = [0] * len(compiled.nodes.table)
@@ -460,10 +474,7 @@ def _first_refutation(compiled: _Compiled, frames: Iterable[KripkeFrame]
                     for (name, _), u in zip(compiled.atoms, combo)}), world
         budget -= len(alg.ups) ** len(slots)
         if budget < 0:
-            raise SemanticsError(
-                f"no countermodel found within {_MAX_STEPS} evaluation "
-                "steps (valuations tried times connectives); the search "
-                "stops there")
+            raise SearchBoundError(_MAX_STEPS)
     return None
 
 
@@ -475,17 +486,22 @@ def validity(phi: Formula, max_worlds: int = 4
     since phi is an instance of it.  Otherwise False, or None when a
     quantified subformula was abstracted: a model of the skeleton need not
     refute phi then, and whether phi is valid is left undecided.  Raises
-    ``SemanticsError`` when the model search spends ``_MAX_STEPS`` evaluation
-    steps without a countermodel."""
+    ``SearchBoundError``, carrying that verdict, when the model search
+    spends ``_MAX_STEPS`` evaluation steps without a countermodel."""
     compiled = _compile(phi)
     if _decide(compiled):
         return True, None
-    found = _first_refutation(compiled, (
-        frame for size in range(1, max_worlds + 1)
-        for frame in enumerate_frames(size)))
     quantified = any(isinstance(f, (Forall, Exists))
                      for f in compiled.names.values())
-    return (None if quantified else False), (
+    valid = None if quantified else False
+    try:
+        found = _first_refutation(compiled, (
+            frame for size in range(1, max_worlds + 1)
+            for frame in enumerate_frames(size)))
+    except SearchBoundError as exc:
+        exc.valid = valid
+        raise
+    return valid, (
         None if found is None else Countermodel(*found, compiled.names))
 
 
@@ -496,7 +512,7 @@ def find_countermodel(phi: Formula, max_worlds: int = 4
     in ``enumerate_frames`` order), monotone valuations in
     ``itertools.product`` order over ``frame.upsets()``, and the lowest
     refuting world.  None when G4ip proves the skeleton, or when no model
-    within the bound refutes it; ``SemanticsError`` when ``_MAX_STEPS``
+    within the bound refutes it; ``SearchBoundError`` when ``_MAX_STEPS``
     evaluation steps find no countermodel."""
     return validity(phi, max_worlds)[1]
 

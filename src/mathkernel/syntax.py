@@ -589,6 +589,8 @@ class Environment:
         # keyed by identity, never by the node (an equality hit walks as far
         # as a check does), and a hit needs the stored node itself
         self._checked: dict[int, Formula] = {}
+        # every name q1 .. q<n - 1> is bound, for n = _unbound_from
+        self._unbound_from = 1
 
     def __getstate__(self) -> dict:
         return {**self.__dict__, "_checked": {}}
@@ -684,6 +686,16 @@ class Environment:
 
     def is_bound(self, name: str) -> bool:
         return name in self.definitions
+
+    def fresh_name(self) -> str:
+        """The least name ``q<n>``, n >= 1, that is not bound.  Names are
+        only added, and ``define`` unbinds only the name it was binding, so
+        every name below the last one handed out stays bound."""
+        n = self._unbound_from
+        while f"q{n}" in self.definitions:
+            n += 1
+        self._unbound_from = n
+        return f"q{n}"
 
     def definition(self, name: str) -> Definition:
         if name not in self.definitions:

@@ -71,25 +71,19 @@ class NoHypothesisError(TacticError):
 
 
 class NameStore:
-    """Hands out quotation names q1, q2, ... for formulas, reusing an
-    existing binding when some definition already has exactly the
-    requested body."""
+    """Hands out quotation names for formulas: an existing binding when
+    some definition already has exactly the requested body, else the least
+    unbound name q1, q2, ... of the environment."""
 
     def __init__(self, env: Environment) -> None:
         self.env = env
-        self._counter = 0
 
     def name_for(self, phi: Formula) -> str:
         params = first_occurrence_vars(phi)
         name = self.env.name_of(params, phi)
-        if name is not None:
-            return name
-        while True:
-            self._counter += 1
-            name = f"q{self._counter}"
-            if not self.env.is_bound(name):
-                break
-        self.env.define(name, params, phi)
+        if name is None:
+            name = self.env.fresh_name()
+            self.env.define(name, params, phi)
         return name
 
 

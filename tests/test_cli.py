@@ -389,14 +389,34 @@ def test_countermodel_world_bound_out_of_range_is_usage_error(capsys, bound):
     assert "--max-worlds must be between 1 and 5" in err
 
 
-def test_countermodel_past_the_step_bound_is_usage_error(capsys, monkeypatch):
+def test_countermodel_past_the_step_bound_keeps_the_g4ip_verdict(
+        capsys, monkeypatch):
+    # G4ip finds no proof of the width formula before the sweep stops, so
+    # the formula is not valid, though no countermodel was found
     monkeypatch.setattr("mathkernel.semantics._MAX_STEPS", 100)
-    code, out, err = run(capsys, "countermodel",
-                         "(p -> q | r) | (q -> p | r) | (r -> p | q)")
-    assert code == 2
-    assert out == ""
-    assert "within 100 evaluation steps" in err
-    assert "Traceback" not in err
+    formula = "(p -> q | r) | (q -> p | r) | (r -> p | q)"
+    shown = f"({pformat(parse_formula(formula, Environment()))})"
+    code, out, err = run(capsys, "countermodel", formula)
+    assert (code, err) == (1, "")
+    assert out == (f"no countermodel within 100 evaluation steps, where the "
+                   f"search stops, but {shown} is not intuitionistically "
+                   "valid: it has no G4ip proof\n")
+    code, out, err = run(capsys, "countermodel", formula, "--json")
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    jsonschema.validate(payload, schema("countermodel.schema.json"))
+    assert payload == {"formula": formula, "valid": False}
+    # with a quantified subformula abstracted the verdict stays open
+    quantified = formula.replace("r", "(forall x. P(x))")
+    code, out, err = run(capsys, "countermodel", quantified)
+    assert (code, err) == (1, "")
+    assert out.startswith("no countermodel within 100 evaluation steps, "
+                          "where the search stops, but the propositional "
+                          "skeleton of")
+    assert "is valid is undecided" in out
+    code, out, _ = run(capsys, "countermodel", quantified, "--json")
+    assert code == 1
+    assert json.loads(out) == {"formula": quantified, "valid": None}
 
 
 @pytest.mark.parametrize("depth", [400, 900])

@@ -5,6 +5,7 @@ import copy
 import random
 from pathlib import Path
 from typing import get_args
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -472,6 +473,113 @@ def test_is_log_instance_matches_reference_on_seeded_formulas():
         assert witness == reference_is_log_instance(phi), pformat(phi)
         corpus_steps += 1
     assert corpus_steps >= 1400
+
+
+# -- the code generated from the L1..L9 patterns
+
+
+L1_SOURCE = """\
+def match(phi, a=_FREE, b=_FREE):
+    if type(phi) is not Implies: return None
+    l = phi.left
+    if a is _FREE: a = l
+    elif not (type(a) in _FORMULAS and (a is l or a == l)): return None
+    r = phi.right
+    if type(r) is not Implies: return None
+    rl = r.left
+    if b is _FREE: b = rl
+    elif not (type(b) in _FORMULAS and (b is rl or b == rl)): return None
+    rr = r.right
+    if not (a is rr or a == rr): return None
+    return a, b
+def build(a, b):
+    return Implies(a, Implies(b, a))
+"""
+
+L8_SOURCE = """\
+def match(phi, a=_FREE, b=_FREE, c=_FREE):
+    if type(phi) is not Implies: return None
+    l = phi.left
+    if type(l) is not Implies: return None
+    ll = l.left
+    if a is _FREE: a = ll
+    elif not (type(a) in _FORMULAS and (a is ll or a == ll)): return None
+    lr = l.right
+    if c is _FREE: c = lr
+    elif not (type(c) in _FORMULAS and (c is lr or c == lr)): return None
+    r = phi.right
+    if type(r) is not Implies: return None
+    rl = r.left
+    if type(rl) is not Implies: return None
+    rll = rl.left
+    if b is _FREE: b = rll
+    elif not (type(b) in _FORMULAS and (b is rll or b == rll)): return None
+    rlr = rl.right
+    if not (c is rlr or c == rlr): return None
+    rr = r.right
+    if type(rr) is not Implies: return None
+    rrl = rr.left
+    if type(rrl) is not Or: return None
+    rrll = rrl.left
+    if not (a is rrll or a == rrll): return None
+    rrlr = rrl.right
+    if not (b is rrlr or b == rrlr): return None
+    rrr = rr.right
+    if not (c is rrr or c == rrr): return None
+    return a, b, c
+def build(a, b, c):
+    return Implies(Implies(a, c), Implies(Implies(b, c), Implies(Or(a, b), c)))
+"""
+
+
+def test_the_code_generated_from_l1_and_l8_reads_as_pinned():
+    assert kernel._source(SCHEMES["L1"].instance.pattern, "ab") == L1_SOURCE
+    assert kernel._source(SCHEMES["L8"].instance.pattern, "abc") == L8_SOURCE
+    # a lone slot is returned as a one-tuple
+    assert kernel._source(SCHEMES["L9"].instance.pattern, "a").endswith(
+        "    return a,\ndef build(a):\n    return Implies(BOT, a)\n")
+
+
+_SLOT = {"a": 0, "b": 1, "c": 2}  # the parameter each metavariable stands for
+
+
+def reference_fill(pattern, params):
+    """The instance of a pattern, filled by a recursive walk."""
+    node = type(pattern)
+    if node is str:
+        return params[_SLOT[pattern]]
+    if node is Bot:
+        return pattern
+    return node(reference_fill(pattern.left, params),
+                reference_fill(pattern.right, params))
+
+
+def test_logical_instance_matches_a_recursive_fill_on_seeded_parameters():
+    rng = random.Random(20261020)
+    patterns = {name: s.instance.pattern for name, s in SCHEMES.items()
+                if isinstance(s.instance, kernel._Pattern)}
+    assert list(patterns) == [f"L{i}" for i in range(1, 10)]
+    for _ in range(200):
+        for name, pattern in patterns.items():
+            params = tuple(_random_formula(rng, 2)
+                           for _ in LOGICAL_PARAMS[name])
+            phi = logical_instance(name, params)
+            assert phi == reference_fill(pattern, params), name
+            # the matcher gives the parameters back, given or free
+            assert kernel._MATCHERS[name](phi, *params) == params
+            assert logical_instance(name, kernel._MATCHERS[name](phi)) == phi
+
+
+@pytest.mark.parametrize("params,shown", [
+    ((None, Q), "None"), ((P, None), "None"), ((mock.ANY, Q), "<ANY>")],
+    ids=["none-first", "none-second", "equal-to-anything"])
+def test_a_parameter_that_is_no_formula_is_rejected(params, shown):
+    # the matcher marks a free slot with its own default, so a step's None
+    # parameter is checked, not bound to the subformula there; and a value
+    # that compares equal to any formula is no formula
+    stated = Implies(P, Implies(Q, P))
+    assert _errors(_prop_env(), Proof((), (Step(stated, ByLogical(
+        "L1", params)),))) == [f"step 1: L1: expected a formula, got {shown}"]
 
 
 # -- theory schemes

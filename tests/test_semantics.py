@@ -15,6 +15,7 @@ from mathkernel.semantics import (
     Countermodel,
     KripkeFrame,
     KripkeModel,
+    SearchBoundError,
     SemanticsError,
     _ATOM,
     _AND,
@@ -239,6 +240,19 @@ def test_search_past_the_step_bound_is_a_semantics_error(monkeypatch):
     monkeypatch.setattr("mathkernel.semantics._MAX_STEPS", 100)
     with pytest.raises(SemanticsError, match="within 100 evaluation steps"):
         find_countermodel(f(WIDTH_3))
+
+
+def test_the_step_bound_error_carries_the_g4ip_verdict(monkeypatch):
+    monkeypatch.setattr("mathkernel.semantics._MAX_STEPS", 100)
+    quantified = WIDTH_3.replace("r", "(forall x. P(x))")
+    for text, verdict in ((WIDTH_3, False), (quantified, None)):
+        with pytest.raises(SearchBoundError) as exc:
+            validity(f(text))
+        assert (exc.value.steps, exc.value.valid) == (100, verdict)
+    # the model-only check decides nothing before its search
+    with pytest.raises(SearchBoundError) as exc:
+        holds_in_all_models(f(WIDTH_3))
+    assert exc.value.valid is None
 
 
 def test_step_bound_stops_at_the_last_valuation_it_allows(monkeypatch):

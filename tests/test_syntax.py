@@ -185,6 +185,35 @@ UNBOUND_QUOTE_BODIES = {
 }
 
 
+def test_fresh_name_is_the_least_unbound_name_over_gaps_and_rollbacks():
+    env = Environment()
+    env.define("q2", (), BOT)
+    env.define("q5", (), BOT)
+    given = []
+    for _ in range(4):
+        given.append(env.fresh_name())
+        env.define(given[-1], (), BOT)
+    assert given == ["q1", "q3", "q4", "q6"]
+    # a rejected body binds nothing, so its name is handed out again
+    assert env.fresh_name() == "q7"
+    with pytest.raises(IllFormedError):
+        env.define("q7", (), MApp(Quote("unbound")))
+    assert env.fresh_name() == "q7"
+    # and a store hands out again the name its failed define rolled back
+    store = NameStore(env)
+    with pytest.raises(IllFormedError):
+        store.name_for(AApp(Quote("unbound")))
+    assert store.name_for(MApp(Quote("q1"))) == "q7"
+    # a copy or pickle goes on from where the environment stands, and
+    # apart from it
+    env.define("q9", (), BOT)
+    for twin in (copy.deepcopy(env), pickle.loads(pickle.dumps(env))):
+        assert twin.fresh_name() == "q8"
+        twin.define("q8", (), BOT)
+        assert twin.fresh_name() == "q10"
+    assert env.fresh_name() == "q8"
+
+
 @pytest.mark.parametrize("body", UNBOUND_QUOTE_BODIES.values(),
                          ids=UNBOUND_QUOTE_BODIES.keys())
 def test_define_rejects_an_unbound_quotation_and_binds_nothing(body):
