@@ -16,16 +16,19 @@ well formed.  The instance functions check only the side conditions of
 their scheme.  ``LOGICAL_PARAMS``, ``THEORY_PARAMS``, ``EXTENSION_PARAMS``
 and ``EXTENSION_SCHEMES`` are views of the registry.
 
-L1..L9 are written once each, as patterns over the metavariables a, b and
-c.  From each pattern one generator writes, once at import, two functions
-of straight-line code: a constructor, which builds the instance, and a
-matcher, which serves both uses of a pattern: with its slots free it
-recognizes an instance (``is_log_instance``), and with a step's parameters
-in its slots it checks the stated formula of an L1..L9 step.  A modus
-ponens step is checked by comparing the fields of its major premise.  So
-an L1..L9 or modus ponens step that checks builds no formula.  Every other
-step that cites a scheme takes one path, ``_instantiate``: its parameters
-are checked in the environment, then its instance is built.
+L1..L9 are patterns over the metavariables a, b and c; seventeen theory
+and extension schemes (MComp1..4, MQuant1..3, MBot, MofM, MofA, AMP, AtoM,
+Capture, TDef, TNeg, ReleaseAxiom, UnrestrictedT) are patterns of the
+bodies their names resolve to, with the names that must name sentences,
+one side-condition message and the instance.  From each, one generator
+writes at import a constructor and a matcher, in straight-line code.  A
+matcher checks a step's stated formula and the count, types and bindings
+of its parameters; with its slots free, an L1..L9 matcher recognizes an
+instance (``is_log_instance``).  A modus ponens step is checked by
+comparing the fields of its major premise.  So a step of these kinds that
+checks builds no formula.  Every other step that cites a scheme, and every
+one its matcher does not accept, takes one path, ``_instantiate``: its
+parameters are checked in the environment, then its instance is built.
 
 ``check_proof`` checks the Python type of each field of a justification
 before using it, lets no step cite an ill-formed hypothesis or step,
@@ -47,6 +50,7 @@ from functools import partial, reduce
 from typing import Callable, Iterable, Optional, Sequence, Union, get_args
 
 from .syntax import (
+    ASCRIPTIONS,
     AApp,
     And,
     Atom,
@@ -65,6 +69,7 @@ from .syntax import (
     Or,
     Quote,
     SimApp,
+    TApp,  # named by the code generated from the TDef and TNeg patterns
     Term,
     TotalExtension,
     Var,
@@ -169,67 +174,6 @@ def extension_instance(env: Environment, scheme: str, params: Sequence) -> Formu
 
 # ---------------------------------------------------------------------------
 # logical schemes
-#
-# L1..L9 are patterns: formulas whose leaves may be the metavariables "a",
-# "b" and "c", which stand for the first, second and third parameter, and
-# from which ``_source`` writes a matcher and a constructor.
-
-
-_FREE = object()  # the default of a matcher's slot: free, to be bound
-
-
-def _source(pattern: Formula, slots: str) -> str:
-    """The text of ``match(phi, a=_FREE, ...)`` and ``build(a, ...)`` for
-    ``pattern`` over the metavariables ``slots``.  ``match`` returns the
-    values of the slots for which ``build`` gives ``phi``, or None: a free
-    slot is bound at its first occurrence, where a given value must be of a
-    formula type and be the subformula there or equal it; later occurrences
-    only compare.  A subformula is named by its path, l left and r right."""
-    lines, seen = [], set()
-
-    def walk(p: Formula, x: str) -> str:  # x names p's place in phi
-        if type(p) is str:
-            same = f"({p} is {x} or {p} == {x})"
-            lines.extend([f"    if not {same}: return None"] if p in seen else
-                         [f"    if {p} is _FREE: {p} = {x}",
-                          f"    elif not (type({p}) in _FORMULAS and {same}):"
-                          " return None"])
-            seen.add(p)
-            return p
-        lines.append(f"    if type({x}) is not {type(p).__name__}: return None")
-        if type(p) is Bot:
-            return "BOT"
-        kids = []
-        for side, field, kid in (("l", "left", p.left), ("r", "right", p.right)):
-            path = side if x == "phi" else x + side
-            lines.append(f"    {path} = {x}.{field}")
-            kids.append(walk(kid, path))
-        return f"{type(p).__name__}({', '.join(kids)})"
-
-    built = walk(pattern, "phi")
-    return "\n".join([
-        f"def match(phi, {', '.join(s + '=_FREE' for s in slots)}):", *lines,
-        f"    return {', '.join(slots)}{',' if len(slots) == 1 else ''}",
-        f"def build({', '.join(slots)}):", f"    return {built}", ""])
-
-
-def _states_pattern_instance(scheme: str, params: tuple, phi: Formula) -> bool:
-    """Whether ``phi`` is the instance of the L1..L9 scheme ``scheme`` for
-    ``params``, and the count and types of ``params`` are right: the
-    matcher runs with every slot given, so nothing is built."""
-    # the count and type checks of _check_params(None, ...) for the all-'f'
-    # parameters of L1..L9: the count here, each type in the matcher
-    match = _MATCHERS.get(scheme)
-    return (match is not None and len(params) == len(LOGICAL_PARAMS[scheme])
-            and match(phi, *params) is not None)
-
-
-class _Pattern(metaclass=record):
-    """The instance function of a scheme given by a pattern."""
-    pattern: Formula
-
-    def __call__(self, _env: Optional[Environment], *params: Formula) -> Formula:
-        return _BUILDERS[self.pattern](*params)
 
 
 def _instance_at(body: Formula, x: str, t: Term) -> Formula:
@@ -348,79 +292,10 @@ def release(env: Environment, premise: Formula) -> Formula:
     return env.resolve(premise.arg.name)
 
 
-def _mcomp1(env: Environment, qa: str, qb: str, qand: str) -> Formula:
-    _expect(env.resolve(qand) == And(env.resolve(qa), env.resolve(qb)),
-            f"body of {qand} is not the conjunction of {qa} and {qb}")
-    return Implies(And(_m(qa), _m(qb)), _m(qand))
-
-
-def _mcomp2(env: Environment, qand: str, qor: str) -> Formula:
-    ba, bo = env.resolve(qand), env.resolve(qor)
-    _expect(isinstance(ba, And) and bo == Or(ba.left, ba.right),
-            f"{qand} and {qor} are not a matching conjunction/disjunction")
-    return Implies(_m(qand), _m(qor))
-
-
-def _mcomp3(env: Environment, qor: str, qimp: str) -> Formula:
-    bo, bi = env.resolve(qor), env.resolve(qimp)
-    _expect(isinstance(bo, Or) and bi == Implies(bo.left, bo.right),
-            f"{qor} and {qimp} are not a matching disjunction/implication")
-    return Implies(_m(qor), _m(qimp))
-
-
-def _mcomp4(env: Environment, qimp: str, qa: str, qb: str) -> Formula:
-    _expect(env.resolve(qimp) == Implies(env.resolve(qa), env.resolve(qb)),
-            f"body of {qimp} is not the implication from {qa} to {qb}")
-    return Implies(_m(qimp), And(_m(qa), _m(qb)))
-
-
-def _mquant1(env: Environment, q1: str, q2: str, x: str) -> Formula:
-    _expect(env.resolve(q2) == Forall(x, env.resolve(q1)),
-            f"body of {q2} is not (forall {x}) applied to {q1}")
-    return Implies(_m(q1), _m(q2))
-
-
-def _mquant2(env: Environment, q1: str, q2: str, x: str) -> Formula:
-    b1 = env.resolve(q1)
-    _expect(isinstance(b1, Forall) and b1.var == x
-            and env.resolve(q2) == Exists(x, b1.body),
-            f"{q1} and {q2} are not matching forall/exists bodies")
-    return Implies(_m(q1), _m(q2))
-
-
-def _mquant3(env: Environment, q1: str, q2: str, x: str) -> Formula:
-    _expect(env.resolve(q1) == Exists(x, env.resolve(q2)),
-            f"body of {q1} is not (exists {x}) applied to {q2}")
-    return Implies(_m(q1), _m(q2))
-
-
-def _mbot(env: Environment, q: str) -> Formula:
-    _expect(env.resolve(q) == BOT, f"body of {q} is not bot")
-    return _m(q)
-
-
-def _mofm(env: Environment, q: str) -> Formula:
-    _expect(isinstance(env.resolve(q), MApp),
-            f"body of {q} is not a meaningfulness ascription")
-    return _m(q)
-
-
-def _mofa(env: Environment, q: str) -> Formula:
-    _expect(isinstance(env.resolve(q), AApp),
-            f"body of {q} is not an assertibility ascription")
-    return _m(q)
-
-
 def _alog(env: Environment, q: str) -> Formula:
     _expect(is_log_instance(env.resolve(q)) is not None,
             f"body of {q} is not a logical axiom instance")
     return Implies(_m(q), _a(q))
-
-
-def _amp(env: Environment, qphi: str, qpsi: str, qimp: str) -> Formula:
-    _expect(env.resolve(qimp) == Implies(env.resolve(qphi), env.resolve(qpsi)),
-            f"body of {qimp} is not the implication from {qphi} to {qpsi}")
-    return Implies(And(_a(qphi), _a(qimp)), _a(qpsi))
 
 
 def _agen(env: Environment, qimp: str, qres: str, x: str, y: str,
@@ -449,25 +324,6 @@ def _forall_capture(env: Environment, dom_name: str, pred: str, quniv: str,
                                env.instantiate(pred, [Var(x)])),
             f"body of {quniv} does not relativize {pred} to {dom_name}")
     return Implies(reduce(And, [_a(q) for q in insts]), _a(quniv))
-
-
-def _capture(env: Environment, q: str) -> Formula:
-    _sentence(env, q)
-    return Implies(_m(q), Implies(env.resolve(q), _a(q)))
-
-
-def _tdef(env: Environment, q: str, qbic: str) -> Formula:
-    _sentence(env, q, qbic)
-    _expect(env.resolve(qbic) == iff(_t(q), env.resolve(q)),
-            f"body of {qbic} is not the truth biconditional for {q}")
-    return Implies(_m(q), _a(qbic))
-
-
-def _tneg(env: Environment, q: str, qneg: str) -> Formula:
-    _sentence(env, q, qneg)
-    _expect(env.resolve(qneg) == neg(_t(q)),
-            f"body of {qneg} is not the negated truth ascription for {q}")
-    return Implies(neg(_m(q)), _a(qneg))
 
 
 def _holding_instance(env: Environment, pred: str, c: Term, qinst: str,
@@ -550,21 +406,115 @@ def _total_ext_m(env: Environment, base: str, c: Term) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# extension schemes
+# the registry, and the code generated from its patterns
 
 
-def _release_axiom(env: Environment, q: str) -> Formula:
-    _sentence(env, q)
-    return Implies(_a(q), env.resolve(q))
+_FREE = object()  # the default of a matcher's slot: free, to be bound
+_WRITTEN = {cls: name for name, cls in ASCRIPTIONS.items()}  # for ``quoted``
 
 
-def _unrestricted_t(env: Environment, q: str) -> Formula:
-    _sentence(env, q)
-    return iff(_t(q), env.resolve(q))
+def _source(pattern: Formula, slots, message: str = "",
+            sentences: str = "") -> str:
+    """The text of the functions generated from a scheme's patterns.
+
+    For L1..L9, ``slots`` are the metavariables of ``pattern``:
+    ``match(phi, a=_FREE, ...)`` returns the values of the slots for which
+    ``build(a, ...)`` gives ``phi``, or None.  A free slot is bound at its
+    first occurrence, where a given value must be of a formula type and be
+    the subformula there or equal it; later occurrences only compare.
+
+    Else ``slots`` maps each parameter's name, in order, to the pattern of
+    the body it names, or to None for a variable.  ``bodies(defs, ...)``
+    gives the metavariables' values if each name is bound, the
+    ``sentences`` name sentences and each body matches, else None;
+    ``build(env, ...)`` returns the instance, ``pattern``, or raises
+    SchemeError with ``message``; ``match(env, phi, params)`` says whether
+    ``build`` would give ``phi``, building nothing.  A subformula is named
+    by its path: l for a node's first field, r for its second."""
+    named = isinstance(slots, dict)
+    tup = lambda names: f"{', '.join(names)}{',' if len(names) == 1 else ''}"
+
+    def walk(p, x: str, fail: str, seen: dict, lines: list) -> str:
+        # add the lines that match x against p; return what builds p
+        if type(p) is str:  # a metavariable, or a parameter's name
+            same = f"({p} is {x} or {p} == {x})"
+            lines += ([f"    if not {same}: {fail}"] if p in seen else
+                      [f"    {p} = {x}"] if named else
+                      [f"    if {p} is _FREE: {p} = {x}",
+                       f"    elif not (type({p}) in _FORMULAS and {same}):"
+                       " return None"])
+            seen[p] = None
+            return p
+        cls = type(p)
+        if cls in _WRITTEN and type(p.arg) is Quote:  # over a name's quotation
+            lines.append(f"    if not (type({x}) is {cls.__name__} and type("
+                         f"{x}.arg) is Quote and {x}.arg.name == {p.arg.name}):"
+                         f" {fail}")
+            return f"quoted({_WRITTEN[cls]!r}, {p.arg.name})"
+        lines.append(f"    if type({x}) is not {cls.__name__}: {fail}")
+        if cls is Bot:
+            return "BOT"
+        kids = []
+        for side, field in zip("lr", cls.__match_args__):
+            path = side if x in ("phi", "body") else x + side
+            lines.append(f"    {path} = {x}.{field}")
+            kids.append(walk(getattr(p, field), path, fail, seen, lines))
+        return f"{cls.__name__}({', '.join(kids)})"
+
+    if not named:
+        lines: list[str] = []
+        built = walk(pattern, "phi", "return None", {}, lines)
+        return "\n".join([
+            f"def match(phi, {', '.join(s + '=_FREE' for s in slots)}):",
+            *lines,
+            f"    return {tup(slots)}",
+            f"def build({', '.join(slots)}):", f"    return {built}", ""])
+
+    lines, seen = [], dict.fromkeys(slots)
+    for q, body in slots.items():
+        if body is not None:
+            lines += [f"    d = defs.get({q})", "    if d is None"
+                      f"{' or d.params' * (q in sentences.split())}: return None",
+                      "    body = d.body"]
+            walk(body, "body", "return None", seen, lines)
+    found = tup(list(seen)[len(slots):])  # the metavariables, as bound
+    checks: list[str] = []
+    built = walk(pattern, "phi", "return False", seen, checks)
+    names = ", ".join(slots)
+    return "\n".join([
+        f"def bodies(defs, {names}):", *lines, f"    return ({found})",
+        f"def build(env, {names}):",
+        *[f"    _sentence(env, {', '.join(sentences.split())})"] * bool(sentences),
+        f"    found = bodies(env.definitions, {names})",
+        f"    if found is None: raise SchemeError(f{message!r})",
+        *[f"    {found} = found"] * bool(found), f"    return {built}",
+        "def match(env, phi, params):",
+        f"    if len(params) != {len(slots)}: return False",
+        f"    {tup(slots)} = params",
+        f"    if {' or '.join(f'type({q}) is not str' for q in slots)}:"
+        " return False",
+        f"    found = bodies(env.definitions, {names})",
+        "    if found is None: return False",
+        *[f"    {found} = found"] * bool(found), *checks, "    return True", ""])
 
 
-# ---------------------------------------------------------------------------
-# the registry
+class _Pattern(metaclass=record):
+    """The instance function of a scheme given by a pattern."""
+    pattern: Formula
+
+    def __call__(self, _env: Optional[Environment], *params: Formula) -> Formula:
+        return _BUILDERS[id(self)](*params)
+
+
+class _NamePattern(metaclass=record):
+    """The instance function of a scheme given by its names' body patterns."""
+    conclusion: Formula  # the instance
+    params: dict  # each name, in order -> its body's pattern; None: a variable
+    message: str = ""  # the one side condition, violated
+    sentences: str = ""  # the names that must name sentences
+
+    def __call__(self, env: Environment, *params: str) -> Formula:
+        return _BUILDERS[id(self)](env, *params)
 
 
 SCHEMES: dict[str, Scheme] = {
@@ -585,25 +535,56 @@ SCHEMES: dict[str, Scheme] = {
                   lambda _, x, b, t: Implies(Forall(x, b), _instance_at(b, x, t))),
     "L11": Scheme("logical", ("v", "f", "t"),
                   lambda _, x, b, t: Implies(_instance_at(b, x, t), Exists(x, b))),
-    "MComp1": Scheme("theory", ("n", "n", "n"), _mcomp1),
-    "MComp2": Scheme("theory", ("n", "n"), _mcomp2),
-    "MComp3": Scheme("theory", ("n", "n"), _mcomp3),
-    "MComp4": Scheme("theory", ("n", "n", "n"), _mcomp4),
-    "MQuant1": Scheme("theory", ("n", "n", "v"), _mquant1),
-    "MQuant2": Scheme("theory", ("n", "n", "v"), _mquant2),
-    "MQuant3": Scheme("theory", ("n", "n", "v"), _mquant3),
-    "MBot": Scheme("theory", ("n",), _mbot),
-    "MofM": Scheme("theory", ("n",), _mofm),
-    "MofA": Scheme("theory", ("n",), _mofa),
+    "MComp1": Scheme("theory", ("n", "n", "n"), _NamePattern(
+        Implies(And(_m("qa"), _m("qb")), _m("qand")),
+        {"qa": "a", "qb": "b", "qand": And("a", "b")},
+        "body of {qand} is not the conjunction of {qa} and {qb}")),
+    "MComp2": Scheme("theory", ("n", "n"), _NamePattern(
+        Implies(_m("qand"), _m("qor")), {"qand": And("a", "b"), "qor": Or("a", "b")},
+        "{qand} and {qor} are not a matching conjunction/disjunction")),
+    "MComp3": Scheme("theory", ("n", "n"), _NamePattern(
+        Implies(_m("qor"), _m("qimp")),
+        {"qor": Or("a", "b"), "qimp": Implies("a", "b")},
+        "{qor} and {qimp} are not a matching disjunction/implication")),
+    "MComp4": Scheme("theory", ("n", "n", "n"), _NamePattern(
+        Implies(_m("qimp"), And(_m("qa"), _m("qb"))),
+        {"qimp": Implies("a", "b"), "qa": "a", "qb": "b"},
+        "body of {qimp} is not the implication from {qa} to {qb}")),
+    "MQuant1": Scheme("theory", ("n", "n", "v"), _NamePattern(
+        Implies(_m("q1"), _m("q2")), {"q1": "a", "q2": Forall("x", "a"), "x": None},
+        "body of {q2} is not (forall {x}) applied to {q1}")),
+    "MQuant2": Scheme("theory", ("n", "n", "v"), _NamePattern(
+        Implies(_m("q1"), _m("q2")),
+        {"q1": Forall("x", "a"), "q2": Exists("x", "a"), "x": None},
+        "{q1} and {q2} are not matching forall/exists bodies")),
+    "MQuant3": Scheme("theory", ("n", "n", "v"), _NamePattern(
+        Implies(_m("q1"), _m("q2")), {"q1": Exists("x", "a"), "q2": "a", "x": None},
+        "body of {q1} is not (exists {x}) applied to {q2}")),
+    "MBot": Scheme("theory", ("n",), _NamePattern(
+        _m("q"), {"q": BOT}, "body of {q} is not bot")),
+    "MofM": Scheme("theory", ("n",), _NamePattern(
+        _m("q"), {"q": MApp("t")}, "body of {q} is not a meaningfulness ascription")),
+    "MofA": Scheme("theory", ("n",), _NamePattern(
+        _m("q"), {"q": AApp("t")}, "body of {q} is not an assertibility ascription")),
     "ALog": Scheme("theory", ("n",), _alog),
-    "AMP": Scheme("theory", ("n", "n", "n"), _amp),
+    "AMP": Scheme("theory", ("n", "n", "n"), _NamePattern(
+        Implies(And(_a("qphi"), _a("qimp")), _a("qpsi")),
+        {"qphi": "a", "qpsi": "b", "qimp": Implies("a", "b")},
+        "body of {qimp} is not the implication from {qphi} to {qpsi}")),
     "AGenF": Scheme("theory", ("n", "n", "v", "v"), partial(_agen, forall=True)),
     "AGenE": Scheme("theory", ("n", "n", "v", "v"), partial(_agen, forall=False)),
-    "AtoM": Scheme("theory", ("n",), lambda _, q: Implies(_a(q), _m(q))),
+    "AtoM": Scheme("theory", ("n",), _NamePattern(
+        Implies(_a("q"), _m("q")), {"q": "a"})),
     "ForallCapture": Scheme("theory", ("d", "n", "n", "n*"), _forall_capture),
-    "Capture": Scheme("theory", ("n",), _capture),
-    "TDef": Scheme("theory", ("n", "n"), _tdef),
-    "TNeg": Scheme("theory", ("n", "n"), _tneg),
+    "Capture": Scheme("theory", ("n",), _NamePattern(
+        Implies(_m("q"), Implies("a", _a("q"))), {"q": "a"}, sentences="q")),
+    "TDef": Scheme("theory", ("n", "n"), _NamePattern(
+        Implies(_m("q"), _a("qbic")), {"q": "a", "qbic": iff(_t("q"), "a")},
+        "body of {qbic} is not the truth biconditional for {q}", "q qbic")),
+    "TNeg": Scheme("theory", ("n", "n"), _NamePattern(
+        Implies(neg(_m("q")), _a("qneg")), {"q": "a", "qneg": neg(_t("q"))},
+        "body of {qneg} is not the negated truth ascription for {q}",
+        "q qneg")),
     "HDef": Scheme("theory", ("n", "t", "n", "n"), _hdef),
     "HNeg": Scheme("theory", ("n", "t", "n", "n"), _hneg),
     "SimDef": Scheme("theory", ("n", "n", "n", "n"), _simdef),
@@ -611,8 +592,10 @@ SCHEMES: dict[str, Scheme] = {
     "TotalExtPos": Scheme("theory", ("p", "t"), _total_ext_pos),
     "TotalExtNeg": Scheme("theory", ("p", "t"), _total_ext_neg),
     "TotalExtM": Scheme("theory", ("p", "t"), _total_ext_m),
-    "ReleaseAxiom": Scheme("extension", ("n",), _release_axiom),
-    "UnrestrictedT": Scheme("extension", ("n",), _unrestricted_t),
+    "ReleaseAxiom": Scheme("extension", ("n",), _NamePattern(
+        Implies(_a("q"), "a"), {"q": "a"}, sentences="q")),
+    "UnrestrictedT": Scheme("extension", ("n",), _NamePattern(
+        iff(_t("q"), "a"), {"q": "a"}, sentences="q")),
 }
 
 
@@ -621,16 +604,21 @@ def _params_of(kind: str) -> dict[str, tuple[str, ...]]:
 
 
 LOGICAL_PARAMS = _params_of("logical")
-# the matcher of each of L1..L9, by scheme, and its constructor, by
-# pattern, generated once; they read this module's names
-_MATCHERS, _BUILDERS = {}, {}
+# generated once: each matcher of L1..L9 by scheme, every other by kind and
+# scheme, each constructor by the identity of its pattern (MQuant1..3 have
+# one instance pattern)
+_MATCHERS, _NAME_MATCHERS, _BUILDERS = {}, {"theory": {}, "extension": {}}, {}
 for _name, _s in SCHEMES.items():
-    if isinstance(_s.instance, _Pattern):
-        _code: dict = {}
-        exec(_source(_s.instance.pattern, "abc"[:len(_s.params)]), globals(),
-             _code)
+    _p, _code = _s.instance, dict(globals())  # and the scheme's own functions
+    if isinstance(_p, _Pattern):
+        exec(_source(_p.pattern, "abc"[:len(_s.params)]), _code)
         _MATCHERS[_name] = _code["match"]
-        _BUILDERS[_s.instance.pattern] = _code["build"]
+    elif isinstance(_p, _NamePattern):
+        exec(_source(_p.conclusion, _p.params, _p.message, _p.sentences), _code)
+        _NAME_MATCHERS[_s.kind][_name] = _code["match"]
+    else:
+        continue
+    _BUILDERS[id(_p)] = _code["build"]
 THEORY_PARAMS = _params_of("theory")
 EXTENSION_PARAMS = _params_of("extension")
 # ReleaseRule is a rule, not a scheme, but is gated like the extension schemes
@@ -868,10 +856,18 @@ def check_proof(
                     raise SchemeError(f"hypothesis {just.index + 1} is ill formed")
                 expected = proof.hypotheses[just.index]
             elif isinstance(just, ByLogical):
-                if _states_pattern_instance(just.scheme, just.params, stated):
+                # the count check of _check_params(None, ...) for the all-'f'
+                # parameters of L1..L9; the matcher checks each type
+                match = _MATCHERS.get(just.scheme)
+                if (match is not None and len(just.params)
+                        == len(LOGICAL_PARAMS[just.scheme])
+                        and match(stated, *just.params) is not None):
                     continue
                 expected = _instantiate("logical", env, just.scheme, just.params)
             elif isinstance(just, ByTheory):
+                match = _NAME_MATCHERS["theory"].get(just.scheme)
+                if match is not None and match(env, stated, just.params):
+                    continue
                 expected = theory_instance(env, just.scheme, just.params)
             elif isinstance(just, ByMP):
                 minor = premise(just.minor, i)
@@ -887,7 +883,10 @@ def check_proof(
                 expected = generalize(premise(just.premise, i), just.var,
                                       just.to_var, isinstance(just, ByGenF))
             elif isinstance(just, ByExtension):
-                expected = extension_instance(env, just.scheme, just.params)
+                match = _NAME_MATCHERS["extension"].get(just.scheme)
+                expected = (stated if match is not None
+                            and match(env, stated, just.params) else
+                            extension_instance(env, just.scheme, just.params))
                 grant = extension_grant(env, just.scheme, just.params)
             else:  # ByRelease, the one kind left after _check_fields
                 expected = release(env, premise(just.premise, i))

@@ -569,7 +569,7 @@ class Environment:
     arity) and when ``define`` rolls back a provisional binding (a node
     accepted while the name was bound no longer is).  It holds the nodes
     it remembers for the environment's life, and a pickle or copy of the
-    environment starts with an empty one.
+    environment starts with an empty one; a copy has tables of its own.
     """
 
     def __init__(self) -> None:
@@ -594,6 +594,15 @@ class Environment:
 
     def __getstate__(self) -> dict:
         return {**self.__dict__, "_checked": {}}
+
+    def __copy__(self) -> Environment:
+        """A copy that owns its tables: what is declared through one is not
+        in the other."""
+        twin = Environment.__new__(Environment)
+        for name, value in self.__getstate__().items():  # the memo empty
+            setattr(twin, name, value.copy()
+                    if isinstance(value, (dict, set, list)) else value)
+        return twin
 
     # -- symbol table
 

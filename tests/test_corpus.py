@@ -4,6 +4,7 @@ import copy
 import importlib.util
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -17,6 +18,7 @@ from mathkernel.corpus import (
     load_manifest,
     run_corpus,
 )
+from mathkernel import kernel
 from mathkernel.kernel import ByTheory, Judgment, ProofCheckError, check_proof
 from mathkernel.script import emit_script, parse_script, script_of
 
@@ -126,6 +128,20 @@ def test_a_warm_environment_gives_the_verdicts_of_a_fresh_one(entry):
     warm = [verdict(env, p) for p in cases]
     assert isinstance(warm[0], Judgment)
     assert warm == [verdict(copy.copy(env), p) for p in cases]
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.script)
+def test_matched_theory_steps_get_the_verdicts_of_build_and_compare(entry):
+    # with the matchers of the theory and extension schemes gone, every
+    # such step is built and compared, as before they were generated: the
+    # proof and each of its mutants get the same judgment or the same errors
+    script, env = load(entry.script)
+    proof = script.proof()
+    cases = [proof, *mutations(random.Random(entry.script), proof, count=20)]
+    matched = [verdict(env, p) for p in cases]
+    with mock.patch.dict(kernel._NAME_MATCHERS["theory"], clear=True), \
+            mock.patch.dict(kernel._NAME_MATCHERS["extension"], clear=True):
+        assert [verdict(env, p) for p in cases] == matched
 
 
 def test_deleting_the_capture_step_breaks_the_anomaly():

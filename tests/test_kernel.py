@@ -540,6 +540,128 @@ def test_the_code_generated_from_l1_and_l8_reads_as_pinned():
         "    return a,\ndef build(a):\n    return Implies(BOT, a)\n")
 
 
+# -- the code generated from the patterns of the theory and extension schemes
+
+
+MCOMP1_SOURCE = """\
+def bodies(defs, qa, qb, qand):
+    d = defs.get(qa)
+    if d is None: return None
+    body = d.body
+    a = body
+    d = defs.get(qb)
+    if d is None: return None
+    body = d.body
+    b = body
+    d = defs.get(qand)
+    if d is None: return None
+    body = d.body
+    if type(body) is not And: return None
+    l = body.left
+    if not (a is l or a == l): return None
+    r = body.right
+    if not (b is r or b == r): return None
+    return (a, b)
+def build(env, qa, qb, qand):
+    found = bodies(env.definitions, qa, qb, qand)
+    if found is None: raise SchemeError(f'body of {qand} is not the conjunction of {qa} and {qb}')
+    a, b = found
+    return Implies(And(quoted('M', qa), quoted('M', qb)), quoted('M', qand))
+def match(env, phi, params):
+    if len(params) != 3: return False
+    qa, qb, qand = params
+    if type(qa) is not str or type(qb) is not str or type(qand) is not str: return False
+    found = bodies(env.definitions, qa, qb, qand)
+    if found is None: return False
+    a, b = found
+    if type(phi) is not Implies: return False
+    l = phi.left
+    if type(l) is not And: return False
+    ll = l.left
+    if not (type(ll) is MApp and type(ll.arg) is Quote and ll.arg.name == qa): return False
+    lr = l.right
+    if not (type(lr) is MApp and type(lr.arg) is Quote and lr.arg.name == qb): return False
+    r = phi.right
+    if not (type(r) is MApp and type(r.arg) is Quote and r.arg.name == qand): return False
+    return True
+"""
+
+TDEF_SOURCE = """\
+def bodies(defs, q, qbic):
+    d = defs.get(q)
+    if d is None or d.params: return None
+    body = d.body
+    a = body
+    d = defs.get(qbic)
+    if d is None or d.params: return None
+    body = d.body
+    if type(body) is not And: return None
+    l = body.left
+    if type(l) is not Implies: return None
+    ll = l.left
+    if not (type(ll) is TApp and type(ll.arg) is Quote and ll.arg.name == q): return None
+    lr = l.right
+    if not (a is lr or a == lr): return None
+    r = body.right
+    if type(r) is not Implies: return None
+    rl = r.left
+    if not (a is rl or a == rl): return None
+    rr = r.right
+    if not (type(rr) is TApp and type(rr.arg) is Quote and rr.arg.name == q): return None
+    return (a,)
+def build(env, q, qbic):
+    _sentence(env, q, qbic)
+    found = bodies(env.definitions, q, qbic)
+    if found is None: raise SchemeError(f'body of {qbic} is not the truth biconditional for {q}')
+    a, = found
+    return Implies(quoted('M', q), quoted('A', qbic))
+def match(env, phi, params):
+    if len(params) != 2: return False
+    q, qbic = params
+    if type(q) is not str or type(qbic) is not str: return False
+    found = bodies(env.definitions, q, qbic)
+    if found is None: return False
+    a, = found
+    if type(phi) is not Implies: return False
+    l = phi.left
+    if not (type(l) is MApp and type(l.arg) is Quote and l.arg.name == q): return False
+    r = phi.right
+    if not (type(r) is AApp and type(r.arg) is Quote and r.arg.name == qbic): return False
+    return True
+"""
+
+
+def _named_source(scheme):
+    p = SCHEMES[scheme].instance
+    return kernel._source(p.conclusion, p.params, p.message, p.sentences)
+
+
+def test_the_code_generated_from_mcomp1_and_tdef_reads_as_pinned():
+    assert _named_source("MComp1") == MCOMP1_SOURCE
+    assert _named_source("TDef") == TDEF_SOURCE
+    # a body with no metavariable gives none back
+    assert "    return ()\ndef build(env, q):\n    found = " in _named_source("MBot")
+
+
+NAME_PATTERN_SCHEMES = [
+    "MComp1", "MComp2", "MComp3", "MComp4", "MQuant1", "MQuant2", "MQuant3",
+    "MBot", "MofM", "MofA", "AMP", "AtoM", "Capture", "TDef", "TNeg",
+    "ReleaseAxiom", "UnrestrictedT"]
+
+
+def test_a_name_pattern_takes_a_variable_exactly_where_its_scheme_does():
+    assert [name for name, s in SCHEMES.items()
+            if isinstance(s.instance, kernel._NamePattern)] \
+        == NAME_PATTERN_SCHEMES
+    for name in NAME_PATTERN_SCHEMES:
+        s = SCHEMES[name]
+        assert [b is None for b in s.instance.params.values()] \
+            == [k == "v" for k in s.params], name
+        assert set(s.instance.sentences.split()) <= set(s.instance.params)
+        # one matcher per scheme, found by the kind of its steps
+        assert name in kernel._NAME_MATCHERS[s.kind]
+
+
 _SLOT = {"a": 0, "b": 1, "c": 2}  # the parameter each metavariable stands for
 
 
@@ -1227,11 +1349,11 @@ def _ill_formed(env, phi):
 
 
 def reference_check_errors(env, proof):
-    """The errors of ``check_proof`` on a proof of hypothesis, logical and
-    modus ponens steps, found by building each justified formula and
-    comparing it with the stated one, a logical step's parameters checked
-    in the environment first.  A step may not cite an ill-formed
-    hypothesis or step."""
+    """The errors of ``check_proof`` on a proof of hypothesis, logical,
+    theory, extension and modus ponens steps, found by building each
+    justified formula and comparing it with the stated one, a logical
+    step's parameters checked in the environment first.  A step may not
+    cite an ill-formed hypothesis or step."""
     errors = []
     for i, h in enumerate(proof.hypotheses):
         try:
@@ -1256,6 +1378,15 @@ def reference_check_errors(env, proof):
                 except SchemeError as exc:
                     raise SchemeError(f"{just.scheme}: {exc}") from None
                 expected = logical_instance(just.scheme, just.params)
+            elif isinstance(just, ByTheory):
+                expected = theory_instance(env, just.scheme, just.params)
+            elif isinstance(just, ByExtension):
+                expected = extension_instance(env, just.scheme, just.params)
+                grant = ExtensionGrant(just.scheme, env.resolve(just.params[0]))
+                if not any(g.scheme == grant.scheme
+                           and g.formula in (None, grant.formula)
+                           for g in proof.enabled):
+                    raise SchemeError(f"extension not enabled: {grant}")
             else:
                 for k in (just.minor, just.major):
                     if _ill_formed(env, proof.steps[k].formula):
@@ -1463,3 +1594,322 @@ def test_a_step_citing_an_ill_typed_step_is_rejected(ill, just):
         check_proof(_diff_env(), proof)
     assert [e.index for e in exc.value.errors] == [None, 0, 2]
     assert str(exc.value.errors[2]) == "step 3: cited step 1 is ill formed"
+
+
+# -- theory and extension steps against the build-and-compare reference
+
+
+def _theory_env() -> Environment:
+    """Names whose bodies fit every scheme given by name patterns, with
+    equal bodies built apart, a body of each node class, and names of
+    arity 1."""
+    env = Environment()
+    env.register_predicate("R", 1)
+    p, q, rx, ry = Atom("p"), Atom("q"), Atom("R", (Var("x"),)), \
+        Atom("R", (Var("y"),))
+    for name, params, body in [
+            ("p", (), p), ("q", (), q), ("pq", (), And(p, q)),
+            ("pq2", (), And(Atom("p"), Atom("q"))), ("porq", (), Or(p, q)),
+            ("pimq", (), Implies(p, q)),
+            ("pimq2", (), Implies(Atom("p"), Atom("q"))),
+            ("falsum", (), BOT), ("rx", ("x",), rx), ("all", (), Forall("x", rx)),
+            ("ex", (), Exists("x", rx)), ("ally", (), Forall("y", ry)),
+            ("exy", (), Exists("y", ry)), ("mp", (), MApp(Quote("p"))),
+            ("ap", (), AApp(Quote("p"))), ("tp", (), iff(TApp(Quote("p")), p)),
+            ("tp2", (), iff(TApp(Quote("p")), Atom("p"))),
+            ("tnp", (), neg(TApp(Quote("p")))), ("w", ("x",), AApp(Var("x")))]:
+        env.define(name, params, body)
+    return env
+
+
+_THEORY_NAMES = tuple(_theory_env().definitions)
+_GRANTS = frozenset({ExtensionGrant("ReleaseAxiom"),
+                     ExtensionGrant("UnrestrictedT")})
+# what may stand for a parameter besides a bound sentence: names of arity
+# 1, an unbound name, values of other types, one that is no key of a
+# dictionary, and one that equals everything
+_NOT_SENTENCES = ("w", "rx", "nope", 3, None, Var("x"), Quote("p"), ["p"],
+                  mock.ANY)
+_VARIABLES = ("x", "y")
+
+
+def _instance(env, scheme, params):
+    if SCHEMES[scheme].kind == "theory":
+        return theory_instance(env, scheme, params)
+    return extension_instance(env, scheme, params)
+
+
+def _accepted_params():
+    """Per scheme, every choice of names and variables of the environment
+    that its side condition accepts."""
+    env, found = _theory_env(), {}
+    for scheme in NAME_PATTERN_SCHEMES:
+        pools = [_THEORY_NAMES if k == "n" else _VARIABLES
+                 for k in SCHEMES[scheme].params]
+        choices = [()]
+        for pool in pools:
+            choices = [c + (v,) for c in choices for v in pool]
+        found[scheme] = []
+        for params in choices:
+            try:
+                _instance(env, scheme, params)
+            except (SchemeError, DefinitionError):
+                continue
+            found[scheme].append(params)
+    return found
+
+
+_ACCEPTED = _accepted_params()
+
+
+def _one_node_changes(phi):
+    """Formulas that differ from ``phi`` at one node: in its class, in the
+    name of a quotation, or in a quantifier's variable."""
+    swap = {And: Or, Or: Implies, Implies: And, Forall: Exists,
+            Exists: Forall, MApp: AApp, AApp: TApp, TApp: MApp}
+    changes = []
+    if type(phi) in swap:
+        changes.append(swap[type(phi)](*phi._fields(phi)))
+    if type(phi) in (MApp, AApp, TApp) and type(phi.arg) is Quote:
+        other = "q" if phi.arg.name == "p" else "p"
+        changes.append(type(phi)(Quote(other)))
+    if type(phi) in (Forall, Exists):
+        changes.append(type(phi)("y" if phi.var == "x" else "x", phi.body))
+        changes += [type(phi)(phi.var, c) for c in _one_node_changes(phi.body)]
+    if type(phi) in (And, Or, Implies):
+        changes += [type(phi)(c, phi.right) for c in _one_node_changes(phi.left)]
+        changes += [type(phi)(phi.left, c) for c in _one_node_changes(phi.right)]
+    if type(phi) in (Bot, Atom):
+        changes.append(Atom("q") if phi == Atom("p") else Atom("p"))
+    return changes
+
+
+def _conclusion(env, scheme, params):
+    """The instance pattern of ``scheme`` with ``params`` in it, whether
+    or not they meet the side condition: a body metavariable stands for
+    the body of the first name whose pattern it is, or bot."""
+    pattern = SCHEMES[scheme].instance
+    given = dict(zip(pattern.params, params))
+
+    def fill(f):
+        if type(f) is str:
+            q = given[next(n for n, b in pattern.params.items() if b == f)]
+            return env.resolve(q) if type(q) is str and env.is_bound(q) \
+                else BOT
+        if type(f) in (MApp, AApp, TApp):
+            return type(f)(Quote(given[f.arg.name]))
+        if type(f) is Bot:
+            return f
+        return type(f)(fill(f.left), fill(f.right))
+
+    return fill(pattern.conclusion)
+
+
+@st.composite
+def pattern_step_proofs(draw):
+    """One-step proofs by a step of a scheme given by name patterns: its
+    parameters mostly ones its side condition accepts, one of them maybe
+    replaced by another name or variable, a name of arity 1, an unbound
+    one or no name, or one too few or too many; its stated formula their instance (the instance pattern
+    filled in, where they do not meet the side condition), a copy of it,
+    the instance changed at one node, another instance, or any
+    formula."""
+    scheme = draw(st.sampled_from(NAME_PATTERN_SCHEMES))
+    kinds = SCHEMES[scheme].params
+    params = list(draw(st.sampled_from(_ACCEPTED[scheme])))
+    other = st.one_of(st.sampled_from(_NOT_SENTENCES),
+                      st.sampled_from(_THEORY_NAMES + _VARIABLES))
+    how = draw(st.sampled_from(("as is", "as is", "one", "one", "short",
+                                "long")))
+    if how == "one":
+        params[draw(st.integers(0, len(params) - 1))] = draw(other)
+    elif how == "short":
+        params.pop()
+    elif how == "long":
+        params.append(draw(other))
+    params = tuple(params)
+    env = _theory_env()
+    try:
+        instance = _instance(env, scheme, params)
+    except (SchemeError, DefinitionError):  # the pattern filled in all the same
+        instance = (_conclusion(env, scheme, params)
+                    if len(params) == len(kinds) else None)
+    how = draw(st.sampled_from(("same", "copies", "changed", "other", "any")))
+    if instance is None or how == "any":
+        stated = draw(WELL_FORMED)
+    elif how == "same":
+        stated = instance
+    elif how == "copies":
+        stated = _rebuilt(instance)
+    elif how == "changed":
+        stated = draw(st.sampled_from(_one_node_changes(instance)))
+    else:
+        other = draw(st.sampled_from(NAME_PATTERN_SCHEMES))
+        stated = _instance(_theory_env(), other,
+                           draw(st.sampled_from(_ACCEPTED[other])))
+    just = (ByTheory if SCHEMES[scheme].kind == "theory" else ByExtension)(
+        scheme, params)
+    return Proof((), (Step(stated, just),), _GRANTS)
+
+
+def _outcome(build):
+    try:
+        return build()
+    except (SchemeError, DefinitionError) as exc:
+        return type(exc), str(exc)
+
+
+_r = lambda env, q: env.resolve(q)  # noqa: E731
+_qm, _qa, _qt = (lambda q: MApp(Quote(q))), (lambda q: AApp(Quote(q))), \
+    (lambda q: TApp(Quote(q)))
+
+
+def _sentences(env, *names):
+    for name in names:
+        if env.arity(name) != 0:
+            raise SchemeError(
+                f"{name} has arity {env.arity(name)}; a sentence is required")
+    return True
+
+
+# the hand-written instance functions the pattern schemes replaced
+REFERENCE_INSTANCES = {
+    "MComp1": lambda env, qa, qb, qand: (
+        _r(env, qand) == And(_r(env, qa), _r(env, qb))
+        or f"body of {qand} is not the conjunction of {qa} and {qb}",
+        Implies(And(_qm(qa), _qm(qb)), _qm(qand))),
+    "MComp2": lambda env, qand, qor: (
+        (isinstance(_r(env, qand), And) and _r(env, qor) == Or(
+            _r(env, qand).left, _r(env, qand).right))
+        or f"{qand} and {qor} are not a matching conjunction/disjunction",
+        Implies(_qm(qand), _qm(qor))),
+    "MComp3": lambda env, qor, qimp: (
+        (isinstance(_r(env, qor), Or) and _r(env, qimp) == Implies(
+            _r(env, qor).left, _r(env, qor).right))
+        or f"{qor} and {qimp} are not a matching disjunction/implication",
+        Implies(_qm(qor), _qm(qimp))),
+    "MComp4": lambda env, qimp, qa, qb: (
+        _r(env, qimp) == Implies(_r(env, qa), _r(env, qb))
+        or f"body of {qimp} is not the implication from {qa} to {qb}",
+        Implies(_qm(qimp), And(_qm(qa), _qm(qb)))),
+    "MQuant1": lambda env, q1, q2, x: (
+        _r(env, q2) == Forall(x, _r(env, q1))
+        or f"body of {q2} is not (forall {x}) applied to {q1}",
+        Implies(_qm(q1), _qm(q2))),
+    "MQuant2": lambda env, q1, q2, x: (
+        (isinstance(_r(env, q1), Forall) and _r(env, q1).var == x
+         and _r(env, q2) == Exists(x, _r(env, q1).body))
+        or f"{q1} and {q2} are not matching forall/exists bodies",
+        Implies(_qm(q1), _qm(q2))),
+    "MQuant3": lambda env, q1, q2, x: (
+        _r(env, q1) == Exists(x, _r(env, q2))
+        or f"body of {q1} is not (exists {x}) applied to {q2}",
+        Implies(_qm(q1), _qm(q2))),
+    "MBot": lambda env, q: (_r(env, q) == BOT or f"body of {q} is not bot",
+                            _qm(q)),
+    "MofM": lambda env, q: (
+        isinstance(_r(env, q), MApp)
+        or f"body of {q} is not a meaningfulness ascription", _qm(q)),
+    "MofA": lambda env, q: (
+        isinstance(_r(env, q), AApp)
+        or f"body of {q} is not an assertibility ascription", _qm(q)),
+    "AMP": lambda env, qphi, qpsi, qimp: (
+        _r(env, qimp) == Implies(_r(env, qphi), _r(env, qpsi))
+        or f"body of {qimp} is not the implication from {qphi} to {qpsi}",
+        Implies(And(_qa(qphi), _qa(qimp)), _qa(qpsi))),
+    "AtoM": lambda env, q: (True, Implies(_qa(q), _qm(q))),
+    "Capture": lambda env, q: (
+        _sentences(env, q), Implies(_qm(q), Implies(_r(env, q), _qa(q)))),
+    "TDef": lambda env, q, qbic: (
+        _sentences(env, q, qbic)
+        and (_r(env, qbic) == iff(_qt(q), _r(env, q))
+             or f"body of {qbic} is not the truth biconditional for {q}"),
+        Implies(_qm(q), _qa(qbic))),
+    "TNeg": lambda env, q, qneg: (
+        _sentences(env, q, qneg)
+        and (_r(env, qneg) == neg(_qt(q))
+             or f"body of {qneg} is not the negated truth ascription for {q}"),
+        Implies(neg(_qm(q)), _qa(qneg))),
+    "ReleaseAxiom": lambda env, q: (
+        _sentences(env, q), Implies(_qa(q), _r(env, q))),
+    "UnrestrictedT": lambda env, q: (
+        _sentences(env, q), iff(_qt(q), _r(env, q))),
+}
+
+
+def reference_instance(env, scheme, params):
+    """The instance the hand-written function of ``scheme`` gave, after the
+    generic parameter check: each function gives whether its side
+    condition holds (or the message of the one that fails) and the
+    instance."""
+    try:
+        kernel._check_params(env, SCHEMES[scheme].params, params)
+        holds, instance = REFERENCE_INSTANCES[scheme](env, *params)
+        if holds is not True:
+            raise SchemeError(holds)
+        return instance
+    except SchemeError as exc:
+        raise SchemeError(f"{scheme}: {exc}") from None
+
+
+@settings(max_examples=600, deadline=None)
+@given(pattern_step_proofs())
+# the instance, an equal copy of it, and the instance changed at one node
+@example(Proof((), (Step(Implies(MApp(Quote("pq")), MApp(Quote("porq"))),
+                         ByTheory("MComp2", ("pq", "porq"))),)))
+@example(Proof((), (Step(Implies(MApp(Quote("pq")), MApp(Quote("porq"))),
+                         ByTheory("MComp2", ("pq", "porq"))),)))
+@example(Proof((), (Step(Implies(MApp(Quote("pq")), AApp(Quote("porq"))),
+                         ByTheory("MComp2", ("pq", "porq"))),)))
+# bodies equal but built apart, a body of the wrong class, and a
+# quantifier over the wrong variable
+@example(Proof((), (Step(Implies(And(MApp(Quote("p")), MApp(Quote("q"))),
+                                 MApp(Quote("pq2"))),
+                         ByTheory("MComp1", ("p", "q", "pq2"))),)))
+@example(Proof((), (Step(Implies(MApp(Quote("q")), AApp(Quote("tp2"))),
+                         ByTheory("TDef", ("p", "tp2"))),)))
+@example(Proof((), (Step(Implies(MApp(Quote("pq")), MApp(Quote("pimq"))),
+                         ByTheory("MComp2", ("pq", "pimq"))),)))
+@example(Proof((), (Step(Implies(MApp(Quote("rx")), MApp(Quote("all"))),
+                         ByTheory("MQuant1", ("rx", "all", "y"))),)))
+@example(Proof((), (Step(Implies(MApp(Quote("all")), MApp(Quote("exy"))),
+                         ByTheory("MQuant2", ("all", "exy", "x"))),)))
+# an unbound name, parameters that are no names, and a wrong count
+@example(Proof((), (Step(Implies(MApp(Quote("pq")), MApp(Quote("porq"))),
+                         ByTheory("MComp2", ("pq", "nope"))),)))
+@example(Proof((), (Step(Implies(MApp(Quote("pq")), MApp(Quote("porq"))),
+                         ByTheory("MComp2", ("pq", 3))),)))
+@example(Proof((), (Step(Implies(MApp(Quote("pq")), MApp(Quote("porq"))),
+                         ByTheory("MComp2", (["pq"], "porq"))),)))
+@example(Proof((), (Step(Implies(MApp(Quote("rx")), MApp(Quote("all"))),
+                         ByTheory("MQuant1", ("rx", "all", 7))),)))
+@example(Proof((), (Step(Implies(MApp(Quote("pq")), MApp(Quote("porq"))),
+                         ByTheory("MComp2", ("pq",))),)))
+@example(Proof((), (Step(Implies(MApp(Quote("pq")), MApp(Quote("porq"))),
+                         ByTheory("MComp2", ("pq", "porq", "p"))),)))
+# a name of arity 1 where a sentence is required
+@example(Proof((), (Step(Implies(MApp(Quote("w")), AApp(Quote("tp"))),
+                         ByTheory("TDef", ("w", "tp"))),)))
+@example(Proof((), (Step(Implies(MApp(Quote("w")),
+                                 Implies(AApp(Var("x")), AApp(Quote("w")))),
+                         ByTheory("Capture", ("w",))),)))
+# an extension step, and a theory step citing an extension scheme
+@example(Proof((), (Step(iff(TApp(Quote("p")), Atom("p")),
+                         ByExtension("UnrestrictedT", ("p",))),), _GRANTS))
+@example(Proof((), (Step(iff(TApp(Quote("p")), Atom("p")),
+                         ByTheory("UnrestrictedT", ("p",))),), _GRANTS))
+def test_pattern_steps_match_build_and_compare(proof):
+    just = proof.steps[0].just
+    if just.scheme in REFERENCE_INSTANCES:
+        # the generated instance function gives what the hand-written one
+        # gave, or fails with its message
+        env = _theory_env()
+        assert _outcome(lambda: _instance(env, just.scheme, just.params)) \
+            == _outcome(lambda: reference_instance(env, just.scheme,
+                                                   just.params))
+    try:
+        check_proof(_theory_env(), proof)
+        errors = []
+    except ProofCheckError as exc:
+        errors = list(exc.errors)
+    assert errors == reference_check_errors(_theory_env(), proof)

@@ -573,6 +573,34 @@ def test_a_copied_environment_starts_with_an_empty_memo():
         assert twin.definitions == env.definitions
 
 
+def test_a_copied_environment_owns_its_tables():
+    # a predicate registered through a copy is not in the original, which
+    # still accepts what a fresh environment accepts, as a deep copy does
+    env = Environment()
+    env.define("s", (), BOT)
+    phi = And(Atom("P", (Var("x"),)), BOT)
+    env.check_formula(phi)
+    twin = copy.copy(env)
+    twin.register_predicate("P", 2)
+    assert env.predicates == {} and twin.predicates == {"P": 2}
+    env.check_formula(phi)
+    deep = copy.deepcopy(env)
+    deep.register_predicate("P", 2)
+    for other in (twin, deep):
+        with pytest.raises(IllFormedError):
+            other.check_formula(phi)
+    # every table is the copy's own, with the original's entries
+    twin = copy.copy(env)
+    for name, table in vars(env).items():
+        if isinstance(table, (dict, set, list)):
+            assert getattr(twin, name) is not table
+            assert getattr(twin, name) == ({} if name == "_checked" else table)
+    twin.define("t", (), BOT)
+    twin.declare_constant("c")
+    assert not env.is_bound("t") and "c" not in env.constants
+    assert env.declarations == [env.definitions["s"]]
+
+
 # -- the memoizing renderer, against the recursive printer it replaced
 
 
@@ -725,6 +753,10 @@ _PQ_TEXT = "left=Atom(pred='p', args=()), right=Atom(pred='q', args=())"
 _L1 = SCHEMES["L1"]
 _L1_TEXT = ("_Pattern(pattern=Implies(left='a', right=Implies(left='b', "
             "right='a')))")
+_ATOM = SCHEMES["AtoM"].instance
+_ATOM_TEXT = ("_NamePattern(conclusion=Implies(left=AApp(arg=Quote(name='q')), "
+              "right=MApp(arg=Quote(name='q'))), params={'q': 'a'}, message='', "
+              "sentences='')")
 _ENTRY = CorpusEntry("a.pf", "one entry", ("p",), "bot",
                      (("ReleaseAxiom", None),))
 _ENTRY_TEXT = ("CorpusEntry(script='a.pf', description='one entry', "
@@ -765,6 +797,7 @@ RECORDS = [
      "TotalExtension(base='P', domain='D', extended='P_ext')"),
     (_L1, f"Scheme(kind='logical', params=('f', 'f'), instance={_L1_TEXT})"),
     (_L1.instance, _L1_TEXT),
+    (_ATOM, _ATOM_TEXT),
     (ByHyp(0), "ByHyp(index=0)"),
     (ByLogical("L1", (BOT, BOT)), "ByLogical(scheme='L1', params=(Bot(), Bot()))"),
     (ByTheory("MBot", ()), "ByTheory(scheme='MBot', params=())"),
