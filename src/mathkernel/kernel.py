@@ -30,12 +30,14 @@ checks builds no formula.  Every other step that cites a scheme, and every
 one its matcher does not accept, takes one path, ``_instantiate``: its
 parameters are checked in the environment, then its instance is built.
 
-``check_proof`` checks the Python type of each field of a justification
-before using it, lets no step cite an ill-formed hypothesis or step,
-rejects a step in one way, by raising at the first failed condition, and
-has one gate for the header's extension grants, shared by ``ByExtension``
-and ``ByRelease``; ``extension_grant`` and ``release`` give the grant
-subjects, to the checker and to the proof builder alike.
+``check_proof`` reads the class of each step's justification once and runs
+that class's one branch, which opens by testing that each field has
+exactly its annotated Python type (a bool is no step index).  It lets no
+step cite an ill-formed hypothesis or step, rejects a step in one way, by
+raising at the first failed condition, and has one gate for the header's
+extension grants, shared by ``ByExtension`` and ``ByRelease``;
+``extension_grant`` and ``release`` give the grant subjects, to the
+checker and to the proof builder alike.
 
 Quoted-formula side conditions are checked by syntactic equality after one
 level of name resolution: quotation terms inside resolved bodies are never
@@ -713,27 +715,15 @@ Justification = Union[
     ByHyp, ByLogical, ByTheory, ByMP, ByGenF, ByGenE, ByExtension, ByRelease
 ]
 
-# per class, whether each field has exactly its annotated type, a bool being
-# no step index; the fields are read at once, as this runs for every step
-_scheme_call = lambda j: type(j.scheme) is str and type(j.params) is tuple
-_gen = lambda j: type(j.premise) is int and type(j.var) is str and type(j.to_var) is str
-_WELL_TYPED = {ByHyp: lambda j: type(j.index) is int, ByLogical: _scheme_call,
-               ByTheory: _scheme_call, ByExtension: _scheme_call,
-               ByMP: lambda j: type(j.minor) is int and type(j.major) is int,
-               ByGenF: _gen, ByGenE: _gen,
-               ByRelease: lambda j: type(j.premise) is int}
 
-
-def _check_fields(just: Justification) -> None:
-    well_typed = _WELL_TYPED.get(type(just))
-    if well_typed is None:
-        raise SchemeError(f"unknown justification {just!r}")
-    if not well_typed(just):
-        for name, kind in type(just).__annotations__.items():
-            value = getattr(just, name)
-            if type(value) is not {"int": int, "str": str, "tuple": tuple}[kind]:
-                raise SchemeError(f"{type(just).__name__}.{name} must be "
-                                  f"{kind}, got {value!r}")
+def _ill_typed(just: Justification) -> SchemeError:
+    """The error naming the first field of ``just`` whose Python type is not
+    the one it is annotated with; for a justification found ill typed."""
+    for name, kind in type(just).__annotations__.items():
+        value = getattr(just, name)
+        if type(value) is not {"int": int, "str": str, "tuple": tuple}[kind]:
+            return SchemeError(f"{type(just).__name__}.{name} must be "
+                               f"{kind}, got {value!r}")
 
 
 class Step(metaclass=record):
@@ -790,19 +780,8 @@ def extension_grant(env: Environment, scheme: str,
     return ExtensionGrant(scheme, env.resolve(params[0]))
 
 
-def _grant_covers(enabled: frozenset[ExtensionGrant],
-                  want: ExtensionGrant) -> bool:
-    return any(
-        g.scheme == want.scheme and (g.formula is None or g.formula == want.formula)
-        for g in enabled
-    )
-
-
-def check_proof(
-    env: Environment,
-    proof: Proof,
-    granted: Optional[Iterable[str]] = None,
-) -> Judgment:
+def check_proof(env: Environment, proof: Proof,
+                granted: Optional[Iterable[str]] = None) -> Judgment:
     """Validate every step of a proof against its justification.
 
     ``granted`` is the second gate on extension schemes: when given, any
@@ -810,7 +789,8 @@ def check_proof(
     ProofCheckError with per-step errors on any violation.
     """
     errors: list[StepError] = []
-    if not proof.steps:
+    steps = proof.steps
+    if not steps:
         raise ProofCheckError([StepError(None, "a proof must have steps")])
     if granted is not None:
         allowed = set(granted)
@@ -835,64 +815,87 @@ def check_proof(
             raise SchemeError(f"cited step {idx + 1} does not precede this step")
         if idx in ill_steps:
             raise SchemeError(f"cited step {idx + 1} is ill formed")
-        return proof.steps[idx].formula
+        return steps[idx].formula
 
-    for i, step in enumerate(proof.steps):
-        stated = step.formula
-        just = step.just
-        grant: Optional[ExtensionGrant] = None
+    for i, step in enumerate(steps):
+        stated, just = step.formula, step.just
         try:
             env.check_formula(stated)
         except (DefinitionError, IllFormedError) as exc:
             errors.append(StepError(i, str(exc)))
             ill_steps.add(i)
             continue
+        # one branch per class of justification, the most frequent first
+        kind = type(just)
         try:
-            _check_fields(just)
-            if isinstance(just, ByHyp):
+            if kind is ByMP:
+                minor, major = just.minor, just.major
+                if type(minor) is not int or type(major) is not int:
+                    raise _ill_typed(just)
+                if ill_steps or not (0 <= minor < i and 0 <= major < i):
+                    premise(minor, i)  # raises at the first bad citation
+                    premise(major, i)
+                minor_f, major_f = steps[minor].formula, steps[major].formula
+                if not (type(major_f) is Implies
+                        and (major_f.left is minor_f or major_f.left == minor_f)
+                        and (major_f.right is stated or major_f.right == stated)):
+                    raise SchemeError(
+                        f"modus ponens mismatch: step {major + 1} is not "
+                        f"({minor_f}) -> ({stated})")
+                continue
+            elif kind is ByLogical:
+                scheme, params = just.scheme, just.params
+                if type(scheme) is not str or type(params) is not tuple:
+                    raise _ill_typed(just)
+                # the count check of _check_params(None, ...) for the all-'f'
+                # parameters of L1..L9; the matcher checks each type
+                match = _MATCHERS.get(scheme)
+                if (match is not None
+                        and len(params) == len(LOGICAL_PARAMS[scheme])
+                        and match(stated, *params) is not None):
+                    continue
+                expected = _instantiate("logical", env, scheme, params)
+            elif kind is ByTheory:
+                scheme, params = just.scheme, just.params
+                if type(scheme) is not str or type(params) is not tuple:
+                    raise _ill_typed(just)
+                match = _NAME_MATCHERS["theory"].get(scheme)
+                if match is not None and match(env, stated, params):
+                    continue
+                expected = theory_instance(env, scheme, params)
+            elif kind is ByHyp:
+                if type(just.index) is not int:
+                    raise _ill_typed(just)
                 if not (0 <= just.index < len(proof.hypotheses)):
                     raise SchemeError(f"no hypothesis {just.index + 1}")
                 if just.index in ill_hyps:
                     raise SchemeError(f"hypothesis {just.index + 1} is ill formed")
                 expected = proof.hypotheses[just.index]
-            elif isinstance(just, ByLogical):
-                # the count check of _check_params(None, ...) for the all-'f'
-                # parameters of L1..L9; the matcher checks each type
-                match = _MATCHERS.get(just.scheme)
-                if (match is not None and len(just.params)
-                        == len(LOGICAL_PARAMS[just.scheme])
-                        and match(stated, *just.params) is not None):
-                    continue
-                expected = _instantiate("logical", env, just.scheme, just.params)
-            elif isinstance(just, ByTheory):
-                match = _NAME_MATCHERS["theory"].get(just.scheme)
-                if match is not None and match(env, stated, just.params):
-                    continue
-                expected = theory_instance(env, just.scheme, just.params)
-            elif isinstance(just, ByMP):
-                minor = premise(just.minor, i)
-                major = premise(just.major, i)
-                if not (type(major) is Implies
-                        and (major.left is minor or major.left == minor)
-                        and (major.right is stated or major.right == stated)):
-                    raise SchemeError(
-                        f"modus ponens mismatch: step {just.major + 1} is not "
-                        f"({minor}) -> ({stated})")
-                continue
-            elif isinstance(just, (ByGenF, ByGenE)):
+            elif kind is ByGenF or kind is ByGenE:
+                if (type(just.premise) is not int or type(just.var) is not str
+                        or type(just.to_var) is not str):
+                    raise _ill_typed(just)
                 expected = generalize(premise(just.premise, i), just.var,
-                                      just.to_var, isinstance(just, ByGenF))
-            elif isinstance(just, ByExtension):
-                match = _NAME_MATCHERS["extension"].get(just.scheme)
+                                      just.to_var, kind is ByGenF)
+            elif kind is ByExtension:
+                scheme, params = just.scheme, just.params
+                if type(scheme) is not str or type(params) is not tuple:
+                    raise _ill_typed(just)
+                match = _NAME_MATCHERS["extension"].get(scheme)
                 expected = (stated if match is not None
-                            and match(env, stated, just.params) else
-                            extension_instance(env, just.scheme, just.params))
-                grant = extension_grant(env, just.scheme, just.params)
-            else:  # ByRelease, the one kind left after _check_fields
+                            and match(env, stated, params) else
+                            extension_instance(env, scheme, params))
+                grant = extension_grant(env, scheme, params)
+            elif kind is ByRelease:
+                if type(just.premise) is not int:
+                    raise _ill_typed(just)
                 expected = release(env, premise(just.premise, i))
                 grant = ExtensionGrant("ReleaseRule", expected)
-            if grant is not None:
-                if not _grant_covers(proof.enabled, grant):
+            else:
+                raise SchemeError(f"unknown justification {just!r}")
+            if kind is ByExtension or kind is ByRelease:  # the one gate
+                if not any(g.scheme == grant.scheme and g.formula in (
+                        None, grant.formula) for g in proof.enabled):
                     raise SchemeError(f"extension not enabled: {grant}")
                 used.setdefault(str(grant), grant)
             if expected is not stated and expected != stated:
@@ -903,8 +906,5 @@ def check_proof(
             errors.append(StepError(i, str(exc)))
     if errors:
         raise ProofCheckError(errors)
-    return Judgment(
-        proof.hypotheses,
-        proof.steps[-1].formula,
-        tuple(sorted(used.values(), key=str)),
-    )
+    return Judgment(proof.hypotheses, steps[-1].formula,
+                    tuple(sorted(used.values(), key=str)))

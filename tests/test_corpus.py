@@ -3,6 +3,7 @@
 import copy
 import importlib.util
 import random
+from functools import reduce
 from pathlib import Path
 from unittest import mock
 
@@ -19,8 +20,17 @@ from mathkernel.corpus import (
     run_corpus,
 )
 from mathkernel import kernel
-from mathkernel.kernel import ByTheory, Judgment, ProofCheckError, check_proof
+from mathkernel.kernel import (
+    ByExtension,
+    ByRelease,
+    ByTheory,
+    Judgment,
+    ProofCheckError,
+    check_proof,
+)
 from mathkernel.script import emit_script, parse_script, script_of
+from mathkernel.semantics import validity
+from mathkernel.syntax import BOT, And, Implies
 
 
 ENTRIES = load_manifest()
@@ -154,6 +164,44 @@ def test_deleting_the_capture_step_breaks_the_anomaly():
     for i in capture_steps:
         with pytest.raises(ProofCheckError):
             check_proof(env, drop_step(proof, i))
+
+
+# whether the cited instances of each entry alone prove bot: True for the
+# three entries that derive a paradox through an extension, None where a
+# quantified subformula was abstracted; a new entry comes with its verdict
+_PROVES_BOT = {
+    "anomaly_assertible_liar.pf": False, "assertible_liar_collapse.pf": False,
+    "assertible_liar_meaningful.pf": False, "anomaly_liar_meaningful.pf": False,
+    "liar_meaningful_collapse.pf": False,
+    "liar_meaningful_collapse_released.pf": True,
+    "truth_conjunction_distribution.pf": False,
+    "quantified_holding_law.pf": False,
+    "quantified_holding_law_released.pf": None,
+    "anomaly_russell_meaningful.pf": False,
+    "russell_meaningful_collapse.pf": False,
+    "anomaly_assertible_russell.pf": False,
+    "assertible_russell_collapse.pf": False, "release_paradox.pf": True,
+    "unrestricted_T_paradox.pf": True,
+    "meaningfulness_of_meaningfulness.pf": False,
+    "meaningfulness_of_assertibility.pf": False,
+}
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.script)
+def test_the_cited_instances_of_an_entry_prove_bot_only_where_pinned(entry):
+    # an oracle from outside the kernel: gamma holds the distinct formulas
+    # of the theory and extension steps, the hypotheses, and premise ->
+    # conclusion of each release step, read off the parsed script; the
+    # kernel is not asked whether any of them is an instance
+    script, _ = load(entry.script)
+    steps = script.steps
+    gamma = dict.fromkeys(
+        [st.formula for st in steps if type(st.just) in (ByTheory, ByExtension)]
+        + script.hypotheses
+        + [Implies(steps[st.just.premise].formula, st.formula)
+           for st in steps if type(st.just) is ByRelease])
+    valid, _ = validity(Implies(reduce(And, gamma), BOT))
+    assert valid is _PROVES_BOT[entry.script]
 
 
 def test_corpus_dir_override(tmp_path):

@@ -200,6 +200,50 @@ def test_ill_typed_justification_fields_raise_only_proof_check_errors(cls):
         check_proof(env, Proof((), (Step(BOT, "hyp 1"),)))
 
 
+_ILL_TYPED = [
+    (ByHyp("0"), "ByHyp.index must be int, got '0'"),
+    (ByLogical(3, ["x"]), "ByLogical.scheme must be str, got 3"),
+    (ByLogical("L1", ["x"]), "ByLogical.params must be tuple, got ['x']"),
+    (ByTheory(None, "ab"), "ByTheory.scheme must be str, got None"),
+    (ByTheory("MBot", "ab"), "ByTheory.params must be tuple, got 'ab'"),
+    (ByExtension(["x"], None), "ByExtension.scheme must be str, got ['x']"),
+    (ByMP(True, "0"), "ByMP.minor must be int, got True"),
+    (ByMP(0, True), "ByMP.major must be int, got True"),
+    (ByGenF(0.0, 7, None), "ByGenF.premise must be int, got 0.0"),
+    (ByGenF(0, "x", None), "ByGenF.to_var must be str, got None"),
+    (ByGenE("0", "x", "y"), "ByGenE.premise must be int, got '0'"),
+    (ByGenE(0, 7, "y"), "ByGenE.var must be str, got 7"),
+    (ByRelease(None), "ByRelease.premise must be int, got None"),
+]
+
+
+@pytest.mark.parametrize("just,message", _ILL_TYPED,
+                         ids=[m.split(" must")[0] for _, m in _ILL_TYPED])
+def test_an_ill_typed_field_is_named_by_its_first_wrong_field(just, message):
+    every_grant = frozenset(ExtensionGrant(e) for e in EXTENSION_SCHEMES)
+    proof = Proof((BOT,), (Step(BOT, ByHyp(0)), Step(BOT, just)), every_grant)
+    assert _errors(_registry_env(), proof) == [f"step 2: {message}"]
+
+
+def test_the_faults_of_one_proof_are_listed_in_step_order():
+    proof = Proof((Implies(P, P),), (
+        Step(Implies(P, 3), ByHyp(0)),  # ill formed
+        Step(Implies(P, P), ByHyp(0)),
+        Step(P, ByMP(True, 1)),  # an ill-typed field
+        Step(P, ByMP(1, 4)),  # a citation that does not precede its step
+        Step(P, ByMP(0, 1)),  # a cited ill-formed step
+        Step(P, ByHyp(2)),  # a missing hypothesis
+        Step(P, "hyp 1"),  # no justification
+    ))
+    assert _errors(_diff_env(), proof) == [
+        "step 1: not a formula: 3",
+        "step 3: ByMP.minor must be int, got True",
+        "step 4: cited step 5 does not precede this step",
+        "step 5: cited step 1 is ill formed",
+        "step 6: no hypothesis 3",
+        "step 7: unknown justification 'hyp 1'"]
+
+
 @pytest.mark.parametrize("phi", [
     Atom("p", (3,)), Atom("p", (Var(3),)), Atom("p", (Const(""),)),
     Atom(["p"]), Atom("p", [Var("x")]), MApp(Quote(["s"])), MApp("s"),
@@ -1115,6 +1159,33 @@ def test_each_side_condition_names_its_rejection(scheme, params, message):
         else:
             theory_instance(_guard_env(), scheme, params)
     assert str(exc.value) == f"{scheme}: {message}"
+
+
+# each step states its scheme's instance, and each body has the shape its
+# pattern asks for; only the comparison of a metavariable bound by an
+# earlier body rejects it
+@pytest.mark.parametrize("defs,step,message", [
+    ("qa := p; qb := q; qand := p & r",
+     "M(`qa`) & M(`qb`) -> M(`qand`) by MComp1[qa; qb; qand]",
+     "MComp1: body of qand is not the conjunction of qa and qb"),
+    ("qand := p & q; qor := p | r", "M(`qand`) -> M(`qor`) by MComp2[qand; qor]",
+     "MComp2: qand and qor are not a matching conjunction/disjunction"),
+    ("qor := p | q; qimp := r -> q", "M(`qor`) -> M(`qimp`) by MComp3[qor; qimp]",
+     "MComp3: qor and qimp are not a matching disjunction/implication"),
+    ("qimp := p -> q; qa := p; qb := r",
+     "M(`qimp`) -> M(`qa`) & M(`qb`) by MComp4[qimp; qa; qb]",
+     "MComp4: body of qimp is not the implication from qa to qb"),
+    ("qphi := p; qimp := p -> q; qpsi := r",
+     "A(`qphi`) & A(`qimp`) -> A(`qpsi`) by AMP[qphi; qpsi; qimp]",
+     "AMP: body of qimp is not the implication from qphi to qpsi"),
+    ("q := p; qbic := T(`q`) <-> r", "M(`q`) -> A(`qbic`) by TDef[q; qbic]",
+     "TDef: body of qbic is not the truth biconditional for q"),
+], ids=["MComp1", "MComp2", "MComp3", "MComp4", "AMP", "TDef"])
+def test_a_body_must_agree_with_the_metavariables_bound_before_it(
+        defs, step, message):
+    text = "".join(f"def {d}\n" for d in defs.split("; ")) + f"1: {step}\n"
+    script, env = parse_script(text)
+    assert _errors(env, script.proof()) == [f"step 1: {message}"]
 
 
 def test_total_ext_m_needs_the_name_of_its_instance():
