@@ -7,28 +7,30 @@ truth (T), holding (H) and concept equivalence (sim), and gated extension
 schemes that are unsound in general and must be enabled explicitly.
 
 Every scheme is one entry of the registry ``SCHEMES``: its kind (logical,
-theory or extension), the kinds of its parameters, and one function that
-builds its instance.  A generic check runs before every instance function:
-it checks the number of parameters, then, in order, each one's Python type
-for its kind, that a quotation name is bound, a domain declared and a total
-extension registered, and, given an environment, that a formula or term is
-well formed.  The instance functions check only the side conditions of
-their scheme.  ``LOGICAL_PARAMS``, ``THEORY_PARAMS``, ``EXTENSION_PARAMS``
-and ``EXTENSION_SCHEMES`` are views of the registry.
+theory or extension), the kinds of its parameters, one function that
+builds its instance and, for a scheme given by a pattern, the pattern and
+the matcher generated from it.  A generic check runs before every instance
+function: it checks the number of parameters, then, in order, each one's
+Python type for its kind, that a quotation name is bound, a domain
+declared and a total extension registered, and, given an environment, that
+a formula or term is well formed.  The instance functions check only the
+side conditions of their scheme.  ``LOGICAL_PARAMS``, ``THEORY_PARAMS``,
+``EXTENSION_PARAMS`` and ``EXTENSION_SCHEMES`` are views of the registry.
 
-L1..L9 are patterns over the metavariables a, b and c; seventeen theory
-and extension schemes (MComp1..4, MQuant1..3, MBot, MofM, MofA, AMP, AtoM,
-Capture, TDef, TNeg, ReleaseAxiom, UnrestrictedT) are patterns of the
-bodies their names resolve to, with the names that must name sentences,
-one side-condition message and the instance.  From each, one generator
-writes at import a constructor and a matcher, in straight-line code.  A
-matcher checks a step's stated formula and the count, types and bindings
-of its parameters; with its slots free, an L1..L9 matcher recognizes an
-instance (``is_log_instance``).  A modus ponens step is checked by
-comparing the fields of its major premise.  So a step of these kinds that
-checks builds no formula.  Every other step that cites a scheme, and every
-one its matcher does not accept, takes one path, ``_instantiate``: its
-parameters are checked in the environment, then its instance is built.
+L1..L9 are patterns over metavariables; seventeen theory and extension
+schemes (MComp1..4, MQuant1..3, MBot, MofM, MofA, AMP, AtoM, Capture, TDef,
+TNeg, ReleaseAxiom, UnrestrictedT) are patterns of the bodies their names
+resolve to.  ``_from_pattern`` makes the row of each: at import, one
+generator writes from the pattern a constructor and a matcher in
+straight-line code, and the pattern gives the parameter kinds.  A matcher
+checks a step's stated formula and parameters; with its slots free, an
+L1..L9 matcher recognizes an instance (``is_log_instance``).
+``check_proof`` calls the matchers of L1..L9 and the theory schemes, and
+compares a modus ponens step with its major premise's fields: a step of
+these kinds that checks builds no formula.  Every other step that cites a
+scheme, an extension step among them, and every one a matcher does not
+accept, takes one path, ``_instantiate``: its parameters are checked in
+the environment, then its instance is built.
 
 ``check_proof`` reads the class of each step's justification once and runs
 that class's one branch, which opens by testing that each field has
@@ -90,13 +92,16 @@ class SchemeError(Exception):
 
 
 class Scheme(metaclass=record):
-    """An axiom scheme: its kind, parameter kinds and instance function."""
+    """An axiom scheme: its kind, parameter kinds and instance function,
+    and the matcher and pattern of a scheme given by a pattern."""
     kind: str  # "logical", "theory" or "extension"
     # parameter kinds: f formula, t term, v variable, n quotation name,
     # d domain, p predicate with a total extension; a trailing "k*" stands
     # for one or more parameters of kind k
     params: tuple[str, ...]
     instance: Callable[..., Formula]  # (env, *params) -> the instance
+    match: Optional[Callable] = None  # generated from the pattern
+    pattern: Union[Formula, _NamePattern, None] = None
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +270,10 @@ def generalize(premise: Formula, x: str, y: str, forall: bool) -> Formula:
     """The conclusion of generalizing ``premise`` over ``x``, renamed to
     ``y``: from ctx -> gen, ctx -> (forall y. gen[y/x]) if ``forall``; from
     gen -> ctx, (exists y. gen[y/x]) -> ctx otherwise.  SchemeError names
-    the violated side condition."""
+    the violated side condition.  A hypothesis is an extra axiom, its free
+    variables read universally (Mendelson, Introduction to Mathematical
+    Logic, ch. 2): from the hypothesis P(x), Q -> P(x) generalizes over x,
+    and the tactics refuse to discharge P(x)."""
     if not isinstance(premise, Implies):
         raise SchemeError("generalization premise is not an implication")
     if forall:
@@ -415,25 +423,33 @@ _FREE = object()  # the default of a matcher's slot: free, to be bound
 _WRITTEN = {cls: name for name, cls in ASCRIPTIONS.items()}  # for ``quoted``
 
 
-def _source(pattern: Formula, slots, message: str = "",
-            sentences: str = "") -> str:
-    """The text of the functions generated from a scheme's patterns.
+class _NamePattern(metaclass=record):
+    """A scheme given by the patterns of the bodies its names resolve to."""
+    conclusion: Formula  # the instance
+    params: dict  # each name, in order -> its body's pattern; None: a variable
+    message: str = ""  # the one side condition, violated
+    sentences: str = ""  # the names that must name sentences
 
-    For L1..L9, ``slots`` are the metavariables of ``pattern``:
-    ``match(phi, a=_FREE, ...)`` returns the values of the slots for which
-    ``build(a, ...)`` gives ``phi``, or None.  A free slot is bound at its
-    first occurrence, where a given value must be of a formula type and be
-    the subformula there or equal it; later occurrences only compare.
 
-    Else ``slots`` maps each parameter's name, in order, to the pattern of
-    the body it names, or to None for a variable.  ``bodies(defs, ...)``
+def _source(pattern: Union[Formula, _NamePattern]) -> str:
+    """The text of the functions generated from a scheme's pattern.
+
+    An L1..L9 pattern is a formula whose slots are its metavariables, in
+    sorted order: ``match(phi, a=_FREE, ...)`` returns the values of the
+    slots for which ``build(_env, a, ...)`` gives ``phi``, or None.  A free
+    slot is bound at its first occurrence, where a given value must be of
+    a formula type and be the subformula there or equal it; later
+    occurrences only compare.
+
+    A ``_NamePattern`` maps each parameter's name, in order, to the pattern
+    of the body it names, or to None for a variable.  ``bodies(defs, ...)``
     gives the metavariables' values if each name is bound, the
     ``sentences`` name sentences and each body matches, else None;
-    ``build(env, ...)`` returns the instance, ``pattern``, or raises
+    ``build(env, ...)`` returns the instance, ``conclusion``, or raises
     SchemeError with ``message``; ``match(env, phi, params)`` says whether
     ``build`` would give ``phi``, building nothing.  A subformula is named
     by its path: l for a node's first field, r for its second."""
-    named = isinstance(slots, dict)
+    named = isinstance(pattern, _NamePattern)
     tup = lambda names: f"{', '.join(names)}{',' if len(names) == 1 else ''}"
 
     def walk(p, x: str, fail: str, seen: dict, lines: list) -> str:
@@ -464,31 +480,33 @@ def _source(pattern: Formula, slots, message: str = "",
         return f"{cls.__name__}({', '.join(kids)})"
 
     if not named:
-        lines: list[str] = []
-        built = walk(pattern, "phi", "return None", {}, lines)
+        lines, seen = [], {}
+        built = walk(pattern, "phi", "return None", seen, lines)
+        slots = sorted(seen)
         return "\n".join([
             f"def match(phi, {', '.join(s + '=_FREE' for s in slots)}):",
             *lines,
             f"    return {tup(slots)}",
-            f"def build({', '.join(slots)}):", f"    return {built}", ""])
+            f"def build(_env, {', '.join(slots)}):", f"    return {built}", ""])
 
+    slots, sentences = pattern.params, pattern.sentences.split()
     lines, seen = [], dict.fromkeys(slots)
     for q, body in slots.items():
         if body is not None:
             lines += [f"    d = defs.get({q})", "    if d is None"
-                      f"{' or d.params' * (q in sentences.split())}: return None",
+                      f"{' or d.params' * (q in sentences)}: return None",
                       "    body = d.body"]
             walk(body, "body", "return None", seen, lines)
     found = tup(list(seen)[len(slots):])  # the metavariables, as bound
     checks: list[str] = []
-    built = walk(pattern, "phi", "return False", seen, checks)
+    built = walk(pattern.conclusion, "phi", "return False", seen, checks)
     names = ", ".join(slots)
     return "\n".join([
         f"def bodies(defs, {names}):", *lines, f"    return ({found})",
         f"def build(env, {names}):",
-        *[f"    _sentence(env, {', '.join(sentences.split())})"] * bool(sentences),
+        *[f"    _sentence(env, {', '.join(sentences)})"] * bool(sentences),
         f"    found = bodies(env.definitions, {names})",
-        f"    if found is None: raise SchemeError(f{message!r})",
+        f"    if found is None: raise SchemeError(f{pattern.message!r})",
         *[f"    {found} = found"] * bool(found), f"    return {built}",
         "def match(env, phi, params):",
         f"    if len(params) != {len(slots)}: return False",
@@ -500,93 +518,85 @@ def _source(pattern: Formula, slots, message: str = "",
         *[f"    {found} = found"] * bool(found), *checks, "    return True", ""])
 
 
-class _Pattern(metaclass=record):
-    """The instance function of a scheme given by a pattern."""
-    pattern: Formula
-
-    def __call__(self, _env: Optional[Environment], *params: Formula) -> Formula:
-        return _BUILDERS[id(self)](*params)
-
-
-class _NamePattern(metaclass=record):
-    """The instance function of a scheme given by its names' body patterns."""
-    conclusion: Formula  # the instance
-    params: dict  # each name, in order -> its body's pattern; None: a variable
-    message: str = ""  # the one side condition, violated
-    sentences: str = ""  # the names that must name sentences
-
-    def __call__(self, env: Environment, *params: str) -> Formula:
-        return _BUILDERS[id(self)](env, *params)
+def _from_pattern(kind: str, pattern: Union[Formula, _NamePattern]) -> Scheme:
+    """The row of a scheme given by a pattern, with the constructor and the
+    matcher ``_source`` writes from it; its parameters are a formula per
+    metavariable, or a quotation name per body and a variable per None."""
+    code = dict(globals())  # a namespace of its own, for its own ``bodies``
+    exec(_source(pattern), code)
+    if isinstance(pattern, _NamePattern):
+        kinds = tuple("v" if b is None else "n" for b in pattern.params.values())
+    else:  # a free slot per metavariable
+        kinds = ("f",) * len(code["match"].__defaults__)
+    return Scheme(kind, kinds, code["build"], code["match"], pattern)
 
 
 SCHEMES: dict[str, Scheme] = {
-    "L1": Scheme("logical", ("f", "f"), _Pattern(Implies("a", Implies("b", "a")))),
-    "L2": Scheme("logical", ("f", "f", "f"), _Pattern(Implies(
+    "L1": _from_pattern("logical", Implies("a", Implies("b", "a"))),
+    "L2": _from_pattern("logical", Implies(
         Implies("a", Implies("b", "c")),
-        Implies(Implies("a", "b"), Implies("a", "c"))))),
-    "L3": Scheme("logical", ("f", "f"),
-                 _Pattern(Implies("a", Implies("b", And("a", "b"))))),
-    "L4": Scheme("logical", ("f", "f"), _Pattern(Implies(And("a", "b"), "a"))),
-    "L5": Scheme("logical", ("f", "f"), _Pattern(Implies(And("a", "b"), "b"))),
-    "L6": Scheme("logical", ("f", "f"), _Pattern(Implies("a", Or("a", "b")))),
-    "L7": Scheme("logical", ("f", "f"), _Pattern(Implies("b", Or("a", "b")))),
-    "L8": Scheme("logical", ("f", "f", "f"), _Pattern(Implies(
-        Implies("a", "c"), Implies(Implies("b", "c"), Implies(Or("a", "b"), "c"))))),
-    "L9": Scheme("logical", ("f",), _Pattern(Implies(BOT, "a"))),
+        Implies(Implies("a", "b"), Implies("a", "c")))),
+    "L3": _from_pattern("logical", Implies("a", Implies("b", And("a", "b")))),
+    "L4": _from_pattern("logical", Implies(And("a", "b"), "a")),
+    "L5": _from_pattern("logical", Implies(And("a", "b"), "b")),
+    "L6": _from_pattern("logical", Implies("a", Or("a", "b"))),
+    "L7": _from_pattern("logical", Implies("b", Or("a", "b"))),
+    "L8": _from_pattern("logical", Implies(
+        Implies("a", "c"), Implies(Implies("b", "c"), Implies(Or("a", "b"), "c")))),
+    "L9": _from_pattern("logical", Implies(BOT, "a")),
     "L10": Scheme("logical", ("v", "f", "t"),
                   lambda _, x, b, t: Implies(Forall(x, b), _instance_at(b, x, t))),
     "L11": Scheme("logical", ("v", "f", "t"),
                   lambda _, x, b, t: Implies(_instance_at(b, x, t), Exists(x, b))),
-    "MComp1": Scheme("theory", ("n", "n", "n"), _NamePattern(
+    "MComp1": _from_pattern("theory", _NamePattern(
         Implies(And(_m("qa"), _m("qb")), _m("qand")),
         {"qa": "a", "qb": "b", "qand": And("a", "b")},
         "body of {qand} is not the conjunction of {qa} and {qb}")),
-    "MComp2": Scheme("theory", ("n", "n"), _NamePattern(
+    "MComp2": _from_pattern("theory", _NamePattern(
         Implies(_m("qand"), _m("qor")), {"qand": And("a", "b"), "qor": Or("a", "b")},
         "{qand} and {qor} are not a matching conjunction/disjunction")),
-    "MComp3": Scheme("theory", ("n", "n"), _NamePattern(
+    "MComp3": _from_pattern("theory", _NamePattern(
         Implies(_m("qor"), _m("qimp")),
         {"qor": Or("a", "b"), "qimp": Implies("a", "b")},
         "{qor} and {qimp} are not a matching disjunction/implication")),
-    "MComp4": Scheme("theory", ("n", "n", "n"), _NamePattern(
+    "MComp4": _from_pattern("theory", _NamePattern(
         Implies(_m("qimp"), And(_m("qa"), _m("qb"))),
         {"qimp": Implies("a", "b"), "qa": "a", "qb": "b"},
         "body of {qimp} is not the implication from {qa} to {qb}")),
-    "MQuant1": Scheme("theory", ("n", "n", "v"), _NamePattern(
+    "MQuant1": _from_pattern("theory", _NamePattern(
         Implies(_m("q1"), _m("q2")), {"q1": "a", "q2": Forall("x", "a"), "x": None},
         "body of {q2} is not (forall {x}) applied to {q1}")),
-    "MQuant2": Scheme("theory", ("n", "n", "v"), _NamePattern(
+    "MQuant2": _from_pattern("theory", _NamePattern(
         Implies(_m("q1"), _m("q2")),
         {"q1": Forall("x", "a"), "q2": Exists("x", "a"), "x": None},
         "{q1} and {q2} are not matching forall/exists bodies")),
-    "MQuant3": Scheme("theory", ("n", "n", "v"), _NamePattern(
+    "MQuant3": _from_pattern("theory", _NamePattern(
         Implies(_m("q1"), _m("q2")), {"q1": Exists("x", "a"), "q2": "a", "x": None},
         "body of {q1} is not (exists {x}) applied to {q2}")),
-    "MBot": Scheme("theory", ("n",), _NamePattern(
+    "MBot": _from_pattern("theory", _NamePattern(
         _m("q"), {"q": BOT}, "body of {q} is not bot")),
-    "MofM": Scheme("theory", ("n",), _NamePattern(
+    "MofM": _from_pattern("theory", _NamePattern(
         _m("q"), {"q": MApp("t")}, "body of {q} is not a meaningfulness ascription")),
-    "MofA": Scheme("theory", ("n",), _NamePattern(
+    "MofA": _from_pattern("theory", _NamePattern(
         _m("q"), {"q": AApp("t")}, "body of {q} is not an assertibility ascription")),
     "ALog": Scheme("theory", ("n",), _alog),
-    "AMP": Scheme("theory", ("n", "n", "n"), _NamePattern(
+    "AMP": _from_pattern("theory", _NamePattern(
         Implies(And(_a("qphi"), _a("qimp")), _a("qpsi")),
         {"qphi": "a", "qpsi": "b", "qimp": Implies("a", "b")},
         "body of {qimp} is not the implication from {qphi} to {qpsi}")),
     "AGenF": Scheme("theory", ("n", "n", "v", "v"), partial(_agen, forall=True)),
     "AGenE": Scheme("theory", ("n", "n", "v", "v"), partial(_agen, forall=False)),
-    "AtoM": Scheme("theory", ("n",), _NamePattern(
+    "AtoM": _from_pattern("theory", _NamePattern(
         Implies(_a("q"), _m("q")), {"q": "a"})),
     "ForallCapture": Scheme("theory", ("d", "n", "n", "n*"), _forall_capture),
-    "Capture": Scheme("theory", ("n",), _NamePattern(
+    "Capture": _from_pattern("theory", _NamePattern(
         Implies(_m("q"), Implies("a", _a("q"))), {"q": "a"}, sentences="q")),
-    "TDef": Scheme("theory", ("n", "n"), _NamePattern(
+    "TDef": _from_pattern("theory", _NamePattern(
         Implies(_m("q"), _a("qbic")), {"q": "a", "qbic": iff(_t("q"), "a")},
         "body of {qbic} is not the truth biconditional for {q}", "q qbic")),
-    "TNeg": Scheme("theory", ("n", "n"), _NamePattern(
+    "TNeg": _from_pattern("theory", _NamePattern(
         Implies(neg(_m("q")), _a("qneg")), {"q": "a", "qneg": neg(_t("q"))},
-        "body of {qneg} is not the negated truth ascription for {q}",
-        "q qneg")),
+        "body of {qneg} is not the negated truth ascription for {q}", "q qneg")),
     "HDef": Scheme("theory", ("n", "t", "n", "n"), _hdef),
     "HNeg": Scheme("theory", ("n", "t", "n", "n"), _hneg),
     "SimDef": Scheme("theory", ("n", "n", "n", "n"), _simdef),
@@ -594,37 +604,27 @@ SCHEMES: dict[str, Scheme] = {
     "TotalExtPos": Scheme("theory", ("p", "t"), _total_ext_pos),
     "TotalExtNeg": Scheme("theory", ("p", "t"), _total_ext_neg),
     "TotalExtM": Scheme("theory", ("p", "t"), _total_ext_m),
-    "ReleaseAxiom": Scheme("extension", ("n",), _NamePattern(
+    "ReleaseAxiom": _from_pattern("extension", _NamePattern(
         Implies(_a("q"), "a"), {"q": "a"}, sentences="q")),
-    "UnrestrictedT": Scheme("extension", ("n",), _NamePattern(
+    "UnrestrictedT": _from_pattern("extension", _NamePattern(
         iff(_t("q"), "a"), {"q": "a"}, sentences="q")),
 }
 
 
-def _params_of(kind: str) -> dict[str, tuple[str, ...]]:
-    return {name: s.params for name, s in SCHEMES.items() if s.kind == kind}
+def _table(kind: str, field: str) -> dict:
+    """Each scheme of ``kind`` that has a ``field``, to its value."""
+    return {name: getattr(s, field) for name, s in SCHEMES.items()
+            if s.kind == kind and getattr(s, field) is not None}
 
 
-LOGICAL_PARAMS = _params_of("logical")
-# generated once: each matcher of L1..L9 by scheme, every other by kind and
-# scheme, each constructor by the identity of its pattern (MQuant1..3 have
-# one instance pattern)
-_MATCHERS, _NAME_MATCHERS, _BUILDERS = {}, {"theory": {}, "extension": {}}, {}
-for _name, _s in SCHEMES.items():
-    _p, _code = _s.instance, dict(globals())  # and the scheme's own functions
-    if isinstance(_p, _Pattern):
-        exec(_source(_p.pattern, "abc"[:len(_s.params)]), _code)
-        _MATCHERS[_name] = _code["match"]
-    elif isinstance(_p, _NamePattern):
-        exec(_source(_p.conclusion, _p.params, _p.message, _p.sentences), _code)
-        _NAME_MATCHERS[_s.kind][_name] = _code["match"]
-    else:
-        continue
-    _BUILDERS[id(_p)] = _code["build"]
-THEORY_PARAMS = _params_of("theory")
-EXTENSION_PARAMS = _params_of("extension")
+LOGICAL_PARAMS = _table("logical", "params")
+THEORY_PARAMS = _table("theory", "params")
+EXTENSION_PARAMS = _table("extension", "params")
 # ReleaseRule is a rule, not a scheme, but is gated like the extension schemes
 EXTENSION_SCHEMES = tuple(sorted([*EXTENSION_PARAMS, "ReleaseRule"]))
+# the generated matchers check_proof calls: of L1..L9 and the theory schemes
+_MATCHERS = _table("logical", "match")
+_THEORY_MATCHERS = _table("theory", "match")
 
 
 # ---------------------------------------------------------------------------
@@ -859,7 +859,7 @@ def check_proof(env: Environment, proof: Proof,
                 scheme, params = just.scheme, just.params
                 if type(scheme) is not str or type(params) is not tuple:
                     raise _ill_typed(just)
-                match = _NAME_MATCHERS["theory"].get(scheme)
+                match = _THEORY_MATCHERS.get(scheme)
                 if match is not None and match(env, stated, params):
                     continue
                 expected = theory_instance(env, scheme, params)
@@ -881,10 +881,7 @@ def check_proof(env: Environment, proof: Proof,
                 scheme, params = just.scheme, just.params
                 if type(scheme) is not str or type(params) is not tuple:
                     raise _ill_typed(just)
-                match = _NAME_MATCHERS["extension"].get(scheme)
-                expected = (stated if match is not None
-                            and match(env, stated, params) else
-                            extension_instance(env, scheme, params))
+                expected = extension_instance(env, scheme, params)
                 grant = extension_grant(env, scheme, params)
             elif kind is ByRelease:
                 if type(just.premise) is not int:

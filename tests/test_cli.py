@@ -40,6 +40,15 @@ def corpus_path(name):
     return str(corpus_dir() / name)
 
 
+def test_the_proof_script_of_the_readme_checks(capsys, tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Proof scripts\n\n```text\n")[1].split("```")[0]
+    path = tmp_path / "readme.pf"
+    path.write_text(block)
+    assert run(capsys, "check", str(path), "--allow", "ReleaseRule") \
+        == (0, "M(`la`) ⊦ ~A(`la`) -> A(`la`)\n", "")
+
+
 def run_python(*argv):
     """Run the interpreter in a fresh process with ``src`` importable."""
     path = os.pathsep.join(p for p in (str(ROOT / "src"),

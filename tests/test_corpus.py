@@ -142,15 +142,14 @@ def test_a_warm_environment_gives_the_verdicts_of_a_fresh_one(entry):
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.script)
 def test_matched_theory_steps_get_the_verdicts_of_build_and_compare(entry):
-    # with the matchers of the theory and extension schemes gone, every
-    # such step is built and compared, as before they were generated: the
-    # proof and each of its mutants get the same judgment or the same errors
+    # with the matchers of the theory schemes gone, every such step is
+    # built and compared, as before they were generated: the proof and each
+    # of its mutants get the same judgment or the same errors
     script, env = load(entry.script)
     proof = script.proof()
     cases = [proof, *mutations(random.Random(entry.script), proof, count=20)]
     matched = [verdict(env, p) for p in cases]
-    with mock.patch.dict(kernel._NAME_MATCHERS["theory"], clear=True), \
-            mock.patch.dict(kernel._NAME_MATCHERS["extension"], clear=True):
+    with mock.patch.dict(kernel._THEORY_MATCHERS, clear=True):
         assert [verdict(env, p) for p in cases] == matched
 
 

@@ -536,7 +536,7 @@ def match(phi, a=_FREE, b=_FREE):
     rr = r.right
     if not (a is rr or a == rr): return None
     return a, b
-def build(a, b):
+def build(_env, a, b):
     return Implies(a, Implies(b, a))
 """
 
@@ -571,17 +571,17 @@ def match(phi, a=_FREE, b=_FREE, c=_FREE):
     rrr = rr.right
     if not (c is rrr or c == rrr): return None
     return a, b, c
-def build(a, b, c):
+def build(_env, a, b, c):
     return Implies(Implies(a, c), Implies(Implies(b, c), Implies(Or(a, b), c)))
 """
 
 
 def test_the_code_generated_from_l1_and_l8_reads_as_pinned():
-    assert kernel._source(SCHEMES["L1"].instance.pattern, "ab") == L1_SOURCE
-    assert kernel._source(SCHEMES["L8"].instance.pattern, "abc") == L8_SOURCE
+    assert kernel._source(SCHEMES["L1"].pattern) == L1_SOURCE
+    assert kernel._source(SCHEMES["L8"].pattern) == L8_SOURCE
     # a lone slot is returned as a one-tuple
-    assert kernel._source(SCHEMES["L9"].instance.pattern, "a").endswith(
-        "    return a,\ndef build(a):\n    return Implies(BOT, a)\n")
+    assert kernel._source(SCHEMES["L9"].pattern).endswith(
+        "    return a,\ndef build(_env, a):\n    return Implies(BOT, a)\n")
 
 
 # -- the code generated from the patterns of the theory and extension schemes
@@ -675,16 +675,12 @@ def match(env, phi, params):
 """
 
 
-def _named_source(scheme):
-    p = SCHEMES[scheme].instance
-    return kernel._source(p.conclusion, p.params, p.message, p.sentences)
-
-
 def test_the_code_generated_from_mcomp1_and_tdef_reads_as_pinned():
-    assert _named_source("MComp1") == MCOMP1_SOURCE
-    assert _named_source("TDef") == TDEF_SOURCE
+    assert kernel._source(SCHEMES["MComp1"].pattern) == MCOMP1_SOURCE
+    assert kernel._source(SCHEMES["TDef"].pattern) == TDEF_SOURCE
     # a body with no metavariable gives none back
-    assert "    return ()\ndef build(env, q):\n    found = " in _named_source("MBot")
+    assert "    return ()\ndef build(env, q):\n    found = " \
+        in kernel._source(SCHEMES["MBot"].pattern)
 
 
 NAME_PATTERN_SCHEMES = [
@@ -695,15 +691,13 @@ NAME_PATTERN_SCHEMES = [
 
 def test_a_name_pattern_takes_a_variable_exactly_where_its_scheme_does():
     assert [name for name, s in SCHEMES.items()
-            if isinstance(s.instance, kernel._NamePattern)] \
+            if isinstance(s.pattern, kernel._NamePattern)] \
         == NAME_PATTERN_SCHEMES
     for name in NAME_PATTERN_SCHEMES:
         s = SCHEMES[name]
-        assert [b is None for b in s.instance.params.values()] \
-            == [k == "v" for k in s.params], name
-        assert set(s.instance.sentences.split()) <= set(s.instance.params)
-        # one matcher per scheme, found by the kind of its steps
-        assert name in kernel._NAME_MATCHERS[s.kind]
+        assert set(s.pattern.sentences.split()) <= set(s.pattern.params)
+        # check_proof calls the matcher of a theory scheme only
+        assert (name in kernel._THEORY_MATCHERS) == (s.kind == "theory")
 
 
 _SLOT = {"a": 0, "b": 1, "c": 2}  # the parameter each metavariable stands for
@@ -722,8 +716,8 @@ def reference_fill(pattern, params):
 
 def test_logical_instance_matches_a_recursive_fill_on_seeded_parameters():
     rng = random.Random(20261020)
-    patterns = {name: s.instance.pattern for name, s in SCHEMES.items()
-                if isinstance(s.instance, kernel._Pattern)}
+    patterns = {name: s.pattern for name, s in SCHEMES.items()
+                if s.kind == "logical" and s.pattern is not None}
     assert list(patterns) == [f"L{i}" for i in range(1, 10)]
     for _ in range(200):
         for name, pattern in patterns.items():
@@ -1292,6 +1286,19 @@ def test_generalization_renaming_side_conditions(rule, gen, renamed, message):
     assert _errors(env, proof) == [f"step 2: {message}"]
 
 
+def test_a_hypothesis_is_an_axiom_whose_free_variables_may_be_generalized():
+    # a hypothesis is read as an extra axiom, its free variables universally
+    # (Mendelson, Introduction to Mathematical Logic, ch. 2): a step that
+    # follows from P(x) is generalized over x
+    script, env = parse_script(
+        "hyp 1: P(x)\n1: P(x) by hyp 1\n"
+        "2: P(x) -> (Q -> P(x)) by L1[P(x); Q]\n3: Q -> P(x) by MP 1 2\n"
+        "4: Q -> forall y. P(y) by GenF 3 x y\n")
+    judgment = check_proof(env, script.proof())
+    assert [pformat(h) for h in judgment.hypotheses] == ["P(x)"]
+    assert pformat(judgment.conclusion) == "Q -> (forall y. P(y))"
+
+
 _PHI = AApp(Quote("la"))
 
 
@@ -1759,7 +1766,7 @@ def _conclusion(env, scheme, params):
     """The instance pattern of ``scheme`` with ``params`` in it, whether
     or not they meet the side condition: a body metavariable stands for
     the body of the first name whose pattern it is, or bot."""
-    pattern = SCHEMES[scheme].instance
+    pattern = SCHEMES[scheme].pattern
     given = dict(zip(pattern.params, params))
 
     def fill(f):

@@ -25,6 +25,7 @@ from mathkernel.kernel import (
     ExtensionGrant,
     Judgment,
     Proof,
+    Scheme,
     Step,
     StepError,
 )
@@ -750,10 +751,13 @@ def record_classes():
 _P, _Q, _S, _PX = Atom("p"), Atom("q"), Quote("s"), Atom("P", (Var("x"),))
 _PX_TEXT = "Atom(pred='P', args=(Var(name='x'),))"
 _PQ_TEXT = "left=Atom(pred='p', args=()), right=Atom(pred='q', args=())"
-_L1 = SCHEMES["L1"]
-_L1_TEXT = ("_Pattern(pattern=Implies(left='a', right=Implies(left='b', "
+# a registry row holds functions, whose text is an address; this one holds
+# plain values
+_L1 = Scheme("logical", ("f", "f"), None, None, Implies("a", Implies("b", "a")))
+_L1_TEXT = ("Scheme(kind='logical', params=('f', 'f'), instance=None, "
+            "match=None, pattern=Implies(left='a', right=Implies(left='b', "
             "right='a')))")
-_ATOM = SCHEMES["AtoM"].instance
+_ATOM = SCHEMES["AtoM"].pattern
 _ATOM_TEXT = ("_NamePattern(conclusion=Implies(left=AApp(arg=Quote(name='q')), "
               "right=MApp(arg=Quote(name='q'))), params={'q': 'a'}, message='', "
               "sentences='')")
@@ -795,8 +799,7 @@ RECORDS = [
      "Domain(predicate='D', constants=('a', 'b'), definite=True)"),
     (TotalExtension("P", "D", "P_ext"),
      "TotalExtension(base='P', domain='D', extended='P_ext')"),
-    (_L1, f"Scheme(kind='logical', params=('f', 'f'), instance={_L1_TEXT})"),
-    (_L1.instance, _L1_TEXT),
+    (_L1, _L1_TEXT),
     (_ATOM, _ATOM_TEXT),
     (ByHyp(0), "ByHyp(index=0)"),
     (ByLogical("L1", (BOT, BOT)), "ByLogical(scheme='L1', params=(Bot(), Bot()))"),

@@ -269,7 +269,8 @@ def test_deduction_rejects_generalizing_a_free_hypothesis_variable():
     b = ProofBuilder(env, (dx,))
     guarded = b.mp(b.hyp(0), b.logical("L1", dx, q))  # q -> D(x)
     b.genf(guarded, "x")
-    with pytest.raises(TacticError):
+    with pytest.raises(TacticError, match=r"^cannot discharge \(D\(x\)\): its "
+                       "free variable x is generalized later in the proof$"):
         deduction_theorem(env, b.build())
 
 
