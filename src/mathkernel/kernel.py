@@ -22,24 +22,26 @@ schemes (MComp1..4, MQuant1..3, MBot, MofM, MofA, AMP, AtoM, Capture, TDef,
 TNeg, ReleaseAxiom, UnrestrictedT) are patterns of the bodies their names
 resolve to.  ``_from_pattern`` makes the row of each: at import, one
 generator writes from the pattern a constructor and a matcher in
-straight-line code, and the pattern gives the parameter kinds.  A matcher
-checks a step's stated formula and parameters; with its slots free, an
-L1..L9 matcher recognizes an instance (``is_log_instance``).
-``check_proof`` calls the matchers of L1..L9 and the theory schemes, and
-compares a modus ponens step with its major premise's fields: a step of
-these kinds that checks builds no formula.  Every other step that cites a
-scheme, an extension step among them, and every one a matcher does not
-accept, takes one path, ``_instantiate``: its parameters are checked in
-the environment, then its instance is built.
+straight-line code, and the pattern gives the parameter kinds.  Every
+matcher is ``match(env, phi, params)``: whether phi is the instance for
+``params``, building nothing; given None for ``params``, an L1..L9 matcher
+recognizes an instance with its slots free (``is_log_instance``).
 
 ``check_proof`` reads the class of each step's justification once and runs
-that class's one branch, which opens by testing that each field has
-exactly its annotated Python type (a bool is no step index).  It lets no
-step cite an ill-formed hypothesis or step, rejects a step in one way, by
-raising at the first failed condition, and has one gate for the header's
-extension grants, shared by ``ByExtension`` and ``ByRelease``;
-``extension_grant`` and ``release`` give the grant subjects, to the
-checker and to the proof builder alike.
+its one branch, which opens by testing that each field has exactly its
+annotated Python type (a bool is no step index).  Every step that cites a
+scheme takes one branch: it is done when its scheme's matcher accepts it
+(an extension step then still passes the grant gate); otherwise one call
+of ``_instantiate`` checks its parameters in the environment and builds
+the instance to compare.  A modus ponens step is compared with its major
+premise's fields, so a matched or modus ponens step builds no formula.
+``check_proof`` lets no step cite an ill-formed hypothesis or step,
+rejects a step in one way, by raising at the first failed condition, and
+has one gate for the header's extension grants, shared by ``ByExtension``
+and ``ByRelease``; ``extension_grant`` and ``release`` give the grant
+subjects, to the checker and to the proof builder alike.  The kernel
+declares nothing: the ``Environment`` holds every name, domain and total
+extension a step cites.
 
 Quoted-formula side conditions are checked by syntactic equality after one
 level of name resolution: quotation terms inside resolved bodies are never
@@ -75,7 +77,6 @@ from .syntax import (
     SimApp,
     TApp,  # named by the code generated from the TDef and TNeg patterns
     Term,
-    TotalExtension,
     Var,
     captures,
     free_vars,
@@ -215,8 +216,8 @@ def _match_subst(body: Formula, x: str, g: Formula) -> Optional[Term]:
 
 def is_log_instance(phi: Formula) -> Optional[tuple[str, tuple]]:
     """A witness (scheme, params) if phi is an L1..L11 axiom instance."""
-    for name, match in _MATCHERS.items():
-        found = match(phi)
+    for name, match in _LOG_MATCHERS.items():
+        found = match(None, phi, None)
         if found is not None:
             return (name, found)
     if not isinstance(phi, Implies):
@@ -410,7 +411,7 @@ def _total_ext_neg(env: Environment, base: str, c: Term) -> Formula:
 
 def _total_ext_m(env: Environment, base: str, c: Term) -> Formula:
     _object(env, c)
-    name = total_extension_name(base, c.name)
+    name = env.extensions[base].name_at(c.name)
     env.definition(name)  # raises for a constant declared after the extension
     return _m(name)
 
@@ -435,11 +436,12 @@ def _source(pattern: Union[Formula, _NamePattern]) -> str:
     """The text of the functions generated from a scheme's pattern.
 
     An L1..L9 pattern is a formula whose slots are its metavariables, in
-    sorted order: ``match(phi, a=_FREE, ...)`` returns the values of the
-    slots for which ``build(_env, a, ...)`` gives ``phi``, or None.  A free
-    slot is bound at its first occurrence, where a given value must be of
-    a formula type and be the subformula there or equal it; later
-    occurrences only compare.
+    sorted order: ``match(_env, phi, params)`` returns the values of the
+    slots for which ``build(_env, a, ...)`` gives ``phi``, or None.  With
+    ``params`` None every slot is free; otherwise ``params`` gives one
+    value per slot, or the match fails.  A free slot is bound at its first
+    occurrence, where a given value must be of a formula type and be the
+    subformula there or equal it; later occurrences only compare.
 
     A ``_NamePattern`` maps each parameter's name, in order, to the pattern
     of the body it names, or to None for a variable.  ``bodies(defs, ...)``
@@ -484,8 +486,10 @@ def _source(pattern: Union[Formula, _NamePattern]) -> str:
         built = walk(pattern, "phi", "return None", seen, lines)
         slots = sorted(seen)
         return "\n".join([
-            f"def match(phi, {', '.join(s + '=_FREE' for s in slots)}):",
-            *lines,
+            "def match(_env, phi, params):",
+            f"    if params is None: params = (_FREE,) * {len(slots)}",
+            f"    elif len(params) != {len(slots)}: return None",
+            f"    {tup(slots)} = params", *lines,
             f"    return {tup(slots)}",
             f"def build(_env, {', '.join(slots)}):", f"    return {built}", ""])
 
@@ -526,8 +530,8 @@ def _from_pattern(kind: str, pattern: Union[Formula, _NamePattern]) -> Scheme:
     exec(_source(pattern), code)
     if isinstance(pattern, _NamePattern):
         kinds = tuple("v" if b is None else "n" for b in pattern.params.values())
-    else:  # a free slot per metavariable
-        kinds = ("f",) * len(code["match"].__defaults__)
+    else:  # a formula per metavariable: build's parameters after _env
+        kinds = ("f",) * (code["build"].__code__.co_argcount - 1)
     return Scheme(kind, kinds, code["build"], code["match"], pattern)
 
 
@@ -622,41 +626,8 @@ THEORY_PARAMS = _table("theory", "params")
 EXTENSION_PARAMS = _table("extension", "params")
 # ReleaseRule is a rule, not a scheme, but is gated like the extension schemes
 EXTENSION_SCHEMES = tuple(sorted([*EXTENSION_PARAMS, "ReleaseRule"]))
-# the generated matchers check_proof calls: of L1..L9 and the theory schemes
-_MATCHERS = _table("logical", "match")
-_THEORY_MATCHERS = _table("theory", "match")
-
-
-# ---------------------------------------------------------------------------
-# total extensions
-
-
-def total_extension_name(base: str, constant: str) -> str:
-    return f"{base}_ext_{constant}"
-
-
-def define_total_extension(env: Environment, base: str, domain: str) -> None:
-    """Extend predicate ``base``, defined on a definite domain, to the whole
-    object universe, defaulting to bot outside the domain.
-
-    Registers the extended predicate ``base_ext`` and the quotation name
-    ``base_ext_c`` of its instance at each constant c declared so far, which
-    ``TotalExtPos``, ``TotalExtNeg`` and ``TotalExtM`` steps then cite.
-    """
-    if domain not in env.domains:
-        raise SchemeError(f"{domain} is not a declared domain")
-    dom = env.domains[domain]
-    if not dom.definite:
-        raise SchemeError(
-            f"domain {domain} is not declared definite; a predicate can only "
-            "be totalized over a definite range"
-        )
-    env.register_predicate(base, 1)
-    extended = f"{base}_ext"
-    env.register_predicate(extended, 1)
-    env.declare_extension(TotalExtension(base, domain, extended))
-    for c in env.universe:
-        env.define(total_extension_name(base, c), (), Atom(extended, (Const(c),)))
+# the L1..L9 matchers that is_log_instance runs with every slot free
+_LOG_MATCHERS = _table("logical", "match")
 
 
 # ---------------------------------------------------------------------------
@@ -714,6 +685,10 @@ class ByRelease(metaclass=record):
 Justification = Union[
     ByHyp, ByLogical, ByTheory, ByMP, ByGenF, ByGenE, ByExtension, ByRelease
 ]
+# each justification that cites a scheme -> the kind of its schemes
+_KINDS = {ByLogical: "logical", ByTheory: "theory", ByExtension: "extension"}
+# the generated matchers check_proof calls, per justification class
+_MATCHERS = {cls: _table(kind, "match") for cls, kind in _KINDS.items()}
 
 
 def _ill_typed(just: Justification) -> SchemeError:
@@ -843,26 +818,19 @@ def check_proof(env: Environment, proof: Proof,
                         f"modus ponens mismatch: step {major + 1} is not "
                         f"({minor_f}) -> ({stated})")
                 continue
-            elif kind is ByLogical:
+            elif kind is ByLogical or kind is ByTheory or kind is ByExtension:
                 scheme, params = just.scheme, just.params
                 if type(scheme) is not str or type(params) is not tuple:
                     raise _ill_typed(just)
-                # the count check of _check_params(None, ...) for the all-'f'
-                # parameters of L1..L9; the matcher checks each type
-                match = _MATCHERS.get(scheme)
-                if (match is not None
-                        and len(params) == len(LOGICAL_PARAMS[scheme])
-                        and match(stated, *params) is not None):
-                    continue
-                expected = _instantiate("logical", env, scheme, params)
-            elif kind is ByTheory:
-                scheme, params = just.scheme, just.params
-                if type(scheme) is not str or type(params) is not tuple:
-                    raise _ill_typed(just)
-                match = _THEORY_MATCHERS.get(scheme)
+                match = _MATCHERS[kind].get(scheme)
                 if match is not None and match(env, stated, params):
-                    continue
-                expected = theory_instance(env, scheme, params)
+                    if kind is not ByExtension:
+                        continue
+                    expected = stated
+                else:
+                    expected = _instantiate(_KINDS[kind], env, scheme, params)
+                if kind is ByExtension:
+                    grant = extension_grant(env, scheme, params)
             elif kind is ByHyp:
                 if type(just.index) is not int:
                     raise _ill_typed(just)
@@ -877,12 +845,6 @@ def check_proof(env: Environment, proof: Proof,
                     raise _ill_typed(just)
                 expected = generalize(premise(just.premise, i), just.var,
                                       just.to_var, kind is ByGenF)
-            elif kind is ByExtension:
-                scheme, params = just.scheme, just.params
-                if type(scheme) is not str or type(params) is not tuple:
-                    raise _ill_typed(just)
-                expected = extension_instance(env, scheme, params)
-                grant = extension_grant(env, scheme, params)
             elif kind is ByRelease:
                 if type(just.premise) is not int:
                     raise _ill_typed(just)

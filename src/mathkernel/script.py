@@ -3,25 +3,25 @@
 A script is line-oriented.  ``#`` starts a comment.  Header directives come
 first, then hypotheses, then numbered steps::
 
-    enable ReleaseAxiom(A(`f`) -> bot)   # or just: enable ReleaseRule
-    domain Sent = {s1, s2} definite      # 'definite' is optional
+    enable ReleaseRule(~A(`la`))       # or every instance: enable ReleaseRule
+    domain Sent = {s1, s2} definite    # 'definite' is optional
     const c
-    extend Tr over Sent                  # Tr totalized: Tr_ext, Tr_ext_s1, ...
-    def la := ~A(`la`)                   # arity 0; self-quotation allowed
-    def w/1 := A(v0)                     # params inferred, first occurrence
-    def g(x, y) := Q(x, y)               # params given explicitly
-    hyp 1: M(`la`)
-    1: ~A(`la`) -> A(`la`) -> bot  by hyp 1
-    2: p -> q -> p                 by L1[p; q]
-    3: M(`la`) -> A(`la`)          by ALog[la]
-    4: A(`la`)                     by MP 1 3
-    5: ~A(`la`)                    by Release 4
+    extend Tr over Sent                # Tr totalized: Tr_ext, Tr_ext_s1, ...
+    def la := ~A(`la`)                 # arity 0; self-quotation allowed
+    def w/1 := A(v0)                   # params inferred, first occurrence
+    def g(x, y) := Q(x, y)             # params given explicitly
+    hyp 1: A(`la`)
+    1: M(`Tr_ext_s1`)                by TotalExtM[Tr; s1]
+    2: p -> q -> p                   by L1[p; q]
+    3: A(`la`)                       by hyp 1
+    4: ~A(`la`)                      by Release 3
+    5: bot                           by MP 3 4
 
 Step and hypothesis numbers are 1-based and must be consecutive.  Scheme
 parameters are separated by ``;`` because formulas contain commas.
 
-``extend P over D`` runs ``kernel.define_total_extension`` over the
-constants declared so far.
+``extend P over D`` runs ``Environment.declare_total_extension`` over the
+constants declared so far; ``P_ext`` must be a new predicate.
 
 A ``Script`` keeps grants, hypotheses and steps; its declarations live only
 in its ``Environment``, which the writer prints in the order they were
@@ -122,14 +122,19 @@ def _parse_scheme_params(fp: FormulaParser, kinds: Sequence[str],
             elif kind == "t":
                 out.append(fp.term(part))
             else:  # v, n, d, p: bare identifiers
-                if not re.fullmatch(_IDENT, part):
-                    raise ScriptError(
-                        f"{scheme}: expected an identifier, got {part!r}",
-                        line_no)
-                out.append(part)
+                out.append(_identifier(part, scheme, line_no))
         except ParseError as exc:
             raise ScriptError(f"{scheme}: {exc}", line_no) from exc
     return tuple(out)
+
+
+def _identifier(word: str, head: str, line_no: int) -> str:
+    """A variable or name that the justification ``head`` cites, which
+    must be an identifier."""
+    if not re.fullmatch(_IDENT, word):
+        raise ScriptError(f"{head}: expected an identifier, got {word!r}",
+                          line_no)
+    return word
 
 
 def _number(word: str, usage: str, line_no: int) -> int:
@@ -167,8 +172,7 @@ def _numbered(text: str, usage: str,
 
 
 _SCHEME_RE = re.compile(rf"({_IDENT})\s*\[(.*)\]\s*$")
-_JUSTIFICATIONS = {"logical": ByLogical, "theory": ByTheory,
-                   "extension": ByExtension}
+_JUSTIFICATIONS = {kind: cls for cls, kind in kernel._KINDS.items()}
 
 
 def _parse_just(fp: FormulaParser, text: str, line_no: int) -> Justification:
@@ -193,8 +197,8 @@ def _parse_just(fp: FormulaParser, text: str, line_no: int) -> Justification:
         if len(words) not in (3, 4):
             raise ScriptError(usage, line_no)
         n = _number(words[1], usage, line_no)
-        x = words[2]
-        y = words[3] if len(words) == 4 else x
+        x = _identifier(words[2], head, line_no)
+        y = _identifier(words[3], head, line_no) if len(words) == 4 else x
         return (ByGenF if head == "GenF" else ByGenE)(n - 1, x, y)
     ext = head == "Ext"
     m = _SCHEME_RE.fullmatch(text.strip()[len("Ext"):].strip() if ext
@@ -276,7 +280,7 @@ def parse_script(text: str) -> tuple[Script, Environment]:
                                  line)
                 if not m:
                     raise ScriptError("usage: extend P over Domain", line_no)
-                kernel.define_total_extension(env, m.group(1), m.group(2))
+                env.declare_total_extension(m.group(1), m.group(2))
             elif line.startswith("def "):
                 usage = "usage: def name[/N | (x, y)] := formula"
                 m = re.fullmatch(

@@ -539,6 +539,11 @@ class TotalExtension(metaclass=record):
     domain: str
     extended: str
 
+    def name_at(self, constant: str) -> str:
+        """The name that quotes the extended predicate's atom at
+        ``constant``."""
+        return f"{self.extended}_{constant}"
+
 
 # one entry of ``Environment.declarations``; a string is a constant
 # declared on its own
@@ -652,10 +657,33 @@ class Environment:
         self.declarations.append(dom)
         return dom
 
-    def declare_extension(self, ext: TotalExtension) -> None:
-        """Register the total extension of ``ext.base``."""
-        self.extensions[ext.base] = ext
+    def declare_total_extension(self, base: str, domain: str) -> None:
+        """Extend predicate ``base``, defined on a definite domain, to the
+        whole object universe, defaulting to bot outside the domain.
+
+        Registers the fresh predicate ``base_ext`` and defines its instance
+        at each constant declared so far under ``name_at`` that constant,
+        which ``TotalExtPos``, ``TotalExtNeg`` and ``TotalExtM`` steps cite.
+        """
+        dom = self.domains.get(domain)
+        if dom is None:
+            raise DefinitionError(f"{domain} is not a declared domain")
+        if not dom.definite:
+            raise DefinitionError(
+                f"domain {domain} is not declared definite; a predicate can "
+                "only be totalized over a definite range")
+        ext = TotalExtension(base, domain, f"{base}_ext")
+        # TotalExtPos and TotalExtNeg fix its atoms: none may be in use
+        if ext.extended in self.predicates:
+            raise DefinitionError(
+                f"{ext.extended} is already a predicate; the total extension "
+                f"of {base} needs a fresh one")
+        self.register_predicate(base, 1)
+        self.register_predicate(ext.extended, 1)
+        self.extensions[base] = ext
         self.declarations.append(ext)
+        for c in self.universe:
+            self.define(ext.name_at(c), (), Atom(ext.extended, (Const(c),)))
 
     # -- definitions
 

@@ -41,12 +41,18 @@ def corpus_path(name):
 
 
 def test_the_proof_script_of_the_readme_checks(capsys, tmp_path):
+    # and the example in the docstring of the script module
     readme = (ROOT / "README.md").read_text()
     block = readme.split("## Proof scripts\n\n```text\n")[1].split("```")[0]
-    path = tmp_path / "readme.pf"
-    path.write_text(block)
-    assert run(capsys, "check", str(path), "--allow", "ReleaseRule") \
-        == (0, "M(`la`) ⊦ ~A(`la`) -> A(`la`)\n", "")
+    example = mathkernel.script.__doc__.split("::\n\n")[1].split("\n\n")[0]
+    for text, judgment in [
+            (block, "M(`la`) ⊦ ~A(`la`) -> A(`la`)"),
+            ("".join(line[4:] + "\n" for line in example.splitlines()),
+             "A(`la`) ⊦ bot   [extensions: ReleaseRule(~A(`la`))]")]:
+        path = tmp_path / "readme.pf"
+        path.write_text(text)
+        assert run(capsys, "check", str(path), "--allow", "ReleaseRule") \
+            == (0, f"{judgment}\n", "")
 
 
 def run_python(*argv):

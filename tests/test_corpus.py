@@ -1,5 +1,6 @@
 """The bundled corpus: every entry checks, and corrupted variants do not."""
 
+import contextlib
 import copy
 import importlib.util
 import random
@@ -142,14 +143,17 @@ def test_a_warm_environment_gives_the_verdicts_of_a_fresh_one(entry):
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.script)
 def test_matched_theory_steps_get_the_verdicts_of_build_and_compare(entry):
-    # with the matchers of the theory schemes gone, every such step is
-    # built and compared, as before they were generated: the proof and each
-    # of its mutants get the same judgment or the same errors
+    # with every matcher check_proof calls gone (L1..L9, theory and
+    # extension), every scheme step is built and compared, as before the
+    # matchers were generated: the proof and each of its mutants get the
+    # same judgment or the same errors; ALog's is_log_instance keeps its own
     script, env = load(entry.script)
     proof = script.proof()
     cases = [proof, *mutations(random.Random(entry.script), proof, count=20)]
     matched = [verdict(env, p) for p in cases]
-    with mock.patch.dict(kernel._THEORY_MATCHERS, clear=True):
+    with contextlib.ExitStack() as stack:
+        for table in kernel._MATCHERS.values():
+            stack.enter_context(mock.patch.dict(table, clear=True))
         assert [verdict(env, p) for p in cases] == matched
 
 

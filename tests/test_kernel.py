@@ -34,7 +34,6 @@ from mathkernel.kernel import (
     Step,
     StepError,
     check_proof,
-    define_total_extension,
     expand_params,
     extension_instance,
     is_log_instance,
@@ -126,7 +125,7 @@ def _registry_env() -> Environment:
     env = Environment()
     env.declare_domain("Sent", ("c",), definite=True)
     env.define("s", (), BOT)
-    define_total_extension(env, "R", "Sent")
+    env.declare_total_extension("R", "Sent")
     return env
 
 
@@ -523,7 +522,10 @@ def test_is_log_instance_matches_reference_on_seeded_formulas():
 
 
 L1_SOURCE = """\
-def match(phi, a=_FREE, b=_FREE):
+def match(_env, phi, params):
+    if params is None: params = (_FREE,) * 2
+    elif len(params) != 2: return None
+    a, b = params
     if type(phi) is not Implies: return None
     l = phi.left
     if a is _FREE: a = l
@@ -541,7 +543,10 @@ def build(_env, a, b):
 """
 
 L8_SOURCE = """\
-def match(phi, a=_FREE, b=_FREE, c=_FREE):
+def match(_env, phi, params):
+    if params is None: params = (_FREE,) * 3
+    elif len(params) != 3: return None
+    a, b, c = params
     if type(phi) is not Implies: return None
     l = phi.left
     if type(l) is not Implies: return None
@@ -696,8 +701,9 @@ def test_a_name_pattern_takes_a_variable_exactly_where_its_scheme_does():
     for name in NAME_PATTERN_SCHEMES:
         s = SCHEMES[name]
         assert set(s.pattern.sentences.split()) <= set(s.pattern.params)
-        # check_proof calls the matcher of a theory scheme only
-        assert (name in kernel._THEORY_MATCHERS) == (s.kind == "theory")
+        # check_proof calls the matcher of every scheme, from the table of
+        # the justification that cites its kind
+        assert kernel._MATCHERS[_JUSTIFICATION[s.kind]][name] is s.match
 
 
 _SLOT = {"a": 0, "b": 1, "c": 2}  # the parameter each metavariable stands for
@@ -726,8 +732,9 @@ def test_logical_instance_matches_a_recursive_fill_on_seeded_parameters():
             phi = logical_instance(name, params)
             assert phi == reference_fill(pattern, params), name
             # the matcher gives the parameters back, given or free
-            assert kernel._MATCHERS[name](phi, *params) == params
-            assert logical_instance(name, kernel._MATCHERS[name](phi)) == phi
+            match = kernel._MATCHERS[ByLogical][name]
+            assert match(None, phi, params) == params
+            assert logical_instance(name, match(None, phi, None)) == phi
 
 
 @pytest.mark.parametrize("params,shown", [
@@ -877,7 +884,7 @@ def test_forall_capture_finite_domain():
 def test_definite_em_and_total_extension():
     env = Environment()
     env.declare_domain("Sent", ("s1",), definite=True)
-    define_total_extension(env, "Tr", "Sent")
+    env.declare_total_extension("Tr", "Sent")
     s1 = Const("s1")
     rendered = {pformat(theory_instance(env, scheme, params)) for scheme, params
                 in [("TotalExtPos", ("Tr", s1)), ("TotalExtNeg", ("Tr", s1)),
@@ -898,15 +905,34 @@ def test_definite_em_requires_definiteness():
 def test_total_extension_needs_a_declared_definite_domain():
     env = Environment()
     env.declare_domain("Open", ("c1",), definite=False)
-    with pytest.raises(SchemeError) as exc:
-        define_total_extension(env, "Tr", "Nowhere")
+    with pytest.raises(DefinitionError) as exc:
+        env.declare_total_extension("Tr", "Nowhere")
     assert str(exc.value) == "Nowhere is not a declared domain"
-    with pytest.raises(SchemeError) as exc:
-        define_total_extension(env, "Tr", "Open")
+    with pytest.raises(DefinitionError) as exc:
+        env.declare_total_extension("Tr", "Open")
     assert str(exc.value) == ("domain Open is not declared definite; a "
                               "predicate can only be totalized over a "
                               "definite range")
     assert env.extensions == {}
+
+
+@pytest.mark.parametrize("declare", [
+    lambda env: env.declare_domain("Tr_ext", ("s2",), definite=True),
+    lambda env: env.define("s", (), parse_formula("Tr_ext(s1)", env)),
+    lambda env: env.declare_total_extension("Tr", "Sent"),
+], ids=["a-domain", "an-atom-of-a-body", "the-same-extension"])
+def test_a_total_extension_needs_a_fresh_predicate(declare):
+    # TotalExtPos and TotalExtNeg state what holds of Tr_ext: of a domain,
+    # or a predicate some body already reads, they would say more
+    env = Environment()
+    env.declare_domain("Sent", ("s1",), definite=True)
+    declare(env)
+    before = copy.copy(env)
+    with pytest.raises(DefinitionError) as exc:
+        env.declare_total_extension("Tr", "Sent")
+    assert str(exc.value) == ("Tr_ext is already a predicate; the total "
+                              "extension of Tr needs a fresh one")
+    assert vars(env) == vars(before) | {"_checked": env._checked}
 
 
 def _errors(env, proof):
@@ -972,7 +998,7 @@ def _scheme_env():
     env = Environment()
     env.declare_domain("Sent", ("s1",), definite=True)
     env.declare_domain("Open", ("o1",), definite=False)
-    define_total_extension(env, "Tr", "Sent")
+    env.declare_total_extension("Tr", "Sent")
     for name, params, body in [
             ("a", (), "p"), ("b", (), "q"), ("imp", (), "p -> q"),
             ("w", ("x",), "A(x)"), ("ws1", (), "A(s1)")]:
@@ -1185,7 +1211,7 @@ def test_a_body_must_agree_with_the_metavariables_bound_before_it(
 def test_total_ext_m_needs_the_name_of_its_instance():
     env = Environment()
     env.declare_domain("Sent", ("s1",), definite=True)
-    define_total_extension(env, "Tr", "Sent")
+    env.declare_total_extension("Tr", "Sent")
     env.declare_constant("c")  # after the extension: Tr_ext_c is unbound
     with pytest.raises(DefinitionError) as exc:
         theory_instance(env, "TotalExtM", ("Tr", Const("c")))

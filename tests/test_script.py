@@ -3,8 +3,7 @@
 import pytest
 
 from mathkernel.kernel import (ByGenE, ByGenF, ByMP, ByTheory, ExtensionGrant,
-                               Proof, ProofCheckError, Step, check_proof,
-                               define_total_extension)
+                               Proof, ProofCheckError, Step, check_proof)
 from mathkernel.script import (ScriptError, emit_just, emit_script,
                                parse_script, script_of)
 from mathkernel.syntax import (BOT, Const, Environment, MApp, Var, neg,
@@ -301,7 +300,7 @@ def test_a_bad_leaf_after_shared_ones_names_its_line_and_position(formula,
 def test_a_total_extension_survives_the_writer():
     env = Environment()
     env.declare_domain("Sent", ("s1", "s2"), definite=True)
-    define_total_extension(env, "Tr0", "Sent")
+    env.declare_total_extension("Tr0", "Sent")
     b = ProofBuilder(env)
     b.theory("TotalExtM", "Tr0", Const("s2"))
     proof = b.build(b.theory("TotalExtPos", "Tr0", Const("s1")))
@@ -318,26 +317,26 @@ def test_a_total_extension_survives_the_writer():
 
 def _extend_then_declare_a_constant(env):
     env.declare_domain("Sent", ("s1",), definite=True)
-    define_total_extension(env, "Tr", "Sent")
+    env.declare_total_extension("Tr", "Sent")
     env.declare_constant("c")
 
 
 def _extend_then_declare_a_domain(env):
     env.declare_domain("Sent", ("s1",), definite=True)
-    define_total_extension(env, "Tr", "Sent")
+    env.declare_total_extension("Tr", "Sent")
     env.declare_domain("Obj", ("c",), definite=True)
 
 
 def _define_then_extend(env):
     env.define("z", (), BOT)
     env.declare_domain("Sent", ("s1",), definite=True)
-    define_total_extension(env, "Tr", "Sent")
+    env.declare_total_extension("Tr", "Sent")
     env.declare_constant("c")
 
 
 def _define_then_declare_a_constant(env):
     env.declare_domain("Sent", ("s1",), definite=True)
-    define_total_extension(env, "Tr", "Sent")
+    env.declare_total_extension("Tr", "Sent")
     env.define("w", ("c",), MApp(Var("c")))  # c a variable here
     env.declare_constant("c")
 
@@ -409,13 +408,26 @@ ONE_STEP = "1: ~bot by L9[bot]\n"
     (ONE_STEP + "2: bot by MP 1 1 x\n", "line 2: usage: MP minor major"),
     (ONE_STEP + "2: bot by MP 1 x\n", "line 2: usage: MP minor major"),
     (ONE_STEP + "hyp 1:\n", "line 2: hypotheses must precede steps"),
+    (ONE_STEP + "2: bot by GenF 1 3\n",
+     "line 2: GenF: expected an identifier, got '3'"),
+    (ONE_STEP + "2: bot by GenE 1 x 3y\n",
+     "line 2: GenE: expected an identifier, got '3y'"),
+    ("domain D = {a, b} definite\ndomain P_ext = {b} definite\n"
+     "extend P over D\n" + ONE_STEP,
+     "line 3: P_ext is already a predicate; the total extension of P needs "
+     "a fresh one"),
+    ("domain D = {a} definite\ndef s := P_ext(a)\nextend P over D\n"
+     + ONE_STEP, "line 3: P_ext is already a predicate; the total extension "
+     "of P needs a fresh one"),
 ], ids=["genf-usage", "release-usage", "bad-constant",
         "spaced-domain-constant", "digit-domain-constant", "arity-mismatch",
         "hypothesis-after-step", "no-steps", "unknown-extension",
         "malformed-domain", "unparsable-grant", "no-parameters",
         "digits-then-letters", "step-without-colon", "superscript-number",
         "first-step-not-1", "step-without-by", "formula-empty-after-tab",
-        "mp-three-words", "mp-word-premise", "empty-hypothesis-after-step"])
+        "mp-three-words", "mp-word-premise", "empty-hypothesis-after-step",
+        "genf-variable-not-an-identifier", "gene-target-not-an-identifier",
+        "extend-over-a-domain-predicate", "extend-over-a-used-predicate"])
 def test_reader_errors_are_pinned(text, message):
     with pytest.raises(ScriptError) as exc:
         parse_script(text)
