@@ -17,11 +17,12 @@ a formula or term is well formed.  The instance functions check only the
 side conditions of their scheme.  ``LOGICAL_PARAMS``, ``THEORY_PARAMS``,
 ``EXTENSION_PARAMS`` and ``EXTENSION_SCHEMES`` are views of the registry.
 
-L1..L9 are patterns over metavariables; seventeen theory and extension
-schemes (MComp1..4, MQuant1..3, MBot, MofM, MofA, AMP, AtoM, Capture, TDef,
-TNeg, ReleaseAxiom, UnrestrictedT) are patterns of the bodies their names
-resolve to.  ``_from_pattern`` makes the row of each: at import, one
-generator writes from the pattern a constructor and a matcher in
+L1..L9 are patterns over metavariables; eighteen theory and extension
+schemes (MComp1..4, MQuant1..3, MBot, MofM, MofA, ALog, AMP, AtoM, Capture,
+TDef, TNeg, ReleaseAxiom, UnrestrictedT) are patterns of the bodies their
+names resolve to, and ALog's body must also be a logical axiom instance
+(``is_log_instance``).  ``_from_pattern`` makes the row of each: at import,
+one generator writes from the pattern a constructor and a matcher in
 straight-line code, and the pattern gives the parameter kinds.  Every
 matcher is ``match(env, phi, params)``: whether phi is the instance for
 ``params``, building nothing; given None for ``params``, an L1..L9 matcher
@@ -35,6 +36,9 @@ scheme takes one branch: it is done when its scheme's matcher accepts it
 of ``_instantiate`` checks its parameters in the environment and builds
 the instance to compare.  A modus ponens step is compared with its major
 premise's fields, so a matched or modus ponens step builds no formula.
+While no step is ill formed, a modus ponens step that states the very
+consequent object of the earlier major premise it cites is not checked for
+well-formedness again: the premise's check covered that object.
 ``check_proof`` lets no step cite an ill-formed hypothesis or step,
 rejects a step in one way, by raising at the first failed condition, and
 has one gate for the header's extension grants, shared by ``ByExtension``
@@ -42,6 +46,13 @@ and ``ByRelease``; ``extension_grant`` and ``release`` give the grant
 subjects, to the checker and to the proof builder alike.  The kernel
 declares nothing: the ``Environment`` holds every name, domain and total
 extension a step cites.
+
+A rejection renders no formula until its text is read: the messages that
+print one (a modus ponens mismatch, a stated formula that differs, an
+extension not enabled) are SchemeErrors that keep a format string and its
+values, ``check_proof`` keeps each fault as its step index and exception,
+without the traceback, and ``ProofCheckError`` makes its ``errors`` and
+its text from the faults when they are first read.
 
 Quoted-formula side conditions are checked by syntactic equality after one
 level of name resolution: quotation terms inside resolved bodies are never
@@ -52,7 +63,7 @@ or the proof builder holds, and comparing the two stops at it.
 
 from __future__ import annotations
 
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 from typing import Callable, Iterable, Optional, Sequence, Union, get_args
 
 from .syntax import (
@@ -89,7 +100,14 @@ from .syntax import (
 
 
 class SchemeError(Exception):
-    """Malformed scheme parameters or a violated side condition."""
+    """Malformed scheme parameters or a violated side condition.  Given
+    values after its message, the message is a format string they fill in
+    when the text is read, so a verdict no one prints renders no formula."""
+
+    def __str__(self) -> str:
+        if len(self.args) > 1:
+            return self.args[0].format(*self.args[1:])
+        return super().__str__()
 
 
 class Scheme(metaclass=record):
@@ -303,12 +321,6 @@ def release(env: Environment, premise: Formula) -> Formula:
     return env.resolve(premise.arg.name)
 
 
-def _alog(env: Environment, q: str) -> Formula:
-    _expect(is_log_instance(env.resolve(q)) is not None,
-            f"body of {q} is not a logical axiom instance")
-    return Implies(_m(q), _a(q))
-
-
 def _agen(env: Environment, qimp: str, qres: str, x: str, y: str,
           forall: bool) -> Formula:
     _expect(env.resolve(qres) == generalize(env.resolve(qimp), x, y, forall),
@@ -430,6 +442,7 @@ class _NamePattern(metaclass=record):
     params: dict  # each name, in order -> its body's pattern; None: a variable
     message: str = ""  # the one side condition, violated
     sentences: str = ""  # the names that must name sentences
+    axioms: str = ""  # the metavariables that must be L1..L11 instances
 
 
 def _source(pattern: Union[Formula, _NamePattern]) -> str:
@@ -446,7 +459,8 @@ def _source(pattern: Union[Formula, _NamePattern]) -> str:
     A ``_NamePattern`` maps each parameter's name, in order, to the pattern
     of the body it names, or to None for a variable.  ``bodies(defs, ...)``
     gives the metavariables' values if each name is bound, the
-    ``sentences`` name sentences and each body matches, else None;
+    ``sentences`` name sentences, each body matches and the ``axioms`` are
+    logical axiom instances (``is_log_instance``), else None;
     ``build(env, ...)`` returns the instance, ``conclusion``, or raises
     SchemeError with ``message``; ``match(env, phi, params)`` says whether
     ``build`` would give ``phi``, building nothing.  A subformula is named
@@ -501,6 +515,8 @@ def _source(pattern: Union[Formula, _NamePattern]) -> str:
                       f"{' or d.params' * (q in sentences)}: return None",
                       "    body = d.body"]
             walk(body, "body", "return None", seen, lines)
+    lines += [f"    if is_log_instance({a}) is None: return None"
+              for a in pattern.axioms.split()]
     found = tup(list(seen)[len(slots):])  # the metavariables, as bound
     checks: list[str] = []
     built = walk(pattern.conclusion, "phi", "return False", seen, checks)
@@ -583,7 +599,9 @@ SCHEMES: dict[str, Scheme] = {
         _m("q"), {"q": MApp("t")}, "body of {q} is not a meaningfulness ascription")),
     "MofA": _from_pattern("theory", _NamePattern(
         _m("q"), {"q": AApp("t")}, "body of {q} is not an assertibility ascription")),
-    "ALog": Scheme("theory", ("n",), _alog),
+    "ALog": _from_pattern("theory", _NamePattern(
+        Implies(_m("q"), _a("q")), {"q": "a"},
+        "body of {q} is not a logical axiom instance", axioms="a")),
     "AMP": _from_pattern("theory", _NamePattern(
         Implies(And(_a("qphi"), _a("qimp")), _a("qpsi")),
         {"qphi": "a", "qpsi": "b", "qimp": Implies("a", "b")},
@@ -742,10 +760,37 @@ class StepError(metaclass=record):
         return f"{where}: {self.message}"
 
 
+# a fault check_proof found: a StepError, or the index of the step (None for
+# the proof) and the exception that names the fault
+Fault = Union[StepError, tuple[Optional[int], Exception]]
+
+
 class ProofCheckError(Exception):
-    def __init__(self, errors: Sequence[StepError]) -> None:
-        super().__init__("; ".join(str(e) for e in errors))
-        self.errors = tuple(errors)
+    """The faults of a proof.  Their ``errors``, a StepError each, and the
+    text are made on first read, so a verdict no one prints renders no
+    formula; a pickle or a copy carries the ``errors``."""
+
+    def __init__(self, faults: Sequence[Fault]) -> None:
+        super().__init__()
+        self._faults = tuple(faults)
+
+    @cached_property
+    def errors(self) -> tuple[StepError, ...]:
+        return tuple(f if isinstance(f, StepError) else StepError(f[0], str(f[1]))
+                     for f in self._faults)
+
+    def __str__(self) -> str:
+        return "; ".join(map(str, self.errors))
+
+    def __reduce__(self):
+        return ProofCheckError, (self.errors,)
+
+
+def _fault(index: Optional[int], exc: Exception) -> Fault:
+    """``exc`` as a fault at ``index``, without its traceback or the exception
+    it was raised in, so no reference cycle runs through a checker frame."""
+    exc.__traceback__ = exc.__context__ = None
+    return index, exc
 
 
 def extension_grant(env: Environment, scheme: str,
@@ -763,7 +808,7 @@ def check_proof(env: Environment, proof: Proof,
     extension enabled by the proof header must also be named there.  Raises
     ProofCheckError with per-step errors on any violation.
     """
-    errors: list[StepError] = []
+    faults: list[Fault] = []
     steps = proof.steps
     if not steps:
         raise ProofCheckError([StepError(None, "a proof must have steps")])
@@ -771,7 +816,7 @@ def check_proof(env: Environment, proof: Proof,
         allowed = set(granted)
         for g in proof.enabled:
             if g.scheme not in allowed:
-                errors.append(StepError(
+                faults.append(StepError(
                     None, f"extension {g.scheme} enabled by the header but "
                     "not granted by the caller"))
     # the hypotheses and steps whose formula is ill formed, which none may cite
@@ -781,7 +826,7 @@ def check_proof(env: Environment, proof: Proof,
         try:
             env.check_formula(h)
         except (DefinitionError, IllFormedError) as exc:
-            errors.append(StepError(None, f"hypothesis {i + 1}: {exc}"))
+            faults.append(StepError(None, f"hypothesis {i + 1}: {exc}"))
             ill_hyps.add(i)
     used: dict[str, ExtensionGrant] = {}
 
@@ -794,14 +839,20 @@ def check_proof(env: Environment, proof: Proof,
 
     for i, step in enumerate(steps):
         stated, just = step.formula, step.just
-        try:
-            env.check_formula(stated)
-        except (DefinitionError, IllFormedError) as exc:
-            errors.append(StepError(i, str(exc)))
-            ill_steps.add(i)
-            continue
-        # one branch per class of justification, the most frequent first
         kind = type(just)
+        # a modus ponens step that states the very consequent object of an
+        # earlier major premise, checked well formed, is well formed with it
+        if not (kind is ByMP and not ill_steps and type(just.major) is int
+                and 0 <= just.major < i
+                and type(cited := steps[just.major].formula) is Implies
+                and cited.right is stated):
+            try:
+                env.check_formula(stated)
+            except (DefinitionError, IllFormedError) as exc:
+                faults.append(_fault(i, exc))
+                ill_steps.add(i)
+                continue
+        # one branch per class of justification, the most frequent first
         try:
             if kind is ByMP:
                 minor, major = just.minor, just.major
@@ -814,9 +865,8 @@ def check_proof(env: Environment, proof: Proof,
                 if not (type(major_f) is Implies
                         and (major_f.left is minor_f or major_f.left == minor_f)
                         and (major_f.right is stated or major_f.right == stated)):
-                    raise SchemeError(
-                        f"modus ponens mismatch: step {major + 1} is not "
-                        f"({minor_f}) -> ({stated})")
+                    raise SchemeError("modus ponens mismatch: step {} is not "
+                                      "({}) -> ({})", major + 1, minor_f, stated)
                 continue
             elif kind is ByLogical or kind is ByTheory or kind is ByExtension:
                 scheme, params = just.scheme, just.params
@@ -855,15 +905,14 @@ def check_proof(env: Environment, proof: Proof,
             if kind is ByExtension or kind is ByRelease:  # the one gate
                 if not any(g.scheme == grant.scheme and g.formula in (
                         None, grant.formula) for g in proof.enabled):
-                    raise SchemeError(f"extension not enabled: {grant}")
+                    raise SchemeError("extension not enabled: {}", grant)
                 used.setdefault(str(grant), grant)
             if expected is not stated and expected != stated:
-                raise SchemeError(
-                    f"stated formula ({stated}) differs from the justified "
-                    f"formula ({expected})")
+                raise SchemeError("stated formula ({}) differs from the "
+                                  "justified formula ({})", stated, expected)
         except (SchemeError, DefinitionError, IllFormedError) as exc:
-            errors.append(StepError(i, str(exc)))
-    if errors:
-        raise ProofCheckError(errors)
+            faults.append(_fault(i, exc))
+    if faults:
+        raise ProofCheckError(faults)
     return Judgment(proof.hypotheses, steps[-1].formula,
                     tuple(sorted(used.values(), key=str)))

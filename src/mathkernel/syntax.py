@@ -678,6 +678,10 @@ class Environment:
             raise DefinitionError(
                 f"{ext.extended} is already a predicate; the total extension "
                 f"of {base} needs a fresh one")
+        # its names are checked first, so a failed call changes nothing
+        for name in map(ext.name_at, self.universe):
+            if name in self.definitions:
+                raise DefinitionError(f"conflicting redefinition of {name}")
         self.register_predicate(base, 1)
         self.register_predicate(ext.extended, 1)
         self.extensions[base] = ext

@@ -20,7 +20,7 @@ from mathkernel.corpus import (
     load_manifest,
     run_corpus,
 )
-from mathkernel import kernel
+from mathkernel import kernel, syntax
 from mathkernel.kernel import (
     ByExtension,
     ByRelease,
@@ -114,12 +114,18 @@ def test_judgment_mismatch_is_reported(field, value, detail):
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.script)
 def test_twenty_mutations_rejected(entry):
+    # and a rejection renders no formula unless its text is read; only an
+    # accepted extension or release step renders one, its grant
     script, env = load(entry.script)
     proof = script.proof()
     rng = random.Random(entry.script)
-    for mutated in mutations(rng, proof, count=20):
-        with pytest.raises(ProofCheckError):
-            check_proof(env, mutated)
+    rendered, render = [], syntax._Node.__str__
+    with mock.patch.object(syntax._Node, "__str__",
+                           lambda phi: rendered.append(phi) or render(phi)):
+        for mutated in mutations(rng, proof, count=20):
+            with pytest.raises(ProofCheckError):
+                check_proof(env, mutated)
+    assert rendered == [] or entry.extensions
 
 
 def verdict(env, proof):

@@ -2,6 +2,8 @@
 
 import ast
 import copy
+import gc
+import pickle
 import random
 from pathlib import Path
 from typing import get_args
@@ -10,7 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mathkernel import kernel
+from mathkernel import kernel, syntax
 from mathkernel.corpus import corpus_dir
 from mathkernel.kernel import (
     EXTENSION_PARAMS,
@@ -64,6 +66,7 @@ from mathkernel.syntax import (
     TApp,
     Var,
     captures,
+    free_vars,
     iff,
     neg,
     pformat,
@@ -103,6 +106,11 @@ def test_derived_tables_keep_their_keys_values_and_order():
         ("ReleaseAxiom", ("n",)), ("UnrestrictedT", ("n",)),
     ]
     assert EXTENSION_SCHEMES == ("ReleaseAxiom", "ReleaseRule", "UnrestrictedT")
+    # the theory schemes that stay functions, built on every step
+    assert [name for name in THEORY_PARAMS
+            if name not in kernel._MATCHERS[ByTheory]] == [
+        "AGenF", "AGenE", "ForallCapture", "HDef", "HNeg", "SimDef",
+        "DefiniteEM", "TotalExtPos", "TotalExtNeg", "TotalExtM"]
 
 
 def test_expand_params():
@@ -686,11 +694,14 @@ def test_the_code_generated_from_mcomp1_and_tdef_reads_as_pinned():
     # a body with no metavariable gives none back
     assert "    return ()\ndef build(env, q):\n    found = " \
         in kernel._source(SCHEMES["MBot"].pattern)
+    # a metavariable that must be a logical axiom instance is one guard
+    assert "    a = body\n    if is_log_instance(a) is None: return None\n" \
+        "    return (a,)\n" in kernel._source(SCHEMES["ALog"].pattern)
 
 
 NAME_PATTERN_SCHEMES = [
     "MComp1", "MComp2", "MComp3", "MComp4", "MQuant1", "MQuant2", "MQuant3",
-    "MBot", "MofM", "MofA", "AMP", "AtoM", "Capture", "TDef", "TNeg",
+    "MBot", "MofM", "MofA", "ALog", "AMP", "AtoM", "Capture", "TDef", "TNeg",
     "ReleaseAxiom", "UnrestrictedT"]
 
 
@@ -933,6 +944,20 @@ def test_a_total_extension_needs_a_fresh_predicate(declare):
     assert str(exc.value) == ("Tr_ext is already a predicate; the total "
                               "extension of Tr needs a fresh one")
     assert vars(env) == vars(before) | {"_checked": env._checked}
+
+
+def test_a_failed_total_extension_leaves_the_environment_as_it_was():
+    # one of its names is taken: the call registers no predicate and
+    # records no extension, so a second call fails the same way
+    env = Environment()
+    env.declare_domain("D", ("a",), definite=True)
+    env.define("P_ext_a", (), BOT)
+    before = copy.copy(env)
+    for _ in range(2):
+        with pytest.raises(DefinitionError) as exc:
+            env.declare_total_extension("P", "D")
+        assert str(exc.value) == "conflicting redefinition of P_ext_a"
+        assert vars(env) == vars(before) | {"_checked": env._checked}
 
 
 def _errors(env, proof):
@@ -1633,6 +1658,10 @@ def _l1(a, b):
     return Implies(a, Implies(b, a))
 
 
+_ILL_MAJOR = Implies(P, Atom("R", ()))
+_WELL_MAJOR = Implies(P, Q)
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(logical_step_proofs(), mp_step_proofs()))
 # parameters equal to the stated subformulas but distinct objects
@@ -1661,6 +1690,11 @@ def _l1(a, b):
 @example(_mp_proof(P, Implies(Atom("p"), Q), Q))
 @example(_mp_proof(P, And(P, Q), Q))
 @example(_mp_proof(P, Implies(P, R), Q))
+# the stated formula is the very consequent object of the major premise,
+# which is ill formed, and so is that consequent; then a cited minor
+# premise is ill formed, and the consequent well formed
+@example(_mp_proof(P, _ILL_MAJOR, _ILL_MAJOR.right))
+@example(_mp_proof(Atom("R", ()), _WELL_MAJOR, _WELL_MAJOR.right))
 def test_check_proof_matches_build_and_compare(proof):
     try:
         check_proof(_diff_env(), proof)
@@ -1700,6 +1734,92 @@ def test_a_step_citing_an_ill_typed_step_is_rejected(ill, just):
     assert str(exc.value.errors[2]) == "step 3: cited step 1 is ill formed"
 
 
+# -- the faults of a proof, rendered when read
+
+
+# a corpus script, one line of it changed, and the faults then found, with
+# the number of formulas their text renders
+_READ_REJECTIONS = [
+    ("anomaly_assertible_liar.pf", "7: M(`q1`) by MP 5 6\n",
+     "7: M(`q1`) by MP 6 5\n",
+     ["step 7: modus ponens mismatch: step 5 is not (M(`ala`) & "
+      "M(`zero_eq_one`) -> M(`q1`)) -> (M(`q1`))"], 2),
+    ("liar_meaningful_collapse.pf", "13: M(`truth_bic`) -> M(",
+     "13: M(`truth_bic`) -> A(",
+     ["step 13: stated formula (M(`truth_bic`) -> A(`q1`)) differs from the "
+      "justified formula (M(`truth_bic`) -> M(`q1`))",
+      "step 16: modus ponens mismatch: step 15 is not (M(`truth_bic`) -> "
+      "A(`q1`)) -> (M(`liar`) -> M(`truth_bic`) -> M(`q1`))"], 4),
+    ("liar_meaningful_collapse.pf", "by ALog[q14]\n", "by ALog[liar]\n",
+     ["step 325: ALog: body of liar is not a logical axiom instance"], 0),
+]
+
+
+@pytest.mark.parametrize("script,old,new,texts,formulas", _READ_REJECTIONS,
+                         ids=["mp-mismatch", "stated-differs", "alog"])
+def test_a_rejection_renders_its_formulas_only_when_its_text_is_read(
+        script, old, new, texts, formulas):
+    source = (corpus_dir() / script).read_text()
+    assert source.count(old) == 1
+    parsed, env = parse_script(source.replace(old, new))
+    rendered = []
+    render = syntax._Node.__str__
+
+    def counted(phi):
+        rendered.append(phi)
+        return render(phi)
+
+    with mock.patch.object(syntax._Node, "__str__", counted):
+        with pytest.raises(ProofCheckError) as exc:
+            check_proof(env, parsed.proof())
+        assert rendered == []
+        assert [str(e) for e in exc.value.errors] == texts
+        assert str(exc.value) == "; ".join(texts)
+    assert len(rendered) == formulas  # once each, on the first read
+
+
+def test_a_pickled_or_copied_proof_check_error_keeps_its_errors_and_text():
+    made = ProofCheckError([StepError(0, "x"), StepError(None, "y")])
+    with pytest.raises(ProofCheckError) as exc:
+        check_proof(_diff_env(), _mp_proof(P, Implies(P, R), Q))
+    for error in (made, exc.value):
+        for again in (pickle.loads(pickle.dumps(error)), copy.copy(error)):
+            assert again.errors == error.errors
+            assert str(again) == str(error)
+    assert str(made) == "step 1: x; proof: y"
+    assert str(exc.value) == \
+        "step 3: modus ponens mismatch: step 2 is not (p) -> (q)"
+
+
+def _rejection(env, proof):
+    try:
+        check_proof(env, proof)
+    except ProofCheckError as exc:
+        return exc
+
+
+def test_a_rejection_holds_no_reference_cycle():
+    # no fault keeps its traceback, or the exception it was raised in, so
+    # a dropped rejection is freed without the cycle collector: the faults
+    # come from check_proof itself, from check_formula, and from inside
+    # the parameter check and an instance function
+    proof = Proof((P, Implies(P, R)), (
+        Step(P, ByHyp(0)), Step(Implies(P, R), ByHyp(1)),
+        Step(Q, ByMP(0, 1)), Step(Atom("R", ()), ByHyp(0)),
+        Step(P, ByTheory("ALog", ("nope",))), Step(P, ByTheory("ALog", ("s",))),
+        Step(P, ByTheory("MBot", (3,))), Step(Q, ByHyp(0))))
+    env = _diff_env()
+    gc.collect()
+    gc.disable()
+    try:
+        rejection = _rejection(env, proof)
+        assert [e.index for e in rejection.errors] == [2, 3, 4, 5, 6, 7]
+        del rejection
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # -- theory and extension steps against the build-and-compare reference
 
 
@@ -1721,7 +1841,8 @@ def _theory_env() -> Environment:
             ("exy", (), Exists("y", ry)), ("mp", (), MApp(Quote("p"))),
             ("ap", (), AApp(Quote("p"))), ("tp", (), iff(TApp(Quote("p")), p)),
             ("tp2", (), iff(TApp(Quote("p")), Atom("p"))),
-            ("tnp", (), neg(TApp(Quote("p")))), ("w", ("x",), AApp(Var("x")))]:
+            ("tnp", (), neg(TApp(Quote("p")))), ("w", ("x",), AApp(Var("x"))),
+            ("ax", (), Implies(p, Implies(q, p)))]:
         env.define(name, params, body)
     return env
 
@@ -1917,6 +2038,10 @@ REFERENCE_INSTANCES = {
     "MofA": lambda env, q: (
         isinstance(_r(env, q), AApp)
         or f"body of {q} is not an assertibility ascription", _qm(q)),
+    "ALog": lambda env, q: (
+        is_log_instance(_r(env, q)) is not None
+        or f"body of {q} is not a logical axiom instance",
+        Implies(_qm(q), _qa(q))),
     "AMP": lambda env, qphi, qpsi, qimp: (
         _r(env, qimp) == Implies(_r(env, qphi), _r(env, qpsi))
         or f"body of {qimp} is not the implication from {qphi} to {qpsi}",
@@ -2017,3 +2142,87 @@ def test_pattern_steps_match_build_and_compare(proof):
     except ProofCheckError as exc:
         errors = list(exc.errors)
     assert errors == reference_check_errors(_theory_env(), proof)
+
+
+# -- ALog: a body pattern whose body must be a logical axiom instance
+
+
+_AXIOM_PARAMS = {"f": WELL_FORMED, "v": st.sampled_from("xy"),
+                 "t": st.sampled_from((Var("x"), Var("y")))}
+
+
+@st.composite
+def alog_bodies(draw):
+    """An L1..L11 instance, one with each occurrence of a parameter drawn
+    anew, or any formula."""
+    scheme = draw(st.sampled_from(sorted(LOGICAL_PARAMS)))
+    params = tuple(draw(_AXIOM_PARAMS[k]) for k in LOGICAL_PARAMS[scheme])
+    how = draw(st.sampled_from(("instance", "each", "any")))
+    try:
+        if how == "instance":
+            return logical_instance(scheme, params)
+        if how == "each" and scheme not in ("L10", "L11"):
+            return _each_occurrence(draw, scheme, params)
+    except SchemeError:  # a quantifier axiom that would capture
+        pass
+    return draw(WELL_FORMED)
+
+
+def _alog_env(body):
+    """``_diff_env`` with ``b`` bound to ``body``, over its free variables."""
+    env = _diff_env()
+    env.define("b", tuple(sorted(free_vars(body))), body)
+    return env
+
+
+_ALOG_B = Implies(MApp(Quote("b")), AApp(Quote("b")))
+
+
+@st.composite
+def alog_steps(draw):
+    """A body for ``b`` and a one-step proof by ALog citing ``b``, an
+    unbound name, a value that is no name, or too few or too many names;
+    its stated formula the instance for ``b``, a copy of it, the instance
+    for another name, its converse, or any formula."""
+    params = draw(st.sampled_from(
+        (("b",), ("b",), ("b",), ("s",), ("nope",), (3,), (Var("x"),), (),
+         ("b", "b"))))
+    stated = draw(st.sampled_from((
+        _ALOG_B, _rebuilt(_ALOG_B), Implies(MApp(Quote("s")), AApp(Quote("s"))),
+        Implies(AApp(Quote("b")), MApp(Quote("b"))), None)))
+    if stated is None:
+        stated = draw(WELL_FORMED)
+    return draw(alog_bodies()), Proof((), (Step(stated, ByTheory("ALog",
+                                                                 params)),))
+
+
+@settings(max_examples=300, deadline=None)
+@given(alog_steps())
+# an L1 and an L10 instance, and a body that is none
+@example((_l1(P, Q), Proof((), (Step(_ALOG_B, ByTheory("ALog", ("b",))),))))
+@example((Implies(Forall("x", Atom("R", (Var("x"),))), Atom("R", (Var("y"),))),
+          Proof((), (Step(_ALOG_B, ByTheory("ALog", ("b",))),))))
+@example((Implies(P, Implies(Q, Q)),
+          Proof((), (Step(_ALOG_B, ByTheory("ALog", ("b",))),))))
+# an unbound name, a value that is no name, and a wrong count
+@example((_l1(P, Q), Proof((), (Step(_ALOG_B, ByTheory("ALog", ("nope",))),))))
+@example((_l1(P, Q), Proof((), (Step(_ALOG_B, ByTheory("ALog", (3,))),))))
+@example((_l1(P, Q), Proof((), (Step(_ALOG_B, ByTheory("ALog", ())),))))
+@example((_l1(P, Q), Proof((), (Step(_ALOG_B, ByTheory("ALog", ("b", "b"))),))))
+def test_alog_matches_build_and_compare(case):
+    body, proof = case
+    stated, params = proof.steps[0].formula, proof.steps[0].just.params
+    built = _outcome(lambda: reference_instance(_alog_env(body), "ALog",
+                                                params))
+    # the generated constructor gives what the hand-written function gave,
+    # and the matcher accepts exactly the instance it built
+    assert _outcome(lambda: theory_instance(_alog_env(body), "ALog",
+                                            params)) == built
+    assert SCHEMES["ALog"].match(_alog_env(body), stated, params) \
+        == (built == stated)
+    try:
+        check_proof(_alog_env(body), proof)
+        errors = []
+    except ProofCheckError as exc:
+        errors = list(exc.errors)
+    assert errors == reference_check_errors(_alog_env(body), proof)

@@ -760,7 +760,7 @@ _L1_TEXT = ("Scheme(kind='logical', params=('f', 'f'), instance=None, "
 _ATOM = SCHEMES["AtoM"].pattern
 _ATOM_TEXT = ("_NamePattern(conclusion=Implies(left=AApp(arg=Quote(name='q')), "
               "right=MApp(arg=Quote(name='q'))), params={'q': 'a'}, message='', "
-              "sentences='')")
+              "sentences='', axioms='')")
 _ENTRY = CorpusEntry("a.pf", "one entry", ("p",), "bot",
                      (("ReleaseAxiom", None),))
 _ENTRY_TEXT = ("CorpusEntry(script='a.pf', description='one entry', "
