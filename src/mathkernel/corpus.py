@@ -79,6 +79,10 @@ def _entry(i: int, item) -> CorpusEntry:
     for key in ("script", "conclusion"):
         if not isinstance(item.get(key), str):
             raise bad(f"{key!r} must be a string")
+    # a manifest is untrusted input: it names no file outside its directory
+    script = Path(item["script"])
+    if script.is_absolute() or ".." in script.parts:
+        raise bad("'script' must name a file in the corpus directory")
     if not isinstance(item.get("description", ""), str):
         raise bad("'description' must be a string")
     hyps = item.get("hypotheses", [])

@@ -25,8 +25,9 @@ names resolve to, and ALog's body must also be a logical axiom instance
 one generator writes from the pattern a constructor and a matcher in
 straight-line code, and the pattern gives the parameter kinds.  Every
 matcher is ``match(env, phi, params)``: whether phi is the instance for
-``params``, building nothing; given None for ``params``, an L1..L9 matcher
-recognizes an instance with its slots free (``is_log_instance``).
+``params``, building nothing.  An L1..L9 matcher binds each metavariable
+where it first occurs and returns the values it found when ``params`` is
+None (``is_log_instance``) or equals them, formula for formula.
 
 ``check_proof`` reads the class of each step's justification once and runs
 its one branch, which opens by testing that each field has exactly its
@@ -50,9 +51,10 @@ extension a step cites.
 A rejection renders no formula until its text is read: the messages that
 print one (a modus ponens mismatch, a stated formula that differs, an
 extension not enabled) are SchemeErrors that keep a format string and its
-values, ``check_proof`` keeps each fault as its step index and exception,
-without the traceback, and ``ProofCheckError`` makes its ``errors`` and
-its text from the faults when they are first read.
+values.  Every fault ``check_proof`` finds is one pair, its step index
+(None for the proof) and the exception that names it, without the
+traceback; ``ProofCheckError`` holds the pairs and makes its ``errors``
+and its text from them when they are first read.
 
 Quoted-formula side conditions are checked by syntactic equality after one
 level of name resolution: quotation terms inside resolved bodies are never
@@ -432,7 +434,6 @@ def _total_ext_m(env: Environment, base: str, c: Term) -> Formula:
 # the registry, and the code generated from its patterns
 
 
-_FREE = object()  # the default of a matcher's slot: free, to be bound
 _WRITTEN = {cls: name for name, cls in ASCRIPTIONS.items()}  # for ``quoted``
 
 
@@ -448,13 +449,12 @@ class _NamePattern(metaclass=record):
 def _source(pattern: Union[Formula, _NamePattern]) -> str:
     """The text of the functions generated from a scheme's pattern.
 
-    An L1..L9 pattern is a formula whose slots are its metavariables, in
-    sorted order: ``match(_env, phi, params)`` returns the values of the
-    slots for which ``build(_env, a, ...)`` gives ``phi``, or None.  With
-    ``params`` None every slot is free; otherwise ``params`` gives one
-    value per slot, or the match fails.  A free slot is bound at its first
-    occurrence, where a given value must be of a formula type and be the
-    subformula there or equal it; later occurrences only compare.
+    Every metavariable is bound where it first occurs and compared with
+    the subformula wherever it occurs again.  An L1..L9 pattern is a
+    formula whose slots are its metavariables, in sorted order:
+    ``match(_env, phi, params)`` finds the values of the slots for which
+    ``build(_env, a, ...)`` gives ``phi`` and returns them when ``params``
+    is None, or is a tuple of formulas equal to them; else None.
 
     A ``_NamePattern`` maps each parameter's name, in order, to the pattern
     of the body it names, or to None for a variable.  ``bodies(defs, ...)``
@@ -465,18 +465,13 @@ def _source(pattern: Union[Formula, _NamePattern]) -> str:
     SchemeError with ``message``; ``match(env, phi, params)`` says whether
     ``build`` would give ``phi``, building nothing.  A subformula is named
     by its path: l for a node's first field, r for its second."""
-    named = isinstance(pattern, _NamePattern)
     tup = lambda names: f"{', '.join(names)}{',' if len(names) == 1 else ''}"
 
     def walk(p, x: str, fail: str, seen: dict, lines: list) -> str:
         # add the lines that match x against p; return what builds p
         if type(p) is str:  # a metavariable, or a parameter's name
-            same = f"({p} is {x} or {p} == {x})"
-            lines += ([f"    if not {same}: {fail}"] if p in seen else
-                      [f"    {p} = {x}"] if named else
-                      [f"    if {p} is _FREE: {p} = {x}",
-                       f"    elif not (type({p}) in _FORMULAS and {same}):"
-                       " return None"])
+            lines.append(f"    if not ({p} is {x} or {p} == {x}): {fail}"
+                         if p in seen else f"    {p} = {x}")
             seen[p] = None
             return p
         cls = type(p)
@@ -495,16 +490,18 @@ def _source(pattern: Union[Formula, _NamePattern]) -> str:
             kids.append(walk(getattr(p, field), path, fail, seen, lines))
         return f"{cls.__name__}({', '.join(kids)})"
 
-    if not named:
+    if not isinstance(pattern, _NamePattern):
         lines, seen = [], {}
         built = walk(pattern, "phi", "return None", seen, lines)
         slots = sorted(seen)
+        formulas = " and ".join(f"type(params[{i}]) in _FORMULAS"
+                                for i in range(len(slots)))
         return "\n".join([
-            "def match(_env, phi, params):",
-            f"    if params is None: params = (_FREE,) * {len(slots)}",
-            f"    elif len(params) != {len(slots)}: return None",
-            f"    {tup(slots)} = params", *lines,
-            f"    return {tup(slots)}",
+            "def match(_env, phi, params):", *lines,
+            f"    found = {tup(slots)}",
+            f"    if params is None or params == found and {formulas}:"
+            " return found",
+            "    return None",
             f"def build(_env, {', '.join(slots)}):", f"    return {built}", ""])
 
     slots, sentences = pattern.params, pattern.sentences.split()
@@ -644,7 +641,7 @@ THEORY_PARAMS = _table("theory", "params")
 EXTENSION_PARAMS = _table("extension", "params")
 # ReleaseRule is a rule, not a scheme, but is gated like the extension schemes
 EXTENSION_SCHEMES = tuple(sorted([*EXTENSION_PARAMS, "ReleaseRule"]))
-# the L1..L9 matchers that is_log_instance runs with every slot free
+# the L1..L9 matchers that is_log_instance runs with params None
 _LOG_MATCHERS = _table("logical", "match")
 
 
@@ -760,33 +757,23 @@ class StepError(metaclass=record):
         return f"{where}: {self.message}"
 
 
-# a fault check_proof found: a StepError, or the index of the step (None for
-# the proof) and the exception that names the fault
-Fault = Union[StepError, tuple[Optional[int], Exception]]
-
-
 class ProofCheckError(Exception):
-    """The faults of a proof.  Their ``errors``, a StepError each, and the
-    text are made on first read, so a verdict no one prints renders no
-    formula; a pickle or a copy carries the ``errors``."""
-
-    def __init__(self, faults: Sequence[Fault]) -> None:
-        super().__init__()
-        self._faults = tuple(faults)
+    """The faults of a proof, its one argument: each the index of its step
+    (None for the proof) and the exception that names it.  Their
+    ``errors``, a StepError each, and the text are made on first read, so a
+    verdict no one prints renders no formula; a pickle or a copy carries
+    the faults, and the ``errors`` once read."""
 
     @cached_property
     def errors(self) -> tuple[StepError, ...]:
-        return tuple(f if isinstance(f, StepError) else StepError(f[0], str(f[1]))
-                     for f in self._faults)
+        return tuple(StepError(i, str(exc)) for i, exc in self.args[0])
 
     def __str__(self) -> str:
         return "; ".join(map(str, self.errors))
 
-    def __reduce__(self):
-        return ProofCheckError, (self.errors,)
 
-
-def _fault(index: Optional[int], exc: Exception) -> Fault:
+def _fault(index: Optional[int],
+           exc: Exception) -> tuple[Optional[int], Exception]:
     """``exc`` as a fault at ``index``, without its traceback or the exception
     it was raised in, so no reference cycle runs through a checker frame."""
     exc.__traceback__ = exc.__context__ = None
@@ -808,17 +795,17 @@ def check_proof(env: Environment, proof: Proof,
     extension enabled by the proof header must also be named there.  Raises
     ProofCheckError with per-step errors on any violation.
     """
-    faults: list[Fault] = []
+    faults: list[tuple[Optional[int], Exception]] = []
     steps = proof.steps
     if not steps:
-        raise ProofCheckError([StepError(None, "a proof must have steps")])
+        raise ProofCheckError([(None, SchemeError("a proof must have steps"))])
     if granted is not None:
         allowed = set(granted)
         for g in proof.enabled:
             if g.scheme not in allowed:
-                faults.append(StepError(
-                    None, f"extension {g.scheme} enabled by the header but "
-                    "not granted by the caller"))
+                faults.append((None, SchemeError(
+                    f"extension {g.scheme} enabled by the header but not "
+                    "granted by the caller")))
     # the hypotheses and steps whose formula is ill formed, which none may cite
     ill_hyps: set[int] = set()
     ill_steps: set[int] = set()
@@ -826,7 +813,7 @@ def check_proof(env: Environment, proof: Proof,
         try:
             env.check_formula(h)
         except (DefinitionError, IllFormedError) as exc:
-            faults.append(StepError(None, f"hypothesis {i + 1}: {exc}"))
+            faults.append((None, SchemeError(f"hypothesis {i + 1}: {exc}")))
             ill_hyps.add(i)
     used: dict[str, ExtensionGrant] = {}
 

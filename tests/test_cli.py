@@ -173,6 +173,34 @@ def test_corpus_malformed_manifest_is_usage_error(tmp_path, capsys, manifest):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("absolute", [False, True], ids=["dot-dot", "absolute"])
+def test_corpus_manifest_naming_a_file_outside_its_directory_is_usage_error(
+        tmp_path, capsys, absolute):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (tmp_path / "secret.txt").write_text("secret line one\n")
+    script = str(tmp_path / "secret.txt") if absolute else "../secret.txt"
+    (corpus / "manifest.json").write_text(json.dumps(
+        [{"script": script, "conclusion": "bot", "extensions": []}]))
+    code, out, err = run(capsys, "corpus", "--dir", str(corpus))
+    assert code == 2 and out == ""
+    assert err == ("error: malformed manifest: entry 1: 'script' must name a "
+                   "file in the corpus directory\n")
+
+
+def test_corpus_manifest_may_name_a_script_in_a_subdirectory(tmp_path, capsys):
+    src = corpus_dir()
+    entry = next(e for e in json.loads((src / "manifest.json").read_text())
+                 if e["script"] == "anomaly_assertible_liar.pf")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "a.pf").write_text((src / entry["script"]).read_text())
+    (tmp_path / "manifest.json").write_text(
+        json.dumps([{**entry, "script": "sub/a.pf"}]))
+    code, out, _ = run(capsys, "corpus", "--dir", str(tmp_path))
+    assert code == 0
+    assert "PASS" in out and "sub/a.pf" in out
+
+
 def test_corpus_unparsable_expected_formula_fails_the_entry(tmp_path, capsys):
     src = corpus_dir()
     entry = next(e for e in json.loads((src / "manifest.json").read_text())

@@ -531,46 +531,37 @@ def test_is_log_instance_matches_reference_on_seeded_formulas():
 
 L1_SOURCE = """\
 def match(_env, phi, params):
-    if params is None: params = (_FREE,) * 2
-    elif len(params) != 2: return None
-    a, b = params
     if type(phi) is not Implies: return None
     l = phi.left
-    if a is _FREE: a = l
-    elif not (type(a) in _FORMULAS and (a is l or a == l)): return None
+    a = l
     r = phi.right
     if type(r) is not Implies: return None
     rl = r.left
-    if b is _FREE: b = rl
-    elif not (type(b) in _FORMULAS and (b is rl or b == rl)): return None
+    b = rl
     rr = r.right
     if not (a is rr or a == rr): return None
-    return a, b
+    found = a, b
+    if params is None or params == found and type(params[0]) in _FORMULAS and type(params[1]) in _FORMULAS: return found
+    return None
 def build(_env, a, b):
     return Implies(a, Implies(b, a))
 """
 
 L8_SOURCE = """\
 def match(_env, phi, params):
-    if params is None: params = (_FREE,) * 3
-    elif len(params) != 3: return None
-    a, b, c = params
     if type(phi) is not Implies: return None
     l = phi.left
     if type(l) is not Implies: return None
     ll = l.left
-    if a is _FREE: a = ll
-    elif not (type(a) in _FORMULAS and (a is ll or a == ll)): return None
+    a = ll
     lr = l.right
-    if c is _FREE: c = lr
-    elif not (type(c) in _FORMULAS and (c is lr or c == lr)): return None
+    c = lr
     r = phi.right
     if type(r) is not Implies: return None
     rl = r.left
     if type(rl) is not Implies: return None
     rll = rl.left
-    if b is _FREE: b = rll
-    elif not (type(b) in _FORMULAS and (b is rll or b == rll)): return None
+    b = rll
     rlr = rl.right
     if not (c is rlr or c == rlr): return None
     rr = r.right
@@ -583,7 +574,9 @@ def match(_env, phi, params):
     if not (b is rrlr or b == rrlr): return None
     rrr = rr.right
     if not (c is rrr or c == rrr): return None
-    return a, b, c
+    found = a, b, c
+    if params is None or params == found and type(params[0]) in _FORMULAS and type(params[1]) in _FORMULAS and type(params[2]) in _FORMULAS: return found
+    return None
 def build(_env, a, b, c):
     return Implies(Implies(a, c), Implies(Implies(b, c), Implies(Or(a, b), c)))
 """
@@ -592,9 +585,35 @@ def build(_env, a, b, c):
 def test_the_code_generated_from_l1_and_l8_reads_as_pinned():
     assert kernel._source(SCHEMES["L1"].pattern) == L1_SOURCE
     assert kernel._source(SCHEMES["L8"].pattern) == L8_SOURCE
-    # a lone slot is returned as a one-tuple
-    assert kernel._source(SCHEMES["L9"].pattern).endswith(
-        "    return a,\ndef build(_env, a):\n    return Implies(BOT, a)\n")
+    # a lone slot is found as a one-tuple
+    assert "    a = r\n    found = a,\n" in kernel._source(SCHEMES["L9"].pattern)
+
+
+@pytest.mark.parametrize("scheme", [f"L{n}" for n in range(1, 10)])
+def test_an_l1_to_l9_matcher_returns_what_it_found_for_none_or_an_equal_tuple(
+        scheme):
+    match, n = SCHEMES[scheme].match, len(LOGICAL_PARAMS[scheme])
+    params = (P, Q, Implies(P, R))[:n]
+    phi = logical_instance(scheme, params)
+    equal = (Atom("p"), Atom("q"), Implies(Atom("p"), Atom("r")))[:n]
+    assert match(None, phi, None) == params
+    assert match(None, phi, equal) == params
+    texts = [params[:i] + (pformat(f),) + params[i + 1:]
+             for i, f in enumerate(params)]
+    # a list, a tuple one value short or one too long, and a tuple with a
+    # slot's formula replaced by its text
+    for bad in [list(params), params[:-1], params + (P,), *texts]:
+        assert match(None, phi, bad) is None
+        with pytest.raises(ProofCheckError) as exc:
+            check_proof(_diff_env(),
+                        Proof((), (Step(phi, ByLogical(scheme, bad)),)))
+        if type(bad) is tuple:  # the message of building the instance
+            with pytest.raises(SchemeError) as built:
+                logical_instance(scheme, bad)
+            message = str(built.value)
+        else:  # a list is no tuple, and no step gets as far as its scheme
+            message = f"ByLogical.params must be tuple, got {bad!r}"
+        assert exc.value.errors == (StepError(0, message),)
 
 
 # -- the code generated from the patterns of the theory and extension schemes
@@ -1412,13 +1431,18 @@ def test_extension_gating_is_double_keyed():
 
     # header grant missing: rejected even when the caller grants the scheme
     bare = Proof((), (step,), frozenset())
-    with pytest.raises(ProofCheckError):
+    with pytest.raises(ProofCheckError) as exc:
         check_proof(env, bare, granted={"ReleaseAxiom"})
+    assert exc.value.errors == (
+        StepError(0, "extension not enabled: ReleaseAxiom(bot)"),)
 
     # caller grant missing: rejected even with the header grant
     headed = Proof((), (step,), frozenset({grant}))
-    with pytest.raises(ProofCheckError):
+    with pytest.raises(ProofCheckError) as exc:
         check_proof(env, headed, granted=set())
+    assert exc.value.errors == (StepError(
+        None, "extension ReleaseAxiom enabled by the header but not granted "
+        "by the caller"),)
 
     # both keys present: accepted, and the use is reported
     judgment = check_proof(env, headed, granted={"ReleaseAxiom"})
@@ -1778,22 +1802,53 @@ def test_a_rejection_renders_its_formulas_only_when_its_text_is_read(
     assert len(rendered) == formulas  # once each, on the first read
 
 
+def _faults(error: ProofCheckError) -> list:
+    """The faults of ``error``, each exception as its class and text."""
+    return [(i, type(exc), str(exc)) for i, exc in error.args[0]]
+
+
 def test_a_pickled_or_copied_proof_check_error_keeps_its_errors_and_text():
-    made = ProofCheckError([StepError(0, "x"), StepError(None, "y")])
-    with pytest.raises(ProofCheckError) as exc:
-        check_proof(_diff_env(), _mp_proof(P, Implies(P, R), Q))
-    for error in (made, exc.value):
-        for again in (pickle.loads(pickle.dumps(error)), copy.copy(error)):
-            assert again.errors == error.errors
-            assert str(again) == str(error)
-    assert str(made) == "step 1: x; proof: y"
-    assert str(exc.value) == \
-        "step 3: modus ponens mismatch: step 2 is not (p) -> (q)"
+    release = Step(extension_instance(liar_env(), "ReleaseAxiom",
+                                      ("zero_eq_one",)),
+                   ByExtension("ReleaseAxiom", ("zero_eq_one",)))
+    headed = Proof((), (release,),
+                   frozenset({ExtensionGrant("ReleaseAxiom", BOT)}))
+    # a rejection made from faults, found at a step, and each of the three
+    # faults of the proof itself: no steps, a header grant the caller did
+    # not grant, and an ill-formed hypothesis
+    rejections = [
+        (lambda: ProofCheckError([(0, SchemeError("x")),
+                                  (None, SchemeError("y: {}", P))]),
+         ["step 1: x", "proof: y: p"]),
+        (lambda: _rejection(_diff_env(), _mp_proof(P, Implies(P, R), Q)),
+         ["step 3: modus ponens mismatch: step 2 is not (p) -> (q)"]),
+        (lambda: _rejection(liar_env(), Proof((), ())),
+         ["proof: a proof must have steps"]),
+        (lambda: _rejection(liar_env(), headed, granted=()),
+         ["proof: extension ReleaseAxiom enabled by the header but not "
+          "granted by the caller"]),
+        (lambda: _rejection(_diff_env(), Proof(
+            (Implies(P, 3),), (Step(P, ByHyp(0)),))),
+         ["proof: hypothesis 1: not a formula: 3",
+          "step 1: hypothesis 1 is ill formed"]),
+    ]
+    for make, texts in rejections:
+        # before its errors are first read, and after, when they ride along
+        for read in (False, True):
+            error = make()
+            if read:
+                assert [str(e) for e in error.errors] == texts
+            for again in (pickle.loads(pickle.dumps(error)), copy.copy(error)):
+                assert ("errors" in vars(again)) is read
+                assert len(again.args) == 1
+                assert _faults(again) == _faults(error)
+                assert again.errors == error.errors
+                assert str(again) == str(error) == "; ".join(texts)
 
 
-def _rejection(env, proof):
+def _rejection(env, proof, granted=None):
     try:
-        check_proof(env, proof)
+        check_proof(env, proof, granted)
     except ProofCheckError as exc:
         return exc
 
